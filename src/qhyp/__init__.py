@@ -40,20 +40,7 @@ from .qseries import (
     w87,
     w87_to_phi32_limit,
 )
-from .opalgebra import (
-    Configuration,
-    QDiffOperator,
-    char_roots,
-    configuration,
-    durand_kerner,
-    frobenius_series,
-    gauge_power,
-    invert_variable,
-    is_nonlog,
-    l_poly,
-    op_apply,
-    op_multiply,
-)
+from .opalgebra import Configuration, QDiffOperator, durand_kerner
 from .equations import (
     BUILDERS,
     H2Params,

@@ -497,7 +497,7 @@ def params3_to_h3(p: Params3, alpha: complex, ctx: QContext) -> tuple[H3Params, 
     exponent to pass to ``gauge_power``.
 
     Gauge choice t_i = 1; the returned operator satisfies
-    gauge_power(build_e3(p), mu) = const * build_h3(params).
+    build_e3(p).gauge_power(mu) = const * build_h3(params).
     """
     q = complex(ctx.q)
     lq = cmath.log(q)

@@ -46,9 +46,6 @@ class GaugeDescriptor:
             )
         return out
 
-    def is_trivial(self) -> bool:
-        return self.x_power == 0 and not self.poch_num and not self.poch_den
-
 
 _IDENTITY_GAUGE = GaugeDescriptor()
 

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .qcore import QContext
 
-_COEFF_PRUNE = 0.0  # only exact zeros are dropped at construction
 _ROOT_RESIDUAL = 1e-13
 
 
@@ -487,44 +486,3 @@ class QDiffOperator:
             f"({i},{j}): {c:.6g}" for (i, j), c in sorted(self.coeffs.items())
         )
         return f"QDiffOperator(q={self.q:.6g}, {{{inner}}})"
-
-
-# -- module-level functional aliases (operator-algebra API) ----------------------
-
-
-def op_multiply(left: QDiffOperator, right: QDiffOperator) -> QDiffOperator:
-    return left * right
-
-
-def op_apply(op: QDiffOperator, f: Callable[[complex], complex], x: complex) -> complex:
-    return op.apply(f, x)
-
-
-def l_poly(op: QDiffOperator, m: int) -> dict[int, complex]:
-    return op.l_poly(m)
-
-
-def char_roots(op: QDiffOperator, where: str, ctx: QContext) -> tuple[complex, ...]:
-    return op.char_roots(where, ctx)
-
-
-def configuration(op: QDiffOperator, ctx: QContext) -> Configuration:
-    return op.configuration(ctx)
-
-
-def is_nonlog(op: QDiffOperator, a: complex, side: str, ctx: QContext) -> bool:
-    return op.is_nonlog(a, side, ctx)
-
-
-def frobenius_series(
-    op: QDiffOperator, lam_root: complex, n_terms: int, ctx: QContext
-) -> np.ndarray:
-    return op.frobenius_series(lam_root, n_terms, ctx)
-
-
-def gauge_power(op: QDiffOperator, mu: complex) -> QDiffOperator:
-    return op.gauge_power(mu)
-
-
-def invert_variable(op: QDiffOperator) -> QDiffOperator:
-    return op.invert_variable()

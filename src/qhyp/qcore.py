@@ -1,15 +1,20 @@
 """Foundational q-arithmetic: Pochhammer symbols, theta, Jackson integration.
 
 Everything here is pure and reentrant.  The global numeric policy lives in
-:class:`QContext`; all truncations stop only after three consecutive
-sub-tolerance terms so that isolated tiny terms of alternating series do not
-trigger premature truncation.
+:class:`QContext`, and so does the one truncation rule every sum of the
+package obeys (:class:`_Tail`): a sum stops at the third consecutive term
+whose magnitude is below ``tail_tol`` times the running maximum of the
+magnitudes so far (floored at 1), so that isolated tiny terms of alternating
+series do not trigger premature truncation.  Term-by-term loops feed it one
+magnitude at a time; chunked numpy kernels feed it whole chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -20,6 +25,50 @@ from .errors import (
 
 _CONSECUTIVE_SMALL = 3
 _ZERO_FACTOR_RTOL = 1e-12
+
+
+class _Tail:
+    """The truncation rule, with its running maximum and its count of
+    consecutive small terms.
+
+    :meth:`done` is the scalar monitor, fed one term magnitude at a time;
+    :meth:`first_stop` is the vectorised finder, fed one chunk of magnitudes.
+    Both carry the state across calls, so any split of a magnitude sequence
+    into scalars and chunks stops at the same term.
+    """
+
+    __slots__ = ("tol", "scale", "run")
+
+    def __init__(self, ctx: QContext):
+        self.tol = ctx.tail_tol
+        self.scale = 1.0
+        self.run = 0
+
+    def done(self, mag: float) -> bool:
+        """Feed the magnitude of the term just added; True once the sum stops."""
+        if mag > self.scale:
+            self.scale = mag
+        if mag < self.tol * self.scale:
+            self.run += 1
+            return self.run >= _CONSECUTIVE_SMALL
+        self.run = 0
+        return False
+
+    def first_stop(self, mags: np.ndarray) -> int | None:
+        """Index of the term of a non-empty chunk at which the sum stops, or
+        None when it runs on past the chunk."""
+        # fmax, unlike maximum, skips NaN exactly as the scalar comparison does
+        scale = np.fmax(np.fmax.accumulate(mags), self.scale)
+        idx = np.arange(len(mags))
+        # run length of small terms ending at each index, the carried run included
+        last_big = np.maximum.accumulate(np.where(mags < self.tol * scale, -1 - self.run, idx))
+        run = idx - last_big
+        hits = np.flatnonzero(run >= _CONSECUTIVE_SMALL)
+        if hits.size:
+            return int(hits[0])
+        self.scale = float(scale[-1])
+        self.run = int(run[-1])
+        return None
 
 
 @dataclass(frozen=True)
@@ -137,8 +186,22 @@ def theta(t: complex, ctx: QContext) -> complex:
     return qpoch_inf(t, ctx) * qpoch_inf(ctx.q / t, ctx)
 
 
-def _eval_f(f: Callable, t: complex) -> complex:
-    return complex(f(t))
+def _jackson_side(
+    f: Callable[[complex], complex], t: complex, step: complex, weighted: bool,
+    ctx: QContext, what: str,
+) -> complex:
+    """sum_k f(t step^k) (times t step^k when ``weighted``) under the tail rule."""
+    total = 0.0 + 0.0j
+    tail = _Tail(ctx)
+    for _ in range(ctx.max_terms):
+        term = complex(f(t))
+        if weighted:
+            term *= t
+        total += term
+        if tail.done(abs(term)):
+            return total
+        t *= step
+    raise NonDecayingSumError(f"{what} did not meet the tail criterion within budget")
 
 
 def jackson_0_to_tau(
@@ -150,8 +213,7 @@ def jackson_0_to_tau(
     """One-sided Jackson integral of ``f`` from 0 to ``tau``.
 
     measure "dqt" sums (1-q) sum_n f(tau q^n) tau q^n, measure "dqt_over_t"
-    drops the weight.  Stops after three consecutive terms fall below
-    ``tail_tol`` relative to the largest term seen.
+    drops the weight.  Truncated by the tail rule of this module.
     """
     if measure not in ("dqt", "dqt_over_t"):
         raise ValueError(f"unknown measure {measure!r}")
@@ -159,27 +221,7 @@ def jackson_0_to_tau(
     if tau == 0:
         return 0.0 + 0.0j
     q = complex(ctx.q)
-    total = 0.0 + 0.0j
-    scale = 1.0
-    small = 0
-    t = tau
-    for _ in range(ctx.max_terms):
-        term = _eval_f(f, t)
-        if measure == "dqt":
-            term *= t
-        total += term
-        mag = abs(term)
-        scale = max(scale, mag)
-        if mag < ctx.tail_tol * scale:
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return (1.0 - q) * total
-        else:
-            small = 0
-        t *= q
-    raise NonDecayingSumError(
-        "one-sided Jackson sum did not meet the tail criterion within budget"
-    )
+    return (1.0 - q) * _jackson_side(f, tau, q, measure == "dqt", ctx, "one-sided Jackson sum")
 
 
 def jackson_bilateral(
@@ -190,8 +232,8 @@ def jackson_bilateral(
 ) -> complex:
     """Bilateral Jackson integral: (1-q) sum over all n in Z of f(tau q^n).
 
-    Both tails must decay; each direction is truncated by the same
-    three-consecutive-small-terms rule as the one-sided sum.
+    Both tails must decay; each direction is truncated by the same tail rule
+    as the one-sided sum.
     """
     if measure not in ("dqt", "dqt_over_t"):
         raise ValueError(f"unknown measure {measure!r}")
@@ -199,30 +241,8 @@ def jackson_bilateral(
     if tau == 0:
         raise DomainError("bilateral Jackson integral requires tau != 0")
     q = complex(ctx.q)
-
-    def side(step_first: complex, step: complex, direction: str) -> complex:
-        part = 0.0 + 0.0j
-        scale = 1.0
-        small = 0
-        t = step_first
-        for _ in range(ctx.max_terms):
-            term = _eval_f(f, t)
-            if measure == "dqt":
-                term *= t
-            part += term
-            mag = abs(term)
-            scale = max(scale, mag)
-            if mag < ctx.tail_tol * scale:
-                small += 1
-                if small >= _CONSECUTIVE_SMALL:
-                    return part
-            else:
-                small = 0
-            t *= step
-        raise NonDecayingSumError(
-            f"bilateral Jackson sum: {direction} tail did not decay within budget"
-        )
-
-    up = side(tau, q, "n -> +inf")
-    down = side(tau / q, 1.0 / q, "n -> -inf")
+    weighted = measure == "dqt"
+    up = _jackson_side(f, tau, q, weighted, ctx, "bilateral Jackson sum: n -> +inf tail")
+    down = _jackson_side(f, tau / q, 1.0 / q, weighted, ctx,
+                         "bilateral Jackson sum: n -> -inf tail")
     return (1.0 - q) * (up + down)

@@ -22,9 +22,8 @@ from .errors import (
     NonDecayingSumError,
     PoleError,
 )
-from .qcore import QContext, qpoch_ratio
+from .qcore import QContext, _Tail, qpoch_ratio
 
-_CONSECUTIVE_SMALL = 3
 _TERMINATION_RTOL = 1e-12
 
 
@@ -80,20 +79,11 @@ def phi(spec: PhiSpec, ctx: QContext) -> complex:
 
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
-    scale = 1.0
-    small = 0
+    tail = _Tail(ctx)
     for n in range(ctx.max_terms):
         total += term
-        if n_stop is not None and n == n_stop:
+        if n == n_stop or tail.done(abs(term)):
             return total
-        mag = abs(term)
-        scale = max(scale, mag)
-        if mag < ctx.tail_tol * scale:
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
         qn = q**n
         ratio = z
         for a in nums:
@@ -165,8 +155,7 @@ def psi33(
 
     def one_side(downward: bool) -> complex:
         part = 0.0 + 0.0j
-        scale = 1.0
-        run = 0
+        tail = _Tail(ctx)
         if not downward:
             t0, n0 = 1.0 + 0.0j, 0
         else:
@@ -174,20 +163,13 @@ def psi33(
             t0, n0 = first, -1
         emitted = 0
         while emitted < ctx.max_terms:
-            if abs(t0) == 0.0:
-                return part  # a numerator factor vanished: tail is identically 0
             m = min(chunk, ctx.max_terms - emitted)
             ns = n0 + np.arange(m) * (-1 if downward else 1)
             ratios = step_ratios(ns, downward)
             terms = t0 * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
-            mags = np.abs(terms)
-            scale = max(scale, float(mags.max()))
-            below = mags < ctx.tail_tol * scale
-            for i, flag in enumerate(below):
-                run = run + 1 if flag else 0
-                if run >= _CONSECUTIVE_SMALL:
-                    part += terms[: i + 1].sum()
-                    return part
+            stop = tail.first_stop(np.abs(terms))
+            if stop is not None:
+                return part + terms[: stop + 1].sum()
             part += terms.sum()
             emitted += m
             t0 = terms[-1] * ratios[-1]
@@ -219,20 +201,11 @@ def w87(
 
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
-    scale = 1.0
-    small = 0
+    tail = _Tail(ctx)
     for n in range(ctx.max_terms):
         total += term
-        if n_stop is not None and n == n_stop:
+        if n == n_stop or tail.done(abs(term)):
             return total
-        mag = abs(term)
-        scale = max(scale, mag)
-        if mag < ctx.tail_tol * scale:
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
         qn = q**n
         vwp_num = 1.0 - a * qn * qn * q * q
         vwp_den = 1.0 - a * qn * qn
@@ -273,7 +246,7 @@ def appell_phi1(
     sum (a)_{n1+n2} (b1)_{n1} (b2)_{n2} / ((c)_{n1+n2} (q)_{n1} (q)_{n2}) x1^n1 x2^n2.
 
     Summed along anti-diagonals n1+n2 = s, matching the (a)_{n1+n2} coupling;
-    stops after three consecutive sub-tolerance anti-diagonal blocks.
+    the tail rule is applied to the anti-diagonal blocks.
     """
     a, b1, b2, c, x1, x2 = (complex(v) for v in (a, b1, b2, c, x1, x2))
     if abs(x1) >= 1.0 or abs(x2) >= 1.0:
@@ -285,8 +258,7 @@ def appell_phi1(
     v = [1.0 + 0.0j]
     ac = 1.0 + 0.0j  # (a)_s / (c)_s
     total = 0.0 + 0.0j
-    scale = 1.0
-    small = 0
+    tail = _Tail(ctx)
     for s in range(ctx.max_terms):
         k = len(u) - 1
         while k < s:
@@ -296,14 +268,8 @@ def appell_phi1(
             k += 1
         block = ac * sum(u[n1] * v[s - n1] for n1 in range(s + 1))
         total += block
-        mag = abs(block)
-        scale = max(scale, mag)
-        if mag < ctx.tail_tol * scale:
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
+        if tail.done(abs(block)):
+            return total
         qs = q**s
         cfac = 1.0 - c * qs
         if abs(cfac) <= _TERMINATION_RTOL * (1.0 + abs(c * qs)):

@@ -1,10 +1,12 @@
 """Closed-form solution families (Jackson integrals and series), residual
 verification, and the relation checks among the integrals.
 
-Integral evaluators sum Jordan-Pochhammer integrands over q-grids; the grid
-values are obtained from a single seed Pochhammer-ratio evaluation followed by
-a multiplicative recurrence, which is both fast and stable (no large
-intermediate products).
+Integral evaluators sum Jordan-Pochhammer integrands over q-grids with one
+kernel, :func:`_grid_sum`, for one-sided and bilateral endpoints alike: the
+integrand at the endpoint is a single Pochhammer-ratio evaluation, the rest of
+the grid follows by a chunked multiplicative recurrence, which is both fast
+and stable (no large intermediate products), and the sum stops by the tail
+rule of :mod:`qhyp.qcore`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonDecayingSumError, PoleError
+from .errors import DomainError, NonDecayingSumError, PoleError, UnsupportedCaseError
 from .equations import (
     HeineParams,
     Params2,
@@ -27,10 +29,8 @@ from .equations import (
     qpow,
 )
 from .opalgebra import QDiffOperator
-from .qcore import QContext, qpoch_ratio
+from .qcore import QContext, _Tail, qpoch_ratio
 from .qseries import PhiSpec, phi, w87
-
-_CONSECUTIVE_SMALL = 3
 
 
 # -- endpoints --------------------------------------------------------------------
@@ -96,6 +96,9 @@ class Endpoint:
 # -- Jordan-Pochhammer Jackson sums -------------------------------------------------
 
 
+_GRID_CHUNK = 128
+
+
 def _grid_sum(
     tau: complex,
     nums: Sequence[complex],
@@ -105,138 +108,84 @@ def _grid_sum(
     weighted: bool = True,
     bilateral: bool = False,
 ) -> complex:
-    """(1-q) sum over the grid tau q^n of  t^alpha w(n) prod (n_i t)_inf / (d_j t)_inf,
-    with w = t for the plain measure (weighted) and w = 1 for dq t / t.
+    """(1-q) sum over the grid t = tau q^n of  t^alpha w(t) F(t),
+    F(t) = prod (n_i t)_inf / (d_j t)_inf,  with w = t for the plain measure
+    (weighted) and w = 1 for dq t / t.
 
-    One-sided sums run n >= 0; the bilateral version adds the n < 0 tail.
-    t^alpha is exp(alpha (log tau + n log q)), single-valued along the grid.
+    One-sided sums run n >= 0; the bilateral version adds the n < 0 tail and
+    needs equally many numerator and denominator arguments.  F(tau) is one
+    Pochhammer-ratio evaluation; the rest of the grid follows a chunk at a
+    time as cumulative products of the step ratios
+    F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t), and each direction is
+    truncated by the tail rule of :mod:`qhyp.qcore`.  t^alpha is
+    exp(alpha (log tau + n log q)), single-valued along the grid.
+
+    Exact zeros: F is zero on an ascending run of the grid that ends where a
+    factor 1 - n_i t vanishes, and the recurrence cannot step out of it, so a
+    seed or an ascending step factor that is exactly zero raises
+    UnsupportedCaseError.  Descending, a vanishing numerator factor makes the
+    rest of the tail exactly zero, which the tail rule ends; a vanishing
+    denominator factor is a pole (PoleError).
     """
-    q = complex(ctx.q)
-    tau = complex(tau)
-    if tau == 0:
-        return 0.0 + 0.0j
-    nums = [complex(v) for v in nums]
-    dens = [complex(v) for v in dens]
-    alpha = complex(alpha)
-    log_tau = cmath.log(tau)
-    log_q = cmath.log(q)
-
-    seed = qpoch_ratio([v * tau for v in nums], [v * tau for v in dens], ctx)
-
-    def side(downward: bool) -> complex:
-        total = 0.0 + 0.0j
-        scale = 1.0
-        small = 0
-        if not downward:
-            F = seed
-            n = 0
-        else:
-            t0 = tau / q
-            F = seed
-            num = den = 1.0 + 0.0j
-            for v in nums:
-                num *= 1.0 - v * t0
-            for v in dens:
-                den *= 1.0 - v * t0
-            if abs(den) < 1e-13 * (1.0 + abs(num)):
-                raise PoleError("integrand pole on the descending grid")
-            F = seed * num / den
-            n = -1
-        budget = ctx.max_terms
-        for _ in range(budget):
-            t = tau * q**n
-            term = F
-            if alpha != 0:
-                term = term * cmath.exp(alpha * (log_tau + n * log_q))
-            if weighted:
-                term = term * t
-            total += term
-            mag = abs(term)
-            scale = max(scale, mag)
-            if mag < ctx.tail_tol * scale:
-                small += 1
-                if small >= _CONSECUTIVE_SMALL:
-                    return total
-            else:
-                small = 0
-            if not downward:
-                num = den = 1.0 + 0.0j
-                for v in dens:
-                    num *= 1.0 - v * t
-                for v in nums:
-                    den *= 1.0 - v * t
-                if abs(den) == 0.0:
-                    return total  # integrand vanishes identically beyond a zero
-                F = F * num / den
-                n += 1
-            else:
-                tprev = t / q
-                num = den = 1.0 + 0.0j
-                for v in nums:
-                    num *= 1.0 - v * tprev
-                for v in dens:
-                    den *= 1.0 - v * tprev
-                if abs(den) < 1e-13 * (1.0 + abs(num)):
-                    raise PoleError("integrand pole on the descending grid")
-                if abs(F) == 0.0:
-                    return total
-                F = F * num / den
-                n -= 1
-        raise NonDecayingSumError("Jackson sum did not meet the tail criterion")
-
-    value = side(False)
-    if bilateral:
-        value += side(True)
-    return (1.0 - q) * value
-
-
-def _grid_sum_vec(
-    tau: complex,
-    nums: Sequence[complex],
-    dens: Sequence[complex],
-    ctx: QContext,
-    alpha: complex = 0.0,
-    weighted: bool = True,
-) -> complex:
-    """Vectorized one-sided variant of :func:`_grid_sum` (identical value)."""
     q = complex(ctx.q)
     tau = complex(tau)
     if tau == 0:
         return 0.0 + 0.0j
     nums = np.array([complex(v) for v in nums])
     dens = np.array([complex(v) for v in dens])
+    alpha = complex(alpha)
+    log_tau = cmath.log(tau)
+    log_q = cmath.log(q)
     seed = qpoch_ratio(nums * tau, dens * tau, ctx)
-    chunk = 128
-    total = 0.0 + 0.0j
-    scale = 1.0
-    small = 0
-    F0 = seed
-    n0 = 0
-    for _ in range(max(1, ctx.max_terms // chunk + 1)):
-        ns = n0 + np.arange(chunk)
-        ts = tau * q**ns
-        num = np.prod(1.0 - dens[:, None] * ts[None, :], axis=0)
+    if seed == 0:
+        raise UnsupportedCaseError(f"integrand vanishes exactly at the grid start {tau}")
+
+    def up_steps(ts: np.ndarray) -> np.ndarray:
+        """F(t q) / F(t) at the grid points ts."""
         den = np.prod(1.0 - nums[:, None] * ts[None, :], axis=0)
-        if np.any(np.abs(den) == 0.0):
-            den = np.where(np.abs(den) == 0.0, 1.0, den)
-        ratios = num / den
-        F = F0 * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
-        terms = F.copy()
-        if alpha != 0:
-            terms = terms * np.exp(complex(alpha) * (cmath.log(tau) + ns * cmath.log(q)))
-        if weighted:
-            terms = terms * ts
-        mags = np.abs(terms)
-        scale = max(scale, float(mags.max()))
-        below = mags < ctx.tail_tol * scale
-        for i, flag in enumerate(below):
-            small = small + 1 if flag else 0
-            if small >= _CONSECUTIVE_SMALL:
-                return (1.0 - q) * (total + terms[: i + 1].sum())
-        total += terms.sum()
-        F0 = F[-1] * ratios[-1]
-        n0 = int(ns[-1]) + 1
-    raise NonDecayingSumError("Jackson sum did not meet the tail criterion")
+        if np.any(den == 0.0):
+            raise UnsupportedCaseError("integrand vanishes exactly on the ascending grid")
+        return np.prod(1.0 - dens[:, None] * ts[None, :], axis=0) / den
+
+    def down_steps(ts: np.ndarray) -> np.ndarray:
+        """F(t / q) / F(t) at the grid points ts.  1 - c t/q = (t/q) (q/t - c):
+        the powers of t/q cancel between numerator and denominator, and q/t
+        underflows harmlessly."""
+        u = q / ts
+        num = np.prod(u[None, :] - nums[:, None], axis=0)
+        den = np.prod(u[None, :] - dens[:, None], axis=0)
+        if np.any(np.abs(den) < 1e-13 * (np.abs(u) ** len(dens) + np.abs(num))):
+            raise PoleError("integrand pole on the descending grid")
+        return num / den
+
+    def side(F0: complex, n0: int, direction: int, steps) -> complex:
+        total = 0.0 + 0.0j
+        tail = _Tail(ctx)
+        emitted = 0
+        while emitted < ctx.max_terms:
+            m = min(_GRID_CHUNK, ctx.max_terms - emitted)
+            ns = np.arange(n0, n0 + direction * m, direction)
+            ts = tau * q**ns
+            ratios = steps(ts)
+            F = F0 * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
+            terms = F
+            if alpha != 0:
+                terms = terms * np.exp(alpha * (log_tau + ns * log_q))
+            if weighted:
+                terms = terms * ts
+            stop = tail.first_stop(np.abs(terms))
+            if stop is not None:
+                return total + terms[: stop + 1].sum()
+            total += terms.sum()
+            emitted += m
+            F0 = F[-1] * ratios[-1]
+            n0 += direction * m
+        raise NonDecayingSumError("Jackson sum did not meet the tail criterion")
+
+    value = side(seed, 0, 1, up_steps)
+    if bilateral:
+        value += side(seed * down_steps(np.array([tau]))[0], -1, -1, down_steps)
+    return (1.0 - q) * value
 
 
 # -- integral solution families -------------------------------------------------------
@@ -245,7 +194,7 @@ def _grid_sum_vec(
 def _phi3_single(p: Params3, tau: complex, x: complex, ctx: QContext) -> complex:
     nums = (p.A * x, p.a1, p.a2, p.a3)
     dens = (p.B * x, p.b1, p.b2, p.b3)
-    return _grid_sum_vec(tau, nums, dens, ctx, weighted=True)
+    return _grid_sum(tau, nums, dens, ctx, weighted=True)
 
 
 def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext) -> complex:
@@ -262,7 +211,7 @@ def _phi3_tilde_single(p: Params3, sigma: complex, x: complex, ctx: QContext) ->
     q = complex(ctx.q)
     nums = (q / (p.B * x), q / p.b1, q / p.b2, q / p.b3)
     dens = (q / (p.A * x), q / p.a1, q / p.a2, q / p.a3)
-    return _grid_sum_vec(sigma, nums, dens, ctx, weighted=True)
+    return _grid_sum(sigma, nums, dens, ctx, weighted=True)
 
 
 def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext) -> complex:
@@ -280,7 +229,7 @@ def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
 def _phi2_single(p: Params2, tau: complex, x: complex, ctx: QContext) -> complex:
     nums = (p.A * x, p.a1, p.a2)
     dens = (p.B * x, p.b1, p.b2)
-    return _grid_sum_vec(tau, nums, dens, ctx, alpha=p.alpha, weighted=False)
+    return _grid_sum(tau, nums, dens, ctx, alpha=p.alpha, weighted=False)
 
 
 def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext) -> complex:
@@ -301,10 +250,8 @@ def _phi2_tilde_single(p: Params2, e: Endpoint, x: complex, ctx: QContext) -> co
     q = complex(ctx.q)
     nums = (q / (p.B * x), q / p.b1, q / p.b2)
     dens = (q / (p.A * x), q / p.a1, q / p.a2)
-    sigma = e.resolve(p, x, ctx)
-    if e.tag == "sigma_infinity":
-        return _grid_sum(sigma, nums, dens, ctx, weighted=True, bilateral=True)
-    return _grid_sum_vec(sigma, nums, dens, ctx, weighted=True)
+    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, weighted=True,
+                     bilateral=e.tag == "sigma_infinity")
 
 
 def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext) -> complex:

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qhyp
 from qhyp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main, run_job
 
 
@@ -159,10 +162,14 @@ class TestEntryPoint:
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"equation": "heine", "seed": 1}))
         out = tmp_path / "report.ndjson"
+        # the child imports the same qhyp as this process, installed or not
+        path = os.pathsep.join(filter(None, [str(Path(qhyp.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qhyp.cli", "config",
              "--job", str(job), "--out", str(out)],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(out.read_text().strip().split("\n")[-1])["failures"] == 0

@@ -5,6 +5,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import rand_complex
 from qhyp.errors import (
@@ -15,6 +16,7 @@ from qhyp.errors import (
 )
 from qhyp.qcore import (
     QContext,
+    _Tail,
     jackson_0_to_tau,
     jackson_bilateral,
     qpoch_fin,
@@ -218,6 +220,36 @@ class TestJacksonBilateral:
     def test_non_decaying(self, ctx):
         with pytest.raises(NonDecayingSumError):
             jackson_bilateral(lambda t: 1.0, 1.0, ctx)
+
+
+class TestTailRule:
+    def test_stops_at_third_consecutive_small_term(self, ctx):
+        tail = _Tail(ctx)
+        mags = [1.0, 5.0, 1e-17, 1e-17, 2.0, 1e-16, 1e-18, 0.0, 1.0]
+        assert [tail.done(m) for m in mags[:8]] == [False] * 7 + [True]
+
+    @given(
+        mags=st.lists(
+            st.one_of(st.integers(-30, 6).map(lambda e: 10.0**e),
+                      st.sampled_from([0.0, np.inf, np.nan])),
+            min_size=1, max_size=80,
+        ),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=20),
+    )
+    def test_scalar_and_chunked_stop_at_the_same_term(self, mags, sizes):
+        ctx = QContext(0.5, tail_tol=1e-12)
+        scalar = _Tail(ctx)
+        expected = next((i for i, m in enumerate(mags) if scalar.done(m)), None)
+        chunked = _Tail(ctx)
+        bounds = np.cumsum(sizes)
+        got, start = None, 0
+        for end in [int(b) for b in bounds if b < len(mags)] + [len(mags)]:
+            hit = chunked.first_stop(np.array(mags[start:end]))
+            if hit is not None:
+                got = start + hit
+                break
+            start = end
+        assert got == expected
 
 
 class TestQpochRatio:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
-from qhyp.errors import DomainError
-from qhyp.qcore import QContext
+from qhyp.errors import DomainError, UnsupportedCaseError
+from qhyp.qcore import QContext, qpoch_ratio
 from qhyp.solutions import (
+    _grid_sum,
     Endpoint,
     all_labels,
     casoratian,
@@ -318,6 +319,66 @@ class TestRelationsAmongIntegrals:
             for x in (0.3, 0.5, 0.8)
         ]
         assert max(abs(r - ratios[0]) for r in ratios) < 1e-10 * abs(ratios[0])
+
+
+class TestGridKernel:
+    """The Jackson grid kernel against brute-force sums of its integrand."""
+
+    @staticmethod
+    def tilde2_grid(p, x, ctx):
+        q = complex(ctx.q)
+        return (q / (p.B * x), q / p.b1, q / p.b2), (q / (p.A * x), q / p.a1, q / p.a2)
+
+    @staticmethod
+    def direct_sum(tau, nums, dens, ns, ctx):
+        q = complex(ctx.q)
+        ts = [tau * q**n for n in ns]
+        return (1 - q) * sum(
+            qpoch_ratio([c * t for c in nums], [c * t for c in dens], ctx) * t for t in ts
+        )
+
+    def test_bilateral_matches_direct_sum(self, ctx, rng):
+        for _ in range(3):
+            p = draw_params2(rng, ctx)
+            sigma = default_sigma(p)
+            h = solution_handle("thmint2.tilde[1,4]", p, ctx, sigma=sigma)
+            for x in sample_points(h, 2, ctx):
+                nums, dens = self.tilde2_grid(p, x, ctx)
+                kernel = _grid_sum(sigma, nums, dens, ctx, bilateral=True)
+                direct = self.direct_sum(sigma, nums, dens, range(-100, 101), ctx)
+                assert abs(kernel - direct) <= 1e-12 * abs(direct)
+
+    def test_bilateral_reduces_to_onesided_at_vanishing_endpoint(self, ctx, rng):
+        # at sigma = b_i the factor (q t / b_i)_inf vanishes on the whole n < 0 grid
+        p = draw_params2(rng, ctx)
+        x = integral_scale(p, ctx) * 0.3
+        nums, dens = self.tilde2_grid(p, x, ctx)
+        for b in (p.b1, p.b2):
+            two_sided = _grid_sum(b, nums, dens, ctx, bilateral=True)
+            one_sided = _grid_sum(b, nums, dens, ctx)
+            assert abs(two_sided - one_sided) <= 1e-12 * max(1.0, abs(one_sided))
+
+    def test_exact_zero_on_ascending_grid_raises(self):
+        """With a1/a2 = q^-3 the integrand from q/a2 is exactly 0 at n = 0, 1, 2
+        and nonzero beyond; the recurrence cannot leave the zero run, so the
+        kernel refuses instead of returning 0."""
+        ctx = QContext(0.5)
+        q = 0.5
+        a2, a3 = 0.9 + 0j, 1.1 + 0.2j
+        a1 = a2 * q**-3
+        b1, b2, A, B = 0.4 + 0.9j, -0.7 + 0.5j, 0.8 - 0.3j, 1.2 + 0.35j
+        b3 = a1 * a2 * a3 * A / (q**2 * b1 * b2 * B)
+        p = Params3(a1, a2, a3, b1, b2, b3, A, B)
+        p.validate(ctx)
+        x = 0.3
+        nums, dens = (p.A * x, p.a1, p.a2, p.a3), (p.B * x, p.b1, p.b2, p.b3)
+        tau = TAUS[2].resolve(p, x, ctx)
+        grid = [qpoch_ratio([c * tau * q**n for c in nums], [c * tau * q**n for c in dens], ctx)
+                for n in range(4)]
+        assert grid[:3] == [0, 0, 0] and abs(grid[3]) > 1e-3
+        assert abs(self.direct_sum(tau, nums, dens, range(200), ctx)) > 1e-2
+        with pytest.raises(UnsupportedCaseError):
+            phi3(p, TAUS[1], TAUS[2], x, ctx)
 
 
 class TestLocalBasis:
