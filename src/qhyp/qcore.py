@@ -7,10 +7,21 @@ whose magnitude is below ``tail_tol`` times the running maximum of the
 magnitudes so far (floored at 1), so that isolated tiny terms of alternating
 series do not trigger premature truncation.  Term-by-term loops feed it one
 magnitude at a time; chunked numpy kernels feed it whole chunks.
+
+Every infinite q-Pochhammer product, (a)_inf alone or a ratio of them, comes
+from one numpy kernel (:func:`qpoch_ratio`).  It builds the factors
+1 - a q^k as a matrix, one row per argument and one column per k, in chunks
+of ``_CHUNK`` columns; each argument keeps its factors while
+|a| |q|^k >= ``tail_tol``.  Each column's numerator factors are divided by
+its denominator factors before the running product over k takes them, which
+keeps the partial products bounded.  A vanishing denominator factor within
+the budget raises PoleError before an exhausted budget raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +36,12 @@ from .errors import (
 
 _CONSECUTIVE_SMALL = 3
 _ZERO_FACTOR_RTOL = 1e-12
+_CHUNK = 128
+
+
+def _vanishes(factor, w):
+    """Whether the factor 1 - w is zero to rounding (elementwise for arrays)."""
+    return np.abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + np.abs(w))
 
 
 class _Tail:
@@ -101,24 +118,9 @@ class QContext:
 def qpoch_inf(a: complex, ctx: QContext) -> complex:
     """Infinite q-Pochhammer product prod_{n>=0} (1 - a q^n).
 
-    Truncates once |a q^n| stays below ``tail_tol``; the discarded tail then
-    differs from 1 by O(tail_tol).
+    The one-argument case of :func:`qpoch_ratio`, with the same truncation.
     """
-    a = complex(a)
-    if a == 0:
-        return 1.0 + 0.0j
-    q = complex(ctx.q)
-    result = 1.0 + 0.0j
-    w = a
-    for _ in range(ctx.max_terms):
-        if abs(w) < ctx.tail_tol:
-            return result
-        result *= 1.0 - w
-        w *= q
-    raise BudgetExceededError(
-        f"(a; q)_inf with |a|={abs(a):.3g}, |q|={abs(q):.6f} "
-        f"did not reach tail_tol within {ctx.max_terms} factors"
-    )
+    return _pochhammer_product([a], 1, ctx)
 
 
 def qpoch_fin(a: complex, m: int, ctx: QContext) -> complex:
@@ -140,42 +142,65 @@ def qpoch_fin(a: complex, m: int, ctx: QContext) -> complex:
     result = 1.0 + 0.0j
     for k in range(1, -m + 1):
         factor = 1.0 - a * q ** (-k)
-        if abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(a * q ** (-k))):
+        if _vanishes(factor, a * q ** (-k)):
             raise PoleError(f"(a)_m pole: 1 - a q^-{k} vanishes for a={a}")
         result /= factor
     return result
 
 
 def qpoch_ratio(nums: Sequence[complex], dens: Sequence[complex], ctx: QContext) -> complex:
-    """prod (n_i)_inf / prod (d_j)_inf, accumulated factor-by-factor.
+    """prod (n_i)_inf / prod (d_j)_inf.
 
-    Interleaving numerator and denominator factors keeps the partial products
-    bounded even when individual arguments are large, as long as the overall
-    ratio is representable.
+    Argument a contributes the factors 1 - a q^k for the k with
+    |a| |q|^k >= ``tail_tol`` (none for 0 and NaN); the discarded tail
+    differs from 1 by O(tail_tol).  The factors are taken column by column:
+    the ratio of the numerator and denominator factors of one k first, then
+    the running product over k.  This keeps the partial products bounded even
+    when individual arguments are large, as long as the overall ratio is
+    representable.  The columns are built in chunks of ``_CHUNK``, so memory
+    does not grow with ``max_terms`` or as |q| -> 1.
+
+    Errors, in this order: a denominator factor that vanishes to rounding
+    (:func:`_vanishes`) in a column k < ``max_terms`` raises PoleError;
+    an argument that needs ``max_terms`` factors or more, or is NaN, raises
+    BudgetExceededError.  The budget is read from the factor counts, so no
+    column at or past ``max_terms`` is built.
     """
-    nums = [complex(v) for v in nums]
-    dens = [complex(v) for v in dens]
+    return _pochhammer_product([*nums, *dens], len(nums), ctx)
+
+
+def _pochhammer_product(args: Sequence[complex], n_num: int, ctx: QContext) -> complex:
+    """prod_{i < n_num} (a_i)_inf / prod_{i >= n_num} (a_i)_inf; see qpoch_ratio."""
+    a = np.array(args, dtype=complex)
     q = complex(ctx.q)
+    mags = np.abs(a)
+    live = mags >= ctx.tail_tol  # False for 0 and NaN
+    # counts[i]: the number of k with |a_i| |q|^k >= tail_tol
+    counts = np.zeros(len(a))
+    counts[live] = np.floor(
+        (np.log(mags[live]) - math.log(ctx.tail_tol)) / -math.log(abs(q))) + 1
+    horizon = np.maximum.reduce(counts, initial=0.0)
+    if np.isnan(mags).any():
+        horizon = math.inf  # a NaN argument never falls below tail_tol
+    cols = int(min(horizon, ctx.max_terms))
     result = 1.0 + 0.0j
-    wn = nums[:]
-    wd = dens[:]
-    for _ in range(ctx.max_terms):
-        if all(abs(w) < ctx.tail_tol for w in wn) and all(
-            abs(w) < ctx.tail_tol for w in wd
-        ):
-            return result
-        for i, w in enumerate(wn):
-            if abs(w) >= ctx.tail_tol:
-                result *= 1.0 - w
-                wn[i] = w * q
-        for i, w in enumerate(wd):
-            if abs(w) >= ctx.tail_tol:
-                factor = 1.0 - w
-                if abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(w)):
-                    raise PoleError(f"denominator q-Pochhammer factor vanishes: arg={w}")
-                result /= factor
-                wd[i] = w * q
-    raise BudgetExceededError("q-Pochhammer ratio did not converge within budget")
+    for start in range(0, cols, _CHUNK):
+        ks = np.arange(start, min(start + _CHUNK, cols))
+        w = a[:, None] * q**ks
+        f = 1.0 - w
+        f[ks >= counts[:, None]] = 1.0
+        den = f[n_num:]
+        pole = _vanishes(den, w[n_num:])
+        if pole.any():
+            j, k = np.argwhere(pole)[0]
+            raise PoleError(f"denominator q-Pochhammer factor vanishes: arg={w[n_num + j, k]}")
+        ratios = np.multiply.reduce(f[:n_num], axis=0) / np.multiply.reduce(den, axis=0)
+        result = np.multiply.reduce(ratios, initial=result)
+    if horizon >= ctx.max_terms:
+        raise BudgetExceededError(
+            f"q-Pochhammer product needs {ctx.max_terms} or more factors "
+            f"(max |a| = {mags.max():.3g}, |q| = {abs(q):.6f})")
+    return complex(result)
 
 
 def theta(t: complex, ctx: QContext) -> complex:

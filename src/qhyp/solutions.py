@@ -29,7 +29,7 @@ from .equations import (
     qpow,
 )
 from .opalgebra import QDiffOperator
-from .qcore import QContext, _Tail, qpoch_ratio
+from .qcore import QContext, _Tail, _vanishes, qpoch_ratio
 from .qseries import PhiSpec, phi, w87
 
 
@@ -120,9 +120,11 @@ def _grid_sum(
     truncated by the tail rule of :mod:`qhyp.qcore`.  t^alpha is
     exp(alpha (log tau + n log q)), single-valued along the grid.
 
-    Exact zeros: F is zero on an ascending run of the grid that ends where a
+    Zeros: F is zero on an ascending run of the grid that ends where a
     factor 1 - n_i t vanishes, and the recurrence cannot step out of it, so a
-    seed or an ascending step factor that is exactly zero raises
+    seed that is exactly zero, or an ascending step factor that vanishes to
+    rounding by the pole test of :mod:`qhyp.qcore` (|1 - n_i t| <=
+    1e-12 (1 + |n_i t|); rounding leaves such a zero tiny but nonzero), raises
     UnsupportedCaseError.  Descending, a vanishing numerator factor makes the
     rest of the tail exactly zero, which the tail rule ends; a vanishing
     denominator factor is a pole (PoleError).
@@ -142,10 +144,11 @@ def _grid_sum(
 
     def up_steps(ts: np.ndarray) -> np.ndarray:
         """F(t q) / F(t) at the grid points ts."""
-        den = np.prod(1.0 - nums[:, None] * ts[None, :], axis=0)
-        if np.any(den == 0.0):
-            raise UnsupportedCaseError("integrand vanishes exactly on the ascending grid")
-        return np.prod(1.0 - dens[:, None] * ts[None, :], axis=0) / den
+        nt = nums[:, None] * ts[None, :]
+        den = 1.0 - nt
+        if np.any(_vanishes(den, nt)):
+            raise UnsupportedCaseError("integrand vanishes on the ascending grid")
+        return np.prod(1.0 - dens[:, None] * ts[None, :], axis=0) / np.prod(den, axis=0)
 
     def down_steps(ts: np.ndarray) -> np.ndarray:
         """F(t / q) / F(t) at the grid points ts.  1 - c t/q = (t/q) (q/t - c):

@@ -1,11 +1,13 @@
 """Foundational q-arithmetic: products, theta, Jackson sums."""
 
 import cmath
+import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_complex
 from qhyp.errors import (
@@ -252,7 +254,101 @@ class TestTailRule:
         assert got == expected
 
 
+def scalar_qpoch_ratio(nums, dens, ctx):
+    """Reference for qpoch_ratio, factor by factor: column k multiplies the
+    numerator factors 1 - n_i q^k, then divides by the denominator factors,
+    each while |arg q^k| >= tail_tol."""
+    nums = [complex(v) for v in nums]
+    dens = [complex(v) for v in dens]
+    q = complex(ctx.q)
+    result = 1.0 + 0.0j
+    wn = nums[:]
+    wd = dens[:]
+    for _ in range(ctx.max_terms):
+        if all(abs(w) < ctx.tail_tol for w in wn) and all(
+            abs(w) < ctx.tail_tol for w in wd
+        ):
+            return result
+        for i, w in enumerate(wn):
+            if abs(w) >= ctx.tail_tol:
+                result *= 1.0 - w
+                wn[i] = w * q
+        for i, w in enumerate(wd):
+            if abs(w) >= ctx.tail_tol:
+                factor = 1.0 - w
+                if abs(factor) <= 1e-12 * (1.0 + abs(w)):
+                    raise PoleError(f"denominator q-Pochhammer factor vanishes: arg={w}")
+                result /= factor
+                wd[i] = w * q
+    raise BudgetExceededError("q-Pochhammer ratio did not converge within budget")
+
+
+def scalar_scan(args, ctx):
+    """(columns the scalar loop runs, condition number kappa of the product).
+
+    kappa sums (k + 1) |w| / |1 - w| over the factors 1 - w, w = a q^k: the
+    loops round q^k differently (k successive products against binary
+    powers), and kappa bounds how much the product amplifies a relative
+    error of order k eps in q^k.
+    """
+    need, kappa = 0, 0.0
+    for a in args:
+        w, k = complex(a), 0
+        while abs(w) >= ctx.tail_tol and k <= 4096:
+            kappa += (k + 1) * abs(w) / max(abs(1 - w), 1e-300)
+            w, k = w * ctx.q, k + 1
+        need = max(need, k)
+    return need, kappa
+
+
+@st.composite
+def ratio_cases(draw):
+    """(q, nums, dens, max_terms): zeros, NaN and infinities, magnitudes up to
+    1e300, denominators within 1e-13 of q^-k, budgets around the need."""
+    q = draw(st.floats(0.2, 0.95)) * cmath.exp(1j * draw(st.sampled_from([0.0, 0.3, -2.0])))
+    phase = st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t))
+    finite = st.builds(lambda e, u: 10.0**e * u, st.floats(-20, 300), phase)
+    special = st.sampled_from([0j, complex(math.nan, 0), complex(math.inf, 0),
+                               complex(-math.inf, 1), complex(0, math.inf)])
+    near_pole = st.builds(lambda k, d: q**-k * (1 + d), st.integers(0, 12),
+                          st.builds(lambda m, u: m * u, st.floats(0, 1e-13), phase))
+    # a numerator near q^-k is a near-zero of the ratio, known only to rounding
+    nums = draw(st.lists(st.one_of(finite, finite, special), max_size=4))
+    dens = draw(st.lists(st.one_of(finite, finite, special, near_pole), max_size=4))
+    need, _ = scalar_scan(nums + dens, QContext(q))
+    max_terms = draw(st.one_of(st.just(512), st.integers(-2, 2).map(lambda d: max(1, need + d))))
+    return q, nums, dens, max_terms
+
+
+def outcome(fn, nums, dens, ctx):
+    try:
+        return fn(nums, dens, ctx)
+    except (PoleError, BudgetExceededError) as exc:
+        return type(exc)
+
+
 class TestQpochRatio:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ratio_cases())
+    # a pole at k = 2 lies before the budget that the large numerator overruns
+    @example(case=(0.5, [1e30], [4.0], 3)).via("pole before budget")
+    @example(case=(0.5, [1e30], [4.0], 2)).via("budget before pole")
+    def test_matches_scalar_loop(self, case):
+        q, nums, dens, max_terms = case
+        ctx = QContext(q, max_terms=max_terms)
+        # the draws overflow on purpose; both versions must then agree
+        with np.errstate(all="ignore"):
+            got = outcome(qpoch_ratio, nums, dens, ctx)
+            ref = outcome(scalar_qpoch_ratio, nums, dens, ctx)
+        if isinstance(ref, type):
+            assert got is ref
+            return
+        assert not isinstance(got, type)
+        # kappa eps bounds the rounding of each version; ill-conditioned draws
+        # (huge arguments, factors near 0) still check the exception class above
+        if scalar_scan(nums + dens, ctx)[1] <= 200:
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
     def test_matches_direct_quotient(self, ctx, rng):
         nums = [rand_complex(rng) for _ in range(3)]
         dens = [rand_complex(rng) for _ in range(3)]
@@ -271,3 +367,42 @@ class TestQpochRatio:
         ctx = QContext(0.5)
         with pytest.raises(PoleError):
             qpoch_ratio([0.3], [ctx.q**-2], ctx)
+
+
+def mp_qpoch(a, q):
+    return mpmath.qp(mpmath.mpc(a), mpmath.mpc(q), maxterms=10**5)
+
+
+class TestQpochOracle:
+    """qpoch_ratio and qpoch_inf against mpmath at 40 digits.  Arguments keep
+    |1 - a q^k| away from 0, where any double-precision product loses digits."""
+
+    args = st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(1e-3, 10.0),
+                     st.one_of(st.floats(0.3, math.pi), st.floats(-math.pi, -0.3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(0.1, 0.8), nums=st.lists(args, max_size=4), dens=st.lists(args, max_size=4))
+    def test_ratio(self, q, nums, dens):
+        ctx = QContext(q)
+        with mpmath.workdps(40):
+            exact = mpmath.fprod(mp_qpoch(a, q) for a in nums) / mpmath.fprod(
+                mp_qpoch(d, q) for d in dens)
+            got = qpoch_ratio(nums, dens, ctx)
+            assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(0.1, 0.8), a=args)
+    def test_inf(self, q, a):
+        with mpmath.workdps(40):
+            exact = mp_qpoch(a, q)
+            assert abs(qpoch_inf(a, QContext(q)) - exact) <= 1e-13 * abs(exact)
+
+    def test_many_column_chunks(self):
+        # at q = 0.99 an argument of modulus 0.5 needs ~3,600 factors
+        ctx = QContext(0.99, max_terms=8192)
+        nums, dens = [0.5 + 0.2j, -0.3j], [0.7 - 0.1j]
+        with mpmath.workdps(40):
+            first, second, third = (mp_qpoch(a, 0.99) for a in nums + dens)
+            exact = first * second / third
+            assert abs(qpoch_ratio(nums, dens, ctx) - exact) <= 1e-13 * abs(exact)
+            assert abs(qpoch_inf(nums[0], ctx) - first) <= 1e-13 * abs(first)
