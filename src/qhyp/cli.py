@@ -215,6 +215,8 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
         if kind != job.get("equation") and job.get("params") is not None:
             jb["params"] = None  # params only apply to the named equation
         params_by_kind[kind] = get_equation_params(jb, kind, rng, ctx)
+    # the integral labels of a kind share their single-endpoint integrals
+    tables = {kind: solutions.JacksonTable(p, ctx) for kind, p in params_by_kind.items()}
     for label in sorted(labels):
         fam = label.partition(".")[0]
         kind = _FAMILY_EQUATION[fam]
@@ -228,7 +230,7 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
         try:
             sigma = as_complex(job["sigma"]) if "sigma" in job else sampling.default_sigma(p) \
                 if kind == "e2" else 1.3
-            handle = solution_handle(label, p, ctx, sigma=sigma)
+            handle = solution_handle(label, p, ctx, sigma=sigma, table=tables[kind])
             xs = sample_points(handle, n_samples, ctx)
             res = residual(handle.equation, handle, xs, ctx)
         except QhypError as exc:
@@ -247,8 +249,9 @@ def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
     x = 0.3 * solutions.integral_scale(p3, ctx)
     taus = [Endpoint.q_over_a(1), Endpoint.q_over_a(2),
             Endpoint.q_over_a(3), Endpoint.q_over_Ax()]
+    table = solutions.JacksonTable(p3, ctx)
     worst = max(
-        solutions.cocycle_check(p3, t1, t2, t3, x, ctx)
+        solutions.cocycle_check(p3, t1, t2, t3, x, ctx, table)
         for t1, t2, t3 in itertools.combinations(taus, 3)
     )
     report.add({"check": "cocycle", "deviation": worst}, passed=worst < COCYCLE_TOL)
@@ -276,9 +279,10 @@ def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
     avals = (1.1 + 0.3j, 0.8 - 0.4j, 1.3 + 0.1j)
     psp = Params3(*avals, *avals, q**2 * B, B)
     xs0 = 0.4
-    f12 = lambda y: solutions.phi3(psp, Endpoint.q_over_a(1), Endpoint.q_over_a(2), y, ctx)
-    f13 = lambda y: solutions.phi3(psp, Endpoint.q_over_a(1), Endpoint.q_over_a(3), y, ctx)
-    t12 = lambda y: solutions.phi3_tilde(psp, Endpoint.b(1), Endpoint.b(2), y, ctx)
+    sp = solutions.JacksonTable(psp, ctx)
+    f12 = lambda y: solutions.phi3(psp, Endpoint.q_over_a(1), Endpoint.q_over_a(2), y, ctx, sp)
+    f13 = lambda y: solutions.phi3(psp, Endpoint.q_over_a(1), Endpoint.q_over_a(3), y, ctx, sp)
+    t12 = lambda y: solutions.phi3_tilde(psp, Endpoint.b(1), Endpoint.b(2), y, ctx, sp)
     wr = solutions.casoratian(f12, f13, xs0, ctx)
     sc = abs(f12(xs0) * f13(q * xs0)) + abs(f12(q * xs0) * f13(xs0)) + 1e-300
     report.add({"check": "casoratian_independent", "pair": "phi3[1,2]/phi3[1,3]",

@@ -164,7 +164,9 @@ def qpoch_ratio(nums: Sequence[complex], dens: Sequence[complex], ctx: QContext)
     (:func:`_vanishes`) in a column k < ``max_terms`` raises PoleError;
     an argument that needs ``max_terms`` factors or more, or is NaN, raises
     BudgetExceededError.  The budget is read from the factor counts, so no
-    column at or past ``max_terms`` is built.
+    column at or past ``max_terms`` is built, and a NaN argument adds no
+    column: only the other arguments' columns are built and pole-checked
+    before the budget error.
     """
     return _pochhammer_product([*nums, *dens], len(nums), ctx)
 
@@ -180,8 +182,9 @@ def _pochhammer_product(args: Sequence[complex], n_num: int, ctx: QContext) -> c
     counts[live] = np.floor(
         (np.log(mags[live]) - math.log(ctx.tail_tol)) / -math.log(abs(q))) + 1
     horizon = np.maximum.reduce(counts, initial=0.0)
-    if np.isnan(mags).any():
-        horizon = math.inf  # a NaN argument never falls below tail_tol
+    # a NaN argument never falls below tail_tol, so it exhausts any budget;
+    # its factors are all 1, so the other arguments' columns hold every pole
+    exhausted = horizon >= ctx.max_terms or np.isnan(mags).any()
     cols = int(min(horizon, ctx.max_terms))
     result = 1.0 + 0.0j
     for start in range(0, cols, _CHUNK):
@@ -196,7 +199,7 @@ def _pochhammer_product(args: Sequence[complex], n_num: int, ctx: QContext) -> c
             raise PoleError(f"denominator q-Pochhammer factor vanishes: arg={w[n_num + j, k]}")
         ratios = np.multiply.reduce(f[:n_num], axis=0) / np.multiply.reduce(den, axis=0)
         result = np.multiply.reduce(ratios, initial=result)
-    if horizon >= ctx.max_terms:
+    if exhausted:
         raise BudgetExceededError(
             f"q-Pochhammer product needs {ctx.max_terms} or more factors "
             f"(max |a| = {mags.max():.3g}, |q| = {abs(q):.6f})")

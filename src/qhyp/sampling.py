@@ -131,15 +131,13 @@ def draw_params2_terminating(
     """Degree-two tuple with A/B = q^-n, the regime in which the term-by-term
     series degeneration from degree three is exact (the series terminate);
     alpha is then pinned by the balance constraint."""
-    import cmath as _cm
-
     q = complex(ctx.q)
     for _ in range(_MAX_REDRAWS):
         a = [_mod(rng, 0.8, 1.5) for _ in range(2)]
         b = [_mod(rng, 0.8, 1.5) for _ in range(2)]
         B = _mod(rng, 0.9, 1.3)
         A = q ** (-n) * B
-        alpha = _cm.log(a[0] * a[1] * A / (b[0] * b[1] * B)) / _cm.log(q) - 1
+        alpha = cmath.log(a[0] * a[1] * A / (b[0] * b[1] * B)) / cmath.log(q) - 1
         p = Params2(alpha, a[0], a[1], b[0], b[1], A, B)
         if not _pairwise_clear(b, a, q):
             continue

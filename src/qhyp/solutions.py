@@ -7,6 +7,12 @@ integrand at the endpoint is a single Pochhammer-ratio evaluation, the rest of
 the grid follows by a chunked multiplicative recurrence, which is both fast
 and stable (no large intermediate products), and the sum stops by the tail
 rule of :mod:`qhyp.qcore`.
+
+Each integral solution is the difference of two single-endpoint integrals of
+one integrand.  A :class:`JacksonTable` holds those of one parameter tuple
+and computes each once, so the pair labels of a job that share an endpoint
+and a sample point share its grid sum; an evaluator given no table uses a
+throwaway one, with the same values.
 """
 
 from __future__ import annotations
@@ -194,59 +200,25 @@ def _grid_sum(
 # -- integral solution families -------------------------------------------------------
 
 
-def _phi3_single(p: Params3, tau: complex, x: complex, ctx: QContext) -> complex:
+def _phi3_single(p: Params3, e: Endpoint, x: complex, ctx: QContext) -> complex:
     nums = (p.A * x, p.a1, p.a2, p.a3)
     dens = (p.B * x, p.b1, p.b2, p.b3)
-    return _grid_sum(tau, nums, dens, ctx, weighted=True)
+    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, weighted=True)
 
 
-def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext) -> complex:
-    """Difference of two one-sided Jackson integrals of the degree-three
-    Jordan-Pochhammer integrand between admissible endpoints."""
-    if t1 == t2:
-        return 0.0 + 0.0j
-    v2 = _phi3_single(p, t2.resolve(p, x, ctx), x, ctx)
-    v1 = _phi3_single(p, t1.resolve(p, x, ctx), x, ctx)
-    return v2 - v1
-
-
-def _phi3_tilde_single(p: Params3, sigma: complex, x: complex, ctx: QContext) -> complex:
+def _phi3_tilde_single(p: Params3, e: Endpoint, x: complex, ctx: QContext) -> complex:
     q = complex(ctx.q)
     nums = (q / (p.B * x), q / p.b1, q / p.b2, q / p.b3)
     dens = (q / (p.A * x), q / p.a1, q / p.a2, q / p.a3)
-    return _grid_sum(sigma, nums, dens, ctx, weighted=True)
+    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, weighted=True)
 
 
-def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext) -> complex:
-    """x^lambda times the reflected-integrand Jackson integral between
-    admissible sigma-endpoints; principal branch of x^lambda."""
-    if s1 == s2:
+def _phi2_single(p: Params2, e: Endpoint, x: complex, ctx: QContext) -> complex:
+    if e.tag == "zero":
         return 0.0 + 0.0j
-    lam = p.lam(ctx)
-    pref = cmath.exp(lam * cmath.log(complex(x)))
-    v2 = _phi3_tilde_single(p, s2.resolve(p, x, ctx), x, ctx)
-    v1 = _phi3_tilde_single(p, s1.resolve(p, x, ctx), x, ctx)
-    return pref * (v2 - v1)
-
-
-def _phi2_single(p: Params2, tau: complex, x: complex, ctx: QContext) -> complex:
     nums = (p.A * x, p.a1, p.a2)
     dens = (p.B * x, p.b1, p.b2)
-    return _grid_sum(tau, nums, dens, ctx, alpha=p.alpha, weighted=False)
-
-
-def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext) -> complex:
-    """Degree-two integral solution: t^alpha measure dq t / t, endpoints may
-    include 0 (which contributes nothing)."""
-    if t1 == t2:
-        return 0.0 + 0.0j
-
-    def single(e: Endpoint) -> complex:
-        if e.tag == "zero":
-            return 0.0 + 0.0j
-        return _phi2_single(p, e.resolve(p, x, ctx), x, ctx)
-
-    return single(t2) - single(t1)
+    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, alpha=p.alpha, weighted=False)
 
 
 def _phi2_tilde_single(p: Params2, e: Endpoint, x: complex, ctx: QContext) -> complex:
@@ -257,14 +229,84 @@ def _phi2_tilde_single(p: Params2, e: Endpoint, x: complex, ctx: QContext) -> co
                      bilateral=e.tag == "sigma_infinity")
 
 
-def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext) -> complex:
+class JacksonTable:
+    """The single-endpoint Jackson integrals of one parameter tuple under one
+    context, each computed on its first lookup; meant to live for one job.
+
+    Entries are keyed by (integrand, endpoint, x): the integrand is one of the
+    ``_*_single`` helpers above, the endpoint carries the free constant of the
+    bilateral endpoint, and x is compared by value.  A computation that
+    raises stores nothing, so every lookup of it raises anew.
+    """
+
+    __slots__ = ("params", "ctx", "_values")
+
+    def __init__(self, params, ctx: QContext):
+        self.params = params
+        self.ctx = ctx
+        self._values: dict[tuple, complex] = {}
+
+    def value(self, single: Callable, e: Endpoint, x: complex) -> complex:
+        """single(params, e, x, ctx), computed on the first lookup."""
+        key = (single, e, x)
+        found = self._values.get(key)
+        if found is None:
+            found = self._values[key] = single(self.params, e, x, self.ctx)
+        return found
+
+
+def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
+    if table is None:
+        return JacksonTable(p, ctx)
+    if table.params != p or table.ctx != ctx:
+        raise ValueError("the Jackson table belongs to another parameter tuple or context")
+    return table
+
+
+def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
+         table: JacksonTable | None = None) -> complex:
+    """Difference of two one-sided Jackson integrals of the degree-three
+    Jordan-Pochhammer integrand between admissible endpoints."""
+    if t1 == t2:
+        return 0.0 + 0.0j
+    table = _table_for(p, ctx, table)
+    return table.value(_phi3_single, t2, x) - table.value(_phi3_single, t1, x)
+
+
+def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
+               table: JacksonTable | None = None) -> complex:
+    """x^lambda times the reflected-integrand Jackson integral between
+    admissible sigma-endpoints; principal branch of x^lambda."""
+    if s1 == s2:
+        return 0.0 + 0.0j
+    table = _table_for(p, ctx, table)
+    lam = p.lam(ctx)
+    pref = cmath.exp(lam * cmath.log(complex(x)))
+    return pref * (table.value(_phi3_tilde_single, s2, x)
+                   - table.value(_phi3_tilde_single, s1, x))
+
+
+def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
+         table: JacksonTable | None = None) -> complex:
+    """Degree-two integral solution: t^alpha measure dq t / t, endpoints may
+    include 0 (which contributes nothing)."""
+    if t1 == t2:
+        return 0.0 + 0.0j
+    table = _table_for(p, ctx, table)
+    return table.value(_phi2_single, t2, x) - table.value(_phi2_single, t1, x)
+
+
+def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
+               table: JacksonTable | None = None) -> complex:
     """Degree-two reflected integral; the sigma-infinity endpoint uses the
     bilateral Jackson sum."""
     if s1 == s2:
         return 0.0 + 0.0j
+    table = _table_for(p, ctx, table)
     lam = p.lam(ctx)
     pref = cmath.exp(lam * cmath.log(complex(x)))
-    return pref * (_phi2_tilde_single(p, s2, x, ctx) - _phi2_tilde_single(p, s1, x, ctx))
+    return pref * (table.value(_phi2_tilde_single, s2, x)
+                   - table.value(_phi2_tilde_single, s1, x))
 
 
 # -- series solutions: degree three ---------------------------------------------------
@@ -702,7 +744,7 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
     op = build_e3(p, ctx)
     if endpoint.tag in ("q_over_a", "q_over_Ax"):
         def F(y: complex) -> complex:
-            return _phi3_single(p, endpoint.resolve(p, y, ctx), y, ctx)
+            return _phi3_single(p, endpoint, y, ctx)
         terms = op.apply_terms(F, x)
         target = (1.0 - q) * q * (p.A - p.B) * complex(x) ** 2
     elif endpoint.tag in ("b", "Bx"):
@@ -710,7 +752,7 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
 
         def F(y: complex) -> complex:
             pref = cmath.exp(lam * cmath.log(complex(y)))
-            return pref * _phi3_tilde_single(p, endpoint.resolve(p, y, ctx), y, ctx)
+            return pref * _phi3_tilde_single(p, endpoint, y, ctx)
         terms = op.apply_terms(F, x)
         # the a1 a2 a3 / B factor is forced by expanding the integral at the
         # moving endpoint: the x^(lam+1) coefficient is
@@ -724,12 +766,14 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
 
 
 def cocycle_check(
-    p: Params3, t1: Endpoint, t2: Endpoint, t3: Endpoint, x: complex, ctx: QContext
+    p: Params3, t1: Endpoint, t2: Endpoint, t3: Endpoint, x: complex, ctx: QContext,
+    table: JacksonTable | None = None,
 ) -> float:
     """|phi(t1,t2) + phi(t2,t3) + phi(t3,t1)| relative to the largest term."""
-    v12 = phi3(p, t1, t2, x, ctx)
-    v23 = phi3(p, t2, t3, x, ctx)
-    v31 = phi3(p, t3, t1, x, ctx)
+    table = _table_for(p, ctx, table)
+    v12 = phi3(p, t1, t2, x, ctx, table)
+    v23 = phi3(p, t2, t3, x, ctx, table)
+    v31 = phi3(p, t3, t1, x, ctx, table)
     scale = max(abs(v12), abs(v23), abs(v31), 1e-300)
     return abs(v12 + v23 + v31) / scale
 
@@ -791,22 +835,27 @@ def solution_handle(
     params,
     ctx: QContext,
     sigma: complex = 1.3,
+    table: JacksonTable | None = None,
 ) -> SolutionHandle:
     """Build the evaluable solution for a catalogue label.
 
     Labels: thmint3.phi3[i,j], thmint3.tilde[i,j] (i, j in 1..4),
     thmint2.phi2[i,j] (0..3), thmint2.tilde[i,j] (1..4, 4 the bilateral
     endpoint), thmser3.1..6, thmser2.1..6, heine.1..32, heine_extra.1..2.
+
+    An integral label evaluates through ``table``, the single-endpoint
+    integrals of ``params`` shared with the other labels of a job; without
+    one, each evaluation uses a throwaway table.  Series labels ignore it.
     """
     fam, _, rest = label.partition(".")
     if fam == "thmint3":
         p: Params3 = params
         kind, i, j = _parse_pair(rest)
-        table = _T3_TAUS if kind == "phi3" else _T3_SIGMAS
-        e1, e2 = table[i], table[j]
+        ends = _T3_TAUS if kind == "phi3" else _T3_SIGMAS
+        e1, e2 = ends[i], ends[j]
         fn = phi3 if kind == "phi3" else phi3_tilde
         op = build_e3(p, ctx)
-        return SolutionHandle(label, lambda x: fn(p, e1, e2, x, ctx), (0.0, np.inf),
+        return SolutionHandle(label, lambda x: fn(p, e1, e2, x, ctx, table), (0.0, np.inf),
                               op, p, scale=0.3 * integral_scale(p, ctx))
     if fam == "thmint2":
         p2: Params2 = params
@@ -819,7 +868,7 @@ def solution_handle(
             e1, e2 = sig[i], sig[j]
             fn2 = phi2_tilde
         op = build_e2(p2, ctx)
-        return SolutionHandle(label, lambda x: fn2(p2, e1, e2, x, ctx), (0.0, np.inf),
+        return SolutionHandle(label, lambda x: fn2(p2, e1, e2, x, ctx, table), (0.0, np.inf),
                               op, p2, scale=0.3 * integral_scale(p2, ctx))
     if fam == "thmser3":
         p3: Params3 = params

@@ -11,6 +11,7 @@ import pytest
 
 import qhyp
 from qhyp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main, run_job
+from qhyp.solutions import all_labels
 
 
 def run(command, job):
@@ -91,6 +92,21 @@ class TestVerifyCommand:
         assert code == EXIT_FAIL
         assert rows[0]["pass"] is False
         assert rows[0].get("max_residual", 1.0) > 1e-3
+
+    @pytest.mark.parametrize("equation, family", [("e3", "thmint3"), ("e2", "thmint2")])
+    def test_integral_labels_read_the_same_from_a_shared_table(self, equation, family):
+        """The labels of an all-labels job share their single-endpoint
+        integrals; each row equals the row of a job of that label alone."""
+        job = {"equation": equation, "solutions": f"{family}.all", "seed": 5, "samples": 4}
+        _, rows, _ = run("verify", job)
+        assert [r["label"] for r in rows] == sorted(all_labels(family))
+        for row in rows:
+            _, alone, _ = run("verify", {**job, "solutions": [row["label"]]})
+            assert alone == [row]
+        out1, out2 = io.StringIO(), io.StringIO()
+        run_job("verify", dict(job), out1)
+        run_job("verify", dict(job), out2)
+        assert out1.getvalue() == out2.getvalue()
 
     def test_deterministic_output(self):
         job = {"equation": "e2", "solutions": "thmser2.all", "seed": 11, "samples": 4}

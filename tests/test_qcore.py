@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from decimal import Decimal, getcontext
 
 import mpmath
@@ -367,6 +368,23 @@ class TestQpochRatio:
         ctx = QContext(0.5)
         with pytest.raises(PoleError):
             qpoch_ratio([0.3], [ctx.q**-2], ctx)
+
+    def test_nan_argument_exhausts_the_budget_at_once(self):
+        """A NaN argument never falls below tail_tol, so no budget suffices;
+        the kernel builds only the other arguments' columns before it says
+        so, not every column up to max_terms."""
+        ctx = QContext(0.5, max_terms=10**8)
+        nan = complex(math.nan, 0)
+        start = time.perf_counter()
+        for nums, dens in (([nan], []), ([0.3], [nan]), ([nan, 2.0], [0.7 + 0.2j])):
+            with pytest.raises(BudgetExceededError):
+                qpoch_ratio(nums, dens, ctx)
+        with pytest.raises(BudgetExceededError):
+            qpoch_inf(nan, ctx)
+        assert time.perf_counter() - start < 1.0
+        # a pole of another argument still comes before the budget error
+        with pytest.raises(PoleError):
+            qpoch_ratio([nan], [ctx.q**-3], ctx)
 
 
 def mp_qpoch(a, q):

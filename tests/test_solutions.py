@@ -6,12 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+from qhyp import solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
 from qhyp.errors import DomainError, UnsupportedCaseError
 from qhyp.qcore import QContext, qpoch_ratio
 from qhyp.solutions import (
     _grid_sum,
     Endpoint,
+    JacksonTable,
     all_labels,
     casoratian,
     check_intcalcu,
@@ -41,6 +43,19 @@ from qhyp.sampling import (
 
 TAUS = {1: Endpoint.q_over_a(1), 2: Endpoint.q_over_a(2),
         3: Endpoint.q_over_a(3), 4: Endpoint.q_over_Ax()}
+
+
+def exact_zero_params(a2, ctx):
+    """A balanced degree-three tuple with a1/a2 = q^-3: at x = 0.3 the
+    integrand from q/a2 vanishes at n = 0, 1, 2 and not beyond."""
+    q = ctx.q
+    a1 = a2 * q**-3
+    a3 = 1.1 + 0.2j
+    b1, b2, A, B = 0.4 + 0.9j, -0.7 + 0.5j, 0.8 - 0.3j, 1.2 + 0.35j
+    b3 = a1 * a2 * a3 * A / (q**2 * b1 * b2 * B)
+    p = Params3(a1, a2, a3, b1, b2, b3, A, B)
+    p.validate(ctx)
+    return p
 
 
 class TestIntegralSolutions:
@@ -365,14 +380,9 @@ class TestGridKernel:
         for the others rounding leaves the zeros tiny but nonzero."""
         ctx = QContext(0.5)
         q = 0.5
-        a3 = 1.1 + 0.2j
-        b1, b2, A, B = 0.4 + 0.9j, -0.7 + 0.5j, 0.8 - 0.3j, 1.2 + 0.35j
         x = 0.3
         for a2 in (0.9 + 0j, 0.7 + 0.3j, 0.5 - 0.6j, 1.1 + 0.1j):
-            a1 = a2 * q**-3
-            b3 = a1 * a2 * a3 * A / (q**2 * b1 * b2 * B)
-            p = Params3(a1, a2, a3, b1, b2, b3, A, B)
-            p.validate(ctx)
+            p = exact_zero_params(a2, ctx)
             nums, dens = (p.A * x, p.a1, p.a2, p.a3), (p.B * x, p.b1, p.b2, p.b3)
             tau = TAUS[2].resolve(p, x, ctx)
             grid = [qpoch_ratio([c * tau * q**n for c in nums],
@@ -381,6 +391,80 @@ class TestGridKernel:
             assert abs(self.direct_sum(tau, nums, dens, range(200), ctx)) > 5e-3
             with pytest.raises(UnsupportedCaseError):
                 phi3(p, TAUS[1], TAUS[2], x, ctx)
+
+
+class TestJacksonTable:
+    """One table of single-endpoint integrals serves every pair label."""
+
+    @staticmethod
+    def residual_points(h, ctx):
+        """The points x q^j at which residual() evaluates the handle."""
+        seen = []
+
+        def record(y):
+            seen.append(y)
+            return 0.0
+
+        residual(h.equation, record, sample_points(h, 4, ctx), ctx)
+        return seen
+
+    @staticmethod
+    def count_grid_sums(monkeypatch):
+        """Record the grid start of every Jackson grid sum from here on."""
+        starts = []
+        grid_sum = solutions._grid_sum
+
+        def counted(tau, *args, **kwargs):
+            starts.append(tau)
+            return grid_sum(tau, *args, **kwargs)
+
+        monkeypatch.setattr(solutions, "_grid_sum", counted)
+        return starts
+
+    def test_shared_table_matches_standalone(self, ctx, rng, monkeypatch):
+        starts = self.count_grid_sums(monkeypatch)
+        p3 = draw_params3(rng, ctx)
+        p2 = draw_params2(rng, ctx)
+        # (family, params, sigma, distinct single-endpoint integrals per point):
+        # thmint3 has 4 tau and 4 sigma endpoints; thmint2 has 3 tau endpoints
+        # besides 0, which costs nothing, and 4 sigma endpoints
+        for family, p, sigma, singles in (("thmint3", p3, 1.3, 8),
+                                          ("thmint2", p2, default_sigma(p2), 7)):
+            table = JacksonTable(p, ctx)
+            labels = all_labels(family)
+            shared = [solution_handle(lab, p, ctx, sigma=sigma, table=table) for lab in labels]
+            points = self.residual_points(shared[0], ctx)
+            assert all(self.residual_points(h, ctx) == points for h in shared)
+            starts.clear()
+            values = [[h(y) for y in points] for h in shared]
+            assert len(starts) == singles * len(points), family
+            for label, row in zip(labels, values):
+                alone = solution_handle(label, p, ctx, sigma=sigma)
+                assert row == [alone(y) for y in points], label
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        ctx = QContext(0.5)
+        p = exact_zero_params(0.9 + 0j, ctx)
+        x = 0.3
+        zero_start = TAUS[2].resolve(p, x, ctx)
+        starts = self.count_grid_sums(monkeypatch)
+        table = JacksonTable(p, ctx)
+        messages = []
+        for i, j in ((1, 2), (1, 2), (2, 3), (2, 4)):
+            h = solution_handle(f"thmint3.phi3[{i},{j}]", p, ctx, table=table)
+            starts.clear()
+            with pytest.raises(UnsupportedCaseError) as err:
+                h(x)
+            # the failing integral is computed anew on every lookup
+            assert starts.count(zero_start) == 1
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+
+    def test_table_of_another_tuple_is_refused(self, ctx, rng):
+        p = draw_params3(rng, ctx)
+        other = JacksonTable(draw_params3(rng, ctx), ctx)
+        with pytest.raises(ValueError):
+            phi3(p, TAUS[1], TAUS[2], 0.3, ctx, other)
 
 
 class TestLocalBasis:
