@@ -32,7 +32,7 @@ from .errors import QhypError
 from .opalgebra import QDiffOperator
 from .qcore import QContext
 from .qseries import heine_transformation_constant
-from .solutions import Endpoint, all_labels, residual, sample_points, solution_handle
+from .solutions import CATALOGUE, Endpoint, all_labels, residual, sample_points, solution_handle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,13 +54,6 @@ _PARAM_FIELDS = {
     "e2": (Params2, ["alpha", "a1", "a2", "b1", "b2", "A", "B"]),
     "e3": (Params3, ["a1", "a2", "a3", "b1", "b2", "b3", "A", "B"]),
 }
-
-_FAMILY_EQUATION = {
-    "thmint3": "e3", "thmser3": "e3",
-    "thmint2": "e2", "thmser2": "e2",
-    "heine": "heine", "heine_extra": "heine",
-}
-
 
 class JobError(Exception):
     """Invalid job input (maps to exit code 2)."""
@@ -186,21 +179,26 @@ def cmd_config(job: dict, rng, ctx: QContext, report: Report):
 
 
 def _expand_labels(job: dict, kind: str | None) -> list[str]:
+    """The catalogue labels a job names: "all" (those of its equation, or
+    every label for another equation), "<family>.all", or labels; any other
+    name is an input error."""
     spec = job.get("solutions", "all")
-    families = ["thmint3", "thmser3"] if kind == "e3" else \
-               ["thmint2", "thmser2"] if kind == "e2" else \
-               ["heine", "heine_extra"] if kind == "heine" else \
-               ["thmint3", "thmser3", "thmint2", "thmser2", "heine", "heine_extra"]
     if spec == "all":
-        return [lab for fam in families for lab in all_labels(fam)]
+        return [lab for lab, row in CATALOGUE.items() if row.equation == kind] or list(CATALOGUE)
     if isinstance(spec, str):
         spec = [spec]
     labels: list[str] = []
-    for item in spec:
-        fam, _, rest = str(item).partition(".")
-        if fam not in _FAMILY_EQUATION:
-            raise JobError(f"unknown solution family in {item!r}")
-        labels.extend(all_labels(fam) if rest == "all" else [str(item)])
+    for item in map(str, spec):
+        fam, _, rest = item.partition(".")
+        if rest == "all":
+            try:
+                labels.extend(all_labels(fam))
+            except ValueError:
+                raise JobError(f"unknown solution family in {item!r}") from None
+        elif item in CATALOGUE:
+            labels.append(item)
+        else:
+            raise JobError(f"unknown solution label {item!r}")
     return labels
 
 
@@ -208,7 +206,7 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
     """Per-label max relative residual under the claimed operator."""
     labels = _expand_labels(job, job.get("equation"))
     n_samples = int(job.get("samples", 10))
-    kinds = {_FAMILY_EQUATION[lab.partition(".")[0]] for lab in labels}
+    kinds = {CATALOGUE[lab].equation for lab in labels}
     params_by_kind = {}
     for kind in sorted(kinds):
         jb = dict(job)
@@ -218,15 +216,14 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
     # the integral labels of a kind share their single-endpoint integrals
     tables = {kind: solutions.JacksonTable(p, ctx) for kind, p in params_by_kind.items()}
     for label in sorted(labels):
-        fam = label.partition(".")[0]
-        kind = _FAMILY_EQUATION[fam]
+        row = CATALOGUE[label]
+        kind = row.equation
         p = params_by_kind[kind]
-        if fam == "heine":
-            which = int(label.partition(".")[2])
-            if which in solutions.HEINE_TERMINATING and job.get("params") is None:
-                p = sampling.draw_heine_for(rng, ctx, which)
-        if fam == "heine_extra" and job.get("params") is None:
-            p = sampling.draw_heine_extra(rng, ctx, int(label.partition(".")[2]))
+        if job.get("params") is None:
+            if row.terminating is not None:
+                p = sampling.draw_heine_for(rng, ctx, row.index)
+            elif row.family == "heine_extra":
+                p = sampling.draw_heine_extra(rng, ctx, row.index)
         try:
             sigma = as_complex(job["sigma"]) if "sigma" in job else sampling.default_sigma(p) \
                 if kind == "e2" else 1.3
@@ -348,8 +345,7 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
     labels = _expand_labels(job, job.get("equation"))
     n = int(job.get("samples", 32))
     for label in sorted(labels):
-        kind = _FAMILY_EQUATION[label.partition(".")[0]]
-        p = get_equation_params(job, kind, rng, ctx)
+        p = get_equation_params(job, CATALOGUE[label].equation, rng, ctx)
         try:
             handle = solution_handle(label, p, ctx)
             xs = sample_points(handle, n, ctx)

@@ -19,6 +19,7 @@ from .equations import (
     qpow,
 )
 from .qcore import QContext
+from .solutions import CATALOGUE
 
 _MAX_REDRAWS = 2000
 
@@ -29,11 +30,6 @@ def _unit(rng: np.random.Generator, phase: float = 0.85) -> complex:
 
 def _mod(rng: np.random.Generator, lo: float, hi: float, phase: float = 0.85) -> complex:
     return rng.uniform(lo, hi) * _unit(rng, phase)
-
-
-def draw_context(rng: np.random.Generator, **overrides) -> QContext:
-    q = rng.uniform(0.35, 0.55)
-    return QContext(q, **overrides)
 
 
 def _q_window_clear(value: complex, q: complex, lo: int, hi: int, margin: float) -> bool:
@@ -161,26 +157,9 @@ def draw_heine_for(
     """Heine parameters admissible for catalogue row ``which``: generic for
     the everywhere-valid rows, with the row's terminating relation imposed
     for the zero-slot rows."""
-    from .solutions import HEINE_TERMINATING
-
     p = draw_heine(rng, ctx)
-    rel = HEINE_TERMINATING.get(which)
-    if rel is None:
-        return p
-    q = complex(ctx.q)
-    if rel == "a=q^-n":
-        return HeineParams(q ** (-n), p.b, p.c)
-    if rel == "b=q^-n":
-        return HeineParams(p.a, q ** (-n), p.c)
-    if rel == "a=q^n+1":
-        return HeineParams(q ** (n + 1), p.b, p.c)
-    if rel == "b=q^n+1":
-        return HeineParams(p.a, q ** (n + 1), p.c)
-    if rel == "c=a*q^-n":
-        return HeineParams(p.a, p.b, p.a * q ** (-n))
-    if rel == "c=a*q^n+1":
-        return HeineParams(p.a, p.b, p.a * q ** (n + 1))
-    raise ValueError(f"unknown terminating relation {rel!r}")
+    terminating = CATALOGUE[f"heine.{which}"].terminating
+    return p if terminating is None else terminating(p, complex(ctx.q), n)
 
 
 def draw_heun(rng: np.random.Generator, ctx: QContext) -> HeunParams:

@@ -13,24 +13,31 @@ one integrand.  A :class:`JacksonTable` holds those of one parameter tuple
 and computes each once, so the pair labels of a job that share an endpoint
 and a sample point share its grid sum; an evaluator given no table uses a
 throwaway one, with the same values.
+
+The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
+(end of the module): the operator a label solves, its endpoint pair or its
+series formula in Gasper & Rahman's notation, its domain, sampling scale and
+terminating relation.  Handles, :func:`all_labels`, the samplers and the CLI
+read these records, and a label that is not a key of the catalogue is
+refused with ValueError.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonDecayingSumError, PoleError, UnsupportedCaseError
 from .equations import (
+    BUILDERS,
     HeineParams,
     Params2,
     Params3,
-    build_e2,
     build_e3,
-    build_heine,
     e_sym,
     qpow,
 )
@@ -309,7 +316,22 @@ def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
                    - table.value(_phi2_tilde_single, s1, x))
 
 
-# -- series solutions: degree three ---------------------------------------------------
+# -- series solutions -----------------------------------------------------------------
+#
+# A series row of the catalogue (end of the module) keeps its formulas as a
+# function of its family's variables.  The evaluators below compute those
+# variables and read the row; what a label is lives in its row alone.
+
+
+def _phi_row(spec, ctx: QContext, factor: complex | None = None) -> complex:
+    """factor * prefactor ratio * phi(series) for spec = (prefactor, series),
+    multiplied left to right; an absent factor is skipped, not taken as 1."""
+    prefactor, series = spec
+    if prefactor is not None:
+        ratio = qpoch_ratio(*prefactor, ctx)
+        factor = ratio if factor is None else factor * ratio
+    value = phi(PhiSpec(*series), ctx)
+    return value if factor is None else factor * value
 
 
 def _gr_series_value(
@@ -337,28 +359,9 @@ def _gr_series_value(
 
 
 def _e3_gr_data(p: Params3, which: int, x: complex, ctx: QContext):
-    """GR role assignment (a, b, {c,d}, {e,f,g}, h) for each of the six
-    degree-three series solutions."""
-    q = complex(ctx.q)
-    Ax, Bx = p.A * x, p.B * x
-    if which in (1, 2):
-        a, b = q / p.a1, q / p.a2
-        cd = (Ax, p.a3)
-    elif which in (3, 4):
-        a, b = q / p.a1, q / (p.A * x)
-        cd = (p.a2, p.a3)
-    elif which in (5, 6):
-        a, b = q / (p.A * x), q / p.a1
-        cd = (p.a2, p.a3)
-    else:
-        raise ValueError("which must be 1..6")
-    if which in (1, 4, 6):
-        h = Bx
-        efg = (p.b1, p.b2, p.b3)
-    else:
-        h = p.b3
-        efg = (Bx, p.b1, p.b2)
-    return a, b, cd, efg, h
+    """GR role assignment (a, b, {c,d}, {e,f,g}, h) of degree-three series
+    row ``which``."""
+    return _row(f"thmser3.{which}").formula(complex(ctx.q), p.A * x, p.B * x, p)
 
 
 def e3_series(p: Params3, which: int, x: complex, ctx: QContext) -> complex:
@@ -370,81 +373,13 @@ def e3_series(p: Params3, which: int, x: complex, ctx: QContext) -> complex:
     return _gr_series_value(a, b, cd, efg, h, ctx)
 
 
-def e3_series_domain(p: Params3, which: int, ctx: QContext) -> tuple[float, float]:
-    """|x| interval (lo, hi) on the positive axis where the series argument
-    stays inside the unit disc.  Pole grids of prefactors and denominator
-    parameters have complex-generic bases and never meet the real axis, so
-    only the convergence bound constrains the interval."""
-    q = abs(complex(ctx.q))
-    A, B, a1, b3 = abs(p.A), abs(p.B), abs(p.a1), abs(p.b3)
-    if which in (1, 4):
-        return 0.0, a1 / (q * B)  # argument q B x / a1
-    if which in (2, 3):
-        return 0.0, np.inf  # argument q b3 / a1, x-free
-    if which == 5:
-        return q * b3 / A, np.inf  # argument q b3 / (A x)
-    if which == 6:
-        return 0.0, np.inf  # argument q B / A, x-free
-    raise ValueError("which must be 1..6")
-
-
-def e3_series_scale(p: Params3, ctx: QContext) -> float:
-    """Natural |x| scale of the degree-three family (where q B x / a_i ~ 1)."""
-    q = abs(complex(ctx.q))
-    return min(abs(p.a1), abs(p.a2), abs(p.a3)) / (q * abs(p.B))
-
-
-# -- series solutions: degree two ------------------------------------------------------
-
-
 def e2_series(p: Params2, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six catalogued 3phi2 series solutions of the degree-two
-    equation.
-
-    1, 2:  3phi2(q^alpha, A/B, a_i/(Bx); A a_i/(B b1), A a_i/(B b2); qBx/a_j)
-           for (i, j) = (1, 2) and (2, 1);
-    3, 4:  the Jackson-integral forms
-           (qAx/a_j)_inf/(qBx/a_j)_inf
-             * 3phi2(q b1/a_j, q b2/a_j, qBx/a_j; q a_i/a_j, qAx/a_j; q^alpha),
-           equal (up to constants) to the endpoint integrals from 0 to q/a_j;
-    5:     the Pochhammer-gauge image of 1,
-           (Ax/b1)_inf/(qBx/a1)_inf
-             * 3phi2(a2/b2, q b1/a1, q b1/(Ax); q^(1-alpha) a2/b2, q b1/b2; qBx/a2);
-    6:     the index-1 reflection image of 3,
-           (q^(alpha+1) Bx/a2)_inf/(qBx/a2)_inf
-             * 3phi2(a1/b1, a1/b2, qBx/a2; q a1/a2, q^(alpha+1) Bx/a2; A/B).
-    """
+    equation."""
     q = complex(ctx.q)
-    qa = qpow(q, p.alpha)
-    A, B, a1, a2, b1, b2 = p.A, p.B, p.a1, p.a2, p.b1, p.b2
-    x = complex(x)
-    if which == 1:
-        return phi(PhiSpec([qa, A / B, a1 / (B * x)],
-                           [A * a1 / (B * b1), A * a1 / (B * b2)],
-                           q * B * x / a2), ctx)
-    if which == 2:
-        return phi(PhiSpec([qa, A / B, a2 / (B * x)],
-                           [A * a2 / (B * b1), A * a2 / (B * b2)],
-                           q * B * x / a1), ctx)
-    if which == 3:
-        pref = qpoch_ratio([q * A * x / a2], [q * B * x / a2], ctx)
-        return pref * phi(PhiSpec([q * b1 / a2, q * b2 / a2, q * B * x / a2],
-                                  [q * a1 / a2, q * A * x / a2], qa), ctx)
-    if which == 4:
-        pref = qpoch_ratio([q * A * x / a1], [q * B * x / a1], ctx)
-        return pref * phi(PhiSpec([q * b1 / a1, q * b2 / a1, q * B * x / a1],
-                                  [q * a2 / a1, q * A * x / a1], qa), ctx)
-    if which == 5:
-        pref = qpoch_ratio([A * x / b1], [q * B * x / a1], ctx)
-        return pref * phi(PhiSpec([a2 / b2, q * b1 / a1, q * b1 / (A * x)],
-                                  [qpow(q, 1 - p.alpha) * a2 / b2, q * b1 / b2],
-                                  q * B * x / a2), ctx)
-    if which == 6:
-        pref = qpoch_ratio([qpow(q, p.alpha + 1) * B * x / a2], [q * B * x / a2], ctx)
-        return pref * phi(PhiSpec([a1 / b1, a1 / b2, q * B * x / a2],
-                                  [q * a1 / a2, qpow(q, p.alpha + 1) * B * x / a2],
-                                  A / B), ctx)
-    raise ValueError("which must be 1..6")
+    spec = _row(f"thmser2.{which}").formula(
+        q, qpow(q, p.alpha), complex(x), p.alpha, p.a1, p.a2, p.b1, p.b2, p.A, p.B)
+    return _phi_row(spec, ctx)
 
 
 def e2_series_limit_target(p: Params2, x: complex, ctx: QContext) -> complex:
@@ -483,26 +418,9 @@ def e3_to_e2_series_deviation(
     return abs(r1 / r2 - 1.0)
 
 
-def e2_series_domain(p: Params2, which: int, ctx: QContext) -> tuple[float, float]:
-    """|x| interval where the series argument stays inside the unit disc
-    (the x-free arguments q^alpha and A/B impose nothing on x)."""
-    q = abs(complex(ctx.q))
-    B = abs(p.B)
-    if which in (1, 5):
-        return 0.0, abs(p.a2) / (q * B)  # argument q B x / a2
-    if which == 2:
-        return 0.0, abs(p.a1) / (q * B)
-    if which in (3, 4, 6):
-        return 0.0, np.inf
-    raise ValueError("which must be 1..6")
-
-
 def e2_series_scale(p: Params2, ctx: QContext) -> float:
     q = abs(complex(ctx.q))
     return min(abs(p.a1), abs(p.a2)) / (q * abs(p.B))
-
-
-# -- Heine-family series solutions ------------------------------------------------------
 
 
 def _heine_exponents(p: HeineParams, ctx: QContext):
@@ -515,111 +433,15 @@ def _heine_exponents(p: HeineParams, ctx: QContext):
 def heine_solution(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
     """One of the 32 catalogued series solutions of the q-hypergeometric
     equation of Heine type; exponent prefactors use principal branches."""
+    row = _row(f"heine.{which}")
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
     z = complex(z)
     alpha, beta, gamma = _heine_exponents(p, ctx)
-
-    def zpow(e: complex) -> complex:
-        return cmath.exp(complex(e) * cmath.log(z))
-
-    def R(nums, dens) -> complex:
-        return qpoch_ratio(nums, dens, ctx)
-
-    w = a * b * z / c
-    if which == 1:
-        return phi(PhiSpec([a, b], [c], z), ctx)
-    if which == 2:
-        return R([w], [z]) * phi(PhiSpec([c / a, c / b], [c], w), ctx)
-    if which == 3:
-        return zpow(1 - gamma) * phi(PhiSpec([a * q / c, b * q / c], [q**2 / c], z), ctx)
-    if which == 4:
-        return zpow(1 - gamma) * R([w], [z]) * phi(
-            PhiSpec([q / a, q / b], [q**2 / c], w), ctx)
-    if which == 5:
-        return zpow(-alpha) * phi(PhiSpec([a, a * q / c], [a * q / b],
-                                          c * q / (a * b * z)), ctx)
-    if which == 6:
-        return zpow(-alpha) * R([q / z], [c * q / (a * b * z)]) * phi(
-            PhiSpec([q / b, c / b], [a * q / b], q / z), ctx)
-    if which == 7:
-        return zpow(-beta) * phi(PhiSpec([b, b * q / c], [b * q / a],
-                                         c * q / (a * b * z)), ctx)
-    if which == 8:
-        return zpow(-beta) * R([q / z], [c * q / (a * b * z)]) * phi(
-            PhiSpec([q / a, c / a], [b * q / a], q / z), ctx)
-    if which == 9:
-        return phi(PhiSpec([a, b, w], [a * b * q / c, 0.0], q), ctx)
-    if which == 10:
-        return R([w], [z]) * phi(PhiSpec([c / a, c / b, z],
-                                         [c * q / (a * b), 0.0], q), ctx)
-    if which == 11:
-        return zpow(1 - gamma) * phi(PhiSpec([a * q / c, b * q / c, w],
-                                             [a * b * q / c, 0.0], q), ctx)
-    if which == 12:
-        return zpow(1 - gamma) * R([w], [z]) * phi(
-            PhiSpec([q / a, q / b, z], [c * q / (a * b), 0.0], q), ctx)
-    if which == 13:
-        return zpow(-alpha) * phi(PhiSpec([a, a * q / c, q / z],
-                                          [a * b * q / c, 0.0], q), ctx)
-    if which == 14:
-        return zpow(-alpha) * R([q / z], [c * q / (a * b * z)]) * phi(
-            PhiSpec([q / b, c / b, c * q / (a * b * z)],
-                    [c * q / (a * b), 0.0], q), ctx)
-    if which == 15:
-        return zpow(-beta) * phi(PhiSpec([b, b * q / c, q / z],
-                                         [a * b * q / c, 0.0], q), ctx)
-    if which == 16:
-        return zpow(-beta) * R([q / z], [c * q / (a * b * z)]) * phi(
-            PhiSpec([q / a, c / a, c * q / (a * b * z)],
-                    [c * q / (a * b), 0.0], q), ctx)
-    if which == 17:
-        return R([a * z], [z]) * phi(PhiSpec([a, c / b], [c, a * z], b * z), ctx)
-    if which == 18:
-        return R([b * z], [z]) * phi(PhiSpec([b, c / a], [c, b * z], a * z), ctx)
-    if which == 19:
-        return zpow(1 - gamma) * R([a * q * z / c], [z]) * phi(
-            PhiSpec([a * q / c, q / b], [q**2 / c, a * q * z / c], b * q * z / c), ctx)
-    if which == 20:
-        return zpow(1 - gamma) * R([b * q * z / c], [z]) * phi(
-            PhiSpec([b * q / c, q / a], [q**2 / c, b * q * z / c], a * q * z / c), ctx)
-    if which == 21:
-        return R([w], [b * z / c]) * phi(
-            PhiSpec([c / b, a], [a * q / b, c * q / (b * z)], q**2 / (b * z)), ctx)
-    if which == 22:
-        return R([w], [a * z / c]) * phi(
-            PhiSpec([c / a, b], [b * q / a, c * q / (a * z)], q**2 / (a * z)), ctx)
-    if which == 23:
-        return zpow(1 - gamma) * R([w], [b * z / q]) * phi(
-            PhiSpec([a * q / c, q / b], [a * q / b, q**2 / (b * z)],
-                    c * q / (b * z)), ctx)
-    if which == 24:
-        return zpow(1 - gamma) * R([w], [a * z / q]) * phi(
-            PhiSpec([b * q / c, q / a], [b * q / a, q**2 / (a * z)],
-                    c * q / (a * z)), ctx)
-    if which == 25:
-        return R([a * z], [z]) * phi(PhiSpec([c / b, a, 0.0], [a * q / b, a * z], q), ctx)
-    if which == 26:
-        return R([b * z], [z]) * phi(PhiSpec([c / a, b, 0.0], [b * q / a, b * z], q), ctx)
-    if which == 27:
-        return zpow(1 - gamma) * R([a * q * z / c], [z]) * phi(
-            PhiSpec([q / b, a * q / c, 0.0], [a * q / b, a * q * z / c], q), ctx)
-    if which == 28:
-        return zpow(1 - gamma) * R([b * q * z / c], [z]) * phi(
-            PhiSpec([q / a, b * q / c, 0.0], [b * q / a, b * q * z / c], q), ctx)
-    if which == 29:
-        return zpow(-alpha) * R([c * q / (b * z)], [c * q / (a * b * z)]) * phi(
-            PhiSpec([c / b, a, 0.0], [c, c * q / (b * z)], q), ctx)
-    if which == 30:
-        return zpow(-alpha) * R([q**2 / (b * z)], [c * q / (a * b * z)]) * phi(
-            PhiSpec([q / b, a * q / c, 0.0], [q**2 / c, q**2 / (b * z)], q), ctx)
-    if which == 31:
-        return zpow(-beta) * R([c * q / (a * z)], [c * q / (a * b * z)]) * phi(
-            PhiSpec([c / a, b, 0.0], [c, c * q / (a * z)], q), ctx)
-    if which == 32:
-        return zpow(-beta) * R([q**2 / (a * z)], [c * q / (a * b * z)]) * phi(
-            PhiSpec([q / a, b * q / c, 0.0], [q**2 / c, q**2 / (a * z)], q), ctx)
-    raise ValueError("which must be 1..32")
+    zpow = None
+    if row.exponent is not None:
+        zpow = cmath.exp(complex(row.exponent(alpha, beta, gamma)) * cmath.log(z))
+    return _phi_row(row.formula(a, b, c, q, z, a * b * z / c), ctx, zpow)
 
 
 def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
@@ -628,61 +450,7 @@ def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> comple
     transformation formula."""
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
-    z = complex(z)
-    if which == 1:
-        return phi(PhiSpec([a, b, q / z], [a * b * q / c], z / c), ctx)
-    if which == 2:
-        return qpoch_ratio([b * z], [z], ctx) * phi(PhiSpec([c / a, z], [b * z], a), ctx)
-    raise ValueError("which must be 1 or 2")
-
-
-def heine_domain(p: HeineParams, which: int, ctx: QContext) -> tuple[float, float]:
-    """|z| interval on the positive axis for each catalogued solution.
-
-    Bounds come from series convergence (|argument| < 1) and from the real
-    pole grid of a (z)_inf denominator where present; pole grids with
-    complex-generic bases do not restrict the positive axis.
-    """
-    q = abs(complex(ctx.q))
-    a, b, c = abs(p.a), abs(p.b), abs(p.c)
-    w = a * b / c
-    if which in (1, 3):
-        return 0.0, 1.0
-    if which in (2, 4, 10, 12):
-        return 0.0, min(1.0, 1.0 / w)
-    if which in (5, 7, 14, 16, 29, 30, 31, 32):
-        return c * q / (a * b), np.inf
-    if which in (6, 8):
-        return max(q, c * q / (a * b)), np.inf
-    if which in (9, 11, 13, 15, 21, 22, 23, 24):
-        return 0.0, np.inf
-    if which in (17, 18, 19, 20, 25, 26, 27, 28):
-        return 0.0, 1.0
-    raise ValueError("which must be 1..32")
-
-
-# rows whose zero-slot 3phi2 forms are rigorous exactly in the terminating
-# regime (a numerator parameter in q^{-Z>=0}); the map below names the
-# parameter relation that terminates each row.
-HEINE_TERMINATING: dict[int, str] = {
-    9: "a=q^-n", 13: "a=q^-n", 25: "a=q^-n", 29: "a=q^-n",
-    15: "b=q^-n", 26: "b=q^-n", 31: "b=q^-n",
-    12: "a=q^n+1", 28: "a=q^n+1", 32: "a=q^n+1",
-    14: "b=q^n+1", 27: "b=q^n+1", 30: "b=q^n+1",
-    10: "c=a*q^-n", 16: "c=a*q^-n",
-    11: "c=a*q^n+1",
-}
-
-
-def heine_scale(p: HeineParams, which: int, ctx: QContext) -> float:
-    q = abs(complex(ctx.q))
-    a, b = abs(p.a), abs(p.b)
-    c = abs(p.c)
-    if which in (21, 23):
-        return c / b if which == 21 else q / b
-    if which in (22, 24):
-        return c / a if which == 22 else q / a
-    return 1.0
+    return _phi_row(_row(f"heine_extra.{which}").formula(a, b, c, q, complex(z)), ctx)
 
 
 # -- verification utilities ---------------------------------------------------------
@@ -808,19 +576,47 @@ def casoratian(
     return fe(x) * ge(q * x) - fe(q * x) * ge(x)
 
 
-# -- handles and label parsing ---------------------------------------------------------
-
-_T3_TAUS = {1: Endpoint.q_over_a(1), 2: Endpoint.q_over_a(2),
-            3: Endpoint.q_over_a(3), 4: Endpoint.q_over_Ax()}
-_T3_SIGMAS = {1: Endpoint.b(1), 2: Endpoint.b(2), 3: Endpoint.b(3),
-              4: Endpoint.Bx()}
-_T2_TAUS = {0: Endpoint.zero(), 1: Endpoint.q_over_a(1), 2: Endpoint.q_over_a(2),
-            3: Endpoint.q_over_Ax()}
+# -- the catalogue ------------------------------------------------------------------------
 
 
-def _t2_sigmas(sigma: complex):
-    return {1: Endpoint.b(1), 2: Endpoint.b(2), 3: Endpoint.Bx(),
-            4: Endpoint.sigma_inf(sigma)}
+@dataclass(frozen=True)
+class Solution:
+    """One row of the solution catalogue: everything the library knows about
+    one label.
+
+    equation: the operator the row solves, a key of ``equations.BUILDERS``.
+    evaluator: the name of the module function that evaluates the row; a
+        series row passes it ``index``, an integral row its endpoint
+        ``pair`` (the bilateral endpoint takes the handle's sigma).
+    formula: series rows only, a function of the family's variables.  For
+        ``thmser2``, ``heine`` and ``heine_extra`` it gives (prefactor,
+        series): prefactor = (numerators, denominators) of a Pochhammer ratio
+        in front, or None; series = (numerators, denominators, argument) of
+        r_phi_s.  For ``thmser3`` it gives the role assignment
+        (a, b, (c, d), (e, f, g), h) of :func:`_gr_series_value`.
+    exponent: ``heine`` rows only, the power of z in front as a function of
+        (alpha, beta, gamma) = log_q (a, b, c), or None.
+    domain, scale: (params, ctx) -> the |x| interval on the positive axis
+        and the natural |x| scale of sampling.
+    terminating: (params, q, n) -> the parameters with the relation imposed
+        (n >= 0) that terminates a zero-slot ``heine`` row, which is rigorous
+        exactly then; None for the other rows.
+    """
+
+    label: str
+    equation: str
+    evaluator: str
+    domain: Callable[[Any, QContext], tuple[float, float]]
+    scale: Callable[[Any, QContext], float]
+    index: int = 0
+    pair: tuple[Endpoint, Endpoint] | None = None
+    formula: Callable | None = None
+    exponent: Callable | None = None
+    terminating: Callable | None = None
+
+    @property
+    def family(self) -> str:
+        return self.label.partition(".")[0]
 
 
 def integral_scale(p, ctx: QContext) -> float:
@@ -830,6 +626,254 @@ def integral_scale(p, ctx: QContext) -> float:
     return min(abs(v) for v in p.a_list()) / (q * abs(p.B))
 
 
+def _integral_rows():
+    """thmint3.phi3 over the endpoints q/a1, q/a2, q/a3, q/(Ax) and
+    thmint3.tilde over b1, b2, b3, Bx (1..4); thmint2.phi2 over 0, q/a1, q/a2,
+    q/(Ax) (0..3) and thmint2.tilde over b1, b2, Bx, sigma*infinity (1..4);
+    the label [i,j], i < j, is the integral from endpoint i to endpoint j."""
+    families = (
+        ("thmint3.phi3", "phi3", "e3", 1, (Endpoint.q_over_a(1), Endpoint.q_over_a(2),
+                                            Endpoint.q_over_a(3), Endpoint.q_over_Ax())),
+        ("thmint3.tilde", "phi3_tilde", "e3", 1, (Endpoint.b(1), Endpoint.b(2),
+                                                  Endpoint.b(3), Endpoint.Bx())),
+        ("thmint2.phi2", "phi2", "e2", 0, (Endpoint.zero(), Endpoint.q_over_a(1),
+                                            Endpoint.q_over_a(2), Endpoint.q_over_Ax())),
+        ("thmint2.tilde", "phi2_tilde", "e2", 1, (Endpoint.b(1), Endpoint.b(2),
+                                                  Endpoint.Bx(), Endpoint.sigma_inf())),
+    )
+    for name, evaluator, equation, first, ends in families:
+        for i, j in itertools.combinations(range(len(ends)), 2):
+            yield Solution(f"{name}[{first + i},{first + j}]", equation, evaluator,
+                           lambda p, ctx: (0.0, np.inf),
+                           lambda p, ctx: 0.3 * integral_scale(p, ctx),
+                           pair=(ends[i], ends[j]))
+
+
+def _thmser3(n: int, domain, formula) -> Solution:
+    """Degree-three row n: formula(q, A x, B x, params); domain over
+    |q|, |A|, |B|, |a1|, |b3|, where the series argument stays in the unit
+    disc (pole grids with complex-generic bases miss the positive axis)."""
+    return Solution(
+        f"thmser3.{n}", "e3", "e3_series",
+        lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.A), abs(p.B), abs(p.a1), abs(p.b3)),
+        lambda p, ctx: 0.3 * integral_scale(p, ctx), index=n, formula=formula)
+
+
+def _thmser2(n: int, domain, formula) -> Solution:
+    """Degree-two row n: formula(q, q^alpha, x, alpha, a1, a2, b1, b2, A, B);
+    domain over |q|, |B|, |a1|, |a2|, where the argument stays in the unit
+    disc (the x-free arguments q^alpha and A/B impose nothing on x)."""
+    return Solution(
+        f"thmser2.{n}", "e2", "e2_series",
+        lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.B), abs(p.a1), abs(p.a2)),
+        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), index=n, formula=formula)
+
+
+# |z| intervals of the Heine rows over |a|, |b|, |c|, |q|: series convergence
+# (|argument| < 1) and the real pole grid of a (z)_inf denominator where
+# present; pole grids with complex-generic bases miss the positive axis.
+_HEINE_DOMAINS = {
+    "disc": lambda a, b, c, q: (0.0, 1.0),
+    "disc_w": lambda a, b, c, q: (0.0, min(1.0, 1.0 / (a * b / c))),
+    "plane": lambda a, b, c, q: (0.0, np.inf),
+    "outside": lambda a, b, c, q: (c * q / (a * b), np.inf),
+    "outside_q": lambda a, b, c, q: (max(q, c * q / (a * b)), np.inf),
+}
+
+_Z_POWERS = {
+    "1-gamma": lambda alpha, beta, gamma: 1 - gamma,
+    "-alpha": lambda alpha, beta, gamma: -alpha,
+    "-beta": lambda alpha, beta, gamma: -beta,
+}
+
+_TERMINATING = {
+    "a=q^-n": lambda p, q, n: HeineParams(q ** (-n), p.b, p.c),
+    "b=q^-n": lambda p, q, n: HeineParams(p.a, q ** (-n), p.c),
+    "a=q^n+1": lambda p, q, n: HeineParams(q ** (n + 1), p.b, p.c),
+    "b=q^n+1": lambda p, q, n: HeineParams(p.a, q ** (n + 1), p.c),
+    "c=a*q^-n": lambda p, q, n: HeineParams(p.a, p.b, p.a * q ** (-n)),
+    "c=a*q^n+1": lambda p, q, n: HeineParams(p.a, p.b, p.a * q ** (n + 1)),
+}
+
+
+def _moduli(p: HeineParams, ctx: QContext) -> tuple[float, float, float, float]:
+    return abs(p.a), abs(p.b), abs(p.c), abs(complex(ctx.q))
+
+
+def _heine(n: int, power: str | None, domain: str, terminating: str | None, formula,
+           scale=lambda a, b, c, q: 1.0) -> Solution:
+    """Heine row n: z^power * formula(a, b, c, q, z, w = a b z / c); the
+    domain and scale are functions of |a|, |b|, |c|, |q|."""
+    interval = _HEINE_DOMAINS[domain]
+    return Solution(
+        f"heine.{n}", "heine", "heine_solution",
+        lambda p, ctx: interval(*_moduli(p, ctx)),
+        lambda p, ctx: 0.5 * scale(*_moduli(p, ctx)),
+        index=n, formula=formula, exponent=power and _Z_POWERS[power],
+        terminating=terminating and _TERMINATING[terminating])
+
+
+def _heine_extra(n: int, formula) -> Solution:
+    """Extra Heine-type row n: formula(a, b, c, q, z), inside the unit disc."""
+    return Solution(f"heine_extra.{n}", "heine", "heine_extra",
+                    lambda p, ctx: (0.0, 1.0), lambda p, ctx: 0.4, index=n, formula=formula)
+
+
+_ROWS = (
+    *_integral_rows(),
+    # degree three: the integral from endpoint i to j as a W(8,7) series
+    _thmser3(1, lambda q, A, B, a1, b3: (0.0, a1 / (q * B)),  # argument q B x / a1
+             lambda q, Ax, Bx, p: (q / p.a1, q / p.a2, (Ax, p.a3), (p.b1, p.b2, p.b3), Bx)),
+    _thmser3(2, lambda q, A, B, a1, b3: (0.0, np.inf),  # argument q b3 / a1, x-free
+             lambda q, Ax, Bx, p: (q / p.a1, q / p.a2, (Ax, p.a3), (Bx, p.b1, p.b2), p.b3)),
+    _thmser3(3, lambda q, A, B, a1, b3: (0.0, np.inf),  # argument q b3 / a1, x-free
+             lambda q, Ax, Bx, p: (q / p.a1, q / Ax, (p.a2, p.a3), (Bx, p.b1, p.b2), p.b3)),
+    _thmser3(4, lambda q, A, B, a1, b3: (0.0, a1 / (q * B)),  # argument q B x / a1
+             lambda q, Ax, Bx, p: (q / p.a1, q / Ax, (p.a2, p.a3), (p.b1, p.b2, p.b3), Bx)),
+    _thmser3(5, lambda q, A, B, a1, b3: (q * b3 / A, np.inf),  # argument q b3 / (A x)
+             lambda q, Ax, Bx, p: (q / Ax, q / p.a1, (p.a2, p.a3), (Bx, p.b1, p.b2), p.b3)),
+    _thmser3(6, lambda q, A, B, a1, b3: (0.0, np.inf),  # argument q B / A, x-free
+             lambda q, Ax, Bx, p: (q / Ax, q / p.a1, (p.a2, p.a3), (p.b1, p.b2, p.b3), Bx)),
+    # degree two, 1 and 2: 3phi2(q^alpha, A/B, a_i/(Bx); A a_i/(B b1), A a_i/(B b2); qBx/a_j)
+    _thmser2(1, lambda q, B, a1, a2: (0.0, a2 / (q * B)),
+             lambda q, qa, x, alpha, a1, a2, b1, b2, A, B: (None, (
+                 [qa, A / B, a1 / (B * x)], [A * a1 / (B * b1), A * a1 / (B * b2)],
+                 q * B * x / a2))),
+    _thmser2(2, lambda q, B, a1, a2: (0.0, a1 / (q * B)),
+             lambda q, qa, x, alpha, a1, a2, b1, b2, A, B: (None, (
+                 [qa, A / B, a2 / (B * x)], [A * a2 / (B * b1), A * a2 / (B * b2)],
+                 q * B * x / a1))),
+    # 3 and 4: the Jackson-integral forms, equal (up to constants) to the
+    # endpoint integrals from 0 to q/a_j
+    _thmser2(3, lambda q, B, a1, a2: (0.0, np.inf),
+             lambda q, qa, x, alpha, a1, a2, b1, b2, A, B: (
+                 ([q * A * x / a2], [q * B * x / a2]),
+                 ([q * b1 / a2, q * b2 / a2, q * B * x / a2], [q * a1 / a2, q * A * x / a2], qa))),
+    _thmser2(4, lambda q, B, a1, a2: (0.0, np.inf),
+             lambda q, qa, x, alpha, a1, a2, b1, b2, A, B: (
+                 ([q * A * x / a1], [q * B * x / a1]),
+                 ([q * b1 / a1, q * b2 / a1, q * B * x / a1], [q * a2 / a1, q * A * x / a1], qa))),
+    # 5: the Pochhammer-gauge image of 1
+    _thmser2(5, lambda q, B, a1, a2: (0.0, a2 / (q * B)),
+             lambda q, qa, x, alpha, a1, a2, b1, b2, A, B: (
+                 ([A * x / b1], [q * B * x / a1]),
+                 ([a2 / b2, q * b1 / a1, q * b1 / (A * x)],
+                  [qpow(q, 1 - alpha) * a2 / b2, q * b1 / b2], q * B * x / a2))),
+    # 6: the index-1 reflection image of 3
+    _thmser2(6, lambda q, B, a1, a2: (0.0, np.inf),
+             lambda q, qa, x, alpha, a1, a2, b1, b2, A, B: (
+                 ([qpow(q, alpha + 1) * B * x / a2], [q * B * x / a2]),
+                 ([a1 / b1, a1 / b2, q * B * x / a2],
+                  [q * a1 / a2, qpow(q, alpha + 1) * B * x / a2], A / B))),
+    # Heine type: 2phi1 rows 1-8 and 17-24, zero-slot 3phi2 rows 9-16 and 25-32
+    _heine(1, None, "disc", None, lambda a, b, c, q, z, w: (None, ([a, b], [c], z))),
+    _heine(2, None, "disc_w", None,
+           lambda a, b, c, q, z, w: (([w], [z]), ([c / a, c / b], [c], w))),
+    _heine(3, "1-gamma", "disc", None,
+           lambda a, b, c, q, z, w: (None, ([a * q / c, b * q / c], [q**2 / c], z))),
+    _heine(4, "1-gamma", "disc_w", None,
+           lambda a, b, c, q, z, w: (([w], [z]), ([q / a, q / b], [q**2 / c], w))),
+    _heine(5, "-alpha", "outside", None,
+           lambda a, b, c, q, z, w: (None, ([a, a * q / c], [a * q / b], c * q / (a * b * z)))),
+    _heine(6, "-alpha", "outside_q", None,
+           lambda a, b, c, q, z, w: (([q / z], [c * q / (a * b * z)]),
+                                     ([q / b, c / b], [a * q / b], q / z))),
+    _heine(7, "-beta", "outside", None,
+           lambda a, b, c, q, z, w: (None, ([b, b * q / c], [b * q / a], c * q / (a * b * z)))),
+    _heine(8, "-beta", "outside_q", None,
+           lambda a, b, c, q, z, w: (([q / z], [c * q / (a * b * z)]),
+                                     ([q / a, c / a], [b * q / a], q / z))),
+    _heine(9, None, "plane", "a=q^-n",
+           lambda a, b, c, q, z, w: (None, ([a, b, w], [a * b * q / c, 0.0], q))),
+    _heine(10, None, "disc_w", "c=a*q^-n",
+           lambda a, b, c, q, z, w: (([w], [z]), ([c / a, c / b, z], [c * q / (a * b), 0.0], q))),
+    _heine(11, "1-gamma", "plane", "c=a*q^n+1",
+           lambda a, b, c, q, z, w: (None, ([a * q / c, b * q / c, w], [a * b * q / c, 0.0], q))),
+    _heine(12, "1-gamma", "disc_w", "a=q^n+1",
+           lambda a, b, c, q, z, w: (([w], [z]), ([q / a, q / b, z], [c * q / (a * b), 0.0], q))),
+    _heine(13, "-alpha", "plane", "a=q^-n",
+           lambda a, b, c, q, z, w: (None, ([a, a * q / c, q / z], [a * b * q / c, 0.0], q))),
+    _heine(14, "-alpha", "outside", "b=q^n+1",
+           lambda a, b, c, q, z, w: (([q / z], [c * q / (a * b * z)]),
+                                     ([q / b, c / b, c * q / (a * b * z)],
+                                      [c * q / (a * b), 0.0], q))),
+    _heine(15, "-beta", "plane", "b=q^-n",
+           lambda a, b, c, q, z, w: (None, ([b, b * q / c, q / z], [a * b * q / c, 0.0], q))),
+    _heine(16, "-beta", "outside", "c=a*q^-n",
+           lambda a, b, c, q, z, w: (([q / z], [c * q / (a * b * z)]),
+                                     ([q / a, c / a, c * q / (a * b * z)],
+                                      [c * q / (a * b), 0.0], q))),
+    _heine(17, None, "disc", None,
+           lambda a, b, c, q, z, w: (([a * z], [z]), ([a, c / b], [c, a * z], b * z))),
+    _heine(18, None, "disc", None,
+           lambda a, b, c, q, z, w: (([b * z], [z]), ([b, c / a], [c, b * z], a * z))),
+    _heine(19, "1-gamma", "disc", None,
+           lambda a, b, c, q, z, w: (([a * q * z / c], [z]),
+                                     ([a * q / c, q / b], [q**2 / c, a * q * z / c],
+                                      b * q * z / c))),
+    _heine(20, "1-gamma", "disc", None,
+           lambda a, b, c, q, z, w: (([b * q * z / c], [z]),
+                                     ([b * q / c, q / a], [q**2 / c, b * q * z / c],
+                                      a * q * z / c))),
+    _heine(21, None, "plane", None,
+           lambda a, b, c, q, z, w: (([w], [b * z / c]),
+                                     ([c / b, a], [a * q / b, c * q / (b * z)], q**2 / (b * z))),
+           scale=lambda a, b, c, q: c / b),
+    _heine(22, None, "plane", None,
+           lambda a, b, c, q, z, w: (([w], [a * z / c]),
+                                     ([c / a, b], [b * q / a, c * q / (a * z)], q**2 / (a * z))),
+           scale=lambda a, b, c, q: c / a),
+    _heine(23, "1-gamma", "plane", None,
+           lambda a, b, c, q, z, w: (([w], [b * z / q]),
+                                     ([a * q / c, q / b], [a * q / b, q**2 / (b * z)],
+                                      c * q / (b * z))),
+           scale=lambda a, b, c, q: q / b),
+    _heine(24, "1-gamma", "plane", None,
+           lambda a, b, c, q, z, w: (([w], [a * z / q]),
+                                     ([b * q / c, q / a], [b * q / a, q**2 / (a * z)],
+                                      c * q / (a * z))),
+           scale=lambda a, b, c, q: q / a),
+    _heine(25, None, "disc", "a=q^-n",
+           lambda a, b, c, q, z, w: (([a * z], [z]), ([c / b, a, 0.0], [a * q / b, a * z], q))),
+    _heine(26, None, "disc", "b=q^-n",
+           lambda a, b, c, q, z, w: (([b * z], [z]), ([c / a, b, 0.0], [b * q / a, b * z], q))),
+    _heine(27, "1-gamma", "disc", "b=q^n+1",
+           lambda a, b, c, q, z, w: (([a * q * z / c], [z]),
+                                     ([q / b, a * q / c, 0.0], [a * q / b, a * q * z / c], q))),
+    _heine(28, "1-gamma", "disc", "a=q^n+1",
+           lambda a, b, c, q, z, w: (([b * q * z / c], [z]),
+                                     ([q / a, b * q / c, 0.0], [b * q / a, b * q * z / c], q))),
+    _heine(29, "-alpha", "outside", "a=q^-n",
+           lambda a, b, c, q, z, w: (([c * q / (b * z)], [c * q / (a * b * z)]),
+                                     ([c / b, a, 0.0], [c, c * q / (b * z)], q))),
+    _heine(30, "-alpha", "outside", "b=q^n+1",
+           lambda a, b, c, q, z, w: (([q**2 / (b * z)], [c * q / (a * b * z)]),
+                                     ([q / b, a * q / c, 0.0], [q**2 / c, q**2 / (b * z)], q))),
+    _heine(31, "-beta", "outside", "b=q^-n",
+           lambda a, b, c, q, z, w: (([c * q / (a * z)], [c * q / (a * b * z)]),
+                                     ([c / a, b, 0.0], [c, c * q / (a * z)], q))),
+    _heine(32, "-beta", "outside", "a=q^n+1",
+           lambda a, b, c, q, z, w: (([q**2 / (a * z)], [c * q / (a * b * z)]),
+                                     ([q / a, b * q / c, 0.0], [q**2 / c, q**2 / (a * z)], q))),
+    # the terminating 3phi1 form (formal otherwise) and the integral-analog
+    # series behind the transformation formula
+    _heine_extra(1, lambda a, b, c, q, z: (None, ([a, b, q / z], [a * b * q / c], z / c))),
+    _heine_extra(2, lambda a, b, c, q, z: (([b * z], [z]), ([c / a, z], [b * z], a))),
+)
+
+CATALOGUE: dict[str, Solution] = {row.label: row for row in _ROWS}
+
+
+def _row(label: str) -> Solution:
+    try:
+        return CATALOGUE[label]
+    except KeyError:
+        raise ValueError(f"unknown solution label {label!r}") from None
+
+
+# -- handles ---------------------------------------------------------------------------------
+
+
 def solution_handle(
     label: str,
     params,
@@ -837,94 +881,40 @@ def solution_handle(
     sigma: complex = 1.3,
     table: JacksonTable | None = None,
 ) -> SolutionHandle:
-    """Build the evaluable solution for a catalogue label.
-
-    Labels: thmint3.phi3[i,j], thmint3.tilde[i,j] (i, j in 1..4),
-    thmint2.phi2[i,j] (0..3), thmint2.tilde[i,j] (1..4, 4 the bilateral
-    endpoint), thmser3.1..6, thmser2.1..6, heine.1..32, heine_extra.1..2.
+    """Build the evaluable solution for a catalogue label (a key of
+    ``CATALOGUE``; any other label raises ValueError).
 
     An integral label evaluates through ``table``, the single-endpoint
     integrals of ``params`` shared with the other labels of a job; without
     one, each evaluation uses a throwaway table.  Series labels ignore it.
+    ``sigma`` is the free constant of the bilateral endpoint.
     """
-    fam, _, rest = label.partition(".")
-    if fam == "thmint3":
-        p: Params3 = params
-        kind, i, j = _parse_pair(rest)
-        ends = _T3_TAUS if kind == "phi3" else _T3_SIGMAS
-        e1, e2 = ends[i], ends[j]
-        fn = phi3 if kind == "phi3" else phi3_tilde
-        op = build_e3(p, ctx)
-        return SolutionHandle(label, lambda x: fn(p, e1, e2, x, ctx, table), (0.0, np.inf),
-                              op, p, scale=0.3 * integral_scale(p, ctx))
-    if fam == "thmint2":
-        p2: Params2 = params
-        kind, i, j = _parse_pair(rest)
-        if kind == "phi2":
-            e1, e2 = _T2_TAUS[i], _T2_TAUS[j]
-            fn2 = phi2
-        else:
-            sig = _t2_sigmas(sigma)
-            e1, e2 = sig[i], sig[j]
-            fn2 = phi2_tilde
-        op = build_e2(p2, ctx)
-        return SolutionHandle(label, lambda x: fn2(p2, e1, e2, x, ctx, table), (0.0, np.inf),
-                              op, p2, scale=0.3 * integral_scale(p2, ctx))
-    if fam == "thmser3":
-        p3: Params3 = params
-        which = int(rest)
-        op = build_e3(p3, ctx)
-        lo, hi = e3_series_domain(p3, which, ctx)
-        return SolutionHandle(label, lambda x: e3_series(p3, which, x, ctx), (lo, hi),
-                              op, p3, scale=0.3 * e3_series_scale(p3, ctx))
-    if fam == "thmser2":
-        p2s: Params2 = params
-        which = int(rest)
-        op = build_e2(p2s, ctx)
-        lo, hi = e2_series_domain(p2s, which, ctx)
-        return SolutionHandle(label, lambda x: e2_series(p2s, which, x, ctx), (lo, hi),
-                              op, p2s, scale=0.3 * e2_series_scale(p2s, ctx))
-    if fam == "heine":
-        ph: HeineParams = params
-        which = int(rest)
-        op = build_heine(ph, ctx)
-        lo, hi = heine_domain(ph, which, ctx)
-        return SolutionHandle(label, lambda z: heine_solution(ph, which, z, ctx), (lo, hi),
-                              op, ph, scale=0.5 * heine_scale(ph, which, ctx))
-    if fam == "heine_extra":
-        ph2: HeineParams = params
-        which = int(rest)
-        op = build_heine(ph2, ctx)
-        return SolutionHandle(label, lambda z: heine_extra(ph2, which, z, ctx), (0.0, 1.0),
-                              op, ph2, scale=0.4)
-    raise ValueError(f"unknown solution label {label!r}")
+    row = _row(label)
+    op = BUILDERS[row.equation](params, ctx)
+    # looked up when the handle is built, so a wrapper installed on the
+    # module attribute sees every evaluation
+    evaluate = globals()[row.evaluator]
+    if row.pair is None:
+        which = row.index
 
+        def evaluator(x: complex) -> complex:
+            return evaluate(params, which, x, ctx)
+    else:
+        e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
+                  for e in row.pair)
 
-def _parse_pair(rest: str) -> tuple[str, int, int]:
-    kind, _, idx = rest.partition("[")
-    if not idx.endswith("]"):
-        raise ValueError(f"malformed endpoint pair in label: {rest!r}")
-    i, j = idx[:-1].split(",")
-    return kind, int(i), int(j)
+        def evaluator(x: complex) -> complex:
+            return evaluate(params, e1, e2, x, ctx, table)
+    return SolutionHandle(label, evaluator, row.domain(params, ctx), op, params,
+                          scale=row.scale(params, ctx))
 
 
 def all_labels(family: str) -> list[str]:
-    """Expand a family name to its full label list."""
-    if family == "thmint3":
-        return ([f"thmint3.phi3[{i},{j}]" for i in range(1, 5) for j in range(i + 1, 5)]
-                + [f"thmint3.tilde[{i},{j}]" for i in range(1, 5) for j in range(i + 1, 5)])
-    if family == "thmint2":
-        return ([f"thmint2.phi2[{i},{j}]" for i in range(0, 4) for j in range(i + 1, 4)]
-                + [f"thmint2.tilde[{i},{j}]" for i in range(1, 5) for j in range(i + 1, 5)])
-    if family == "thmser3":
-        return [f"thmser3.{k}" for k in range(1, 7)]
-    if family == "thmser2":
-        return [f"thmser2.{k}" for k in range(1, 7)]
-    if family == "heine":
-        return [f"heine.{k}" for k in range(1, 33)]
-    if family == "heine_extra":
-        return [f"heine_extra.{k}" for k in range(1, 3)]
-    raise ValueError(f"unknown family {family!r}")
+    """The labels of a family, in catalogue order."""
+    labels = [label for label, row in CATALOGUE.items() if row.family == family]
+    if not labels:
+        raise ValueError(f"unknown family {family!r}")
+    return labels
 
 
 def sample_points(

@@ -193,8 +193,10 @@ class TestEntryPoint:
     def test_missing_job_file(self):
         assert main(["verify", "--job", "/nonexistent/job.json"]) == EXIT_INPUT
 
-    def test_unknown_label_index(self, tmp_path):
+    @pytest.mark.parametrize("label", ["thmser3.9", "thmint3.phi3[1,5]", "thmint3.phi3[1,1]",
+                                       "thmint3.foo[1,2]", "thmint2.phi2[2,1]"])
+    def test_unknown_label_index(self, tmp_path, label):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"equation": "e3",
-                                   "solutions": ["thmser3.9"], "seed": 1}))
+                                   "solutions": [label], "seed": 1}))
         assert main(["verify", "--job", str(job)]) == EXIT_INPUT
