@@ -8,6 +8,7 @@ newline-delimited JSON records with a trailing summary object.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -42,18 +43,9 @@ RESIDUAL_TOL = 1e-8
 COCYCLE_TOL = 1e-12
 RELATION_TOL = 1e-12
 
-_PARAM_FIELDS = {
-    "heine": (HeineParams, ["a", "b", "c"]),
-    "qheun": (HeunParams, ["h1", "h2", "l1", "l2", "t1", "t2",
-                           "alpha1", "alpha2", "beta", "E"]),
-    "qheun3": (Heun3Params, ["h1", "h2", "h3", "l1", "l2", "l3",
-                             "t1", "t2", "t3", "beta", "E"]),
-    "h2": (H2Params, ["h1", "h2", "l1", "l2", "t1", "t2", "alpha1", "alpha2"]),
-    "h3": (H3Params, ["h1", "h2", "h3", "l1", "l2", "l3",
-                      "t1", "t2", "t3", "alpha"]),
-    "e2": (Params2, ["alpha", "a1", "a2", "b1", "b2", "A", "B"]),
-    "e3": (Params3, ["a1", "a2", "a3", "b1", "b2", "b3", "A", "B"]),
-}
+_PARAM_CLASSES = {"heine": HeineParams, "qheun": HeunParams, "qheun3": Heun3Params,
+                  "h2": H2Params, "h3": H3Params, "e2": Params2, "e3": Params3}
+
 
 class JobError(Exception):
     """Invalid job input (maps to exit code 2)."""
@@ -73,14 +65,15 @@ def complex_out(z: complex) -> list[float]:
 
 
 def parse_params(kind: str, raw: dict):
-    if kind not in _PARAM_FIELDS:
+    """The params dataclass of ``kind``; fields with a default (E) may be omitted."""
+    if kind not in _PARAM_CLASSES:
         raise JobError(f"unknown equation {kind!r}")
-    cls, fields = _PARAM_FIELDS[kind]
-    missing = [f for f in fields if f not in raw and f != "E"]
+    cls = _PARAM_CLASSES[kind]
+    fields = dataclasses.fields(cls)
+    missing = [f.name for f in fields if f.name not in raw and f.default is dataclasses.MISSING]
     if missing:
         raise JobError(f"missing parameter fields for {kind}: {missing}")
-    kwargs = {f: as_complex(raw[f]) for f in fields if f in raw}
-    return cls(**kwargs)
+    return cls(**{f.name: as_complex(raw[f.name]) for f in fields if f.name in raw})
 
 
 def build_context(job: dict) -> QContext:
@@ -180,11 +173,17 @@ def cmd_config(job: dict, rng, ctx: QContext, report: Report):
 
 def _expand_labels(job: dict, kind: str | None) -> list[str]:
     """The catalogue labels a job names: "all" (those of its equation, or
-    every label for another equation), "<family>.all", or labels; any other
-    name is an input error."""
+    every label when it names none), "<family>.all", or labels; any other
+    name, and "all" for an equation without catalogued solutions, is an input
+    error."""
     spec = job.get("solutions", "all")
     if spec == "all":
-        return [lab for lab, row in CATALOGUE.items() if row.equation == kind] or list(CATALOGUE)
+        if kind is None:
+            return list(CATALOGUE)
+        labels = [lab for lab, row in CATALOGUE.items() if row.equation == kind]
+        if not labels:
+            raise JobError(f"equation {kind!r} has no catalogued solutions to verify as \"all\"")
+        return labels
     if isinstance(spec, str):
         spec = [spec]
     labels: list[str] = []

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BalanceError, GenericityError
+from .errors import BalanceError, DomainError, GenericityError
 from .opalgebra import Configuration, QDiffOperator, sorted_roots
 from .qcore import QContext
 
@@ -58,6 +58,10 @@ class HeineParams:
     a: complex
     b: complex
     c: complex
+
+    def validate(self, ctx: QContext):
+        if 0 in (self.a, self.b, self.c):
+            raise DomainError("Heine parameters a, b and c must be nonzero")
 
     def validate_generic(self, ctx: QContext):
         if _in_q_power_window(complex(self.c), ctx.q, -_GENERICITY_WINDOW, 0):

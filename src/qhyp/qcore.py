@@ -1,4 +1,5 @@
-"""Foundational q-arithmetic: Pochhammer symbols, theta, Jackson integration.
+"""Foundational q-arithmetic: Pochhammer symbols, theta, Jackson integration,
+and the series kernel.
 
 Everything here is pure and reentrant.  The global numeric policy lives in
 :class:`QContext`, and so does the one truncation rule every sum of the
@@ -7,6 +8,11 @@ whose magnitude is below ``tail_tol`` times the running maximum of the
 magnitudes so far (floored at 1), so that isolated tiny terms of alternating
 series do not trigger premature truncation.  Term-by-term loops feed it one
 magnitude at a time; chunked numpy kernels feed it whole chunks.
+
+Every term-ratio sum (``phi``, ``w87``, both sides of ``psi33`` and of the
+Jackson grid sums) is one chunked kernel, :func:`_ratio_sum`, and whether a
+factor 1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros
+and terminating parameters alike.
 
 Every infinite q-Pochhammer product, (a)_inf alone or a ratio of them, comes
 from one numpy kernel (:func:`qpoch_ratio`).  It builds the factors
@@ -41,7 +47,32 @@ _CHUNK = 128
 
 def _vanishes(factor, w):
     """Whether the factor 1 - w is zero to rounding (elementwise for arrays)."""
-    return np.abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + np.abs(w))
+    return abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(w))
+
+
+def _termination_order(params: Sequence[complex], ctx: QContext) -> int | None:
+    """Smallest n < ``max_terms`` with some 1 - c q^n zero (:func:`_vanishes`),
+    else None: where a series with numerators c terminates, or the first pole
+    of denominators c.  A descending form v q^n - c has the zeros of v / c."""
+    q = complex(ctx.q)
+    best: int | None = None
+    for a in params:
+        w = complex(a)
+        for n in range(ctx.max_terms):
+            if abs(w) < 0.5:
+                break  # |a q^n| only shrinks from here: can no longer hit 1
+            if _vanishes(1.0 - w, w):
+                best = n if best is None else min(best, n)
+                break
+            w *= q
+    return best
+
+
+def _quotient(factors: np.ndarray, split: int) -> np.ndarray:
+    """The product of the first ``split`` rows of ``factors`` over that of the
+    rest: the step ratio of a product of q-Pochhammer symbols, one row per
+    parameter and one column per n."""
+    return np.multiply.reduce(factors[:split], axis=0) / np.multiply.reduce(factors[split:], axis=0)
 
 
 class _Tail:
@@ -80,12 +111,82 @@ class _Tail:
         # run length of small terms ending at each index, the carried run included
         last_big = np.maximum.accumulate(np.where(mags < self.tol * scale, -1 - self.run, idx))
         run = idx - last_big
-        hits = np.flatnonzero(run >= _CONSECUTIVE_SMALL)
-        if hits.size:
-            return int(hits[0])
+        hit = (run >= _CONSECUTIVE_SMALL).argmax()
+        if run[hit] >= _CONSECUTIVE_SMALL:
+            return int(hit)
         self.scale = float(scale[-1])
         self.run = int(run[-1])
         return None
+
+
+_MIN_CHUNK = 32
+# a bigger chunk makes psi33's factor matrices (6 rows) big enough that
+# allocating them page-faults anew for every chunk: at 4096, psi33 near
+# z = 1 ran ~1.5 times as long
+_MAX_CHUNK = 2048
+
+
+def _ratio_sum(
+    t0: complex,
+    step: Callable[[np.ndarray], np.ndarray],
+    ctx: QContext,
+    rate: complex,
+    reach: float,
+    what: str,
+    last: int | None = None,
+    pole: int | None = None,
+    weigh: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> complex:
+    """sum_n t_n, where t_0 = ``t0`` and t_{n+1} = t_n r_n, a chunk at a time.
+
+    ``step(ns)`` gives the ratios r_n at an index array; a chunk asks only
+    for those its terms need.  ``weigh(ns, t)``, if given, turns a chunk of
+    t_n into the terms summed.  The sum stops by the tail rule or after term
+    ``last``; ``max_terms`` terms without either raise NonDecayingSumError.
+    ``pole`` is the first n whose r_n divides by a vanishing factor
+    (:func:`_termination_order` of the denominators): unless the sum ends
+    at ``last`` first, it raises PoleError before summing anything.
+
+    The first chunk is read off the parameters, as :func:`_pochhammer_product`
+    reads its factor counts: ``rate`` is the limit of r_n and ``reach`` the
+    largest |c| among its factors 1 - c q^n; it holds the terms a geometric
+    sum of ratio |rate| takes to fall by 1/tail_tol times the growth those
+    factors can add, and the run the tail rule waits for.  Later chunks
+    double, up to ``_MAX_CHUNK``.
+    """
+    if pole is not None and (last is None or pole < last):
+        raise PoleError(f"{what}: a denominator factor vanishes at n = {pole}")
+    rho = abs(rate)
+    n = 0.0 if rho == 0.0 else math.inf  # |rate| >= 1 or NaN: no decay to read off
+    if 0.0 < rho < 1.0:
+        lq, lr = -math.log(abs(ctx.q)), math.log1p(reach)
+        growth = lr * lr / (2.0 * lq) + lr / (1.0 - abs(ctx.q))
+        n = (growth - math.log(ctx.tail_tol)) / -math.log(rho)
+    size = _MAX_CHUNK
+    if n < _MAX_CHUNK:
+        size = min(max(int(n) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
+    count = ctx.max_terms if last is None else min(ctx.max_terms, last + 1)
+    # the tail rule cannot end a terminating sum this short before its last term
+    untailed = last is not None and count == last + 1 <= _CONSECUTIVE_SMALL
+    total = 0.0 + 0.0j
+    tail = _Tail(ctx)
+    t = complex(t0)  # the term before the chunk, or t_0 with a first ratio 1
+    n0 = 0
+    while n0 < count:
+        ns = np.arange(n0, min(n0 + size, count))
+        ratios = step(ns - 1) if n0 else np.concatenate(([1.0], step(ns[:-1])))
+        seq = t * np.multiply.accumulate(ratios)
+        terms = seq if weigh is None else weigh(ns, seq)
+        end = None if untailed else tail.first_stop(np.abs(terms))
+        if end is not None:
+            return complex(total + np.add.reduce(terms[: end + 1]))
+        total += np.add.reduce(terms)
+        t = seq[-1]
+        n0 = int(ns[-1]) + 1
+        size = min(2 * size, _MAX_CHUNK)
+    if last is not None and count == last + 1:
+        return complex(total)
+    raise NonDecayingSumError(f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
 
 
 @dataclass(frozen=True)

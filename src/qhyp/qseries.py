@@ -7,24 +7,26 @@ The general series follows the convention
 
 so r <= s gains the superexponentially convergent factor and r = s+1 is the
 plain power series with radius 1.
+
+``phi``, ``w87`` and both sides of ``psi33`` are term-ratio sums: each builds
+its step ratios t_{n+1} / t_n as arrays over a chunk of n and hands them to
+the one series kernel, :func:`qhyp.qcore._ratio_sum`.  A denominator factor
+that vanishes to rounding (:func:`qhyp.qcore._vanishes`) before the sum ends
+raises PoleError; a numerator parameter q^-n ends the series after term n;
+divergence is refused up front (DivergenceError, AnnulusError).
+``appell_phi1`` is a double series and keeps its own loop.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AnnulusError,
-    DivergenceError,
-    NonDecayingSumError,
-    PoleError,
-)
-from .qcore import QContext, _Tail, qpoch_ratio
-
-_TERMINATION_RTOL = 1e-12
+from .errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
+from .qcore import QContext, _Tail, _quotient, _ratio_sum, _termination_order, _vanishes, qpoch_ratio
 
 
 @dataclass(frozen=True)
@@ -40,24 +42,6 @@ class PhiSpec:
         object.__setattr__(self, "numerator", tuple(complex(v) for v in numerator))
         object.__setattr__(self, "denominator", tuple(complex(v) for v in denominator))
         object.__setattr__(self, "argument", complex(argument))
-
-
-def _termination_order(nums: Sequence[complex], ctx: QContext) -> int | None:
-    """Smallest n with some numerator parameter equal to q^-n, else None."""
-    q = complex(ctx.q)
-    best: int | None = None
-    for a in nums:
-        if a == 0:
-            continue
-        w = complex(a)
-        for n in range(ctx.max_terms):
-            if abs(w - 1.0) <= _TERMINATION_RTOL * (1.0 + abs(w)):
-                best = n if best is None else min(best, n)
-                break
-            if abs(w) < 0.5:
-                break  # |a q^n| only shrinks from here: can no longer hit 1
-            w *= q
-    return best
 
 
 def phi(spec: PhiSpec, ctx: QContext) -> complex:
@@ -77,28 +61,16 @@ def phi(spec: PhiSpec, ctx: QContext) -> complex:
         if p == 0 and abs(z) >= 1.0:
             raise DivergenceError(f"|argument| = {abs(z):.6g} >= 1 for r = s+1")
 
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    tail = _Tail(ctx)
-    for n in range(ctx.max_terms):
-        total += term
-        if n == n_stop or tail.done(abs(term)):
-            return total
-        qn = q**n
-        ratio = z
-        for a in nums:
-            ratio *= 1.0 - a * qn
-        for b in dens:
-            factor = 1.0 - b * qn
-            if abs(factor) <= _TERMINATION_RTOL * (1.0 + abs(b * qn)):
-                raise PoleError(f"denominator parameter {b} hits q^-{n}")
-            ratio /= factor
-        qfac = 1.0 - q ** (n + 1)
-        ratio /= qfac
-        if p:
-            ratio *= (-(qn)) ** p if p > 0 else 1.0 / ((-(qn)) ** (-p))
-        term *= ratio
-    raise NonDecayingSumError("q-hypergeometric series did not converge within budget")
+    params = np.array((*nums, *dens, q), dtype=complex)[:, None]
+
+    def step(ns: np.ndarray) -> np.ndarray:
+        qn = q**ns
+        ratio = _quotient(1.0 - params * qn, r)
+        ratio *= z * (-qn) ** p if p else z
+        return ratio
+
+    return _ratio_sum(1.0, step, ctx, z if p == 0 else 0.0, max(map(abs, (*nums, *dens, q))),
+                      "q-hypergeometric series", last=n_stop, pole=_termination_order(dens, ctx))
 
 
 def phi21(a: complex, b: complex, c: complex, z: complex, ctx: QContext) -> complex:
@@ -109,12 +81,7 @@ def phi32(nums: Sequence[complex], dens: Sequence[complex], z: complex, ctx: QCo
     return phi(PhiSpec(nums, dens, z), ctx)
 
 
-def psi33(
-    a: Sequence[complex],
-    b: Sequence[complex],
-    z: complex,
-    ctx: QContext,
-) -> complex:
+def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext) -> complex:
     """Bilateral series sum_{n in Z} (a1,a2,a3)_n / (b1,b2,b3)_n z^n.
 
     Converges on the annulus |b1 b2 b3 / (a1 a2 a3)| < |z| < 1.
@@ -128,67 +95,30 @@ def psi33(
         raise AnnulusError(
             f"psi33 needs {inner:.6g} < |z| < 1, got |z| = {abs(z):.6g}"
         )
+    # a pole of (b)_n for n > 0 is a zero of 1 - b_i q^n; one of 1/(a)_n for
+    # n < 0 is a zero of q^{1-n} - a_i, i.e. of 1 - (q / a_i) q^{-n}
+    poles = _termination_order(b, ctx), _termination_order([q / v for v in a], ctx)
+    ab, ba = np.array(a + b)[:, None], np.array(b + a)[:, None]
 
-    chunk = 4096
+    def up(ns: np.ndarray) -> np.ndarray:
+        """t_{n+1} / t_n for n >= 0."""
+        return z * _quotient(1.0 - ab * q ** ns.astype(complex), 3)
 
-    def step_ratios(ns: np.ndarray, downward: bool) -> np.ndarray:
-        """Multiplicative step t_{n+1}/t_n (upward) or t_{n-1}/t_n (downward)."""
-        if not downward:
-            qn = q ** ns.astype(complex)
-            ratio = np.full(len(ns), z, dtype=complex)
-            for ai, bi in zip(a, b):
-                den = 1.0 - bi * qn
-                if np.any(np.abs(den) < 1e-14):
-                    raise PoleError("psi33: vanishing (b)_n factor for n >= 0")
-                ratio *= (1.0 - ai * qn) / den
-            return ratio
-        # (1 - c q^{n-1}) = q^{n-1} (q^{1-n} - c); the q^{1-n} prefactors cancel
-        # between numerator and denominator, and q^{1-n} underflows harmlessly.
-        qinv = q ** (1 - ns).astype(complex)
-        ratio = np.full(len(ns), 1.0 / z, dtype=complex)
-        for ai, bi in zip(a, b):
-            den = qinv - ai
-            if np.any(np.abs(den) < 1e-300):
-                raise PoleError("psi33: vanishing (a)_n factor for n < 0")
-            ratio *= (qinv - bi) / den
-        return ratio
+    def down(ks: np.ndarray) -> np.ndarray:
+        """t_{n-1} / t_n for n = -k: with u = q^{1-n}, 1 - c q^{n-1} = (u - c) / u,
+        and the powers of u cancel between numerator and denominator."""
+        return _quotient(q ** (1 + ks).astype(complex) - ba, 3) / z
 
-    def one_side(downward: bool) -> complex:
-        part = 0.0 + 0.0j
-        tail = _Tail(ctx)
-        if not downward:
-            t0, n0 = 1.0 + 0.0j, 0
-        else:
-            first = step_ratios(np.array([0]), True)[0]
-            t0, n0 = first, -1
-        emitted = 0
-        while emitted < ctx.max_terms:
-            m = min(chunk, ctx.max_terms - emitted)
-            ns = n0 + np.arange(m) * (-1 if downward else 1)
-            ratios = step_ratios(ns, downward)
-            terms = t0 * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
-            stop = tail.first_stop(np.abs(terms))
-            if stop is not None:
-                return part + terms[: stop + 1].sum()
-            part += terms.sum()
-            emitted += m
-            t0 = terms[-1] * ratios[-1]
-            n0 = int(ns[-1]) + (-1 if downward else 1)
-        raise NonDecayingSumError("psi33 tail did not decay within budget")
-
-    return one_side(False) + one_side(True)
+    reach = np.abs(ab)
+    value = _ratio_sum(1.0, up, ctx, z, reach.max(), "psi33 upward tail", pole=poles[0])
+    if poles[1] is not None:
+        raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
+    return value + _ratio_sum(down(np.array([0]))[0], lambda ks: down(ks + 1), ctx,
+                              inner / abs(z), (abs(q * q) / reach).max(), "psi33 downward tail")
 
 
-def w87(
-    a: complex,
-    b: complex,
-    c: complex,
-    d: complex,
-    e: complex,
-    f: complex,
-    z: complex,
-    ctx: QContext,
-) -> complex:
+def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,
+        ctx: QContext) -> complex:
     """Very-well-poised series
     sum_n (1-a q^{2n})/(1-a) (a,b,c,d,e,f)_n / (q, qa/b, ..., qa/f)_n z^n."""
     a, b, c, d, e, f, z = (complex(v) for v in (a, b, c, d, e, f, z))
@@ -197,29 +127,23 @@ def w87(
     n_stop = _termination_order(params + (a,), ctx)
     if n_stop is None and abs(z) >= 1.0:
         raise DivergenceError(f"w87 needs |z| < 1, got {abs(z):.6g}")
-    dens = tuple(q * a / p for p in params)
+    dens = [q * a / p for p in params]
+    # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
+    poles = [n for n in (_termination_order(dens, ctx), _termination_order(
+        [cmath.sqrt(a), -cmath.sqrt(a)], ctx)) if n is not None]
+    pole = min(poles, default=None)
+    num = np.array((a, *params), dtype=complex)[:, None]
+    den = np.array((*dens, q), dtype=complex)[:, None]
 
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    tail = _Tail(ctx)
-    for n in range(ctx.max_terms):
-        total += term
-        if n == n_stop or tail.done(abs(term)):
-            return total
-        qn = q**n
-        vwp_num = 1.0 - a * qn * qn * q * q
-        vwp_den = 1.0 - a * qn * qn
-        ratio = z * (1.0 - a * qn) * vwp_num / vwp_den
-        for p in params:
-            ratio *= 1.0 - p * qn
-        for dpar in dens:
-            factor = 1.0 - dpar * qn
-            if abs(factor) <= _TERMINATION_RTOL * (1.0 + abs(dpar * qn)):
-                raise PoleError(f"w87 denominator parameter {dpar} hits q^-{n}")
-            ratio /= factor
-        ratio /= 1.0 - q ** (n + 1)
-        term *= ratio
-    raise NonDecayingSumError("w87 series did not converge within budget")
+    def step(ns: np.ndarray) -> np.ndarray:
+        """(a, b, ..., f)_n / (q, qa/b, ..., qa/f)_n steps and the very-well-poised
+        (1 - a q^{2n+2}) / (1 - a q^{2n})."""
+        qn = q**ns
+        sq = a * qn * qn
+        return z * _quotient(1.0 - np.vstack((num * qn, q * q * sq, den * qn, sq)), 7)
+
+    return _ratio_sum(1.0, step, ctx, z, max(map(abs, (a, *params, *dens, q))), "w87 series",
+                      last=n_stop, pole=pole)
 
 
 def is_balanced_w87(
@@ -272,7 +196,7 @@ def appell_phi1(
             return total
         qs = q**s
         cfac = 1.0 - c * qs
-        if abs(cfac) <= _TERMINATION_RTOL * (1.0 + abs(c * qs)):
+        if _vanishes(cfac, c * qs):
             raise PoleError(f"appell_phi1 denominator parameter {c} hits q^-{s}")
         ac *= (1.0 - a * qs) / cfac
     raise NonDecayingSumError("appell_phi1 did not converge within budget")

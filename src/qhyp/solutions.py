@@ -1,12 +1,13 @@
 """Closed-form solution families (Jackson integrals and series), residual
 verification, and the relation checks among the integrals.
 
-Integral evaluators sum Jordan-Pochhammer integrands over q-grids with one
-kernel, :func:`_grid_sum`, for one-sided and bilateral endpoints alike: the
-integrand at the endpoint is a single Pochhammer-ratio evaluation, the rest of
-the grid follows by a chunked multiplicative recurrence, which is both fast
-and stable (no large intermediate products), and the sum stops by the tail
-rule of :mod:`qhyp.qcore`.
+Integral evaluators sum Jordan-Pochhammer integrands over q-grids with
+:func:`_grid_sum`, for one-sided and bilateral endpoints alike: the
+integrand at the endpoint is a single Pochhammer-ratio evaluation, and each
+direction of the grid is a term-ratio sum of the series kernel of
+:mod:`qhyp.qcore` (chunked, stopped by its tail rule), with the grid weights
+t^alpha w(t) applied per chunk.  Zeros and poles on the grid are refused up
+front by the one zero test of :mod:`qhyp.qcore`.
 
 Each integral solution is the difference of two single-endpoint integrals of
 one integrand.  A :class:`JacksonTable` holds those of one parameter tuple
@@ -31,7 +32,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonDecayingSumError, PoleError, UnsupportedCaseError
+from .errors import DomainError, PoleError, UnsupportedCaseError
 from .equations import (
     BUILDERS,
     HeineParams,
@@ -42,7 +43,7 @@ from .equations import (
     qpow,
 )
 from .opalgebra import QDiffOperator
-from .qcore import QContext, _Tail, _vanishes, qpoch_ratio
+from .qcore import QContext, _quotient, _ratio_sum, _termination_order, qpoch_ratio
 from .qseries import PhiSpec, phi, w87
 
 
@@ -100,16 +101,8 @@ class Endpoint:
             return complex(self.value)
         raise ValueError(f"endpoint {self.tag} has no finite resolution")
 
-    def describe(self) -> str:
-        if self.tag in ("q_over_a", "b"):
-            return f"{self.tag}{self.index}"
-        return self.tag
-
 
 # -- Jordan-Pochhammer Jackson sums -------------------------------------------------
-
-
-_GRID_CHUNK = 128
 
 
 def _grid_sum(
@@ -127,20 +120,20 @@ def _grid_sum(
 
     One-sided sums run n >= 0; the bilateral version adds the n < 0 tail and
     needs equally many numerator and denominator arguments.  F(tau) is one
-    Pochhammer-ratio evaluation; the rest of the grid follows a chunk at a
-    time as cumulative products of the step ratios
-    F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t), and each direction is
-    truncated by the tail rule of :mod:`qhyp.qcore`.  t^alpha is
-    exp(alpha (log tau + n log q)), single-valued along the grid.
+    Pochhammer-ratio evaluation; each direction is then a term-ratio sum of
+    the series kernel of :mod:`qhyp.qcore`, with the step ratios
+    F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t) and the weights
+    t^alpha w(t) applied per chunk.  t^alpha is exp(alpha (log tau + n log q)),
+    single-valued along the grid.
 
     Zeros: F is zero on an ascending run of the grid that ends where a
-    factor 1 - n_i t vanishes, and the recurrence cannot step out of it, so a
-    seed that is exactly zero, or an ascending step factor that vanishes to
-    rounding by the pole test of :mod:`qhyp.qcore` (|1 - n_i t| <=
-    1e-12 (1 + |n_i t|); rounding leaves such a zero tiny but nonzero), raises
-    UnsupportedCaseError.  Descending, a vanishing numerator factor makes the
-    rest of the tail exactly zero, which the tail rule ends; a vanishing
-    denominator factor is a pole (PoleError).
+    factor 1 - n_i t vanishes, and the recurrence cannot step out of it.  Such
+    a run always holds the grid start, so a seed that is exactly zero, or an
+    argument n_i tau that is q^-k to rounding (:func:`_termination_order`),
+    raises UnsupportedCaseError up front.  Descending, a vanishing numerator
+    factor makes the rest of the tail exactly zero, which the tail rule ends;
+    a vanishing denominator factor anywhere within the budget is a pole
+    (PoleError, also up front).
     """
     q = complex(ctx.q)
     tau = complex(tau)
@@ -152,55 +145,38 @@ def _grid_sum(
     log_tau = cmath.log(tau)
     log_q = cmath.log(q)
     seed = qpoch_ratio(nums * tau, dens * tau, ctx)
-    if seed == 0:
-        raise UnsupportedCaseError(f"integrand vanishes exactly at the grid start {tau}")
+    if seed == 0 or _termination_order(nums * tau, ctx) is not None:
+        raise UnsupportedCaseError(f"integrand vanishes at the grid start {tau}")
 
-    def up_steps(ts: np.ndarray) -> np.ndarray:
-        """F(t q) / F(t) at the grid points ts."""
-        nt = nums[:, None] * ts[None, :]
-        den = 1.0 - nt
-        if np.any(_vanishes(den, nt)):
-            raise UnsupportedCaseError("integrand vanishes on the ascending grid")
-        return np.prod(1.0 - dens[:, None] * ts[None, :], axis=0) / np.prod(den, axis=0)
+    def weigh(ns: np.ndarray, F: np.ndarray) -> np.ndarray:
+        if alpha != 0:
+            F = F * np.exp(alpha * (log_tau + ns * log_q))
+        return F * (tau * q**ns) if weighted else F
 
-    def down_steps(ts: np.ndarray) -> np.ndarray:
-        """F(t / q) / F(t) at the grid points ts.  1 - c t/q = (t/q) (q/t - c):
-        the powers of t/q cancel between numerator and denominator, and q/t
+    dn, nd = np.concatenate((dens, nums))[:, None], np.concatenate((nums, dens))[:, None]
+
+    def up(ns: np.ndarray) -> np.ndarray:
+        """F(t q) / F(t) at t = tau q^n."""
+        return _quotient(1.0 - dn * (tau * q**ns), len(dens))
+
+    def down(ns: np.ndarray) -> np.ndarray:
+        """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
+        powers of t/q cancel between numerator and denominator, and q/t
         underflows harmlessly."""
-        u = q / ts
-        num = np.prod(u[None, :] - nums[:, None], axis=0)
-        den = np.prod(u[None, :] - dens[:, None], axis=0)
-        if np.any(np.abs(den) < 1e-13 * (np.abs(u) ** len(dens) + np.abs(num))):
-            raise PoleError("integrand pole on the descending grid")
-        return num / den
+        return _quotient(q / (tau * q**ns) - nd, len(nums))
 
-    def side(F0: complex, n0: int, direction: int, steps) -> complex:
-        total = 0.0 + 0.0j
-        tail = _Tail(ctx)
-        emitted = 0
-        while emitted < ctx.max_terms:
-            m = min(_GRID_CHUNK, ctx.max_terms - emitted)
-            ns = np.arange(n0, n0 + direction * m, direction)
-            ts = tau * q**ns
-            ratios = steps(ts)
-            F = F0 * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
-            terms = F
-            if alpha != 0:
-                terms = terms * np.exp(alpha * (log_tau + ns * log_q))
-            if weighted:
-                terms = terms * ts
-            stop = tail.first_stop(np.abs(terms))
-            if stop is not None:
-                return total + terms[: stop + 1].sum()
-            total += terms.sum()
-            emitted += m
-            F0 = F[-1] * ratios[-1]
-            n0 += direction * m
-        raise NonDecayingSumError("Jackson sum did not meet the tail criterion")
-
-    value = side(seed, 0, 1, up_steps)
+    # upwards the step ratio tends to q^(alpha + 1) (weighted) or q^alpha
+    rate = cmath.exp((alpha + (1 if weighted else 0)) * log_q)
+    value = _ratio_sum(seed, up, ctx, rate, np.abs(nd * tau).max(), "Jackson sum", weigh=weigh)
     if bilateral:
-        value += side(seed * down_steps(np.array([tau]))[0], -1, -1, down_steps)
+        # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
+        if _termination_order(q / (tau * dens), ctx) is not None:
+            raise PoleError("integrand pole on the descending grid")
+        value += _ratio_sum(
+            seed * down(np.array([0]))[0], lambda ks: down(-1 - ks), ctx,
+            np.prod(nums) / np.prod(dens) / rate,
+            np.abs(q * q / (tau * nd)).max(), "Jackson sum",
+            weigh=lambda ks, F: weigh(-1 - ks, F))
     return (1.0 - q) * value
 
 
@@ -270,50 +246,43 @@ def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
     return table
 
 
+def _difference(single: Callable, p, e1: Endpoint, e2: Endpoint, x: complex, ctx: QContext,
+                table: JacksonTable | None, reflected: bool) -> complex:
+    """single(e2) - single(e1) from the table, times x^lambda (principal
+    branch) for the reflected integrands."""
+    if e1 == e2:
+        return 0.0 + 0.0j
+    table = _table_for(p, ctx, table)
+    value = table.value(single, e2, x) - table.value(single, e1, x)
+    return cmath.exp(p.lam(ctx) * cmath.log(complex(x))) * value if reflected else value
+
+
 def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
          table: JacksonTable | None = None) -> complex:
     """Difference of two one-sided Jackson integrals of the degree-three
     Jordan-Pochhammer integrand between admissible endpoints."""
-    if t1 == t2:
-        return 0.0 + 0.0j
-    table = _table_for(p, ctx, table)
-    return table.value(_phi3_single, t2, x) - table.value(_phi3_single, t1, x)
+    return _difference(_phi3_single, p, t1, t2, x, ctx, table, False)
 
 
 def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
                table: JacksonTable | None = None) -> complex:
     """x^lambda times the reflected-integrand Jackson integral between
-    admissible sigma-endpoints; principal branch of x^lambda."""
-    if s1 == s2:
-        return 0.0 + 0.0j
-    table = _table_for(p, ctx, table)
-    lam = p.lam(ctx)
-    pref = cmath.exp(lam * cmath.log(complex(x)))
-    return pref * (table.value(_phi3_tilde_single, s2, x)
-                   - table.value(_phi3_tilde_single, s1, x))
+    admissible sigma-endpoints."""
+    return _difference(_phi3_tilde_single, p, s1, s2, x, ctx, table, True)
 
 
 def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
          table: JacksonTable | None = None) -> complex:
     """Degree-two integral solution: t^alpha measure dq t / t, endpoints may
     include 0 (which contributes nothing)."""
-    if t1 == t2:
-        return 0.0 + 0.0j
-    table = _table_for(p, ctx, table)
-    return table.value(_phi2_single, t2, x) - table.value(_phi2_single, t1, x)
+    return _difference(_phi2_single, p, t1, t2, x, ctx, table, False)
 
 
 def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
                table: JacksonTable | None = None) -> complex:
     """Degree-two reflected integral; the sigma-infinity endpoint uses the
     bilateral Jackson sum."""
-    if s1 == s2:
-        return 0.0 + 0.0j
-    table = _table_for(p, ctx, table)
-    lam = p.lam(ctx)
-    pref = cmath.exp(lam * cmath.log(complex(x)))
-    return pref * (table.value(_phi2_tilde_single, s2, x)
-                   - table.value(_phi2_tilde_single, s1, x))
+    return _difference(_phi2_tilde_single, p, s1, s2, x, ctx, table, True)
 
 
 # -- series solutions -----------------------------------------------------------------

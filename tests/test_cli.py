@@ -1,5 +1,6 @@
 """Command-line frontend: commands, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -7,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhyp
-from qhyp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main, run_job
-from qhyp.solutions import all_labels
+from qhyp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, JobError, _expand_labels, main, parse_params, run_job
+from qhyp.qcore import QContext
+from qhyp.sampling import draw_equation_params
+from qhyp.solutions import CATALOGUE, all_labels
 
 
 def run(command, job):
@@ -200,3 +204,47 @@ class TestEntryPoint:
         job.write_text(json.dumps({"equation": "e3",
                                    "solutions": [label], "seed": 1}))
         assert main(["verify", "--job", str(job)]) == EXIT_INPUT
+
+
+def write_job(tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return str(path)
+
+
+class TestJobInput:
+    def test_zero_heine_parameter_is_input_error(self, tmp_path):
+        """log_q 0 is undefined: a zero a, b or c is refused before any row runs."""
+        for name in "abc":
+            params = {"a": [0.5, 0.1], "b": [1.2, 0.0], "c": [1.7, 0.2], name: [0, 0]}
+            job = {"equation": "heine", "solutions": ["heine.2"], "params": params}
+            assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("equation", ["h2", "h3", "qheun", "qheun3"])
+    def test_all_for_an_equation_without_catalogue_rows(self, tmp_path, equation):
+        job = {"equation": equation, "solutions": "all", "seed": 0, "params": {"a": 1}}
+        assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match=equation):
+            _expand_labels(job, equation)
+
+    def test_all_without_an_equation_names_every_label(self):
+        assert _expand_labels({"solutions": "all"}, None) == list(CATALOGUE)
+
+    @pytest.mark.parametrize("kind", ["heine", "qheun", "qheun3", "h2", "h3", "e2", "e3"])
+    def test_parameter_fields_follow_the_dataclass(self, tmp_path, kind):
+        """Every field without a default is required, in the dataclass order;
+        E, the only field with one, may be omitted."""
+        p = draw_equation_params(kind, np.random.default_rng(3), QContext(0.5))
+        raw = {f.name: [getattr(p, f.name).real, getattr(p, f.name).imag]
+               for f in dataclasses.fields(p)}
+        assert parse_params(kind, raw) == p
+        first = dataclasses.fields(p)[0].name
+        job = {"equation": kind, "allow_invalid_params": True,
+               "params": {k: v for k, v in raw.items() if k != first}}
+        buf = io.StringIO()
+        with pytest.raises(JobError, match=rf"missing parameter fields for {kind}: \['{first}'\]"):
+            run_job("config", job, buf)
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        if "E" in raw:
+            without_e = {k: v for k, v in raw.items() if k != "E"}
+            assert parse_params(kind, without_e) == dataclasses.replace(p, E=0.0)

@@ -2,12 +2,17 @@
 very-well-poised series, the q-Appell double sum and the transformation
 identities connecting them."""
 
+import cmath
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_complex
-from qhyp.errors import AnnulusError, DivergenceError, PoleError
-from qhyp.qcore import QContext, qpoch_fin, qpoch_inf, qpoch_ratio
+from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
+from qhyp.qcore import QContext, _Tail, qpoch_fin, qpoch_inf, qpoch_ratio
 from qhyp.qseries import (
     PhiSpec,
     appell_phi1,
@@ -282,3 +287,428 @@ class TestHeineTransformation:
             ]
             target = qpoch_inf(a, ctx) / qpoch_inf(c, ctx)
             assert all(abs(v - target) <= 1e-8 * abs(target) for v in vals)
+
+
+# -- the series kernel against the loops it replaced and against mpmath ------------
+#
+# phi, w87 and both sides of psi33 are sums of qcore._ratio_sum.  The loops
+# below are the ones they replaced, kept as references: scalar term-by-term
+# loops for phi and w87 (pole test 1e-12 relative, checked as each step is
+# taken), and psi33's chunks of 4096 terms (pole tests 1e-14 and 1e-300
+# absolute, over the whole chunk).
+
+
+def loop_termination_order(nums, ctx):
+    q = complex(ctx.q)
+    best = None
+    for a in nums:
+        if a == 0:
+            continue
+        w = complex(a)
+        for n in range(ctx.max_terms):
+            if abs(w - 1.0) <= 1e-12 * (1.0 + abs(w)):
+                best = n if best is None else min(best, n)
+                break
+            if abs(w) < 0.5:
+                break
+            w *= q
+    return best
+
+
+def loop_phi(spec, ctx, scan=None):
+    """``scan``, a list, collects (|term|, kappa) for every term summed, where
+    kappa sums (n + 1) |w| / |1 - w| over the factors 1 - w of its ratio."""
+    nums, dens, z = spec.numerator, spec.denominator, spec.argument
+    r, s = len(nums), len(dens)
+    p = s + 1 - r
+    q = complex(ctx.q)
+    n_stop = loop_termination_order(nums, ctx)
+    if n_stop is None:
+        if p < 0:
+            raise DivergenceError("r > s+1")
+        if p == 0 and abs(z) >= 1.0:
+            raise DivergenceError("|z| >= 1")
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    tail = _Tail(ctx)
+    kappa = 0.0
+    for n in range(ctx.max_terms):
+        total += term
+        if scan is not None:
+            scan.append((abs(term), kappa))
+        if n == n_stop or tail.done(abs(term)):
+            return total
+        qn = q**n
+        ratio = z
+        for a in nums:
+            ratio *= 1.0 - a * qn
+        for b in dens:
+            factor = 1.0 - b * qn
+            if abs(factor) <= 1e-12 * (1.0 + abs(b * qn)):
+                raise PoleError(f"denominator parameter {b} hits q^-{n}")
+            ratio /= factor
+        for w in [a * qn for a in nums] + [b * qn for b in dens]:
+            kappa += (n + 1) * abs(w) / max(abs(1.0 - w), 1e-300)
+        ratio /= 1.0 - q ** (n + 1)
+        if p:
+            ratio *= (-(qn)) ** p if p > 0 else 1.0 / ((-(qn)) ** (-p))
+        term *= ratio
+    raise NonDecayingSumError("budget")
+
+
+def loop_w87(a, b, c, d, e, f, z, ctx, scan=None):
+    a, b, c, d, e, f, z = (complex(v) for v in (a, b, c, d, e, f, z))
+    q = complex(ctx.q)
+    params = (b, c, d, e, f)
+    n_stop = loop_termination_order(params + (a,), ctx)
+    if n_stop is None and abs(z) >= 1.0:
+        raise DivergenceError("|z| >= 1")
+    dens = tuple(q * a / p for p in params)
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    tail = _Tail(ctx)
+    kappa = 0.0
+    for n in range(ctx.max_terms):
+        total += term
+        if scan is not None:
+            scan.append((abs(term), kappa))
+        if n == n_stop or tail.done(abs(term)):
+            return total
+        qn = q**n
+        vwp_num = 1.0 - a * qn * qn * q * q
+        vwp_den = 1.0 - a * qn * qn
+        ratio = z * (1.0 - a * qn) * vwp_num / vwp_den
+        for p in params:
+            ratio *= 1.0 - p * qn
+        for dpar in dens:
+            factor = 1.0 - dpar * qn
+            if abs(factor) <= 1e-12 * (1.0 + abs(dpar * qn)):
+                raise PoleError(f"w87 denominator parameter {dpar} hits q^-{n}")
+            ratio /= factor
+        for w in [v * qn for v in (a, *params, *dens)] + [a * qn * qn, a * qn * qn * q * q]:
+            kappa += (n + 1) * abs(w) / max(abs(1.0 - w), 1e-300)
+        ratio /= 1.0 - q ** (n + 1)
+        term *= ratio
+    raise NonDecayingSumError("budget")
+
+
+def loop_psi33(a, b, z, ctx, scan=None):
+    a = [complex(v) for v in a]
+    b = [complex(v) for v in b]
+    z = complex(z)
+    q = complex(ctx.q)
+    inner = abs(b[0] * b[1] * b[2] / (a[0] * a[1] * a[2]))
+    if not inner < abs(z) < 1.0:
+        raise AnnulusError("annulus")
+    chunk = 4096
+
+    def step_ratios(ns, downward):
+        if not downward:
+            qn = q ** ns.astype(complex)
+            ratio = np.full(len(ns), z, dtype=complex)
+            for ai, bi in zip(a, b):
+                den = 1.0 - bi * qn
+                if np.any(np.abs(den) < 1e-14):
+                    raise PoleError("psi33: vanishing (b)_n factor for n >= 0")
+                ratio *= (1.0 - ai * qn) / den
+            return ratio
+        qinv = q ** (1 - ns).astype(complex)
+        ratio = np.full(len(ns), 1.0 / z, dtype=complex)
+        for ai, bi in zip(a, b):
+            den = qinv - ai
+            if np.any(np.abs(den) < 1e-300):
+                raise PoleError("psi33: vanishing (a)_n factor for n < 0")
+            ratio *= (qinv - bi) / den
+        return ratio
+
+    def one_side(downward):
+        part = 0.0 + 0.0j
+        tail = _Tail(ctx)
+        if not downward:
+            t0, n0 = 1.0 + 0.0j, 0
+        else:
+            t0, n0 = step_ratios(np.array([0]), True)[0], -1
+        emitted = 0
+        while emitted < ctx.max_terms:
+            m = min(chunk, ctx.max_terms - emitted)
+            ns = n0 + np.arange(m) * (-1 if downward else 1)
+            ratios = step_ratios(ns, downward)
+            terms = t0 * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
+            stop = tail.first_stop(np.abs(terms))
+            if stop is not None:
+                if scan is not None:
+                    scan.extend(np.abs(terms[: stop + 1]))
+                return part + terms[: stop + 1].sum()
+            if scan is not None:
+                scan.extend(np.abs(terms))
+            part += terms.sum()
+            emitted += m
+            t0 = terms[-1] * ratios[-1]
+            n0 = int(ns[-1]) + (-1 if downward else 1)
+        raise NonDecayingSumError("budget")
+
+    return one_side(False) + one_side(True)
+
+
+def outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except (PoleError, DivergenceError, NonDecayingSumError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def well_conditioned(scan, value):
+    """Few digits lost to cancellation (sum |t_n| / |sum|) or to the rounding
+    of the factors 1 - c q^n (kappa); the two versions round both differently."""
+    if not value:
+        return False
+    mags = sum(m for m, _ in scan)
+    return mags <= 4 * abs(value) and max(k for _, k in scan) <= 100
+
+
+def q_draw(draw):
+    return draw(st.floats(0.2, 0.8)) * cmath.exp(1j * draw(st.sampled_from([0.0, 0.4, -1.5])))
+
+
+def params_draw(lo, hi):
+    return st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(lo, hi),
+                     st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def phi_cases(draw):
+    """Parameters of modulus 0.05-2, numerators q^-k (terminating),
+    denominators q^-k (poles), |z| < 0.95 and budgets from 1 to 60 or 512."""
+    q = q_draw(draw)
+    power = st.integers(0, 8).map(lambda k: q**-k)
+    nums = draw(st.lists(st.one_of(params_draw(0.05, 2.0), power), max_size=3))
+    dens = draw(st.lists(st.one_of(params_draw(0.05, 2.0), params_draw(0.05, 2.0), power,
+                                   st.just(0j)), max_size=3))
+    z = draw(params_draw(0.0, 0.95))
+    return q, PhiSpec(nums, dens, z), draw(st.one_of(st.just(512), st.integers(1, 60)))
+
+
+@st.composite
+def w87_cases(draw):
+    q = q_draw(draw)
+    a = draw(st.one_of(params_draw(0.3, 1.5), params_draw(0.3, 1.5),
+                       st.integers(1, 3).map(lambda m: q ** (-2 * m))))
+    rest = draw(st.lists(st.one_of(
+        params_draw(0.3, 1.5), params_draw(0.3, 1.5),
+        st.integers(0, 6).map(lambda k: q**-k),          # terminating
+        st.integers(0, 6).map(lambda k: a * q ** (k + 1))), min_size=5, max_size=5))
+    z = draw(params_draw(0.0, 0.9))
+    return q, (a, *rest, z), draw(st.one_of(st.just(512), st.integers(1, 60)))
+
+
+@st.composite
+def psi33_cases(draw):
+    q = q_draw(draw)
+    a = draw(st.lists(st.one_of(params_draw(1.2, 3.0), params_draw(1.2, 3.0),
+                                st.integers(1, 4).map(lambda k: q**-k)),  # zero upwards
+                      min_size=3, max_size=3))
+    b = draw(st.lists(st.one_of(params_draw(0.05, 0.5), params_draw(0.05, 0.5),
+                                st.integers(1, 4).map(lambda k: q**k),    # zero downwards
+                                st.integers(0, 2).map(lambda k: q**-k)),  # pole upwards
+                      min_size=3, max_size=3))
+    inner = abs(np.prod(b) / np.prod(a))
+    z = draw(st.floats(0.01, 1.0)) * (0.9 - inner) + inner if inner < 0.9 else 0.5
+    z *= cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return q, a, b, z, draw(st.one_of(st.just(512), st.integers(1, 60)))
+
+
+def reached_pole(dens, n_stop, ctx):
+    """A denominator parameter q^-k with k below the budget and before the
+    series terminates: the terms after k are infinite."""
+    k = loop_termination_order(dens, ctx)
+    return k is not None and (n_stop is None or k < n_stop)
+
+
+class TestSeriesKernel:
+    """The one kernel against the loops it replaced: the same outcome always,
+    values within 1e-13 where the sum is well conditioned.  One documented
+    difference: a pole that the series reaches before it terminates raises
+    PoleError even when the tail rule stopped the old loop short of it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=phi_cases())
+    def test_phi_matches_loop(self, case):
+        q, spec, max_terms = case
+        ctx = QContext(q, max_terms=max_terms)
+        scan = []
+        ref = outcome(loop_phi, spec, ctx, scan)
+        got = outcome(phi, spec, ctx)
+        if got is PoleError and not isinstance(ref, type):
+            assert reached_pole(spec.denominator,
+                                loop_termination_order(spec.numerator, ctx), ctx)
+            return
+        if isinstance(ref, type):
+            assert got is ref
+            return
+        assert not isinstance(got, type)
+        if well_conditioned(scan, ref):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=w87_cases())
+    def test_w87_matches_loop(self, case):
+        q, args, max_terms = case
+        ctx = QContext(q, max_terms=max_terms)
+        scan = []
+        ref = outcome(loop_w87, *args, ctx, scan)
+        got = outcome(w87, *args, ctx)
+        a = args[0]
+        if got is PoleError and ref is not PoleError:
+            n_stop = loop_termination_order(args[:6], ctx)
+            # a = q^-2m: the step ratio (1 - a q^{2n+2}) / (1 - a q^{2n}) is 0/0 at n = m
+            root = cmath.sqrt(a)
+            assert reached_pole([q * a / p for p in args[1:6]] + [root, -root], n_stop, ctx)
+            return
+        if isinstance(ref, type):
+            assert got is ref
+            return
+        assert not isinstance(got, type)
+        if well_conditioned(scan, ref):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=psi33_cases())
+    def test_psi33_matches_chunked_sides(self, case):
+        q, a, b, z, max_terms = case
+        ctx = QContext(q, max_terms=max_terms)
+        scan = []
+        ref = outcome(loop_psi33, a, b, z, ctx, scan)
+        got = outcome(psi33, a, b, z, ctx)
+        if isinstance(ref, type):
+            assert got is ref
+            return
+        assert not isinstance(got, type)
+        if sum(scan) <= 4 * abs(ref):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def mp_terms_sum(first, ratio, scale_digits=45, limit=20_000):
+    """sum of t_n, t_0 = first, t_{n+1} = t_n ratio(n), at the working
+    precision, until a term falls below 10^-scale_digits of the largest."""
+    total, term, top = mpmath.mpc(0), mpmath.mpc(first), mpmath.mpf(0)
+    for n in range(limit):
+        total += term
+        top = max(top, abs(term))
+        if abs(term) < mpmath.mpf(10) ** -scale_digits * top:
+            return total
+        term *= ratio(n)
+    raise AssertionError("mp sum did not converge")
+
+
+class TestSeriesOracle:
+    """phi, w87 and psi33 against 40-digit mpmath sums.  Parameters keep
+    their factors 1 - c q^n away from 0 and |z| <= 0.8, so every double
+    precision sum keeps its digits."""
+
+    params = st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.1, 0.9),
+                       st.one_of(st.floats(0.3, math.pi), st.floats(-math.pi, -0.3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(0.1, 0.8), nums=st.lists(params, min_size=1, max_size=3),
+           dens=st.lists(params, max_size=2), z=st.floats(0.05, 0.8))
+    def test_phi_against_qhyper(self, q, nums, dens, z):
+        nums = nums[: len(dens) + 1]
+        with mpmath.workdps(40):
+            exact = mpmath.qhyper([mpmath.mpc(v) for v in nums], [mpmath.mpc(v) for v in dens],
+                                  mpmath.mpf(q), mpmath.mpf(z), maxterms=10**5)
+            got = phi(PhiSpec(nums, dens, z), QContext(q))
+            assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(0.1, 0.8), a=params, rest=st.lists(params, min_size=5, max_size=5),
+           z=st.floats(0.05, 0.8))
+    def test_w87_against_direct_sum(self, q, a, rest, z):
+        with mpmath.workdps(40):
+            qm, am = mpmath.mpf(q), mpmath.mpc(a)
+            ps = [mpmath.mpc(v) for v in rest]
+
+            def ratio(n):
+                qn = qm**n
+                r = z * (1 - am * qn) * (1 - am * qn**2 * qm**2) / (1 - am * qn**2)
+                for p in ps:
+                    r *= (1 - p * qn) / (1 - qm * am / p * qn)
+                return r / (1 - qn * qm)
+
+            exact = mp_terms_sum(1, ratio)
+            got = w87(a, *rest, z, QContext(q))
+            assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(0.1, 0.8),
+           a=st.lists(st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(1.2, 3.0),
+                                st.floats(-math.pi, math.pi)), min_size=3, max_size=3),
+           b=st.lists(params, min_size=3, max_size=3), u=st.floats(0.1, 0.9))
+    def test_psi33_against_both_direct_sides(self, q, a, b, u):
+        inner = abs(np.prod(b) / np.prod(a))
+        z = inner + u * (0.8 - inner)
+        with mpmath.workdps(40):
+            qm, zm = mpmath.mpf(q), mpmath.mpf(z)
+            am = [mpmath.mpc(v) for v in a]
+            bm = [mpmath.mpc(v) for v in b]
+
+            def up(n):   # t_{n+1} / t_n, n >= 0
+                return zm * mpmath.fprod((1 - x * qm**n) / (1 - y * qm**n) for x, y in zip(am, bm))
+
+            def down(k):  # t_{-k-1} / t_{-k}, k >= 0
+                return mpmath.fprod((1 - y * qm ** (-k - 1)) / (1 - x * qm ** (-k - 1))
+                                    for x, y in zip(am, bm)) / zm
+
+            exact = mp_terms_sum(1, up) + mp_terms_sum(down(0), lambda k: down(k + 1))
+            got = psi33(a, b, z, QContext(q))
+            assert abs(got - exact) <= 1e-13 * abs(exact)
+
+
+class TestSeriesKernelPaths:
+    """One pole, one exact zero and one exhausted budget per path, each with
+    the outcome of the loop it replaced."""
+
+    ctx = QContext(0.5)
+
+    def test_phi(self):
+        q = 0.5
+        with pytest.raises(PoleError):
+            phi(PhiSpec([0.3, 0.4], [q**-3], 0.5), self.ctx)
+        spec = PhiSpec([q**-2, 0.4], [0.6], 3.0)   # terminates after n = 2
+        assert phi(spec, self.ctx) == pytest.approx(loop_phi(spec, self.ctx), rel=1e-15)
+        with pytest.raises(NonDecayingSumError):
+            phi(PhiSpec([0.3, 0.4], [0.6], 0.97), self.ctx)
+
+    def test_w87(self):
+        q, a = 0.5, 0.8 + 0.1j
+        with pytest.raises(PoleError):   # q a / b = q^-2
+            w87(a, a * q**3, 1.1, 0.9, 1.2, 0.7, 0.5, self.ctx)
+        args = (a, q**-2, 1.1, 0.9, 1.2, 0.7, 3.0)   # terminates after n = 2
+        assert w87(*args, self.ctx) == pytest.approx(loop_w87(*args, self.ctx), rel=1e-14)
+        with pytest.raises(NonDecayingSumError):
+            w87(a, 1.3, 1.1, 0.9, 1.2, 0.7, 0.99, self.ctx.with_budget(64))
+
+    def test_psi33_upward(self):
+        q = 0.5
+        a, b = [8.0, 9.0, 10.0], [q**-2, 0.2, 0.3]
+        with pytest.raises(PoleError):
+            psi33(a, b, 0.5, self.ctx)
+        a = [q**-1, 9.0, 10.0]    # (a)_n = 0 for n >= 2
+        assert psi33(a, [0.2, 0.3, 0.1], 0.5, self.ctx) == pytest.approx(
+            loop_psi33(a, [0.2, 0.3, 0.1], 0.5, self.ctx), rel=1e-14)
+        with pytest.raises(NonDecayingSumError):
+            psi33([1.3, 1.2, 1.1], [0.2, 0.3, 0.1], 1 - 1e-3, self.ctx.with_budget(64))
+
+    def test_psi33_downward(self):
+        q = 0.5
+        with pytest.raises(PoleError):   # 1 / (a)_n has 1 - a q^-2 = 0 for n <= -2
+            psi33([q**2, 9.0, 10.0], [0.2, 0.3, 0.1], 0.5, self.ctx)
+        # a pole known only to rounding: the chunked sides' |q^{1-n} - a| < 1e-300
+        # missed it and returned ~800
+        with pytest.raises(PoleError):
+            psi33([0.45**5, 9.0, 10.0], [0.2, 0.3, 0.1], 0.5, QContext(0.45))
+        b = [q**2, 0.3, 0.1]    # (b)_n^-1 = 0 for n <= -2
+        assert psi33([8.0, 9.0, 10.0], b, 0.5, self.ctx) == pytest.approx(
+            loop_psi33([8.0, 9.0, 10.0], b, 0.5, self.ctx), rel=1e-14)
+        with pytest.raises(NonDecayingSumError):   # |inner / z| -> 1
+            psi33([1.3, 1.2, 1.1], [0.9, 0.95, 0.99], 0.5, self.ctx.with_budget(64))

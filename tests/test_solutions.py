@@ -8,7 +8,7 @@ import pytest
 
 from qhyp import solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
-from qhyp.errors import DomainError, UnsupportedCaseError
+from qhyp.errors import DomainError, NonDecayingSumError, PoleError, UnsupportedCaseError
 from qhyp.qcore import QContext, qpoch_ratio
 from qhyp.solutions import (
     _grid_sum,
@@ -391,6 +391,22 @@ class TestGridKernel:
             assert abs(self.direct_sum(tau, nums, dens, range(200), ctx)) > 5e-3
             with pytest.raises(UnsupportedCaseError):
                 phi3(p, TAUS[1], TAUS[2], x, ctx)
+
+    def test_descending_pole_and_exhausted_budgets(self):
+        """A pole anywhere on the descending grid within the budget raises
+        PoleError; a side whose terms do not decay within max_terms raises
+        NonDecayingSumError, ascending (t^alpha with alpha near 0 unweighted)
+        and descending (|prod n_i / prod d_j| > |q|) alike."""
+        ctx = QContext(0.5)
+        q, tau = 0.5, 1.3 + 0.2j
+        nums = (0.7 + 0.1j, 1.1, 0.4 - 0.3j)
+        for k in (3, 40):   # q / t - d_1 vanishes at t = tau q^(1 - k)
+            with pytest.raises(PoleError):
+                _grid_sum(tau, nums, (q**k / tau, 0.9, 1.2), ctx, bilateral=True)
+        with pytest.raises(NonDecayingSumError):
+            _grid_sum(tau, nums, (0.6, 0.9, 1.2), ctx, alpha=0.05, weighted=False)
+        with pytest.raises(NonDecayingSumError):
+            _grid_sum(tau, nums, (0.6, 0.9, 1.2), ctx, bilateral=True)
 
 
 class TestJacksonTable:
