@@ -12,7 +12,13 @@ magnitude at a time; chunked numpy kernels feed it whole chunks.
 Every term-ratio sum (``phi``, ``w87``, both sides of ``psi33`` and of the
 Jackson grid sums) is one chunked kernel, :func:`_ratio_sum`, and whether a
 factor 1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros
-and terminating parameters alike.
+and terminating parameters alike.  Where the step ratios tend to a constant
+r with 0 < |r| < 1, the kernel sums term by term only up to the closure
+index N, past which every ratio equals r to rounding; there it computes in
+closed form the term where the tail rule would stop, which decides the
+budget as before, and adds the tail as t r / (1 - r), t the last term summed.
+The running maximum stays floored at 1, because the closed-form stop index
+and the reference loops in the tests apply the same rule.
 
 Every infinite q-Pochhammer product, (a)_inf alone or a ratio of them, comes
 from one numpy kernel (:func:`qpoch_ratio`).  It builds the factors
@@ -124,6 +130,8 @@ _MIN_CHUNK = 32
 # allocating them page-faults anew for every chunk: at 4096, psi33 near
 # z = 1 ran ~1.5 times as long
 _MAX_CHUNK = 2048
+# no step ratio here has more factors 1 - c q^n than this (w87 has 14)
+_RATIO_FACTORS = 16
 
 
 def _ratio_sum(
@@ -147,24 +155,39 @@ def _ratio_sum(
     (:func:`_termination_order` of the denominators): unless the sum ends
     at ``last`` first, it raises PoleError before summing anything.
 
-    The first chunk is read off the parameters, as :func:`_pochhammer_product`
-    reads its factor counts: ``rate`` is the limit of r_n and ``reach`` the
-    largest |c| among its factors 1 - c q^n; it holds the terms a geometric
-    sum of ratio |rate| takes to fall by 1/tail_tol times the growth those
-    factors can add, and the run the tail rule waits for.  Later chunks
+    ``rate`` is the limit of the ratios of the terms summed (weighed, where
+    ``weigh`` is given) and ``reach`` the largest |c| among the factors
+    1 - c q^n of r_n.  The first chunk is read off them, as
+    :func:`_pochhammer_product` reads its factor counts: it holds the terms a
+    geometric sum of ratio |rate| takes to fall by 1/tail_tol times the
+    growth those factors can add, and the run the tail rule waits for, but
+    no more than the closure index N (or ``_MIN_CHUNK``).  Later chunks
     double, up to ``_MAX_CHUNK``.
+
+    The closed-form tail: from N on, where _RATIO_FACTORS reach |q|^N /
+    (1 - |q|) <= tail_tol, every later r_n equals ``rate`` to rounding.  So
+    when a sum without ``last`` and with 0 < |rate| < 1 runs on past N, the
+    first chunk boundary at or past N ends it: the magnitudes still to come
+    are |t| |rate|^k, which fixes where the tail rule would stop.  If that
+    index is within ``max_terms``, the rest is added as t rate / (1 - rate),
+    t the last term summed; if not, NonDecayingSumError is raised at once.
     """
     if pole is not None and (last is None or pole < last):
         raise PoleError(f"{what}: a denominator factor vanishes at n = {pole}")
     rho = abs(rate)
     n = 0.0 if rho == 0.0 else math.inf  # |rate| >= 1 or NaN: no decay to read off
+    closure = math.inf
     if 0.0 < rho < 1.0:
         lq, lr = -math.log(abs(ctx.q)), math.log1p(reach)
         growth = lr * lr / (2.0 * lq) + lr / (1.0 - abs(ctx.q))
         n = (growth - math.log(ctx.tail_tol)) / -math.log(rho)
+        spread = _RATIO_FACTORS * reach / ((1.0 - abs(ctx.q)) * ctx.tail_tol)
+        if last is None and spread < math.inf:  # not for an infinite or NaN reach
+            closure = math.ceil(math.log(max(spread, 1.0)) / lq)
     size = _MAX_CHUNK
     if n < _MAX_CHUNK:
         size = min(max(int(n) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
+    size = min(size, max(closure, _MIN_CHUNK))
     count = ctx.max_terms if last is None else min(ctx.max_terms, last + 1)
     # the tail rule cannot end a terminating sum this short before its last term
     untailed = last is not None and count == last + 1 <= _CONSECUTIVE_SMALL
@@ -183,6 +206,16 @@ def _ratio_sum(
         total += np.add.reduce(terms)
         t = seq[-1]
         n0 = int(ns[-1]) + 1
+        mag = abs(terms[-1])
+        if n0 >= closure and math.isfinite(mag):
+            # the tail rule's run goes on from tail.run; with none, it starts
+            # at the first k with mag rho^k < tol scale
+            first = 1
+            if not tail.run:
+                first += math.floor(math.log(tail.tol * tail.scale / mag) / math.log(rho))
+            if n0 + first + 1 - tail.run >= ctx.max_terms:
+                break
+            return complex(total + terms[-1] * rate / (1.0 - rate))
         size = min(2 * size, _MAX_CHUNK)
     if last is not None and count == last + 1:
         return complex(total)

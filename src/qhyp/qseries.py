@@ -90,10 +90,10 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
     b = [complex(v) for v in b]
     z = complex(z)
     q = complex(ctx.q)
-    inner = abs(b[0] * b[1] * b[2] / (a[0] * a[1] * a[2]))
-    if not inner < abs(z) < 1.0:
+    inner = b[0] * b[1] * b[2] / (a[0] * a[1] * a[2])
+    if not abs(inner) < abs(z) < 1.0:
         raise AnnulusError(
-            f"psi33 needs {inner:.6g} < |z| < 1, got |z| = {abs(z):.6g}"
+            f"psi33 needs {abs(inner):.6g} < |z| < 1, got |z| = {abs(z):.6g}"
         )
     # a pole of (b)_n for n > 0 is a zero of 1 - b_i q^n; one of 1/(a)_n for
     # n < 0 is a zero of q^{1-n} - a_i, i.e. of 1 - (q / a_i) q^{-n}
@@ -114,7 +114,7 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
     if poles[1] is not None:
         raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
     return value + _ratio_sum(down(np.array([0]))[0], lambda ks: down(ks + 1), ctx,
-                              inner / abs(z), (abs(q * q) / reach).max(), "psi33 downward tail")
+                              inner / z, (abs(q * q) / reach).max(), "psi33 downward tail")
 
 
 def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,

@@ -20,6 +20,7 @@ from qhyp.errors import (
 from qhyp.qcore import (
     QContext,
     _Tail,
+    _ratio_sum,
     jackson_0_to_tau,
     jackson_bilateral,
     qpoch_fin,
@@ -230,6 +231,15 @@ class TestTailRule:
         tail = _Tail(ctx)
         mags = [1.0, 5.0, 1e-17, 1e-17, 2.0, 1e-16, 1e-18, 0.0, 1.0]
         assert [tail.done(m) for m in mags[:8]] == [False] * 7 + [True]
+
+    def test_floor_ends_a_sum_of_tiny_terms_after_three(self, ctx):
+        """The running maximum is floored at 1, so terms that all lie below
+        tail_tol (1e-16) end a sum after three of them, whatever its size:
+        here 3e-20 of a true 1e-17."""
+        tail = _Tail(ctx)
+        assert [tail.done(1e-20 * 0.999**n) for n in range(3)] == [False, False, True]
+        got = _ratio_sum(1e-20, lambda ns: np.full(len(ns), 0.999 + 0j), ctx, 0.999, 0.0, "tiny")
+        assert got == pytest.approx(1e-20 * (1 + 0.999 + 0.999**2), rel=1e-15)
 
     @given(
         mags=st.lists(

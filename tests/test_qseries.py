@@ -4,6 +4,7 @@ identities connecting them."""
 
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
-from qhyp.qcore import QContext, _Tail, qpoch_fin, qpoch_inf, qpoch_ratio
+from qhyp.qcore import _RATIO_FACTORS, QContext, _Tail, qpoch_fin, qpoch_inf, qpoch_ratio
 from qhyp.qseries import (
     PhiSpec,
     appell_phi1,
@@ -712,3 +713,204 @@ class TestSeriesKernelPaths:
             loop_psi33([8.0, 9.0, 10.0], b, 0.5, self.ctx), rel=1e-14)
         with pytest.raises(NonDecayingSumError):   # |inner / z| -> 1
             psi33([1.3, 1.2, 1.1], [0.9, 0.95, 0.99], 0.5, self.ctx.with_budget(64))
+
+
+# -- the closed-form geometric tail of the series kernel ---------------------------
+#
+# Past its closure index N the kernel stops summing term by term: the rest is
+# t rate / (1 - rate), and the index where the tail rule would stop is
+# computed, so every budget still decides the same outcome as the loops.
+
+
+def closure_index(q, reach):
+    """N of qcore._ratio_sum: the first n with _RATIO_FACTORS reach |q|^n /
+    (1 - |q|) <= tail_tol (1e-16 here)."""
+    spread = _RATIO_FACTORS * reach / ((1 - abs(q)) * 1e-16)
+    return max(0, math.ceil(math.log(spread) / -math.log(abs(q))))
+
+
+def loop_budget(fn, *args, q):
+    """The smallest max_terms with which ``fn`` does not run out of terms
+    (binary search; the outcome is monotone in the budget)."""
+    def short(max_terms):
+        return outcome(fn, *args, QContext(q, max_terms=max_terms)) is NonDecayingSumError
+
+    lo, hi = 1, 1 << 12
+    while short(hi):
+        lo, hi = hi, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if short(mid) else (lo, mid)
+    return lo
+
+
+def mp_closed_sum(first, ratio, rate, head):
+    """sum of t_n, t_0 = first, t_{n+1} = t_n ratio(n), at the working
+    precision: terms 0 .. head - 1 one by one, then t_head / (1 - rate), exact
+    to that precision once ratio(n) equals ``rate`` to it for n >= head."""
+    total, term = mpmath.mpc(0), mpmath.mpc(first)
+    for n in range(head):
+        total += term
+        term *= ratio(n)
+    return total + term / (1 - rate)
+
+
+def mp_head(q, reach=10.0):
+    """Terms after which every factor 1 - c q^n, |c| <= reach, is 1 to 1e-45."""
+    return math.ceil(math.log(1e45 * reach) / -math.log(q))
+
+
+def mp_psi33(a, b, z, q):
+    """psi33 at 40 digits: each side's terms to n = 400, then its exact tail."""
+    with mpmath.workdps(40):
+        qm, zm = mpmath.mpf(q), mpmath.mpc(z)
+        am = [mpmath.mpc(v) for v in a]
+        bm = [mpmath.mpc(v) for v in b]
+
+        def up(n):   # t_{n+1} / t_n, n >= 0
+            return zm * mpmath.fprod((1 - x * qm**n) / (1 - y * qm**n) for x, y in zip(am, bm))
+
+        def down(k):  # t_{-k-1} / t_{-k}, k >= 0
+            return mpmath.fprod((1 - y * qm ** (-k - 1)) / (1 - x * qm ** (-k - 1))
+                                for x, y in zip(am, bm)) / zm
+
+        inner = mpmath.fprod(bm) / mpmath.fprod(am) / zm
+        return complex(mp_closed_sum(1, up, zm, 400)
+                       + mp_closed_sum(down(0), lambda k: down(k + 1), inner, 400))
+
+
+def mp_w87(a, rest, z, q):
+    with mpmath.workdps(40):
+        qm, am, zm = mpmath.mpf(q), mpmath.mpc(a), mpmath.mpc(z)
+        ps = [mpmath.mpc(v) for v in rest]
+
+        def ratio(n):
+            qn = qm**n
+            r = zm * (1 - am * qn) * (1 - am * qn**2 * qm**2) / (1 - am * qn**2)
+            for p in ps:
+                r *= (1 - p * qn) / (1 - qm * am / p * qn)
+            return r / (1 - qn * qm)
+
+        reach = max(abs(v) for v in (a, *rest, *(q * a / p for p in rest)))
+        return complex(mp_closed_sum(1, ratio, zm, mp_head(q, reach)))
+
+
+class TestClosedFormTail:
+    """Sums that run past their closure index: values against 40-digit
+    mpmath sums, and outcomes at the budget edge against the loops."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4])
+    def test_psi33_near_one_against_mp(self, eps):
+        """The criterion-6 points: q = 0.45, z = 1 - eps, budget 600,000."""
+        rng = np.random.default_rng(606)
+        big = QContext(0.45).with_budget(600_000)
+        for _ in range(3):
+            av = [rand_complex(rng, 1.2, 1.9, 0.4) for _ in range(3)]
+            bv = [rand_complex(rng, 0.1, 0.35, 0.4) for _ in range(3)]
+            exact = mp_psi33(av, bv, 1 - eps, 0.45)
+            assert abs(psi33(av, bv, 1 - eps, big) - exact) <= 1e-14 * abs(exact)
+
+    def assert_budget_edge(self, fn, ref, args, q, reach):
+        """With the loop's own smallest budget both return a value; with one
+        term less both raise NonDecayingSumError."""
+        need = loop_budget(ref, *args, q=q)
+        assert need > max(closure_index(q, reach), 32) + 1   # past the closure
+        scan = []
+        with np.errstate(all="ignore"):
+            want = ref(*args, QContext(q, max_terms=need), scan)
+        mags = sum(m[0] if isinstance(m, tuple) else m for m in scan)
+        got = outcome(fn, *args, QContext(q, max_terms=need))
+        assert not isinstance(got, type)
+        assert abs(got - want) <= 1e-12 * mags
+        assert outcome(fn, *args, QContext(q, max_terms=need - 1)) is NonDecayingSumError
+        assert outcome(ref, *args, QContext(q, max_terms=need - 1)) is NonDecayingSumError
+
+    @settings(max_examples=15, deadline=None)
+    @given(q=st.floats(0.2, 0.6), nums=st.lists(TestSeriesOracle.params, min_size=2, max_size=3),
+           u=st.floats(0.9, 0.99), t=st.floats(-math.pi, math.pi))
+    def test_phi_budget_edge(self, q, nums, u, t):
+        dens = [v.conjugate() for v in nums[1:]]
+        z = u * cmath.exp(1j * t)
+        spec = PhiSpec(nums, dens, z)
+        reach = max(abs(v) for v in (*nums, *dens, q))
+        self.assert_budget_edge(phi, loop_phi, (spec,), q, reach)
+
+    @settings(max_examples=10, deadline=None)
+    @given(q=st.floats(0.2, 0.6), a=TestSeriesOracle.params,
+           rest=st.lists(TestSeriesOracle.params, min_size=5, max_size=5),
+           u=st.floats(0.9, 0.99))
+    def test_w87_budget_edge(self, q, a, rest, u):
+        reach = max(abs(v) for v in (a, *rest, *(q * a / p for p in rest), q))
+        self.assert_budget_edge(w87, loop_w87, (a, *rest, u), q, reach)
+
+    @pytest.mark.parametrize("u", [0.9, 0.95, 0.99])
+    def test_psi33_upward_budget_edge(self, u):
+        q, a, b = 0.45, [1.3 + 0.4j, 1.7, 1.5 - 0.2j], [0.2j, 0.3, 0.25 + 0.1j]
+        z = u * cmath.exp(0.7j)
+        self.assert_budget_edge(psi33, loop_psi33, (a, b, z), q, max(map(abs, a + b)))
+
+    @pytest.mark.parametrize("u", [0.9, 0.95, 0.99])
+    def test_psi33_downward_budget_edge(self, u):
+        """|inner / z| = u: the downward side is the long one."""
+        q, a, z = 0.45, [1.3 + 0.4j, 1.7, 1.5 - 0.2j], 0.3 * cmath.exp(-0.4j)
+        b = [0.6j, 0.9, 0.8 + 0.1j]
+        b[0] *= u * abs(z) / abs(np.prod(b) / np.prod(a))
+        reach = max(abs(q * q / v) for v in a + b)
+        self.assert_budget_edge(psi33, loop_psi33, (a, b, z), q, reach)
+
+    def test_exhausted_large_budget_raises_at_once(self):
+        """Budgets of 600,000 terms that a sum needs millions for."""
+        big = QContext(0.45).with_budget(600_000)
+        a, b, z = [1.3, 1.7, 1.5], [0.2, 0.3, 0.25], 0.3
+        b_down = [b[0] * (1 - 1e-6) * z / abs(np.prod(b) / np.prod(a)), *b[1:]]
+        calls = [
+            lambda: psi33(a, b, 1 - 1e-6, big),          # upward side
+            lambda: psi33(a, b_down, z, big),            # downward side
+            lambda: phi(PhiSpec([0.3, 0.4], [0.6], 1 - 1e-6), big),
+            lambda: w87(0.8 + 0.1j, 1.3, 1.1, 0.9, 1.2, 0.7, 1 - 1e-6, big),
+        ]
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(NonDecayingSumError):
+                call()
+            assert time.perf_counter() - start < 0.1
+
+    @settings(max_examples=5, deadline=None)
+    @given(q=st.floats(0.1, 0.8), nums=st.lists(TestSeriesOracle.params, min_size=1, max_size=3),
+           dens=st.lists(TestSeriesOracle.params, max_size=2), z=st.floats(0.9, 0.999))
+    def test_phi_slow_against_qhyper(self, q, nums, dens, z):
+        nums = (nums * 3)[: len(dens) + 1]
+        got = phi(PhiSpec(nums, dens, z), QContext(q, max_terms=10**6))
+        with mpmath.workdps(20):
+            exact = complex(mpmath.qhyper([mpmath.mpc(v) for v in nums],
+                                          [mpmath.mpc(v) for v in dens],
+                                          mpmath.mpf(q), mpmath.mpf(z), maxterms=10**6))
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(0.1, 0.8), nums=st.lists(TestSeriesOracle.params, min_size=1, max_size=3),
+           dens=st.lists(TestSeriesOracle.params, max_size=2), z=st.floats(0.9, 0.999))
+    def test_phi_slow_against_direct_sum(self, q, nums, dens, z):
+        nums = (nums * 3)[: len(dens) + 1]
+        with mpmath.workdps(40):
+            qm, zm = mpmath.mpf(q), mpmath.mpc(z)
+            nm = [mpmath.mpc(v) for v in nums]
+            dm = [mpmath.mpc(v) for v in dens]
+
+            def ratio(n):
+                qn = qm**n
+                return zm * mpmath.fprod(1 - v * qn for v in nm) / mpmath.fprod(
+                    1 - v * qn for v in dm) / (1 - qm * qn)
+
+            exact = complex(mp_closed_sum(1, ratio, zm, mp_head(q)))
+        got = phi(PhiSpec(nums, dens, z), QContext(q, max_terms=10**6))
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.floats(0.1, 0.8), a=TestSeriesOracle.params,
+           rest=st.lists(TestSeriesOracle.params, min_size=5, max_size=5),
+           z=st.floats(0.9, 0.999))
+    def test_w87_slow_against_direct_sum(self, q, a, rest, z):
+        exact = mp_w87(a, rest, z, q)
+        got = w87(a, *rest, z, QContext(q, max_terms=10**6))
+        assert abs(got - exact) <= 1e-13 * abs(exact)
