@@ -28,11 +28,16 @@ def qpow(q: complex, z: complex) -> complex:
     return cmath.exp(complex(z) * cmath.log(complex(q)))
 
 
-def _in_q_power_window(value: complex, q: complex, lo: int, hi: int,
-                       tol: float = _GENERICITY_TOL) -> bool:
+def _near_q_power(value: complex, q: complex, lo: int, hi: int,
+                  tol: float = _GENERICITY_TOL, floor: float = 1.0) -> bool:
+    """Whether |value - q^k| <= tol * max(|q^k|, floor) for some lo <= k <= hi.
+
+    The genericity checks keep floor 1 (a margin absolute below 1); the
+    samplers pass 1e-12 (a margin relative to every power)."""
+    q = complex(q)
     for k in range(lo, hi + 1):
-        target = complex(q) ** k
-        if abs(value - target) <= tol * max(1.0, abs(target)):
+        target = q**k
+        if abs(value - target) <= tol * max(abs(target), floor):
             return True
     return False
 
@@ -64,7 +69,7 @@ class HeineParams:
             raise DomainError("Heine parameters a, b and c must be nonzero")
 
     def validate_generic(self, ctx: QContext):
-        if _in_q_power_window(complex(self.c), ctx.q, -_GENERICITY_WINDOW, 0):
+        if _near_q_power(complex(self.c), ctx.q, -_GENERICITY_WINDOW, 0):
             raise GenericityError("c must avoid q^{-n}, n >= 0, for series at 0")
 
 
@@ -92,10 +97,10 @@ class Params2:
 
     def validate_generic(self, ctx: QContext):
         ratio = self.B / self.A
-        if _in_q_power_window(ratio, ctx.q, -1, _GENERICITY_WINDOW):
+        if _near_q_power(ratio, ctx.q, -1, _GENERICITY_WINDOW):
             raise GenericityError("B/A must avoid q^{Z >= -1}")
-        if _in_q_power_window(qpow(ctx.q, self.alpha + 1) * ratio, ctx.q,
-                              -_GENERICITY_WINDOW, 0):
+        if _near_q_power(qpow(ctx.q, self.alpha + 1) * ratio, ctx.q,
+                         -_GENERICITY_WINDOW, 0):
             raise GenericityError("q^(alpha+1) B/A must avoid q^{Z <= 0}")
 
     def lam(self, ctx: QContext) -> complex:
@@ -132,8 +137,8 @@ class Params3:
             raise BalanceError("need a1 a2 a3 A = q^2 b1 b2 b3 B")
 
     def validate_generic(self, ctx: QContext):
-        if _in_q_power_window(self.B / self.A, ctx.q,
-                              -_GENERICITY_WINDOW, _GENERICITY_WINDOW):
+        if _near_q_power(self.B / self.A, ctx.q,
+                         -_GENERICITY_WINDOW, _GENERICITY_WINDOW):
             raise GenericityError("B/A must avoid integer powers of q")
 
     def lam(self, ctx: QContext) -> complex:

@@ -201,9 +201,13 @@ def check_relations(group: str, state: tuple, ctx: QContext) -> dict[str, float]
     }
 
 
-def orbit(group: str, state: tuple, ctx: QContext, max_size: int = 4096) -> list[tuple]:
+_ORBIT_MAX_SIZE = 4096
+
+
+def orbit(group: str, state: tuple, ctx: QContext) -> list[tuple]:
     """Closure of a state under the group generators (states deduplicated to
-    nine digits)."""
+    nine digits; the search stops once it holds more than ``_ORBIT_MAX_SIZE``
+    states)."""
     n_gen = {"G1": 4, "G2": 4, "G3": 6}[group]
 
     def key(s: tuple) -> tuple:
@@ -215,7 +219,7 @@ def orbit(group: str, state: tuple, ctx: QContext, max_size: int = 4096) -> list
 
     seen = {key(state): state}
     frontier = [state]
-    while frontier and len(seen) <= max_size:
+    while frontier and len(seen) <= _ORBIT_MAX_SIZE:
         nxt = []
         for s in frontier:
             for i in range(1, n_gen + 1):

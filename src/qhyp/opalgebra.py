@@ -31,9 +31,10 @@ from .errors import (
 from .qcore import QContext
 
 _ROOT_RESIDUAL = 1e-13
+_DK_MAX_ITER = 600
 
 
-def durand_kerner(coeffs: list[complex], max_iter: int = 600) -> list[complex]:
+def durand_kerner(coeffs: list[complex]) -> list[complex]:
     """All complex roots of sum_k coeffs[k] y^k (ascending order, degree >= 1)
     by simultaneous Weierstrass iteration with residual target 1e-13."""
     c = [complex(v) for v in coeffs]
@@ -57,7 +58,7 @@ def durand_kerner(coeffs: list[complex], max_iter: int = 600) -> list[complex]:
             acc = acc * z + v
         return acc
 
-    for _ in range(max_iter):
+    for _ in range(_DK_MAX_ITER):
         moved = 0.0
         for i in range(n):
             num = horner(roots[i])
@@ -231,16 +232,9 @@ class QDiffOperator:
 
     def apply(self, f: Callable[[complex], complex], x: complex) -> complex:
         """(L f)(x) = sum a_{ij} x^i f(q^j x)."""
-        x = complex(x)
-        if x == 0 and self.x_min < 0:
+        if complex(x) == 0 and self.x_min < 0:
             raise ValueError("operator has negative x-powers; x must be nonzero")
-        fvals: dict[int, complex] = {}
-        total = 0.0 + 0.0j
-        for (i, j), c in self.coeffs.items():
-            if j not in fvals:
-                fvals[j] = complex(f(self.q**j * x))
-            total += c * x**i * fvals[j]
-        return total
+        return sum(self.apply_terms(f, x), 0j)
 
     def apply_terms(self, f: Callable[[complex], complex], x: complex) -> list[complex]:
         """The individual terms a_{ij} x^i f(q^j x); their sum is apply()."""
@@ -333,17 +327,18 @@ class QDiffOperator:
         L_1(a) = 0; at x = infinity requires a and a/q among the roots of
         L_M and decides by L_{M-1}(a) = 0.
         """
-        a = complex(a)
+        if side not in ("x0", "xinf"):
+            raise ValueError("side must be 'x0' or 'xinf'")
+        return self._nonlog(complex(a), side, self.char_roots(side, ctx), ctx)
+
+    def _nonlog(self, a: complex, side: str, roots: tuple[complex, ...], ctx: QContext) -> bool:
+        """``is_nonlog`` given the characteristic roots at ``side``."""
         if side == "x0":
-            roots = self.char_roots("x0", ctx)
             pair = (a, a * self.q)
             m_test = 1
-        elif side == "xinf":
-            roots = self.char_roots("xinf", ctx)
+        else:
             pair = (a, a / self.q)
             m_test = self.x_max - self.x_min - 1
-        else:
-            raise ValueError("side must be 'x0' or 'xinf'")
 
         def present(value: complex) -> bool:
             return any(abs(r - value) <= 1e-6 * max(1.0, abs(value)) for r in roots)
@@ -384,7 +379,7 @@ class QDiffOperator:
                     if abs(s / r - self.q) <= 1e-8 * max(1.0, abs(self.q)):
                         probe = r if side == "x0" else s
                         try:
-                            if self.is_nonlog(probe, side, ctx):
+                            if self._nonlog(probe, side, roots, ctx):
                                 return r
                         except PreconditionError:
                             continue

@@ -5,6 +5,7 @@ sampling windows, convergence room)."""
 from __future__ import annotations
 
 import cmath
+from dataclasses import fields
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .equations import (
     HeunParams,
     Params2,
     Params3,
+    _near_q_power,
     qpow,
 )
 from .qcore import QContext
@@ -32,21 +34,9 @@ def _mod(rng: np.random.Generator, lo: float, hi: float, phase: float = 0.85) ->
     return rng.uniform(lo, hi) * _unit(rng, phase)
 
 
-def _q_window_clear(value: complex, q: complex, lo: int, hi: int, margin: float) -> bool:
-    for k in range(lo, hi + 1):
-        t = complex(q) ** k
-        if abs(value - t) <= margin * max(abs(t), 1e-12):
-            return False
-    return True
-
-
-def _pairwise_clear(vals_num, vals_den, q, margin=0.05, window=40) -> bool:
-    """Every ratio n/d stays ``margin`` away from integer powers of q."""
-    for n in vals_num:
-        for d in vals_den:
-            if not _q_window_clear(n / d, q, -window, window, margin):
-                return False
-    return True
+def _clear(values, q: complex, window: int = 40, margin: float = 0.05) -> bool:
+    """Every value stays ``margin`` (relative) away from q^k, |k| <= window."""
+    return not any(_near_q_power(v, q, -window, window, margin, 1e-12) for v in values)
 
 
 def draw_params3(
@@ -67,9 +57,9 @@ def draw_params3(
         B = _mod(rng, 0.9, 1.3)
         A = q**2 * b[0] * b[1] * b[2] * B / (a[0] * a[1] * a[2])
         p = Params3(a[0], a[1], a[2], b[0], b[1], b[2], A, B)
-        if not _q_window_clear(B / A, q, -64, 64, 1e-3):
+        if not _clear([B / A], q, 64, 1e-3):
             continue
-        if not _pairwise_clear(b, a, q):
+        if not _clear((n / d for n in b for d in a), q):
             continue
         if series_room and (abs(q * b[2] / a[0]) > 0.85 or abs(q * B / A) > 0.85):
             continue
@@ -92,11 +82,11 @@ def draw_params2(
         B = _mod(rng, 0.9, 1.3)
         A = qpow(q, alpha + 1) * b[0] * b[1] * B / (a[0] * a[1])
         p = Params2(alpha, a[0], a[1], b[0], b[1], A, B)
-        if not _q_window_clear(B / A, q, -64, 64, 1e-3):
+        if not _clear([B / A], q, 64, 1e-3):
             continue
-        if not _q_window_clear(qpow(q, alpha), q, -8, 8, 0.02):
+        if not _clear([qpow(q, alpha)], q, 8, 0.02):
             continue
-        if not _pairwise_clear(b, a, q):
+        if not _clear((n / d for n in b for d in a), q):
             continue
         if series_room and abs(A / B) > 0.85:
             continue
@@ -113,7 +103,7 @@ def draw_heine(rng: np.random.Generator, ctx: QContext) -> HeineParams:
         c = _mod(rng, 0.5, 1.6, phase=0.7)
         p = HeineParams(a, b, c)
         vals = [a, b, c, a * b / c, a / b, c / a, c / b, a * q / c, b * q / c]
-        if not _pairwise_clear(vals, [1.0], q, margin=0.04, window=12):
+        if not _clear(vals, q, 12, 0.04):
             continue
         if abs(a * b / c) > 6 or abs(a * b / c) < 0.15:
             continue
@@ -135,7 +125,7 @@ def draw_params2_terminating(
         A = q ** (-n) * B
         alpha = cmath.log(a[0] * a[1] * A / (b[0] * b[1] * B)) / cmath.log(q) - 1
         p = Params2(alpha, a[0], a[1], b[0], b[1], A, B)
-        if not _pairwise_clear(b, a, q):
+        if not _clear((n / d for n in b for d in a), q):
             continue
         return p
     raise RuntimeError("could not draw terminating degree-two parameters")
@@ -162,61 +152,58 @@ def draw_heine_for(
     return p if terminating is None else terminating(p, complex(ctx.q), n)
 
 
-def draw_heun(rng: np.random.Generator, ctx: QContext) -> HeunParams:
-    return HeunParams(
-        h1=_expn(rng), h2=_expn(rng), l1=_expn(rng), l2=_expn(rng),
-        t1=_mod(rng, 0.6, 1.5), t2=_mod(rng, 0.6, 1.5),
-        alpha1=_expn(rng), alpha2=_expn(rng), beta=_expn(rng),
-        E=_mod(rng, 0.3, 1.2),
-    )
-
-
-def draw_heun3(rng: np.random.Generator, ctx: QContext) -> Heun3Params:
-    return Heun3Params(
-        h1=_expn(rng), h2=_expn(rng), h3=_expn(rng),
-        l1=_expn(rng), l2=_expn(rng), l3=_expn(rng),
-        t1=_mod(rng, 0.6, 1.5), t2=_mod(rng, 0.6, 1.5), t3=_mod(rng, 0.6, 1.5),
-        beta=_expn(rng), E=_mod(rng, 0.3, 1.2),
-    )
-
-
-def draw_h2(rng: np.random.Generator, ctx: QContext) -> H2Params:
-    return H2Params(
-        h1=_expn(rng), h2=_expn(rng), l1=_expn(rng), l2=_expn(rng),
-        t1=_mod(rng, 0.6, 1.5), t2=_mod(rng, 0.6, 1.5),
-        alpha1=_expn(rng), alpha2=_expn(rng),
-    )
-
-
-def draw_h3(rng: np.random.Generator, ctx: QContext) -> H3Params:
-    return H3Params(
-        h1=_expn(rng), h2=_expn(rng), h3=_expn(rng),
-        l1=_expn(rng), l2=_expn(rng), l3=_expn(rng),
-        t1=_mod(rng, 0.6, 1.5), t2=_mod(rng, 0.6, 1.5), t3=_mod(rng, 0.6, 1.5),
-        alpha=_expn(rng),
-    )
-
-
 def _expn(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.25, 0.25))
 
 
+def _draw_fields(cls, rng: np.random.Generator):
+    """One draw per dataclass field, in field order: a modulus for every t*
+    and for the accessory parameter E, a small exponent for the rest."""
+    drawn = {}
+    for f in fields(cls):
+        if f.name.startswith("t"):
+            drawn[f.name] = _mod(rng, 0.6, 1.5)
+        elif f.name == "E":
+            drawn[f.name] = _mod(rng, 0.3, 1.2)
+        else:
+            drawn[f.name] = _expn(rng)
+    return cls(**drawn)
+
+
+def draw_heun(rng: np.random.Generator, ctx: QContext) -> HeunParams:
+    return _draw_fields(HeunParams, rng)
+
+
+def draw_heun3(rng: np.random.Generator, ctx: QContext) -> Heun3Params:
+    return _draw_fields(Heun3Params, rng)
+
+
+def draw_h2(rng: np.random.Generator, ctx: QContext) -> H2Params:
+    return _draw_fields(H2Params, rng)
+
+
+def draw_h3(rng: np.random.Generator, ctx: QContext) -> H3Params:
+    return _draw_fields(H3Params, rng)
+
+
+# the e2/e3 entries look their drawer up when called, so a wrapper installed on
+# the module attribute sees those draws too
+_DRAWERS = {
+    "heine": draw_heine,
+    "qheun": draw_heun,
+    "qheun3": draw_heun3,
+    "h2": draw_h2,
+    "h3": draw_h3,
+    "e2": lambda rng, ctx: draw_params2(rng, ctx, series_room=True),
+    "e3": lambda rng, ctx: draw_params3(rng, ctx, series_room=True),
+}
+
+
 def draw_equation_params(kind: str, rng: np.random.Generator, ctx: QContext):
-    if kind == "heine":
-        return draw_heine(rng, ctx)
-    if kind == "qheun":
-        return draw_heun(rng, ctx)
-    if kind == "qheun3":
-        return draw_heun3(rng, ctx)
-    if kind == "h2":
-        return draw_h2(rng, ctx)
-    if kind == "h3":
-        return draw_h3(rng, ctx)
-    if kind == "e2":
-        return draw_params2(rng, ctx, series_room=True)
-    if kind == "e3":
-        return draw_params3(rng, ctx, series_room=True)
-    raise ValueError(f"unknown equation kind {kind!r}")
+    drawer = _DRAWERS.get(kind)
+    if drawer is None:
+        raise ValueError(f"unknown equation kind {kind!r}")
+    return drawer(rng, ctx)
 
 
 def default_sigma(p: Params2) -> complex:

@@ -526,9 +526,12 @@ def incidence_matrix() -> np.ndarray:
     ], dtype=float)
 
 
-def incidence_rank(tol: float = 1e-12) -> int:
+_INCIDENCE_TOL = 1e-12
+
+
+def incidence_rank() -> int:
     svals = np.linalg.svd(incidence_matrix(), compute_uv=False)
-    return int((svals > tol * svals[0]).sum())
+    return int((svals > _INCIDENCE_TOL * svals[0]).sum())
 
 
 def casoratian(
@@ -886,9 +889,10 @@ def all_labels(family: str) -> list[str]:
     return labels
 
 
-def sample_points(
-    handle: SolutionHandle, n: int, ctx: QContext, spread: float = 25.0
-) -> list[float]:
+_SAMPLE_SPREAD = 25.0
+
+
+def sample_points(handle: SolutionHandle, n: int, ctx: QContext) -> list[float]:
     """Log-spaced positive sample points keeping x q^j inside the handle's
     interval for every T-power j of its operator; unbounded interval sides
     fall back to the handle's natural scale."""
@@ -899,14 +903,13 @@ def sample_points(
     hi_eff = hi * q ** (-jmin) if (np.isfinite(hi) and jmin < 0) else hi
     s = handle.scale
     if lo_eff <= 0 and not np.isfinite(hi_eff):
-        lo_s, hi_s = s / np.sqrt(spread), s * np.sqrt(spread)
+        lo_s, hi_s = s / np.sqrt(_SAMPLE_SPREAD), s * np.sqrt(_SAMPLE_SPREAD)
     elif lo_eff <= 0:
-        hi_s = min(hi_eff * 0.92, s * np.sqrt(spread))
-        lo_s = hi_s / spread
+        hi_s = min(hi_eff * 0.92, s * np.sqrt(_SAMPLE_SPREAD))
+        lo_s = hi_s / _SAMPLE_SPREAD
     elif not np.isfinite(hi_eff):
-        lo_s = max(lo_eff * 1.1, s / np.sqrt(spread))
-        lo_s = lo_eff * 1.1 if lo_s < lo_eff * 1.1 else lo_s
-        hi_s = lo_s * spread
+        lo_s = max(lo_eff * 1.1, s / np.sqrt(_SAMPLE_SPREAD))
+        hi_s = lo_s * _SAMPLE_SPREAD
     else:
         lo_s, hi_s = lo_eff * 1.08, hi_eff * 0.92
     if lo_s >= hi_s:
