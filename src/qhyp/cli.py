@@ -76,6 +76,15 @@ def parse_params(kind: str, raw: dict):
     return cls(**{f.name: as_complex(raw[f.name]) for f in fields if f.name in raw})
 
 
+def positive_count(job: dict, key: str, default: int) -> int:
+    """job[key] (default when absent) as a count: a positive JSON integer;
+    booleans, fractions, strings and non-positive values are input errors."""
+    value = job.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise JobError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def build_context(job: dict) -> QContext:
     raw = job.get("ctx", {})
     q = as_complex(raw.get("q", 0.5))
@@ -158,7 +167,7 @@ def cmd_config(job: dict, rng, ctx: QContext, report: Report):
                     "product_relation_dev": cfg.product_relation_deviation()})
         return
     kind = job.get("equation")
-    if kind not in BUILDERS:
+    if not isinstance(kind, str) or kind not in BUILDERS:
         raise JobError(f"equation must be one of {sorted(BUILDERS)}")
     p = get_equation_params(job, kind, rng, ctx)
     op = BUILDERS[kind](p, ctx)
@@ -204,7 +213,7 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
 def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
     """Per-label max relative residual under the claimed operator."""
     labels = _expand_labels(job, job.get("equation"))
-    n_samples = int(job.get("samples", 10))
+    n_samples = positive_count(job, "samples", 10)
     kinds = {CATALOGUE[lab].equation for lab in labels}
     params_by_kind = {}
     for kind in sorted(kinds):
@@ -342,7 +351,7 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
     """Records of |f(x)| along the positive axis for plotting; written as
     CSV when the output file ends in .csv."""
     labels = _expand_labels(job, job.get("equation"))
-    n = int(job.get("samples", 32))
+    n = positive_count(job, "samples", 32)
     for label in sorted(labels):
         p = get_equation_params(job, CATALOGUE[label].equation, rng, ctx)
         try:

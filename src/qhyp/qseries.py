@@ -10,10 +10,11 @@ plain power series with radius 1.
 
 ``phi``, ``w87`` and both sides of ``psi33`` are term-ratio sums: each builds
 its step ratios t_{n+1} / t_n as arrays over a chunk of n and hands them to
-the one series kernel, :func:`qhyp.qcore._ratio_sum`.  A denominator factor
-that vanishes to rounding (:func:`qhyp.qcore._vanishes`) before the sum ends
-raises PoleError; a numerator parameter q^-n ends the series after term n;
-divergence is refused up front (DivergenceError, AnnulusError).
+the one series kernel, :func:`qhyp.qcore._ratio_sum`, as a batch of one row.
+A denominator factor that vanishes to rounding (:func:`qhyp.qcore._vanishes`)
+before the sum ends raises PoleError; a numerator parameter q^-n ends the
+series after term n; divergence is refused up front (DivergenceError,
+AnnulusError).
 ``appell_phi1`` is a double series and keeps its own loop.
 """
 
@@ -26,7 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
-from .qcore import QContext, _Tail, _quotient, _ratio_sum, _termination_order, _vanishes, qpoch_ratio
+from .qcore import (
+    QContext,
+    _one,
+    _quotient,
+    _ratio_sum,
+    _Tail,
+    _termination_order,
+    _vanishes,
+    qpoch_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -63,14 +73,15 @@ def phi(spec: PhiSpec, ctx: QContext) -> complex:
 
     params = np.array((*nums, *dens, q), dtype=complex)[:, None]
 
-    def step(ns: np.ndarray) -> np.ndarray:
+    def step(rows: list, ns: np.ndarray) -> np.ndarray:
         qn = q**ns
         ratio = _quotient(1.0 - params * qn, r)
         ratio *= z * (-qn) ** p if p else z
-        return ratio
+        return ratio[None]
 
-    return _ratio_sum(1.0, step, ctx, z if p == 0 else 0.0, max(map(abs, (*nums, *dens, q))),
-                      "q-hypergeometric series", last=n_stop, pole=_termination_order(dens, ctx))
+    return _one(_ratio_sum([1.0], step, ctx, [z if p == 0 else 0.0],
+                           [max(map(abs, (*nums, *dens, q)))], "q-hypergeometric series",
+                           last=[n_stop], pole=[_termination_order(dens, ctx)]))
 
 
 def phi21(a: complex, b: complex, c: complex, z: complex, ctx: QContext) -> complex:
@@ -100,9 +111,9 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
     poles = _termination_order(b, ctx), _termination_order([q / v for v in a], ctx)
     ab, ba = np.array(a + b)[:, None], np.array(b + a)[:, None]
 
-    def up(ns: np.ndarray) -> np.ndarray:
+    def up(rows: list, ns: np.ndarray) -> np.ndarray:
         """t_{n+1} / t_n for n >= 0."""
-        return z * _quotient(1.0 - ab * q ** ns.astype(complex), 3)
+        return z * _quotient(1.0 - ab * q ** ns.astype(complex), 3)[None]
 
     def down(ks: np.ndarray) -> np.ndarray:
         """t_{n-1} / t_n for n = -k: with u = q^{1-n}, 1 - c q^{n-1} = (u - c) / u,
@@ -110,11 +121,13 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
         return _quotient(q ** (1 + ks).astype(complex) - ba, 3) / z
 
     reach = np.abs(ab)
-    value = _ratio_sum(1.0, up, ctx, z, reach.max(), "psi33 upward tail", pole=poles[0])
+    value = _one(_ratio_sum([1.0], up, ctx, [z], [reach.max()], "psi33 upward tail",
+                            pole=[poles[0]]))
     if poles[1] is not None:
         raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
-    return value + _ratio_sum(down(np.array([0]))[0], lambda ks: down(ks + 1), ctx,
-                              inner / z, (abs(q * q) / reach).max(), "psi33 downward tail")
+    return value + _one(_ratio_sum([down(np.array([0]))[0]], lambda rows, ks: down(ks + 1)[None],
+                                   ctx, [inner / z], [(abs(q * q) / reach).max()],
+                                   "psi33 downward tail"))
 
 
 def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,
@@ -135,15 +148,15 @@ def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, 
     num = np.array((a, *params), dtype=complex)[:, None]
     den = np.array((*dens, q), dtype=complex)[:, None]
 
-    def step(ns: np.ndarray) -> np.ndarray:
+    def step(rows: list, ns: np.ndarray) -> np.ndarray:
         """(a, b, ..., f)_n / (q, qa/b, ..., qa/f)_n steps and the very-well-poised
         (1 - a q^{2n+2}) / (1 - a q^{2n})."""
         qn = q**ns
         sq = a * qn * qn
-        return z * _quotient(1.0 - np.vstack((num * qn, q * q * sq, den * qn, sq)), 7)
+        return z * _quotient(1.0 - np.vstack((num * qn, q * q * sq, den * qn, sq)), 7)[None]
 
-    return _ratio_sum(1.0, step, ctx, z, max(map(abs, (a, *params, *dens, q))), "w87 series",
-                      last=n_stop, pole=pole)
+    return _one(_ratio_sum([1.0], step, ctx, [z], [max(map(abs, (a, *params, *dens, q)))],
+                           "w87 series", last=[n_stop], pole=[pole]))
 
 
 def is_balanced_w87(

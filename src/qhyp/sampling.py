@@ -200,7 +200,7 @@ _DRAWERS = {
 
 
 def draw_equation_params(kind: str, rng: np.random.Generator, ctx: QContext):
-    drawer = _DRAWERS.get(kind)
+    drawer = _DRAWERS.get(kind) if isinstance(kind, str) else None
     if drawer is None:
         raise ValueError(f"unknown equation kind {kind!r}")
     return drawer(rng, ctx)

@@ -2,18 +2,21 @@
 verification, and the relation checks among the integrals.
 
 Integral evaluators sum Jordan-Pochhammer integrands over q-grids with
-:func:`_grid_sum`, for one-sided and bilateral endpoints alike: the
-integrand at the endpoint is a single Pochhammer-ratio evaluation, and each
-direction of the grid is a term-ratio sum of the series kernel of
-:mod:`qhyp.qcore` (chunked, stopped by its tail rule), with the grid weights
-t^alpha w(t) applied per chunk.  Zeros and poles on the grid are refused up
-front by the one zero test of :mod:`qhyp.qcore`.
+:func:`_grid_sum`, for one-sided and bilateral endpoints alike, one row per
+grid start and many rows in one batch: the integrands at the grid starts are
+one row-wise Pochhammer-ratio evaluation, and each direction of the grids is
+a term-ratio sum of the series kernel of :mod:`qhyp.qcore` (chunked, stopped
+row by row by its tail rule), with the grid weights t^alpha w(t) applied per
+chunk.  Zeros and poles on a grid are refused up front, row by row, by the
+one zero test of :mod:`qhyp.qcore`.
 
 Each integral solution is the difference of two single-endpoint integrals of
 one integrand.  A :class:`JacksonTable` holds those of one parameter tuple
 and computes each once, so the pair labels of a job that share an endpoint
-and a sample point share its grid sum; an evaluator given no table uses a
-throwaway one, with the same values.
+and a sample point share its grid sum.  :func:`residual` has a handle's table
+fill every point x q^j of an endpoint in one batch before it evaluates
+anything; a lone lookup is the one-row case of the same kernel, with the
+same value bit for bit.  An evaluator given no table uses a throwaway one.
 
 The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
 (end of the module): the operator a label solves, its endpoint pair or its
@@ -43,7 +46,15 @@ from .equations import (
     qpow,
 )
 from .opalgebra import QDiffOperator
-from .qcore import QContext, _quotient, _ratio_sum, _termination_order, qpoch_ratio
+from .qcore import (
+    QContext,
+    _one,
+    _pochhammer_product,
+    _quotient,
+    _ratio_sum,
+    _termination_order,
+    qpoch_ratio,
+)
 from .qseries import PhiSpec, phi, w87
 
 
@@ -106,120 +117,155 @@ class Endpoint:
 
 
 def _grid_sum(
-    tau: complex,
-    nums: Sequence[complex],
-    dens: Sequence[complex],
+    taus: Sequence[complex],
+    nums: Sequence[Sequence[complex]],
+    dens: Sequence[Sequence[complex]],
     ctx: QContext,
     alpha: complex = 0.0,
     weighted: bool = True,
     bilateral: bool = False,
-) -> complex:
-    """(1-q) sum over the grid t = tau q^n of  t^alpha w(t) F(t),
-    F(t) = prod (n_i t)_inf / (d_j t)_inf,  with w = t for the plain measure
-    (weighted) and w = 1 for dq t / t.
+) -> list:
+    """Row r: (1-q) sum over the grid t = tau_r q^n of  t^alpha w(t) F_r(t),
+    F_r(t) = prod_i (n_ri t)_inf / prod_j (d_rj t)_inf,  with w = t for the
+    plain measure (weighted) and w = 1 for dq t / t; one row per grid start
+    ``taus[r]``, with its arguments ``nums[r]`` and ``dens[r]``.
+
+    Returns one entry per row: its sum, or the error it raises.  The rows
+    are summed in one batch, and each row's value is the same, bit for bit,
+    whatever rows share the batch (a scalar caller passes one row).
 
     One-sided sums run n >= 0; the bilateral version adds the n < 0 tail and
-    needs equally many numerator and denominator arguments.  F(tau) is one
-    Pochhammer-ratio evaluation; each direction is then a term-ratio sum of
-    the series kernel of :mod:`qhyp.qcore`, with the step ratios
-    F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t) and the weights
-    t^alpha w(t) applied per chunk.  t^alpha is exp(alpha (log tau + n log q)),
-    single-valued along the grid.
+    needs equally many numerator and denominator arguments.  The seeds
+    F_r(tau_r) are one row-wise Pochhammer-ratio evaluation; each direction
+    is then a term-ratio sum of the series kernel of :mod:`qhyp.qcore`, with
+    the step ratios F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t) and
+    the weights t^alpha w(t) applied per chunk.  t^alpha is
+    exp(alpha (log tau + n log q)), single-valued along the grid.  A row
+    whose tau is 0 sums to 0.
 
     Zeros: F is zero on an ascending run of the grid that ends where a
     factor 1 - n_i t vanishes, and the recurrence cannot step out of it.  Such
     a run always holds the grid start, so a seed that is exactly zero, or an
     argument n_i tau that is q^-k to rounding (:func:`_termination_order`),
-    raises UnsupportedCaseError up front.  Descending, a vanishing numerator
-    factor makes the rest of the tail exactly zero, which the tail rule ends;
-    a vanishing denominator factor anywhere within the budget is a pole
-    (PoleError, also up front).
+    is refused up front (UnsupportedCaseError).  Descending, a vanishing
+    numerator factor makes the rest of the tail exactly zero, which the tail
+    rule ends; a vanishing denominator factor anywhere within the budget is
+    a pole (PoleError, also up front).
     """
     q = complex(ctx.q)
-    tau = complex(tau)
-    if tau == 0:
-        return 0.0 + 0.0j
-    nums = np.array([complex(v) for v in nums])
-    dens = np.array([complex(v) for v in dens])
     alpha = complex(alpha)
-    log_tau = cmath.log(tau)
+    taus = np.array(taus, dtype=complex)
+    nums = np.array(nums, dtype=complex).reshape(len(taus), -1)
+    dens = np.array(dens, dtype=complex).reshape(len(taus), -1)
+    n_num = nums.shape[1]
+    out: list = [0.0 + 0.0j if tau == 0 else None for tau in taus]
+    starts = np.hstack((nums, dens)) * taus[:, None]
+    live = np.flatnonzero(taus != 0)
+    for r, seed in zip(live, _pochhammer_product(starts[live], n_num, ctx)):
+        if isinstance(seed, Exception):
+            out[r] = seed
+        elif seed == 0 or _termination_order(starts[r, :n_num], ctx) is not None:
+            out[r] = UnsupportedCaseError(
+                f"integrand vanishes at the grid start {complex(taus[r])}")
+        else:
+            out[r] = seed
+    live = np.array([r for r in live if not isinstance(out[r], Exception)], dtype=int)
+    if not live.size:
+        return out
+    seed = np.array([out[r] for r in live])
+    tau, nums, dens = taus[live], nums[live], dens[live]
+    log_tau = np.log(tau)
     log_q = cmath.log(q)
-    seed = qpoch_ratio(nums * tau, dens * tau, ctx)
-    if seed == 0 or _termination_order(nums * tau, ctx) is not None:
-        raise UnsupportedCaseError(f"integrand vanishes at the grid start {tau}")
 
-    def weigh(ns: np.ndarray, F: np.ndarray) -> np.ndarray:
+    def weigh(rows: Sequence[int], ns: np.ndarray, F: np.ndarray) -> np.ndarray:
         if alpha != 0:
-            F = F * np.exp(alpha * (log_tau + ns * log_q))
-        return F * (tau * q**ns) if weighted else F
+            F = F * np.exp(alpha * (log_tau[rows, None] + ns * log_q))
+        return F * (tau[rows, None] * q**ns) if weighted else F
 
-    dn, nd = np.concatenate((dens, nums))[:, None], np.concatenate((nums, dens))[:, None]
+    dn, nd = np.hstack((dens, nums)).T[:, :, None], np.hstack((nums, dens))
 
-    def up(ns: np.ndarray) -> np.ndarray:
+    def up(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t q) / F(t) at t = tau q^n."""
-        return _quotient(1.0 - dn * (tau * q**ns), len(dens))
+        return _quotient(1.0 - dn[:, rows] * (tau[rows, None] * q**ns), dens.shape[1])
 
-    def down(ns: np.ndarray) -> np.ndarray:
+    def down(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
         powers of t/q cancel between numerator and denominator, and q/t
         underflows harmlessly."""
-        return _quotient(q / (tau * q**ns) - nd, len(nums))
+        return _quotient(q / (tau[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
 
     # upwards the step ratio tends to q^(alpha + 1) (weighted) or q^alpha
     rate = cmath.exp((alpha + (1 if weighted else 0)) * log_q)
-    value = _ratio_sum(seed, up, ctx, rate, np.abs(nd * tau).max(), "Jackson sum", weigh=weigh)
+    value = _ratio_sum(seed, up, ctx, [rate] * len(seed), np.abs(nd * tau[:, None]).max(axis=1),
+                       "Jackson sum", weigh=weigh)
     if bilateral:
         # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
-        if _termination_order(q / (tau * dens), ctx) is not None:
-            raise PoleError("integrand pole on the descending grid")
-        value += _ratio_sum(
-            seed * down(np.array([0]))[0], lambda ks: down(-1 - ks), ctx,
-            np.prod(nums) / np.prod(dens) / rate,
-            np.abs(q * q / (tau * nd)).max(), "Jackson sum",
-            weigh=lambda ks, F: weigh(-1 - ks, F))
-    return (1.0 - q) * value
+        for i in range(len(live)):
+            if (not isinstance(value[i], Exception)
+                    and _termination_order(q / (tau[i] * dens[i]), ctx) is not None):
+                value[i] = PoleError("integrand pole on the descending grid")
+        rows = np.array([i for i, v in enumerate(value) if not isinstance(v, Exception)], dtype=int)
+        tails = _ratio_sum(
+            seed[rows] * down(rows, np.array([0]))[:, 0], lambda sub, ks: down(rows[sub], -1 - ks),
+            ctx, np.prod(nums[rows], axis=1) / np.prod(dens[rows], axis=1) / rate,
+            np.abs(q * q / (tau[rows, None] * nd[rows])).max(axis=1), "Jackson sum",
+            weigh=lambda sub, ks, F: weigh(rows[sub], -1 - ks, F))
+        for i, v in zip(rows, tails):
+            value[i] = v if isinstance(v, Exception) else value[i] + v
+    for r, v in zip(live, value):
+        out[r] = v if isinstance(v, Exception) else (1.0 - q) * v
+    return out
 
 
 # -- integral solution families -------------------------------------------------------
 
 
-def _phi3_single(p: Params3, e: Endpoint, x: complex, ctx: QContext) -> complex:
-    nums = (p.A * x, p.a1, p.a2, p.a3)
-    dens = (p.B * x, p.b1, p.b2, p.b3)
-    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, weighted=True)
+# Each integrand below gives the single-endpoint integrals of one parameter
+# tuple from one endpoint at many x: one grid row per x, summed in one batch,
+# and one entry per x, a value or the error its row raises.
 
 
-def _phi3_tilde_single(p: Params3, e: Endpoint, x: complex, ctx: QContext) -> complex:
+def _phi3_single(p: Params3, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
+    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
+                     [(p.A * x, p.a1, p.a2, p.a3) for x in xs],
+                     [(p.B * x, p.b1, p.b2, p.b3) for x in xs], ctx, weighted=True)
+
+
+def _phi3_tilde_single(p: Params3, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
     q = complex(ctx.q)
-    nums = (q / (p.B * x), q / p.b1, q / p.b2, q / p.b3)
-    dens = (q / (p.A * x), q / p.a1, q / p.a2, q / p.a3)
-    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, weighted=True)
+    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
+                     [(q / (p.B * x), q / p.b1, q / p.b2, q / p.b3) for x in xs],
+                     [(q / (p.A * x), q / p.a1, q / p.a2, q / p.a3) for x in xs], ctx,
+                     weighted=True)
 
 
-def _phi2_single(p: Params2, e: Endpoint, x: complex, ctx: QContext) -> complex:
+def _phi2_single(p: Params2, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
     if e.tag == "zero":
-        return 0.0 + 0.0j
-    nums = (p.A * x, p.a1, p.a2)
-    dens = (p.B * x, p.b1, p.b2)
-    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, alpha=p.alpha, weighted=False)
+        return [0.0 + 0.0j] * len(xs)
+    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
+                     [(p.A * x, p.a1, p.a2) for x in xs],
+                     [(p.B * x, p.b1, p.b2) for x in xs], ctx, alpha=p.alpha, weighted=False)
 
 
-def _phi2_tilde_single(p: Params2, e: Endpoint, x: complex, ctx: QContext) -> complex:
+def _phi2_tilde_single(p: Params2, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
     q = complex(ctx.q)
-    nums = (q / (p.B * x), q / p.b1, q / p.b2)
-    dens = (q / (p.A * x), q / p.a1, q / p.a2)
-    return _grid_sum(e.resolve(p, x, ctx), nums, dens, ctx, weighted=True,
+    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
+                     [(q / (p.B * x), q / p.b1, q / p.b2) for x in xs],
+                     [(q / (p.A * x), q / p.a1, q / p.a2) for x in xs], ctx, weighted=True,
                      bilateral=e.tag == "sigma_infinity")
 
 
 class JacksonTable:
     """The single-endpoint Jackson integrals of one parameter tuple under one
-    context, each computed on its first lookup; meant to live for one job.
+    context, each computed once; meant to live for one job.
 
     Entries are keyed by (integrand, endpoint, x): the integrand is one of the
     ``_*_single`` helpers above, the endpoint carries the free constant of the
-    bilateral endpoint, and x is compared by value.  A computation that
-    raises stores nothing, so every lookup of it raises anew.
+    bilateral endpoint, and x is compared by value.  :meth:`fill` computes
+    the missing entries of one integrand and endpoint at many x in one
+    batch; :meth:`value` looks one up and computes it alone if it is
+    missing.  A computation that raises stores nothing, so every lookup of
+    it computes it anew and raises.
     """
 
     __slots__ = ("params", "ctx", "_values")
@@ -229,12 +275,21 @@ class JacksonTable:
         self.ctx = ctx
         self._values: dict[tuple, complex] = {}
 
+    def fill(self, single: Callable, e: Endpoint, xs: Sequence[complex]) -> None:
+        """single(params, e, x, ctx) for every x of ``xs`` not yet held, in
+        one batch, in the order of ``xs``."""
+        todo = [x for x in dict.fromkeys(xs) if (single, e, x) not in self._values]
+        if todo:
+            for x, found in zip(todo, single(self.params, e, todo, self.ctx)):
+                if not isinstance(found, Exception):
+                    self._values[single, e, x] = found
+
     def value(self, single: Callable, e: Endpoint, x: complex) -> complex:
         """single(params, e, x, ctx), computed on the first lookup."""
         key = (single, e, x)
         found = self._values.get(key)
         if found is None:
-            found = self._values[key] = single(self.params, e, x, self.ctx)
+            found = self._values[key] = _one(single(self.params, e, [x], self.ctx))
         return found
 
 
@@ -428,7 +483,9 @@ def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> comple
 @dataclass
 class SolutionHandle:
     """A named evaluable solution: label, evaluator, positive-axis sampling
-    interval and scale, claimed operator and its T-power range."""
+    interval and scale, claimed operator and its T-power range.  An integral
+    handle also names the Jackson table it evaluates through and the
+    (integrand, endpoint) pairs of its two single integrals."""
 
     label: str
     evaluator: Callable[[complex], complex]
@@ -436,10 +493,18 @@ class SolutionHandle:
     equation: QDiffOperator
     params: object
     scale: float = 1.0
+    table: JacksonTable | None = None
+    integrals: tuple[tuple[Callable, Endpoint], ...] = ()
 
     def domain(self, x: complex) -> bool:
         lo, hi = self.interval
         return lo < abs(x) < hi
+
+    def fill(self, xs: Sequence[complex]) -> None:
+        """Compute the single integrals the evaluator reads at ``xs``, one
+        batch per endpoint; nothing for a series handle."""
+        for single, e in self.integrals:
+            self.table.fill(single, e, xs)
 
     def __call__(self, x: complex) -> complex:
         return self.evaluator(x)
@@ -452,14 +517,18 @@ def residual(
     ctx: QContext,
 ) -> float:
     """Max over sample points of |sum of operator terms| relative to the sum
-    of term magnitudes (backward-error style; floor keeps zeros harmless)."""
+    of term magnitudes (backward-error style; floor keeps zeros harmless).
+
+    A handle's single integrals at every point x q^j are computed before the
+    loop over the sample points, one batch per endpoint."""
     ev = f.evaluator if isinstance(f, SolutionHandle) else f
     if isinstance(f, SolutionHandle):
-        bad = [x for x in xs
-               for j in range(op.t_min, op.t_max + 1)
-               if not f.domain(complex(ctx.q) ** j * complex(x))]
+        # every point the operator reads, formed as apply_terms forms it
+        points = [op.q**j * complex(x) for x in xs for j in range(op.t_min, op.t_max + 1)]
+        bad = [y for y in points if not f.domain(y)]
         if bad:
             raise DomainError(f"points outside the solution domain: {sorted(set(map(abs, bad)))}")
+        f.fill(points)
     worst = 0.0
     for x in xs:
         terms = op.apply_terms(ev, x)
@@ -481,7 +550,7 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
     op = build_e3(p, ctx)
     if endpoint.tag in ("q_over_a", "q_over_Ax"):
         def F(y: complex) -> complex:
-            return _phi3_single(p, endpoint, y, ctx)
+            return _one(_phi3_single(p, endpoint, [y], ctx))
         terms = op.apply_terms(F, x)
         target = (1.0 - q) * q * (p.A - p.B) * complex(x) ** 2
     elif endpoint.tag in ("b", "Bx"):
@@ -489,7 +558,7 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
 
         def F(y: complex) -> complex:
             pref = cmath.exp(lam * cmath.log(complex(y)))
-            return pref * _phi3_tilde_single(p, endpoint, y, ctx)
+            return pref * _one(_phi3_tilde_single(p, endpoint, [y], ctx))
         terms = op.apply_terms(F, x)
         # the a1 a2 a3 / B factor is forced by expanding the integral at the
         # moving endpoint: the x^(lam+1) coefficient is
@@ -560,6 +629,8 @@ class Solution:
     evaluator: the name of the module function that evaluates the row; a
         series row passes it ``index``, an integral row its endpoint
         ``pair`` (the bilateral endpoint takes the handle's sigma).
+    single: integral rows only, the single-endpoint integrand (one of the
+        ``_*_single`` helpers) whose difference the evaluator takes.
     formula: series rows only, a function of the family's variables.  For
         ``thmser2``, ``heine`` and ``heine_extra`` it gives (prefactor,
         series): prefactor = (numerators, denominators) of a Pochhammer ratio
@@ -582,6 +653,7 @@ class Solution:
     scale: Callable[[Any, QContext], float]
     index: int = 0
     pair: tuple[Endpoint, Endpoint] | None = None
+    single: Callable | None = None
     formula: Callable | None = None
     exponent: Callable | None = None
     terminating: Callable | None = None
@@ -604,21 +676,21 @@ def _integral_rows():
     q/(Ax) (0..3) and thmint2.tilde over b1, b2, Bx, sigma*infinity (1..4);
     the label [i,j], i < j, is the integral from endpoint i to endpoint j."""
     families = (
-        ("thmint3.phi3", "phi3", "e3", 1, (Endpoint.q_over_a(1), Endpoint.q_over_a(2),
-                                            Endpoint.q_over_a(3), Endpoint.q_over_Ax())),
-        ("thmint3.tilde", "phi3_tilde", "e3", 1, (Endpoint.b(1), Endpoint.b(2),
-                                                  Endpoint.b(3), Endpoint.Bx())),
-        ("thmint2.phi2", "phi2", "e2", 0, (Endpoint.zero(), Endpoint.q_over_a(1),
-                                            Endpoint.q_over_a(2), Endpoint.q_over_Ax())),
-        ("thmint2.tilde", "phi2_tilde", "e2", 1, (Endpoint.b(1), Endpoint.b(2),
-                                                  Endpoint.Bx(), Endpoint.sigma_inf())),
+        ("thmint3.phi3", "phi3", _phi3_single, "e3", 1,
+         (Endpoint.q_over_a(1), Endpoint.q_over_a(2), Endpoint.q_over_a(3), Endpoint.q_over_Ax())),
+        ("thmint3.tilde", "phi3_tilde", _phi3_tilde_single, "e3", 1,
+         (Endpoint.b(1), Endpoint.b(2), Endpoint.b(3), Endpoint.Bx())),
+        ("thmint2.phi2", "phi2", _phi2_single, "e2", 0,
+         (Endpoint.zero(), Endpoint.q_over_a(1), Endpoint.q_over_a(2), Endpoint.q_over_Ax())),
+        ("thmint2.tilde", "phi2_tilde", _phi2_tilde_single, "e2", 1,
+         (Endpoint.b(1), Endpoint.b(2), Endpoint.Bx(), Endpoint.sigma_inf())),
     )
-    for name, evaluator, equation, first, ends in families:
+    for name, evaluator, single, equation, first, ends in families:
         for i, j in itertools.combinations(range(len(ends)), 2):
             yield Solution(f"{name}[{first + i},{first + j}]", equation, evaluator,
                            lambda p, ctx: (0.0, np.inf),
                            lambda p, ctx: 0.3 * integral_scale(p, ctx),
-                           pair=(ends[i], ends[j]))
+                           pair=(ends[i], ends[j]), single=single)
 
 
 def _thmser3(n: int, domain, formula) -> Solution:
@@ -858,7 +930,7 @@ def solution_handle(
 
     An integral label evaluates through ``table``, the single-endpoint
     integrals of ``params`` shared with the other labels of a job; without
-    one, each evaluation uses a throwaway table.  Series labels ignore it.
+    one, the handle keeps a table of its own.  Series labels ignore it.
     ``sigma`` is the free constant of the bilateral endpoint.
     """
     row = _row(label)
@@ -868,17 +940,19 @@ def solution_handle(
     evaluate = globals()[row.evaluator]
     if row.pair is None:
         which = row.index
+        table, integrals = None, ()
 
         def evaluator(x: complex) -> complex:
             return evaluate(params, which, x, ctx)
     else:
         e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
                   for e in row.pair)
+        table, integrals = _table_for(params, ctx, table), ((row.single, e1), (row.single, e2))
 
         def evaluator(x: complex) -> complex:
             return evaluate(params, e1, e2, x, ctx, table)
     return SolutionHandle(label, evaluator, row.domain(params, ctx), op, params,
-                          scale=row.scale(params, ctx))
+                          scale=row.scale(params, ctx), table=table, integrals=integrals)
 
 
 def all_labels(family: str) -> list[str]:

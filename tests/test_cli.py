@@ -248,3 +248,30 @@ class TestJobInput:
         if "E" in raw:
             without_e = {k: v for k, v in raw.items() if k != "E"}
             assert parse_params(kind, without_e) == dataclasses.replace(p, E=0.0)
+
+    @pytest.mark.parametrize("equation", [["e3"], {"kind": "e3"}, 3, None])
+    def test_equation_that_is_not_a_name_is_input_error(self, tmp_path, equation):
+        """A list or object "equation" is refused with exit 2, not a TypeError."""
+        job = {"equation": equation, "seed": 0}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="equation must be one of"):
+            run_job("config", job, io.StringIO())
+        with pytest.raises(ValueError, match="unknown equation kind"):
+            draw_equation_params(equation, np.random.default_rng(0), QContext(0.5))
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("samples", [0, -3, True, 2.7, 2.0, "4", None, [4]])
+    def test_samples_must_be_a_positive_integer(self, tmp_path, command, samples):
+        """0 used to pass after checking no point; true and 2.7 were read as
+        1 and 2."""
+        job = {"equation": "heine", "solutions": ["heine.1"], "seed": 0, "samples": samples}
+        assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="samples must be a positive integer"):
+            run_job(command, job, io.StringIO())
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_samples_accepts_positive_integers(self, command):
+        code, rows, _ = run(command, {"equation": "heine", "solutions": ["heine.1"],
+                                      "seed": 0, "samples": 1})
+        assert code == EXIT_OK
+        assert len(rows[0]["x"] if command == "sample" else range(rows[0]["samples"])) == 1

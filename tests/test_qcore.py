@@ -19,8 +19,9 @@ from qhyp.errors import (
 )
 from qhyp.qcore import (
     QContext,
-    _Tail,
+    _one,
     _ratio_sum,
+    _Tail,
     jackson_0_to_tau,
     jackson_bilateral,
     qpoch_fin,
@@ -238,7 +239,8 @@ class TestTailRule:
         here 3e-20 of a true 1e-17."""
         tail = _Tail(ctx)
         assert [tail.done(1e-20 * 0.999**n) for n in range(3)] == [False, False, True]
-        got = _ratio_sum(1e-20, lambda ns: np.full(len(ns), 0.999 + 0j), ctx, 0.999, 0.0, "tiny")
+        got = _one(_ratio_sum([1e-20], lambda rows, ns: np.full((1, len(ns)), 0.999 + 0j), ctx,
+                              [0.999], [0.0], "tiny"))
         assert got == pytest.approx(1e-20 * (1 + 0.999 + 0.999**2), rel=1e-15)
 
     @given(
@@ -263,6 +265,70 @@ class TestTailRule:
                 break
             start = end
         assert got == expected
+
+
+class TestBatchedSeriesKernel:
+    """The series kernel sums many rows in one batch.  Here the rows cross
+    chunk boundaries and leave the batch at different chunks: terminating
+    rows whose first chunk is read off a fast rate while their ratios decay
+    slowly, beside rows that close their tail in closed form."""
+
+    row = st.tuples(st.floats(0.3, 0.95), st.floats(-math.pi, math.pi),
+                    st.one_of(st.none(), st.integers(0, 700)))
+
+    @staticmethod
+    def loop(t0, ratio, last, ctx):
+        """The row summed term by term, stopped by the tail rule or at ``last``."""
+        total, t, tail = 0.0 + 0.0j, complex(t0), _Tail(ctx)
+        for n in range(ctx.max_terms):
+            total += t
+            if n == last or tail.done(abs(t)):
+                return total
+            t *= complex(ratio(np.array([n]))[0])
+        raise NonDecayingSumError("budget")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(row, min_size=1, max_size=6))
+    def test_rows_are_the_same_alone_and_match_the_loop(self, rows):
+        ctx = QContext(0.5, max_terms=4096)
+        zs = [u * cmath.exp(1j * phase) for u, phase, _ in rows]
+        lasts = [last for _, _, last in rows]
+
+        def ratios(r, ns):  # z (1 + 0.3 q^n): the limit is z, the reach 0.3 |z|
+            return zs[r] * (1.0 + 0.3 * 0.5**ns)
+
+        def step(live, ns):
+            return np.array([ratios(r, ns) for r in live])
+
+        # a terminating row's first chunk is read off a fast rate
+        rates = [0.1 if last is not None else z for z, last in zip(zs, lasts)]
+        reaches = [0.3 * abs(z) for z in zs]
+        t0s = [1.0 + 0.5j] * len(rows)
+        batch = _ratio_sum(t0s, step, ctx, rates, reaches, "row", last=lasts)
+        for r, got in enumerate(batch):
+            alone = _ratio_sum([t0s[r]], lambda live, ns, r=r: ratios(r, ns)[None], ctx,
+                               [rates[r]], [reaches[r]], "row", last=[lasts[r]])[0]
+            assert got == alone
+            want = self.loop(t0s[r], lambda ns, r=r: ratios(r, ns), lasts[r], ctx)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) / (1 - abs(zs[r]))
+
+    def test_run_of_small_terms_across_a_chunk_boundary(self):
+        """Terms 0-29 are 1, terms 30-32 are 1e-20 and the terms after are 1
+        again.  The first chunk of this terminating row holds 32 terms, so
+        the rule's third small term in a row is the first of the second
+        chunk: the row stops there, as the loop does, alone or in a batch."""
+        ctx = QContext(0.5)
+        jumps = {29: 1e-20, 32: 1e20}
+
+        def ratios(ns):
+            return np.array([jumps.get(int(n), 1.0) for n in ns], dtype=complex)
+
+        want = self.loop(1.0, ratios, 100, ctx)
+        assert want == 30.0
+        for rows in (1, 3):
+            got = _ratio_sum([1.0] * rows, lambda live, ns: np.array([ratios(ns)] * len(live)),
+                             ctx, [0.1] * rows, [0.0] * rows, "row", last=[100] * rows)
+            assert got == [want] * rows
 
 
 def scalar_qpoch_ratio(nums, dens, ctx):

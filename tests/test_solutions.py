@@ -1,15 +1,34 @@
 """Solution families: integral and series evaluators, operator residuals,
 single-endpoint identities, cocycle structure and Casoratians."""
 
+import cmath
 import itertools
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhyp import solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
-from qhyp.errors import DomainError, NonDecayingSumError, PoleError, UnsupportedCaseError
-from qhyp.qcore import QContext, qpoch_ratio
+from qhyp.errors import (
+    DomainError,
+    NonDecayingSumError,
+    PoleError,
+    QhypError,
+    UnsupportedCaseError,
+)
+from qhyp.qcore import (
+    _CONSECUTIVE_SMALL,
+    _RATIO_FACTORS,
+    QContext,
+    _one,
+    _quotient,
+    _Tail,
+    _termination_order,
+    qpoch_ratio,
+)
 from qhyp.solutions import (
     _grid_sum,
     Endpoint,
@@ -56,6 +75,11 @@ def exact_zero_params(a2, ctx):
     p = Params3(a1, a2, a3, b1, b2, b3, A, B)
     p.validate(ctx)
     return p
+
+
+def grid_one(tau, nums, dens, ctx, **kwargs):
+    """The Jackson grid kernel on one grid start: its value, or its error raised."""
+    return _one(_grid_sum([tau], [nums], [dens], ctx, **kwargs))
 
 
 class TestIntegralSolutions:
@@ -359,7 +383,7 @@ class TestGridKernel:
             h = solution_handle("thmint2.tilde[1,4]", p, ctx, sigma=sigma)
             for x in sample_points(h, 2, ctx):
                 nums, dens = self.tilde2_grid(p, x, ctx)
-                kernel = _grid_sum(sigma, nums, dens, ctx, bilateral=True)
+                kernel = grid_one(sigma, nums, dens, ctx, bilateral=True)
                 direct = self.direct_sum(sigma, nums, dens, range(-100, 101), ctx)
                 assert abs(kernel - direct) <= 1e-12 * abs(direct)
 
@@ -369,8 +393,8 @@ class TestGridKernel:
         x = integral_scale(p, ctx) * 0.3
         nums, dens = self.tilde2_grid(p, x, ctx)
         for b in (p.b1, p.b2):
-            two_sided = _grid_sum(b, nums, dens, ctx, bilateral=True)
-            one_sided = _grid_sum(b, nums, dens, ctx)
+            two_sided = grid_one(b, nums, dens, ctx, bilateral=True)
+            one_sided = grid_one(b, nums, dens, ctx)
             assert abs(two_sided - one_sided) <= 1e-12 * max(1.0, abs(one_sided))
 
     def test_exact_zero_on_ascending_grid_raises(self):
@@ -402,11 +426,11 @@ class TestGridKernel:
         nums = (0.7 + 0.1j, 1.1, 0.4 - 0.3j)
         for k in (3, 40):   # q / t - d_1 vanishes at t = tau q^(1 - k)
             with pytest.raises(PoleError):
-                _grid_sum(tau, nums, (q**k / tau, 0.9, 1.2), ctx, bilateral=True)
+                grid_one(tau, nums, (q**k / tau, 0.9, 1.2), ctx, bilateral=True)
         with pytest.raises(NonDecayingSumError):
-            _grid_sum(tau, nums, (0.6, 0.9, 1.2), ctx, alpha=0.05, weighted=False)
+            grid_one(tau, nums, (0.6, 0.9, 1.2), ctx, alpha=0.05, weighted=False)
         with pytest.raises(NonDecayingSumError):
-            _grid_sum(tau, nums, (0.6, 0.9, 1.2), ctx, bilateral=True)
+            grid_one(tau, nums, (0.6, 0.9, 1.2), ctx, bilateral=True)
 
 
 class TestJacksonTable:
@@ -426,13 +450,13 @@ class TestJacksonTable:
 
     @staticmethod
     def count_grid_sums(monkeypatch):
-        """Record the grid start of every Jackson grid sum from here on."""
+        """Record the grid start of every row of every Jackson grid sum from here on."""
         starts = []
         grid_sum = solutions._grid_sum
 
-        def counted(tau, *args, **kwargs):
-            starts.append(tau)
-            return grid_sum(tau, *args, **kwargs)
+        def counted(taus, *args, **kwargs):
+            starts.extend(taus)
+            return grid_sum(taus, *args, **kwargs)
 
         monkeypatch.setattr(solutions, "_grid_sum", counted)
         return starts
@@ -481,6 +505,230 @@ class TestJacksonTable:
         other = JacksonTable(draw_params3(rng, ctx), ctx)
         with pytest.raises(ValueError):
             phi3(p, TAUS[1], TAUS[2], 0.3, ctx, other)
+
+
+# -- the batched grid kernel against the scalar kernel it replaced ----------------
+#
+# _grid_sum sums many grid starts in one batch, each row in order, one product
+# and one addition at a time.  The scalar kernel it replaced summed one start a
+# call, chunk by chunk; it is kept below, with the scalar series kernel it
+# called, as the reference.  The two differ by rounding only.
+
+
+# the scalar kernel's chunk bounds
+_MIN_CHUNK, _MAX_CHUNK = 32, 2048
+
+
+def ref_ratio_sum(
+    t0: complex,
+    step: Callable[[np.ndarray], np.ndarray],
+    ctx: QContext,
+    rate: complex,
+    reach: float,
+    what: str,
+    last: int | None = None,
+    pole: int | None = None,
+    weigh: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> complex:
+    """The scalar series kernel that the batched one replaced."""
+    if pole is not None and (last is None or pole < last):
+        raise PoleError(f"{what}: a denominator factor vanishes at n = {pole}")
+    rho = abs(rate)
+    n = 0.0 if rho == 0.0 else math.inf  # |rate| >= 1 or NaN: no decay to read off
+    closure = math.inf
+    if 0.0 < rho < 1.0:
+        lq, lr = -math.log(abs(ctx.q)), math.log1p(reach)
+        growth = lr * lr / (2.0 * lq) + lr / (1.0 - abs(ctx.q))
+        n = (growth - math.log(ctx.tail_tol)) / -math.log(rho)
+        spread = _RATIO_FACTORS * reach / ((1.0 - abs(ctx.q)) * ctx.tail_tol)
+        if last is None and spread < math.inf:  # not for an infinite or NaN reach
+            closure = math.ceil(math.log(max(spread, 1.0)) / lq)
+    size = _MAX_CHUNK
+    if n < _MAX_CHUNK:
+        size = min(max(int(n) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
+    size = min(size, max(closure, _MIN_CHUNK))
+    count = ctx.max_terms if last is None else min(ctx.max_terms, last + 1)
+    # the tail rule cannot end a terminating sum this short before its last term
+    untailed = last is not None and count == last + 1 <= _CONSECUTIVE_SMALL
+    total = 0.0 + 0.0j
+    tail = _Tail(ctx)
+    t = complex(t0)  # the term before the chunk, or t_0 with a first ratio 1
+    n0 = 0
+    while n0 < count:
+        ns = np.arange(n0, min(n0 + size, count))
+        ratios = step(ns - 1) if n0 else np.concatenate(([1.0], step(ns[:-1])))
+        seq = t * np.multiply.accumulate(ratios)
+        terms = seq if weigh is None else weigh(ns, seq)
+        end = None if untailed else tail.first_stop(np.abs(terms))
+        if end is not None:
+            return complex(total + np.add.reduce(terms[: end + 1]))
+        total += np.add.reduce(terms)
+        t = seq[-1]
+        n0 = int(ns[-1]) + 1
+        mag = abs(terms[-1])
+        if n0 >= closure and math.isfinite(mag):
+            # the tail rule's run goes on from tail.run; with none, it starts
+            # at the first k with mag rho^k < tol scale
+            first = 1
+            if not tail.run:
+                first += math.floor(math.log(tail.tol * tail.scale / mag) / math.log(rho))
+            if n0 + first + 1 - tail.run >= ctx.max_terms:
+                break
+            return complex(total + terms[-1] * rate / (1.0 - rate))
+        size = min(2 * size, _MAX_CHUNK)
+    if last is not None and count == last + 1:
+        return complex(total)
+    raise NonDecayingSumError(f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
+
+
+def ref_grid_sum(
+    tau: complex,
+    nums: Sequence[complex],
+    dens: Sequence[complex],
+    ctx: QContext,
+    alpha: complex = 0.0,
+    weighted: bool = True,
+    bilateral: bool = False,
+) -> complex:
+    """The scalar grid kernel that the batched one replaced: one grid start a call."""
+    q = complex(ctx.q)
+    tau = complex(tau)
+    if tau == 0:
+        return 0.0 + 0.0j
+    nums = np.array([complex(v) for v in nums])
+    dens = np.array([complex(v) for v in dens])
+    alpha = complex(alpha)
+    log_tau = cmath.log(tau)
+    log_q = cmath.log(q)
+    seed = qpoch_ratio(nums * tau, dens * tau, ctx)
+    if seed == 0 or _termination_order(nums * tau, ctx) is not None:
+        raise UnsupportedCaseError(f"integrand vanishes at the grid start {tau}")
+
+    def weigh(ns: np.ndarray, F: np.ndarray) -> np.ndarray:
+        if alpha != 0:
+            F = F * np.exp(alpha * (log_tau + ns * log_q))
+        return F * (tau * q**ns) if weighted else F
+
+    dn, nd = np.concatenate((dens, nums))[:, None], np.concatenate((nums, dens))[:, None]
+
+    def up(ns: np.ndarray) -> np.ndarray:
+        """F(t q) / F(t) at t = tau q^n."""
+        return _quotient(1.0 - dn * (tau * q**ns), len(dens))
+
+    def down(ns: np.ndarray) -> np.ndarray:
+        """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
+        powers of t/q cancel between numerator and denominator, and q/t
+        underflows harmlessly."""
+        return _quotient(q / (tau * q**ns) - nd, len(nums))
+
+    # upwards the step ratio tends to q^(alpha + 1) (weighted) or q^alpha
+    rate = cmath.exp((alpha + (1 if weighted else 0)) * log_q)
+    value = ref_ratio_sum(seed, up, ctx, rate, np.abs(nd * tau).max(), "Jackson sum", weigh=weigh)
+    if bilateral:
+        # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
+        if _termination_order(q / (tau * dens), ctx) is not None:
+            raise PoleError("integrand pole on the descending grid")
+        value += ref_ratio_sum(
+            seed * down(np.array([0]))[0], lambda ks: down(-1 - ks), ctx,
+            np.prod(nums) / np.prod(dens) / rate,
+            np.abs(q * q / (tau * nd)).max(), "Jackson sum",
+            weigh=lambda ks, F: weigh(-1 - ks, F))
+    return (1.0 - q) * value
+
+
+def polar(lo, hi):
+    return st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(lo, hi),
+                     st.floats(-math.pi, math.pi))
+
+
+def outcome_of(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except QhypError as exc:
+        return exc
+
+
+class TestBatchedGridKernel:
+    # options of the kernel: weighted and alpha = 0, unweighted and weighted
+    # with alpha != 0 (drawn), and bilateral
+    KINDS = {"weighted": {}, "unweighted": {"weighted": False}, "alpha": {},
+             "bilateral": {"bilateral": True}}
+    row = st.tuples(polar(0.3, 2.5), st.lists(polar(0.1, 0.9), min_size=3, max_size=3),
+                    st.lists(polar(1.0, 2.0), min_size=3, max_size=3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.floats(0.3, 0.6), kind=st.sampled_from(sorted(KINDS)),
+           alpha=st.builds(complex, st.floats(0.05, 1.2), st.floats(-1.0, 1.0)),
+           rows=st.lists(row, min_size=1, max_size=6))
+    def test_rows_match_reference_and_stand_alone(self, q, kind, alpha, rows):
+        """Every row of a batch is bit-identical to the same row summed alone
+        (and in the reversed batch), and matches the scalar reference within
+        rounding, or raises its error with its message."""
+        ctx = QContext(q)
+        kw = dict(self.KINDS[kind], **({"alpha": alpha} if kind in ("unweighted", "alpha") else {}))
+        taus, nums, dens = zip(*rows)
+        batch = _grid_sum(taus, nums, dens, ctx, **kw)
+        backwards = _grid_sum(taus[::-1], nums[::-1], dens[::-1], ctx, **kw)[::-1]
+        for r, got in enumerate(batch):
+            alone = _grid_sum([taus[r]], [nums[r]], [dens[r]], ctx, **kw)[0]
+            want = outcome_of(ref_grid_sum, taus[r], nums[r], dens[r], ctx, **kw)
+            if isinstance(want, Exception):
+                for other in (got, alone, backwards[r]):
+                    assert type(other) is type(want) and str(other) == str(want)
+                continue
+            assert not isinstance(got, Exception), got
+            assert got == alone and got == backwards[r]
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_per_row_errors_in_one_batch(self, monkeypatch):
+        """One batch mixes an exact zero (exact_zero_params), a descending
+        pole and an exhausted budget with good rows.  The good rows are
+        stored and equal their standalone values; each bad row raises on its
+        own lookup with the scalar kernel's type and message, computed anew
+        on every lookup."""
+        ctx = QContext(0.5)
+        q = 0.5
+        p = exact_zero_params(0.9 + 0j, ctx)
+
+        def phi3_row(endpoint, y):
+            return (endpoint.resolve(p, y, ctx), (p.A * y, p.a1, p.a2, p.a3),
+                    (p.B * y, p.b1, p.b2, p.b3))
+
+        tau, nums = 1.3 + 0.2j, (0.7 + 0.1j, 1.1, 0.4 - 0.3j, 0.5)
+        rows = {
+            0.1: phi3_row(TAUS[1], 0.3),
+            0.2: phi3_row(TAUS[2], 0.3),                  # zero at the grid start
+            0.3: phi3_row(TAUS[3], 0.3),
+            0.4: (tau, nums, (q**3 / tau, 0.9, 1.2, 0.5)),  # pole descending
+            0.5: (tau, nums, (0.6, 0.9, 1.2, 0.5)),         # descending side grows
+            0.6: phi3_row(TAUS[4], 0.5),
+        }
+
+        def single(params, e, xs, ctx):
+            return solutions._grid_sum(*zip(*(rows[x] for x in xs)), ctx, bilateral=True)
+
+        starts = TestJacksonTable.count_grid_sums(monkeypatch)
+        table = JacksonTable(p, ctx)
+        e = Endpoint.sigma_inf()
+        table.fill(single, e, list(rows))
+        assert len(starts) == len(rows)   # one batch
+        errors = set()
+        for x, (t, n, d) in rows.items():
+            want = outcome_of(ref_grid_sum, t, n, d, ctx, bilateral=True)
+            starts.clear()
+            if isinstance(want, Exception):
+                for _ in range(2):
+                    with pytest.raises(type(want)) as err:
+                        table.value(single, e, x)
+                    assert str(err.value) == str(want)
+                assert starts == [t, t]
+                errors.add(type(want))
+                continue
+            got = table.value(single, e, x)
+            assert not starts   # stored by the batch
+            assert got == grid_one(t, n, d, ctx, bilateral=True)
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert errors == {UnsupportedCaseError, PoleError, NonDecayingSumError}
 
 
 class TestLocalBasis:
