@@ -40,7 +40,7 @@ from .qseries import (
     w87,
     w87_to_phi32_limit,
 )
-from .opalgebra import Configuration, QDiffOperator, durand_kerner
+from .opalgebra import Configuration, QDiffOperator, poly_roots
 from .equations import (
     BUILDERS,
     H2Params,

@@ -31,7 +31,7 @@ from .equations import (
 )
 from .errors import QhypError
 from .opalgebra import QDiffOperator
-from .qcore import QContext
+from .qcore import QContext, qpoch_inf
 from .qseries import heine_transformation_constant
 from .solutions import CATALOGUE, Endpoint, all_labels, residual, sample_points, solution_handle
 
@@ -42,6 +42,11 @@ EXIT_INPUT = 2
 RESIDUAL_TOL = 1e-8
 COCYCLE_TOL = 1e-12
 RELATION_TOL = 1e-12
+
+# the B of the relations Casoratian pattern, and the k of the limits
+# series scales 1.1 q^-k
+CASORATIAN_B = 0.9 + 0.2j
+LATTICE_STEPS = (12, 16, 20)
 
 _PARAM_CLASSES = {"heine": HeineParams, "qheun": HeunParams, "qheun3": Heun3Params,
                   "h2": H2Params, "h3": H3Params, "e2": Params2, "e3": Params3}
@@ -85,13 +90,23 @@ def positive_count(job: dict, key: str, default: int) -> int:
     return value
 
 
+def job_seed(job: dict) -> int:
+    """job["seed"] (0 when absent): a non-negative JSON integer."""
+    seed = job.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise JobError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def build_context(job: dict) -> QContext:
     raw = job.get("ctx", {})
+    if not isinstance(raw, dict):
+        raise JobError(f"ctx must be an object, got {raw!r}")
     q = as_complex(raw.get("q", 0.5))
     try:
         return QContext(
             q,
-            max_terms=int(raw.get("max_terms", 512)),
+            max_terms=positive_count(raw, "max_terms", 512),
             tail_tol=float(raw.get("tail_tol", 1e-16)),
             eq_tol=float(raw.get("eq_tol", 1e-8)),
         )
@@ -280,9 +295,8 @@ def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
 
     # Casoratian pattern in the rational special case a_i = b_i, A = q^2 B
     q = complex(ctx.q)
-    B = as_complex(job.get("casoratian_B", [0.9, 0.2]))
     avals = (1.1 + 0.3j, 0.8 - 0.4j, 1.3 + 0.1j)
-    psp = Params3(*avals, *avals, q**2 * B, B)
+    psp = Params3(*avals, *avals, q**2 * CASORATIAN_B, CASORATIAN_B)
     xs0 = 0.4
     sp = solutions.JacksonTable(psp, ctx)
     f12 = lambda y: solutions.phi3(psp, Endpoint.q_over_a(1), Endpoint.q_over_a(2), y, ctx, sp)
@@ -299,7 +313,6 @@ def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
 
     a, b, c = 0.4 + 0.1j, 1.2 - 0.2j, 1.4 + 0.3j
     consts = [heine_transformation_constant(a, b, c, z, ctx) for z in (0.2, 0.35, 0.5)]
-    from .qcore import qpoch_inf
     target = qpoch_inf(a, ctx) / qpoch_inf(c, ctx)
     dev = max(abs(v - target) / abs(target) for v in consts)
     report.add({"check": "heine_connection_constant", "deviation": dev},
@@ -311,7 +324,13 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
     terminating series limit."""
     kinds = job.get("kinds", ["e3_to_e2", "h3_to_h2", "h2_to_heine",
                               "e3_series_to_e2_series"])
-    scales = [float(s) for s in job.get("scales", [1e5, 1e7, 1e9])]
+    if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
+        raise JobError(f"kinds must be a non-empty list of degeneration names, got {kinds!r}")
+    scales = job.get("scales", [1e5, 1e7, 1e9])
+    if not isinstance(scales, list) or not scales or not all(
+            isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0 for s in scales):
+        raise JobError(f"scales must be a non-empty list of positive numbers, got {scales!r}")
+    scales = [float(s) for s in scales]
     single = len(scales) < 2
     for kind in kinds:
         if kind == "e3_series_to_e2_series":
@@ -321,7 +340,7 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
             q = abs(complex(ctx.q))
             # advance the scale along the q-lattice: decimal steps drift
             # through the pole grid of the scaled denominator parameters
-            ks = job.get("lattice_steps", [12, 16, 20])[: max(1, len(scales))]
+            ks = LATTICE_STEPS[: len(scales)]
             ells = [1.1 * q ** (-k) for k in ks]
             devs = [solutions.e3_to_e2_series_deviation(p2, x1, x2, s, ctx)
                     for s in ells]
@@ -385,7 +404,7 @@ _COMMANDS = {
 
 
 def run_job(command: str, job: dict, out, csv: bool = False) -> int:
-    seed = int(job.get("seed", 0))
+    seed = job_seed(job)
     rng = np.random.default_rng(seed)
     ctx = build_context(job)
     report = Report()
@@ -417,6 +436,10 @@ def main(argv: list[str] | None = None) -> int:
                 job = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read job file: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        if not isinstance(job, dict):
+            print(f"error: a job file must hold a JSON object, got {type(job).__name__}",
+                  file=sys.stderr)
             return EXIT_INPUT
     if args.seed is not None:
         job["seed"] = args.seed

@@ -42,17 +42,18 @@ def _near_q_power(value: complex, q: complex, lo: int, hi: int,
     return False
 
 
+def _monic_product(roots: Sequence[complex]) -> dict[int, complex]:
+    """x-coefficients of prod (x - r_i), from numpy.poly's sequential
+    convolutions."""
+    coeffs = np.atleast_1d(np.poly(np.array(roots, dtype=complex)))
+    deg = len(coeffs) - 1
+    return {deg - k: complex(c) for k, c in enumerate(coeffs)}
+
+
 def e_sym(vals: Sequence[complex], k: int) -> complex:
-    """Elementary symmetric polynomial e_k of the given values."""
-    vals = [complex(v) for v in vals]
-    if k == 0:
-        return 1.0 + 0.0j
-    if k > len(vals):
-        return 0.0 + 0.0j
-    coeffs = np.array([1.0 + 0.0j])
-    for v in vals:
-        coeffs = np.convolve(coeffs, np.array([1.0 + 0.0j, v]))
-    return complex(coeffs[k])
+    """Elementary symmetric polynomial e_k of the given values: the x^(n-k)
+    coefficient of prod (x + v)."""
+    return _monic_product([-complex(v) for v in vals]).get(len(vals) - k, 0j)
 
 
 # -- parameter tuples -----------------------------------------------------------
@@ -259,15 +260,6 @@ def _poly_times_tpower(q: complex, xcoeffs: dict[int, complex], j: int) -> QDiff
     return QDiffOperator(q, {(k, j): c for k, c in xcoeffs.items()})
 
 
-def _monic_product(q: complex, roots: Sequence[complex]) -> dict[int, complex]:
-    """x-coefficients of prod (x - r_i)."""
-    coeffs = np.array([1.0 + 0.0j])
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0 + 0.0j, -complex(r)]))
-    deg = len(coeffs) - 1
-    return {deg - k: complex(coeffs[k]) for k in range(len(coeffs))}
-
-
 def build_heine(p: HeineParams, ctx: QContext) -> QDiffOperator:
     """x (1 - a T)(1 - b T) - (1 - T)(1 - c q^{-1} T)."""
     q = complex(ctx.q)
@@ -313,7 +305,7 @@ def build_qheun3(p: Heun3Params, ctx: QContext) -> QDiffOperator:
     tt = p.t1 * p.t2 * p.t3
 
     def shifted(poly_roots):
-        c = _monic_product(q, poly_roots)
+        c = _monic_product(poly_roots)
         return {k - 1: val for k, val in c.items()}  # x^{-1} prod (x - r_i)
 
     down = _poly_times_tpower(q, shifted(u), -1)
@@ -333,9 +325,9 @@ def build_h2(p: H2Params, ctx: QContext) -> QDiffOperator:
     u, v = _uv(q, (p.h1, p.h2), (p.l1, p.l2), (p.t1, p.t2))
     pp = p.p_factor(q)
     E = p.accessory(q)
-    down = _poly_times_tpower(q, _monic_product(q, u), -1)
+    down = _poly_times_tpower(q, _monic_product(u), -1)
     up_scale = qpow(q, p.alpha1 + p.alpha2)
-    upc = _monic_product(q, v)
+    upc = _monic_product(v)
     up = _poly_times_tpower(q, {k: up_scale * c for k, c in upc.items()}, 1)
     mid = QDiffOperator(q, {
         (2, 0): -(qpow(q, p.alpha1) + qpow(q, p.alpha2)),
@@ -353,9 +345,9 @@ def build_h3(p: H3Params, ctx: QContext) -> QDiffOperator:
     w = (sum(h) + sum(l)) / 2
     tt = p.t1 * p.t2 * p.t3
     qa = qpow(q, p.alpha)
-    down = _poly_times_tpower(q, _monic_product(q, u), -1)
+    down = _poly_times_tpower(q, _monic_product(u), -1)
     up_scale = qpow(q, 2 * p.alpha + 1)
-    upc = _monic_product(q, v)
+    upc = _monic_product(v)
     up = _poly_times_tpower(q, {k: up_scale * c for k, c in upc.items()}, 1)
     mid = QDiffOperator(q, {
         (3, 0): -qa * (q + 1),
@@ -674,7 +666,7 @@ def rigidity_reconstruct(kind: str, p, ctx: QContext) -> QDiffOperator:
 
     def col_constraints(j, roots):
         # sum_i a_{i,j} x^i proportional to prod (x - r_k)
-        mon = _monic_product(q, roots)  # monic degree len(roots)
+        mon = _monic_product(roots)  # monic degree len(roots)
         deg = len(roots)
         for i in range(i_lo, i_hi):  # ratios against the leading coefficient
             add_row([((i, j), 1.0), ((i_hi, j), -mon.get(i, 0.0))])

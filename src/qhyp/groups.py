@@ -147,9 +147,6 @@ def state_deviation(s1: tuple, s2: tuple) -> float:
 def relation_words(group: str) -> list[tuple[str, list[int]]]:
     """All displayed defining relations, as words that must act as the
     identity on states."""
-    def inv(word):  # every generator is an involution
-        return list(word)
-
     rels: list[tuple[str, list[int]]] = []
     if group == "G1":
         for i in range(1, 5):

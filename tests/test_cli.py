@@ -154,6 +154,23 @@ class TestLimitsCommand:
         assert code == EXIT_OK
         assert rows[0]["monotone"] is None
 
+    @pytest.mark.parametrize("scales", [[], "1e5", [0.0, 1e5], [-1e5], [True], ["1e5"], None])
+    def test_scales_must_be_a_non_empty_list_of_positive_numbers(self, tmp_path, scales):
+        """"scales": [] used to report four passing rows, three of them with
+        no deviation computed."""
+        job = {"seed": 0, "scales": scales}
+        assert main(["limits", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="scales must be a non-empty list"):
+            run_job("limits", job, io.StringIO())
+
+    @pytest.mark.parametrize("kinds", ["e3_to_e2", [], [["e3_to_e2"]], None])
+    def test_kinds_must_be_a_list_of_names(self, tmp_path, kinds):
+        """A string used to be iterated one character at a time."""
+        job = {"seed": 0, "kinds": kinds}
+        assert main(["limits", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="kinds must be a non-empty list"):
+            run_job("limits", job, io.StringIO())
+
 
 class TestSampleCommand:
     def test_emits_values(self):
@@ -268,6 +285,34 @@ class TestJobInput:
         assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
         with pytest.raises(JobError, match="samples must be a positive integer"):
             run_job(command, job, io.StringIO())
+
+    @pytest.mark.parametrize("content", [[1, 2], "job", 3, None])
+    def test_job_file_must_hold_an_object(self, tmp_path, content):
+        assert main(["config", "--job", write_job(tmp_path, content)]) == EXIT_INPUT
+        assert main(["config", "--job", write_job(tmp_path, content), "--seed", "1"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("ctx", [[], [0.5], 0.5, "q"])
+    def test_ctx_must_be_an_object(self, tmp_path, ctx):
+        job = {"equation": "heine", "seed": 0, "ctx": ctx}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="ctx must be an object"):
+            run_job("config", job, io.StringIO())
+
+    @pytest.mark.parametrize("seed", [[1], True, False, -1, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
+        """[1] used to raise TypeError (exit 1); true was read as 1."""
+        job = {"equation": "heine", "seed": seed}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="seed must be a non-negative integer"):
+            run_job("config", job, io.StringIO())
+
+    @pytest.mark.parametrize("max_terms", [2.7, True, 0, -5, "512", None])
+    def test_max_terms_must_be_a_positive_integer(self, tmp_path, max_terms):
+        """2.7 and true used to be read as 2 and 1."""
+        job = {"equation": "heine", "seed": 0, "ctx": {"max_terms": max_terms}}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="max_terms must be a positive integer"):
+            run_job("config", job, io.StringIO())
 
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_samples_accepts_positive_integers(self, command):

@@ -1,7 +1,12 @@
 """Named-operator builders: configuration certification, balance handling,
 gauge dictionaries, rigidity and degeneration limits."""
 
+import cmath
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhyp.errors import BalanceError, GenericityError
 from qhyp.equations import (
@@ -74,6 +79,64 @@ class TestBalance:
         assert e_sym([1, 2, 3], 2) == 11
         assert e_sym([1, 2, 3], 0) == 1
         assert e_sym([1, 2], 3) == 0
+
+
+def convolved_e_sym(vals, k):
+    """The convolution loop e_sym ran before numpy.poly, kept as reference."""
+    vals = [complex(v) for v in vals]
+    if k == 0:
+        return 1.0 + 0.0j
+    if k > len(vals):
+        return 0.0 + 0.0j
+    coeffs = np.array([1.0 + 0.0j])
+    for v in vals:
+        coeffs = np.convolve(coeffs, np.array([1.0 + 0.0j, v]))
+    return complex(coeffs[k])
+
+
+def convolved_monic_product(roots):
+    """The convolution loop _monic_product ran before numpy.poly."""
+    coeffs = np.array([1.0 + 0.0j])
+    for r in roots:
+        coeffs = np.convolve(coeffs, np.array([1.0 + 0.0j, -complex(r)]))
+    deg = len(coeffs) - 1
+    return {deg - k: complex(coeffs[k]) for k in range(len(coeffs))}
+
+
+_VALUE = st.builds(cmath.rect, st.floats(0.0, 3.0), st.floats(-math.pi, math.pi))
+# generic lists, real lists and conjugate-closed lists (where numpy.poly
+# returns a real array)
+_VALUES = st.one_of(
+    st.lists(_VALUE, max_size=4),
+    st.lists(st.floats(-3.0, 3.0), max_size=4),
+    st.lists(_VALUE, max_size=2).map(lambda vs: vs + [v.conjugate() for v in vs]),
+)
+
+
+def conjugate_closed(vals):
+    """numpy.poly's test for returning the real part of its product."""
+    a = np.array(vals, dtype=complex)
+    return bool(np.all(np.sort(a) == np.sort(a.conj())))
+
+
+class TestPolynomialProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(vals=_VALUES)
+    def test_bit_identical_to_the_convolution_loops(self, vals):
+        """numpy.poly runs the same convolutions: every coefficient agrees to
+        the bit, the sign of a zero imaginary part included.  For a
+        conjugate-closed list, whose exact product is real, it keeps the
+        real parts (bit-identical) and drops imaginary rounding noise."""
+        from qhyp.equations import _monic_product, e_sym
+
+        def expected(z):
+            return complex(z.real, 0.0) if conjugate_closed(vals) else z
+
+        ref = convolved_monic_product(vals)
+        assert repr(sorted(_monic_product(vals).items())) == repr(
+            sorted((k, expected(c)) for k, c in ref.items()))
+        for k in range(len(vals) + 2):
+            assert repr(e_sym(vals, k)) == repr(expected(convolved_e_sym(vals, k)))
 
 
 class TestOperatorConvention:

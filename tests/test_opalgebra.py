@@ -1,12 +1,17 @@
 """Noncommutative operator algebra, boundary polynomials, configurations,
 local series and operator transforms."""
 
+import cmath
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import rand_complex
 from qhyp.errors import PreconditionError, ResonanceError, UnsupportedCaseError
-from qhyp.opalgebra import QDiffOperator, durand_kerner, multiset_close
+from qhyp.opalgebra import QDiffOperator, multiset_close, poly_roots
 from qhyp.qcore import qpoch_fin
 from qhyp.qseries import phi21
 from qhyp.equations import HeineParams, build_e3, build_heine
@@ -76,14 +81,74 @@ class TestAlgebra:
         assert abs(Tj.apply(g, x) - q ** (2 * lam) * x**lam) < 1e-12
 
 
+def polar(modulus, phase):
+    return st.builds(cmath.rect, modulus, phase)
+
+
+PHASE = st.floats(-math.pi, math.pi)
+
+
+def oracle_roots(coeffs):
+    """The roots of sum_k coeffs[k] y^k at 40 digits."""
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)],
+                                 maxsteps=200, extraprec=100)
+    return [complex(r) for r in roots]
+
+
+def separation(roots):
+    """Smallest distance between two roots, relative to max(1, |r|)."""
+    return min((abs(a - b) / max(1.0, abs(a), abs(b))
+                for i, a in enumerate(roots) for b in roots[i + 1:]), default=math.inf)
+
+
+def assert_matches_oracle(coeffs):
+    """Every computed root lies within 1e-12 max(1, |r|) of its own oracle
+    root r (matched one to one)."""
+    exact = oracle_roots(coeffs)
+    got = poly_roots(coeffs)
+    assert len(got) == len(exact)
+    for g in got:
+        j = min(range(len(exact)), key=lambda i: abs(exact[i] - g))
+        r = exact.pop(j)
+        assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), (coeffs, g, r)
+
+
 class TestRoots:
-    def test_durand_kerner_known_roots(self, rng):
+    def test_poly_roots_known_roots(self, rng):
         roots = [rand_complex(rng) for _ in range(4)]
         coeffs = np.array([1.0 + 0.0j])
         for r in roots:
             coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
-        got = durand_kerner(list(coeffs))
+        got = poly_roots(list(coeffs))
         assert multiset_close(got, roots, 1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(roots=st.lists(polar(st.floats(0.25, 4.0), PHASE), min_size=1, max_size=4),
+           lead=polar(st.floats(0.5, 2.0), PHASE))
+    def test_well_separated_roots_match_mpmath(self, roots, lead):
+        """Degree 1-4 from drawn roots at least 0.2 max(1, |r|) apart; the
+        oracle solves the same double coefficients."""
+        assume(separation(roots) >= 0.2)
+        coeffs = np.array([lead])
+        for r in roots:
+            coeffs = np.convolve(coeffs, np.array([1.0, -r]))
+        assert_matches_oracle(list(coeffs[::-1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(polar(st.floats(0.5, 2.0), PHASE), min_size=2, max_size=5))
+    def test_drawn_coefficients_match_mpmath(self, coeffs):
+        """Degree 1-4 from drawn coefficients; draws whose exact roots lie
+        closer than 0.1 max(1, |r|) (ill-conditioned in double) are skipped."""
+        assume(separation(oracle_roots(coeffs)) >= 0.1)
+        assert_matches_oracle(coeffs)
+
+    def test_residual_gate_refuses_a_wrong_root(self, monkeypatch):
+        coeffs = [2.0, -3.0, 1.0]  # roots 1 and 2
+        assert sorted(r.real for r in poly_roots(coeffs)) == pytest.approx([1.0, 2.0])
+        monkeypatch.setattr(np, "roots", lambda p: np.array([1.0 + 0j, 2.0 + 1e-9j]))
+        with pytest.raises(ArithmeticError, match="residual"):
+            poly_roots(coeffs)
 
     def test_scale_invariance(self, ctx, rng):
         p = draw_heine(rng, ctx)
