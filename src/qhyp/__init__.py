@@ -8,7 +8,6 @@ from .errors import (
     BudgetExceededError,
     DivergenceError,
     DomainError,
-    GenericityError,
     NonDecayingSumError,
     NonRootError,
     PoleError,

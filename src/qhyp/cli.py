@@ -56,12 +56,17 @@ class JobError(Exception):
     """Invalid job input (maps to exit code 2)."""
 
 
+def _is_real(value: Any) -> bool:
+    """A JSON number: booleans and strings are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def as_complex(value: Any) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(float(value[0]), float(value[1]))
-    raise JobError(f"expected a number or [re, im] pair, got {value!r}")
+    raise JobError(f"expected a number or [re, im] pair of numbers, got {value!r}")
 
 
 def complex_out(z: complex) -> list[float]:
@@ -70,11 +75,17 @@ def complex_out(z: complex) -> list[float]:
 
 
 def parse_params(kind: str, raw: dict):
-    """The params dataclass of ``kind``; fields with a default (E) may be omitted."""
+    """The params dataclass of ``kind``; fields with a default (E) may be
+    omitted, names that are not fields are refused."""
     if kind not in _PARAM_CLASSES:
         raise JobError(f"unknown equation {kind!r}")
+    if not isinstance(raw, dict):
+        raise JobError(f"params must be an object, got {raw!r}")
     cls = _PARAM_CLASSES[kind]
     fields = dataclasses.fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    if unknown:
+        raise JobError(f"unknown parameter fields for {kind}: {unknown}")
     missing = [f.name for f in fields if f.name not in raw and f.default is dataclasses.MISSING]
     if missing:
         raise JobError(f"missing parameter fields for {kind}: {missing}")
@@ -98,6 +109,14 @@ def job_seed(job: dict) -> int:
     return seed
 
 
+def real_number(job: dict, key: str, default: float) -> float:
+    """job[key] (default when absent): a JSON number, not a boolean or string."""
+    value = job.get(key, default)
+    if not _is_real(value):
+        raise JobError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_context(job: dict) -> QContext:
     raw = job.get("ctx", {})
     if not isinstance(raw, dict):
@@ -107,8 +126,8 @@ def build_context(job: dict) -> QContext:
         return QContext(
             q,
             max_terms=positive_count(raw, "max_terms", 512),
-            tail_tol=float(raw.get("tail_tol", 1e-16)),
-            eq_tol=float(raw.get("eq_tol", 1e-8)),
+            tail_tol=real_number(raw, "tail_tol", 1e-16),
+            eq_tol=real_number(raw, "eq_tol", 1e-8),
         )
     except ValueError as exc:
         raise JobError(str(exc)) from exc
@@ -171,11 +190,27 @@ def _config_rows(cfg) -> dict:
     }
 
 
+def operator_records(records: Any) -> list[dict]:
+    """Raw operator input: a non-empty list of {"i", "j", "re"[, "im"]}
+    objects, i and j integers, re and im numbers."""
+    if not isinstance(records, list) or not records:
+        raise JobError(f"operator must be a non-empty list of records, got {records!r}")
+    for rec in records:
+        ok = (isinstance(rec, dict)
+              and {"i", "j", "re"} <= set(rec) <= {"i", "j", "re", "im"}
+              and all(isinstance(rec[k], int) and not isinstance(rec[k], bool) for k in "ij")
+              and all(_is_real(rec[k]) for k in ("re", "im") if k in rec))
+        if not ok:
+            raise JobError('each operator record must be {"i": int, "j": int, "re": number'
+                           f'[, "im": number]}}, got {rec!r}')
+    return records
+
+
 def cmd_config(job: dict, rng, ctx: QContext, report: Report):
     """Computed configuration, with PASS/FAIL against the catalogued one for
     named equations; raw operator input is reported without expectation."""
     if "operator" in job:
-        op = QDiffOperator.from_records(ctx.q, job["operator"])
+        op = QDiffOperator.from_records(ctx.q, operator_records(job["operator"]))
         cfg = op.configuration(ctx)
         report.add({"check": "configuration", "equation": "raw",
                     **_config_rows(cfg),
@@ -201,6 +236,9 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
     name, and "all" for an equation without catalogued solutions, is an input
     error."""
     spec = job.get("solutions", "all")
+    if not isinstance(spec, str) and not (
+            isinstance(spec, list) and spec and all(isinstance(s, str) for s in spec)):
+        raise JobError(f"solutions must be a label or a non-empty list of labels, got {spec!r}")
     if spec == "all":
         if kind is None:
             return list(CATALOGUE)
@@ -211,7 +249,7 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
     if isinstance(spec, str):
         spec = [spec]
     labels: list[str] = []
-    for item in map(str, spec):
+    for item in spec:
         fam, _, rest = item.partition(".")
         if rest == "all":
             try:
@@ -328,7 +366,7 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
         raise JobError(f"kinds must be a non-empty list of degeneration names, got {kinds!r}")
     scales = job.get("scales", [1e5, 1e7, 1e9])
     if not isinstance(scales, list) or not scales or not all(
-            isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0 for s in scales):
+            _is_real(s) and s > 0 for s in scales):
         raise JobError(f"scales must be a non-empty list of positive numbers, got {scales!r}")
     scales = [float(s) for s in scales]
     single = len(scales) < 2
@@ -363,7 +401,7 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
         rep = verify_degeneration(kind, base, dscales, ctx)
         report.add({"check": "degeneration", "kind": kind, "scales": rep.scales,
                     "deviations": rep.deviations, "monotone": rep.monotone},
-                   passed=rep.passed if not single else True)
+                   passed=rep.passed)
 
 
 def cmd_sample(job: dict, rng, ctx: QContext, report: Report):

@@ -15,31 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BalanceError, DomainError, GenericityError
+from .errors import BalanceError, DomainError
 from .opalgebra import Configuration, QDiffOperator, sorted_roots
 from .qcore import QContext
-
-_GENERICITY_WINDOW = 64
-_GENERICITY_TOL = 1e-6
 
 
 def qpow(q: complex, z: complex) -> complex:
     """Principal q^z for complex exponent z."""
     return cmath.exp(complex(z) * cmath.log(complex(q)))
-
-
-def _near_q_power(value: complex, q: complex, lo: int, hi: int,
-                  tol: float = _GENERICITY_TOL, floor: float = 1.0) -> bool:
-    """Whether |value - q^k| <= tol * max(|q^k|, floor) for some lo <= k <= hi.
-
-    The genericity checks keep floor 1 (a margin absolute below 1); the
-    samplers pass 1e-12 (a margin relative to every power)."""
-    q = complex(q)
-    for k in range(lo, hi + 1):
-        target = q**k
-        if abs(value - target) <= tol * max(abs(target), floor):
-            return True
-    return False
 
 
 def _monic_product(roots: Sequence[complex]) -> dict[int, complex]:
@@ -69,10 +52,6 @@ class HeineParams:
         if 0 in (self.a, self.b, self.c):
             raise DomainError("Heine parameters a, b and c must be nonzero")
 
-    def validate_generic(self, ctx: QContext):
-        if _near_q_power(complex(self.c), ctx.q, -_GENERICITY_WINDOW, 0):
-            raise GenericityError("c must avoid q^{-n}, n >= 0, for series at 0")
-
 
 @dataclass(frozen=True)
 class Params2:
@@ -95,14 +74,6 @@ class Params2:
     def validate(self, ctx: QContext):
         if self.balance_deviation(ctx) > ctx.eq_tol:
             raise BalanceError("need a1 a2 A = q^(alpha+1) b1 b2 B")
-
-    def validate_generic(self, ctx: QContext):
-        ratio = self.B / self.A
-        if _near_q_power(ratio, ctx.q, -1, _GENERICITY_WINDOW):
-            raise GenericityError("B/A must avoid q^{Z >= -1}")
-        if _near_q_power(qpow(ctx.q, self.alpha + 1) * ratio, ctx.q,
-                         -_GENERICITY_WINDOW, 0):
-            raise GenericityError("q^(alpha+1) B/A must avoid q^{Z <= 0}")
 
     def lam(self, ctx: QContext) -> complex:
         return cmath.log(self.B / self.A) / cmath.log(complex(ctx.q))
@@ -136,11 +107,6 @@ class Params3:
     def validate(self, ctx: QContext):
         if self.balance_deviation(ctx) > ctx.eq_tol:
             raise BalanceError("need a1 a2 a3 A = q^2 b1 b2 b3 B")
-
-    def validate_generic(self, ctx: QContext):
-        if _near_q_power(self.B / self.A, ctx.q,
-                         -_GENERICITY_WINDOW, _GENERICITY_WINDOW):
-            raise GenericityError("B/A must avoid integer powers of q")
 
     def lam(self, ctx: QContext) -> complex:
         return cmath.log(self.B / self.A) / cmath.log(complex(ctx.q))
@@ -362,11 +328,10 @@ def build_h3(p: H3Params, ctx: QContext) -> QDiffOperator:
     return down + up + mid
 
 
-def build_e2(p: Params2, ctx: QContext, check_balance: bool = True) -> QDiffOperator:
+def build_e2(p: Params2, ctx: QContext) -> QDiffOperator:
     """[x^2 (1 - q^alpha T)(B - A T) - x (e1(a) - q^alpha e1(b) T)(1 - T)
     + e2(a) B^{-1} (1 - q^{-1} T)(1 - T)] T^{-1}."""
-    if check_balance:
-        p.validate(ctx)
+    p.validate(ctx)
     q = complex(ctx.q)
     A, B = complex(p.A), complex(p.B)
     qa = qpow(q, p.alpha)
@@ -383,11 +348,10 @@ def build_e2(p: Params2, ctx: QContext, check_balance: bool = True) -> QDiffOper
     return bracket * QDiffOperator.t_power(q, -1)
 
 
-def build_e3(p: Params3, ctx: QContext, check_balance: bool = True) -> QDiffOperator:
+def build_e3(p: Params3, ctx: QContext) -> QDiffOperator:
     """[x^3 (B - A T)(B - A q T) - x^2 (e1(a) - q e1(b) T)(B - A T)
     + x (e2(a) - q e2(b) T)(1 - T) - e3(a) B^{-1} (1 - q^{-1} T)(1 - T)] T^{-1}."""
-    if check_balance:
-        p.validate(ctx)
+    p.validate(ctx)
     q = complex(ctx.q)
     A, B = complex(p.A), complex(p.B)
     e1a, e2a, e3a = (e_sym(p.a_list(), k) for k in (1, 2, 3))

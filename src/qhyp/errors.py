@@ -57,7 +57,3 @@ class UnsupportedCaseError(QhypError):
 
 class BalanceError(QhypError):
     """Parameter tuple violates its defining balance constraint."""
-
-
-class GenericityError(QhypError):
-    """Parameter tuple violates a genericity hypothesis (windowed check)."""

@@ -170,9 +170,6 @@ class QDiffOperator:
     def __sub__(self, other: "QDiffOperator") -> "QDiffOperator":
         return self + (-1.0) * other
 
-    def __neg__(self) -> "QDiffOperator":
-        return (-1.0) * self
-
     def __mul__(self, other) -> "QDiffOperator":
         if isinstance(other, QDiffOperator):
             self._check_same_q(other)
@@ -187,14 +184,6 @@ class QDiffOperator:
 
     def __rmul__(self, other) -> "QDiffOperator":
         return QDiffOperator(self.q, {k: complex(other) * c for k, c in self.coeffs.items()})
-
-    def __pow__(self, n: int) -> "QDiffOperator":
-        if n < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = QDiffOperator.constant(self.q, 1.0)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def _check_same_q(self, other: "QDiffOperator"):
         if abs(self.q - other.q) > 1e-15 * max(1.0, abs(self.q)):

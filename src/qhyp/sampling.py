@@ -17,7 +17,6 @@ from .equations import (
     HeunParams,
     Params2,
     Params3,
-    _near_q_power,
     qpow,
 )
 from .qcore import QContext
@@ -34,9 +33,20 @@ def _mod(rng: np.random.Generator, lo: float, hi: float, phase: float = 0.85) ->
     return rng.uniform(lo, hi) * _unit(rng, phase)
 
 
+def _near_q_power(value: complex, q: complex, lo: int, hi: int, tol: float) -> bool:
+    """Whether |value - q^k| <= tol * max(|q^k|, 1e-12) for some lo <= k <= hi:
+    a margin relative to every power down to the 1e-12 floor."""
+    q = complex(q)
+    for k in range(lo, hi + 1):
+        target = q**k
+        if abs(value - target) <= tol * max(abs(target), 1e-12):
+            return True
+    return False
+
+
 def _clear(values, q: complex, window: int = 40, margin: float = 0.05) -> bool:
     """Every value stays ``margin`` (relative) away from q^k, |k| <= window."""
-    return not any(_near_q_power(v, q, -window, window, margin, 1e-12) for v in values)
+    return not any(_near_q_power(v, q, -window, window, margin) for v in values)
 
 
 def draw_params3(

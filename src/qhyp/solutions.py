@@ -29,6 +29,7 @@ refused with ValueError.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -918,6 +919,15 @@ def _row(label: str) -> Solution:
 # -- handles ---------------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _claimed_operator(equation: str, params, ctx: QContext) -> QDiffOperator:
+    """``BUILDERS[equation](params, ctx)``, built once per key among the last
+    eight, so the labels of a job share one operator.  Keys compare by value.
+    Operators are never mutated after they are built, so every handle may
+    hold the same one."""
+    return BUILDERS[equation](params, ctx)
+
+
 def solution_handle(
     label: str,
     params,
@@ -934,7 +944,7 @@ def solution_handle(
     ``sigma`` is the free constant of the bilateral endpoint.
     """
     row = _row(label)
-    op = BUILDERS[row.equation](params, ctx)
+    op = _claimed_operator(row.equation, params, ctx)
     # looked up when the handle is built, so a wrapper installed on the
     # module attribute sees every evaluation
     evaluate = globals()[row.evaluator]

@@ -320,3 +320,101 @@ class TestJobInput:
                                       "seed": 0, "samples": 1})
         assert code == EXIT_OK
         assert len(rows[0]["x"] if command == "sample" else range(rows[0]["samples"])) == 1
+
+    @pytest.mark.parametrize("solutions", [5, None, [], [5], {"label": "heine.1"}])
+    def test_solutions_must_be_a_label_or_a_list_of_labels(self, tmp_path, solutions):
+        """5 and null used to raise TypeError (exit 1)."""
+        job = {"equation": "heine", "seed": 0, "solutions": solutions}
+        assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="solutions must be a label or a non-empty list"):
+            run_job("verify", job, io.StringIO())
+
+    @pytest.mark.parametrize("operator", [5, [], [{"i": 0}], [{"i": 0, "j": 0, "re": 1.0, "x": 1}],
+                                          [{"i": True, "j": 0, "re": 1.0}],
+                                          [{"i": 0, "j": 0, "re": "1"}], ["i"]])
+    def test_operator_must_be_a_list_of_records(self, tmp_path, operator):
+        """5 and [{"i": 0}] used to raise TypeError and KeyError (exit 1)."""
+        job = {"operator": operator, "ctx": {"q": 0.5}}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="operator"):
+            run_job("config", job, io.StringIO())
+
+    @pytest.mark.parametrize("params", ["abc", [0.5, 1.2, 1.7], 3])
+    def test_params_must_be_an_object(self, tmp_path, params):
+        """"abc" used to raise TypeError (exit 1)."""
+        job = {"equation": "heine", "seed": 0, "params": params}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match="params must be an object"):
+            run_job("config", job, io.StringIO())
+
+    @pytest.mark.parametrize("kind, extra", [("heine", "zz"), ("qheun", "e")])
+    def test_unknown_parameter_names_are_refused(self, tmp_path, kind, extra):
+        """Unknown names used to be ignored, so a misspelt E fell back to 0."""
+        p = draw_equation_params(kind, np.random.default_rng(3), QContext(0.5))
+        raw = {f.name: [getattr(p, f.name).real, getattr(p, f.name).imag]
+               for f in dataclasses.fields(p) if f.name != "E"}
+        job = {"equation": kind, "params": {**raw, extra: 3}}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match=rf"unknown parameter fields for {kind}: \['{extra}'\]"):
+            run_job("config", job, io.StringIO())
+
+    @pytest.mark.parametrize("job, message", [
+        ({"equation": "e2", "solutions": ["thmint2.phi2[1,2]"], "sigma": True}, "expected a number"),
+        ({"equation": "heine", "params": {"a": True, "b": 1.2, "c": 1.7}}, "expected a number"),
+        ({"equation": "heine", "params": {"a": [0.5, "0.1"], "b": 1.2, "c": 1.7}},
+         "expected a number"),
+        ({"equation": "heine", "ctx": {"q": [0.5, False]}}, "expected a number"),
+        ({"equation": "heine", "ctx": {"tail_tol": "1e-16"}}, "tail_tol must be a number"),
+        ({"equation": "heine", "ctx": {"eq_tol": True}}, "eq_tol must be a number"),
+    ])
+    def test_booleans_and_strings_are_not_numbers(self, tmp_path, job, message):
+        """true used to be read as 1, "0.1" as 0.1 and "1e-16" as 1e-16."""
+        command = "verify" if "solutions" in job else "config"
+        job = {**job, "seed": 0, "samples": 2}
+        assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match=message):
+            run_job(command, job, io.StringIO())
+
+
+class TestRarePaths:
+    def test_seed_and_samples_flags_override_the_job(self, tmp_path):
+        job = {"equation": "heine", "solutions": ["heine.1"], "seed": 0, "samples": 4}
+        out = tmp_path / "report.ndjson"
+        argv = ["verify", "--job", write_job(tmp_path, job), "--out", str(out)]
+        assert main(argv + ["--seed", "7", "--samples", "3"]) == EXIT_OK
+        lines = [json.loads(line) for line in out.read_text().strip().split("\n")]
+        assert lines[0]["samples"] == 3 and lines[-1]["seed"] == 7
+        _, rows, summary = run("verify", {**job, "seed": 7, "samples": 3})
+        assert lines == rows + [summary]
+
+    def test_verify_heine_extra_draws_each_row(self):
+        code, rows, _ = run("verify", {"equation": "heine", "solutions": "heine_extra.all",
+                                       "seed": 0, "samples": 4})
+        assert code == EXIT_OK
+        assert [r["label"] for r in rows] == ["heine_extra.1", "heine_extra.2"]
+        assert all(r["pass"] and r["max_residual"] < 1e-8 for r in rows)
+
+    def test_sample_reports_an_error_row(self):
+        """c = q^-2 puts a pole on the series of heine.1: the label reports
+        the error and fails; the run goes on."""
+        job = {"equation": "heine", "solutions": ["heine.1", "heine.3"], "samples": 4,
+               "params": {"a": 0.5, "b": 1.2, "c": 4.0}, "ctx": {"q": 0.5}}
+        code, rows, summary = run("sample", job)
+        assert code == EXIT_FAIL and summary["failures"] == 1
+        assert rows[0] == {"check": "sample", "label": "heine.1", "pass": False,
+                           "error": "PoleError: q-hypergeometric series: a denominator "
+                                    "factor vanishes at n = 2"}
+        assert rows[1]["label"] == "heine.3" and len(rows[1]["abs_f"]) == 4
+
+    def test_params_apply_to_the_named_equation_only(self):
+        """The labels of another kind draw their own parameters."""
+        p = draw_equation_params("e3", np.random.default_rng(3), QContext(0.5))
+        params = {f.name: [getattr(p, f.name).real, getattr(p, f.name).imag]
+                  for f in dataclasses.fields(p)}
+        job = {"equation": "e3", "solutions": ["heine.1", "thmser3.1"], "params": params,
+               "seed": 0, "samples": 4}
+        code, rows, _ = run("verify", job)
+        assert code == EXIT_OK
+        assert [r["label"] for r in rows] == ["heine.1", "thmser3.1"]
+        _, alone, _ = run("verify", {**job, "solutions": ["thmser3.1"]})
+        assert alone == rows[1:]

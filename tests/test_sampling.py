@@ -2,11 +2,10 @@
 they replaced.
 
 The reference functions below are the q-power scans (``_q_window_clear`` and
-``_pairwise_clear`` of the samplers, ``_in_q_power_window`` of the genericity
-checks), the public drawers and ``draw_equation_params`` as they were before
+``_pairwise_clear`` of the samplers), the public drawers and ``draw_equation_params`` as they were before
 the samplers shared one proximity test, one field sampler and one kind table,
 copied unchanged apart from a ``ref_`` prefix on their names.  The shared test
-must decide every edge value as both scans did, and every draw must be the
+must decide every edge value as the scans did, and every draw must be the
 same tuple of the same floats (``==`` and ``repr``) for the same seed.
 """
 
@@ -20,7 +19,6 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from qhyp import sampling
 from qhyp.equations import (
-    _GENERICITY_TOL,
     H2Params,
     H3Params,
     HeineParams,
@@ -28,25 +26,16 @@ from qhyp.equations import (
     HeunParams,
     Params2,
     Params3,
-    _near_q_power,
     qpow,
 )
 from qhyp.qcore import QContext
+from qhyp.sampling import _near_q_power
 from qhyp.solutions import CATALOGUE
 
 KINDS = ("heine", "qheun", "qheun3", "h2", "h3", "e2", "e3")
 
 
 # -- references: the scans and drawers before the shared helpers -------------------------
-
-
-def ref_in_q_power_window(value: complex, q: complex, lo: int, hi: int,
-                          tol: float = _GENERICITY_TOL) -> bool:
-    for k in range(lo, hi + 1):
-        target = complex(q) ** k
-        if abs(value - target) <= tol * max(1.0, abs(target)):
-            return True
-    return False
 
 
 REF_MAX_REDRAWS = 2000
@@ -253,9 +242,8 @@ def ref_draw_equation_params(kind: str, rng: np.random.Generator, ctx: QContext)
 @st.composite
 def edge_cases(draw):
     """A value on or at the margin of some q^k, |k| <= 64, and a window that
-    may or may not hold k.  The margins are those of both old scans: relative
-    to |q^k| (the samplers' floor 1e-12 and the genericity floor 1 both reach
-    it), to 1 and to 1e-12, so that |q^k| falls on either side of each floor."""
+    may or may not hold k.  The margins are relative to |q^k|, to 1 and to
+    1e-12, so that |q^k| falls on either side of the samplers' floor 1e-12."""
     modulus = draw(st.floats(0.35, 0.55))
     angle = draw(st.one_of(st.just(0.0), st.just(math.pi), st.floats(-math.pi, math.pi)))
     q = modulus if angle == 0.0 and draw(st.booleans()) else cmath.rect(modulus, angle)
@@ -263,7 +251,7 @@ def edge_cases(draw):
     crossing = round(math.log(1e-12) / math.log(modulus))
     k = draw(st.one_of(st.integers(crossing - 2, crossing + 2), st.integers(-64, 64)))
     k = max(-64, min(64, k))
-    tol = draw(st.sampled_from((_GENERICITY_TOL, 1e-3, 0.02, 0.04, 0.05)))
+    tol = draw(st.sampled_from((1e-6, 1e-3, 0.02, 0.04, 0.05)))
     target = complex(q) ** k
     scale = draw(st.sampled_from((abs(target), 1.0, 1e-12)))
     stretch = draw(st.sampled_from((0.0, 1.0, 1.0 - 2**-52, 1.0 + 2**-52, 0.5, 2.0)))
@@ -283,9 +271,8 @@ class TestNearQPower:
     @given(case=edge_cases())
     def test_equals_both_old_scans(self, case):
         value, q, lo, hi, tol = case
-        assert _near_q_power(value, q, lo, hi, tol, 1e-12) == (
+        assert _near_q_power(value, q, lo, hi, tol) == (
             not ref_q_window_clear(value, q, lo, hi, tol))
-        assert _near_q_power(value, q, lo, hi, tol) == ref_in_q_power_window(value, q, lo, hi, tol)
 
     @settings(max_examples=100, deadline=None)
     @given(case=edge_cases(), others=st.lists(st.builds(cmath.rect, st.floats(0.3, 2.0),
@@ -300,15 +287,12 @@ class TestNearQPower:
             values, others, q)
 
     def test_floors(self):
-        # 2e-13 is within 1e-6 * max(|q^40|, 1) of q^40 ~ 1.4e-14, but not
-        # within 1e-6 * max(|q^40|, 1e-12); under floor 1 every small power
-        # is near every smaller one
+        # 2e-13 is not within 1e-6 * max(|q^40|, 1e-12) of q^40 ~ 1.4e-14,
+        # and no small power is near a smaller one
         q = 0.45
-        assert _near_q_power(2e-13, q, 40, 40)
-        assert not _near_q_power(2e-13, q, 40, 40, _GENERICITY_TOL, 1e-12)
-        assert _near_q_power(q**40 * (1 + 1e-7), q, 40, 40, _GENERICITY_TOL, 1e-12)
-        assert _near_q_power(q**40, q, 41, 64)
-        assert not _near_q_power(q**40, q, 41, 64, _GENERICITY_TOL, 1e-12)
+        assert not _near_q_power(2e-13, q, 40, 40, 1e-6)
+        assert _near_q_power(q**40 * (1 + 1e-7), q, 40, 40, 1e-6)
+        assert not _near_q_power(q**40, q, 41, 64, 1e-6)
 
 
 # -- every draw --------------------------------------------------------------------------------

@@ -766,3 +766,13 @@ class TestHandles:
         h = solution_handle("thmser2.1", p, ctx)
         with pytest.raises(DomainError):
             residual(h.equation, h, [h.interval[1] * 0.999], ctx)
+
+    def test_labels_of_one_tuple_share_one_operator(self, ctx, rng):
+        """The claimed operator is built once per (equation, params, ctx) and
+        holds the coefficients a fresh build gives."""
+        p = draw_params3(rng, ctx)
+        handles = [solution_handle(lab, p, ctx) for lab in all_labels("thmint3")]
+        assert all(h.equation is handles[0].equation for h in handles)
+        assert handles[0].equation.coeffs == build_e3(p, ctx).coeffs
+        other = solution_handle("thmint3.phi3[1,2]", draw_params3(rng, ctx), ctx)
+        assert other.equation is not handles[0].equation
