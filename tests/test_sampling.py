@@ -1,10 +1,11 @@
 """The admissible-parameter samplers of ``qhyp.sampling`` against the code
 they replaced.
 
-The reference functions below are the q-power scans (``_q_window_clear`` and
-``_pairwise_clear`` of the samplers), the public drawers and ``draw_equation_params`` as they were before
-the samplers shared one proximity test, one field sampler and one kind table,
-copied unchanged apart from a ``ref_`` prefix on their names.  The shared test
+The reference functions below are the q-power scans of the samplers
+(``_q_window_clear`` and ``_pairwise_clear``), the public drawers and
+``draw_equation_params`` as they were before the samplers shared one
+proximity test, one field sampler and one kind table, copied unchanged apart
+from a ``ref_`` prefix on their names.  The shared test
 must decide every edge value as the scans did, and every draw must be the
 same tuple of the same floats (``==`` and ``repr``) for the same seed.
 """
