@@ -133,12 +133,13 @@ def build_context(job: dict) -> QContext:
         raise JobError(str(exc)) from exc
 
 
-def get_equation_params(job: dict, kind: str, rng, ctx: QContext):
-    raw = job.get("params")
+def equation_params(kind: str, raw, rng, ctx: QContext):
+    """The tuple of ``kind``: drawn when ``raw`` is None, else parsed from it
+    and validated; a tuple that fails validation is an input error."""
     if raw is None:
         return sampling.draw_equation_params(kind, rng, ctx)
     p = parse_params(kind, raw)
-    if not job.get("allow_invalid_params", False) and hasattr(p, "validate"):
+    if hasattr(p, "validate"):
         try:
             p.validate(ctx)
         except QhypError as exc:
@@ -219,7 +220,7 @@ def cmd_config(job: dict, rng, ctx: QContext, report: Report):
     kind = job.get("equation")
     if not isinstance(kind, str) or kind not in BUILDERS:
         raise JobError(f"equation must be one of {sorted(BUILDERS)}")
-    p = get_equation_params(job, kind, rng, ctx)
+    p = equation_params(kind, job.get("params"), rng, ctx)
     op = BUILDERS[kind](p, ctx)
     cfg = op.configuration(ctx)
     expected = expected_configuration(kind, p, ctx)
@@ -263,24 +264,29 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
     return labels
 
 
-def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
-    """Per-label max relative residual under the claimed operator."""
-    labels = _expand_labels(job, job.get("equation"))
-    n_samples = positive_count(job, "samples", 10)
-    kinds = {CATALOGUE[lab].equation for lab in labels}
-    params_by_kind = {}
-    for kind in sorted(kinds):
-        jb = dict(job)
-        if kind != job.get("equation") and job.get("params") is not None:
-            jb["params"] = None  # params only apply to the named equation
-        params_by_kind[kind] = get_equation_params(jb, kind, rng, ctx)
-    # the integral labels of a kind share their single-endpoint integrals
-    tables = {kind: solutions.JacksonTable(p, ctx) for kind, p in params_by_kind.items()}
+def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
+                default_samples: int, measure) -> None:
+    """The label loop of verify and sample: per label, in order, the record
+    and pass flag (None: no flag) of ``measure(handle, xs)``, or its error.
+    The labels of one equation share one tuple and Jackson table; "params"
+    apply to the named equation only; without them a zero-slot Heine row or
+    a heine_extra row draws its own tuple, meeting its row's condition."""
+    named, raw = job.get("equation"), job.get("params")
+    if named is not None and not (isinstance(named, str) and named in BUILDERS):
+        raise JobError(f"equation must be one of {sorted(BUILDERS)}")
+    if raw is not None and named is None:
+        raise JobError("params need an equation to apply to")
+    labels = _expand_labels(job, named)
+    n = positive_count(job, "samples", default_samples)
+    kinds = {CATALOGUE[lab].equation for lab in labels} | ({named} if raw is not None else set())
+    params = {kind: equation_params(kind, raw if kind == named else None, rng, ctx)
+              for kind in sorted(kinds)}
+    tables = {kind: solutions.JacksonTable(p, ctx) for kind, p in params.items()}
     for label in sorted(labels):
         row = CATALOGUE[label]
         kind = row.equation
-        p = params_by_kind[kind]
-        if job.get("params") is None:
+        p = params[kind]
+        if raw is None or kind != named:
             if row.terminating is not None:
                 p = sampling.draw_heine_for(rng, ctx, row.index)
             elif row.family == "heine_extra":
@@ -289,20 +295,27 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
             sigma = as_complex(job["sigma"]) if "sigma" in job else sampling.default_sigma(p) \
                 if kind == "e2" else 1.3
             handle = solution_handle(label, p, ctx, sigma=sigma, table=tables[kind])
-            xs = sample_points(handle, n_samples, ctx)
-            res = residual(handle.equation, handle, xs, ctx)
+            record, passed = measure(handle, sample_points(handle, n, ctx))
         except QhypError as exc:
-            report.add({"check": "residual", "label": label,
+            report.add({"check": check, "label": label,
                         "error": f"{type(exc).__name__}: {exc}"}, passed=False)
             continue
-        report.add({"check": "residual", "label": label, "samples": len(xs),
-                    "max_residual": res}, passed=res < RESIDUAL_TOL)
+        report.add({"check": check, "label": label, **record}, passed=passed)
+
+
+def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
+    """Per-label max relative residual under the claimed operator."""
+    def measure(handle, xs):
+        res = residual(handle.equation, handle, xs, ctx)
+        return {"samples": len(xs), "max_residual": res}, res < RESIDUAL_TOL
+
+    _each_label(job, rng, ctx, report, "residual", 10, measure)
 
 
 def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
     """Cocycle deviations, group relation table, orbit size, Casoratian
     table and the transformation-constant check."""
-    p3 = get_equation_params({**job, "params": job.get("params")}, "e3", rng, ctx) \
+    p3 = equation_params("e3", job.get("params"), rng, ctx) \
         if job.get("equation", "e3") == "e3" else sampling.draw_params3(rng, ctx)
     x = 0.3 * solutions.integral_scale(p3, ctx)
     taus = [Endpoint.q_over_a(1), Endpoint.q_over_a(2),
@@ -405,22 +418,13 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
 
 
 def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
-    """Records of |f(x)| along the positive axis for plotting; written as
-    CSV when the output file ends in .csv."""
-    labels = _expand_labels(job, job.get("equation"))
-    n = positive_count(job, "samples", 32)
-    for label in sorted(labels):
-        p = get_equation_params(job, CATALOGUE[label].equation, rng, ctx)
-        try:
-            handle = solution_handle(label, p, ctx)
-            xs = sample_points(handle, n, ctx)
-            values = [abs(handle.evaluator(x)) for x in xs]
-        except QhypError as exc:
-            report.add({"check": "sample", "label": label,
-                        "error": f"{type(exc).__name__}: {exc}"}, passed=False)
-            continue
-        report.add({"check": "sample", "label": label,
-                    "x": [float(v) for v in xs], "abs_f": values})
+    """Records of |f(x)| along the positive axis for plotting, each label at
+    the parameters verify checks it at; written as CSV when the output file
+    ends in .csv."""
+    def measure(handle, xs):
+        return {"x": [float(v) for v in xs], "abs_f": [abs(handle.evaluator(x)) for x in xs]}, None
+
+    _each_label(job, rng, ctx, report, "sample", 32, measure)
 
 
 def _sample_rows_to_csv(rows: list[dict], out) -> None:
@@ -441,7 +445,22 @@ _COMMANDS = {
 }
 
 
+# the job keys each command reads besides "seed" and "ctx"; any other key is
+# an input error
+_LABEL_KEYS = {"equation", "solutions", "params", "samples", "sigma"}
+_JOB_KEYS = {
+    "config": {"equation", "params", "operator"},
+    "verify": _LABEL_KEYS,
+    "relations": {"equation", "params"},
+    "limits": {"kinds", "scales"},
+    "sample": _LABEL_KEYS,
+}
+
+
 def run_job(command: str, job: dict, out, csv: bool = False) -> int:
+    unread = sorted(set(job) - _JOB_KEYS[command] - {"seed", "ctx"})
+    if unread:
+        raise JobError(f"{command} reads no job keys {unread}")
     seed = job_seed(job)
     rng = np.random.default_rng(seed)
     ctx = build_context(job)

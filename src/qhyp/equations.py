@@ -10,7 +10,7 @@ suite exercises all of them).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -540,46 +540,29 @@ def verify_degeneration(
         x T^{-1} Heine(q^alpha1, q^alpha2, q^(alpha1+alpha2+l1-1/2)).
     """
     q = complex(ctx.q)
-    devs: list[float] = []
-    scales = [float(s) for s in scale_sequence]
-
-    if kind == "e3_to_e2":
-        p2: Params2 = base_params
-        limit = build_e2(p2, ctx)
-        for s in scales:
-            p3 = Params3(p2.a1, p2.a2, s, p2.b1, p2.b2,
-                         qpow(q, p2.alpha - 1) * s, p2.A, p2.B)
-            devs.append(_coeff_deviation(build_e3(p3, ctx), limit))
-    elif kind == "h3_to_h2":
-        p3h: H3Params = base_params
-        limit = build_h2(
-            H2Params(p3h.h1, p3h.h2, p3h.l1, p3h.l2, p3h.t1, p3h.t2,
-                     p3h.alpha, p3h.alpha - p3h.h3 + p3h.l3),
-            ctx,
-        )
-        for s in scales:
-            big = build_h3(
-                H3Params(p3h.h1, p3h.h2, p3h.h3, p3h.l1, p3h.l2, p3h.l3,
-                         p3h.t1, p3h.t2, s, p3h.alpha),
-                ctx,
-            )
-            devs.append(_coeff_deviation(big, limit))
-    elif kind == "h2_to_heine":
-        p2h: H2Params = base_params
-        a = qpow(q, p2h.alpha1)
-        b = qpow(q, p2h.alpha2)
-        c = qpow(q, p2h.alpha1 + p2h.alpha2 + p2h.l1 - 0.5)
-        heine = build_heine(HeineParams(a, b, c), ctx)
-        limit = QDiffOperator.x_power(q) * QDiffOperator.t_power(q, -1) * heine
-        for s in scales:
-            big = build_h2(
-                H2Params(p2h.h1, p2h.h2, p2h.l1, p2h.l2, p2h.t1, s,
-                         p2h.alpha1, p2h.alpha2),
-                ctx,
-            )
-            devs.append(_coeff_deviation(big, limit))
-    else:
+    p = base_params
+    # kind -> (limit operator of the base tuple, operator at scale s)
+    cases = {
+        "e3_to_e2": (
+            lambda: build_e2(p, ctx),
+            lambda s: build_e3(Params3(p.a1, p.a2, s, p.b1, p.b2,
+                                       qpow(q, p.alpha - 1) * s, p.A, p.B), ctx)),
+        "h3_to_h2": (
+            lambda: build_h2(H2Params(p.h1, p.h2, p.l1, p.l2, p.t1, p.t2,
+                                      p.alpha, p.alpha - p.h3 + p.l3), ctx),
+            lambda s: build_h3(replace(p, t3=s), ctx)),
+        "h2_to_heine": (
+            lambda: QDiffOperator.x_power(q) * QDiffOperator.t_power(q, -1) * build_heine(
+                HeineParams(qpow(q, p.alpha1), qpow(q, p.alpha2),
+                            qpow(q, p.alpha1 + p.alpha2 + p.l1 - 0.5)), ctx),
+            lambda s: build_h2(replace(p, t2=s), ctx)),
+    }
+    if kind not in cases:
         raise ValueError(f"unknown degeneration kind {kind!r}")
+    limit_of, at_scale = cases[kind]
+    limit = limit_of()
+    scales = [float(s) for s in scale_sequence]
+    devs = [_coeff_deviation(at_scale(s), limit) for s in scales]
 
     monotone = None
     if len(devs) >= 2:

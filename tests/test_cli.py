@@ -80,11 +80,12 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert len(rows) == 32
 
-    def test_broken_balance_fails(self):
+    def test_broken_balance_fails(self, tmp_path):
+        """Given params are always validated: a broken balance is an input
+        error before any row runs."""
         job = {
             "equation": "e3",
             "solutions": ["thmint3.phi3[1,2]"],
-            "allow_invalid_params": True,
             "samples": 4,
             "params": {
                 "a1": [1.1, 0.2], "a2": [0.9, -0.1], "a3": [1.2, 0.1],
@@ -92,10 +93,9 @@ class TestVerifyCommand:
                 "A": [0.21, 0.05], "B": [1.0, 0.1],
             },
         }
-        code, rows, _ = run("verify", job)
-        assert code == EXIT_FAIL
-        assert rows[0]["pass"] is False
-        assert rows[0].get("max_residual", 1.0) > 1e-3
+        assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match=r"need a1 a2 a3 A = q\^2 b1 b2 b3 B"):
+            run_job("verify", job, io.StringIO())
 
     @pytest.mark.parametrize("equation, family", [("e3", "thmint3"), ("e2", "thmint2")])
     def test_integral_labels_read_the_same_from_a_shared_table(self, equation, family):
@@ -173,6 +173,24 @@ class TestLimitsCommand:
 
 
 class TestSampleCommand:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heine_extra_rows_meet_their_conditions(self, seed):
+        """Each heine_extra row draws the tuple verify checks it at; drawn
+        with the equation's shared tuple instead, the formal series diverged
+        and the integral analog left the unit disc."""
+        code, rows, _ = run("sample", {"equation": "heine", "solutions": "heine_extra.all",
+                                       "seed": seed, "samples": 4})
+        assert code == EXIT_OK
+        assert [r["label"] for r in rows] == ["heine_extra.1", "heine_extra.2"]
+        assert all(len(r["abs_f"]) == 4 for r in rows)
+
+    def test_row_does_not_depend_on_the_other_labels(self):
+        """The labels of one equation share one tuple, as in verify."""
+        job = {"equation": "heine", "solutions": ["heine.1", "heine.3"], "seed": 0, "samples": 6}
+        _, rows, _ = run("sample", job)
+        _, alone, _ = run("sample", {**job, "solutions": ["heine.3"]})
+        assert alone == rows[1:]
+
     def test_emits_values(self):
         code, rows, _ = run("sample", {"equation": "heine",
                                        "solutions": ["heine.1"],
@@ -256,8 +274,7 @@ class TestJobInput:
                for f in dataclasses.fields(p)}
         assert parse_params(kind, raw) == p
         first = dataclasses.fields(p)[0].name
-        job = {"equation": kind, "allow_invalid_params": True,
-               "params": {k: v for k, v in raw.items() if k != first}}
+        job = {"equation": kind, "params": {k: v for k, v in raw.items() if k != first}}
         buf = io.StringIO()
         with pytest.raises(JobError, match=rf"missing parameter fields for {kind}: \['{first}'\]"):
             run_job("config", job, buf)
@@ -370,7 +387,7 @@ class TestJobInput:
     def test_booleans_and_strings_are_not_numbers(self, tmp_path, job, message):
         """true used to be read as 1, "0.1" as 0.1 and "1e-16" as 1e-16."""
         command = "verify" if "solutions" in job else "config"
-        job = {**job, "seed": 0, "samples": 2}
+        job = {**job, "seed": 0, **({"samples": 2} if command == "verify" else {})}
         assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
         with pytest.raises(JobError, match=message):
             run_job(command, job, io.StringIO())
@@ -407,14 +424,54 @@ class TestRarePaths:
         assert rows[1]["label"] == "heine.3" and len(rows[1]["abs_f"]) == 4
 
     def test_params_apply_to_the_named_equation_only(self):
-        """The labels of another kind draw their own parameters."""
+        """The labels of another kind draw their own parameters, in verify
+        and in sample."""
         p = draw_equation_params("e3", np.random.default_rng(3), QContext(0.5))
         params = {f.name: [getattr(p, f.name).real, getattr(p, f.name).imag]
                   for f in dataclasses.fields(p)}
         job = {"equation": "e3", "solutions": ["heine.1", "thmser3.1"], "params": params,
                "seed": 0, "samples": 4}
-        code, rows, _ = run("verify", job)
-        assert code == EXIT_OK
-        assert [r["label"] for r in rows] == ["heine.1", "thmser3.1"]
-        _, alone, _ = run("verify", {**job, "solutions": ["thmser3.1"]})
-        assert alone == rows[1:]
+        for command in ("verify", "sample"):
+            code, rows, _ = run(command, job)
+            assert code == EXIT_OK
+            assert [r["label"] for r in rows] == ["heine.1", "thmser3.1"]
+            _, alone, _ = run(command, {**job, "solutions": ["thmser3.1"]})
+            assert alone == rows[1:]
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_params_are_read_without_labels_of_their_equation(self, tmp_path, command):
+        """Params without an equation, for an unknown one, or for one that
+        no label of the job solves applied to no label and were ignored,
+        unread."""
+        params = {"a": 0.5, "b": 1.2, "c": 1.7}
+        for job, message in (({"solutions": ["heine.1"], "params": params},
+                              "params need an equation"),
+                             ({"equation": "heien", "solutions": ["heine.1"], "params": params},
+                              "equation must be one of"),
+                             ({"equation": "h2", "solutions": ["heine.1"], "params": params},
+                              "unknown parameter fields for h2")):
+            assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+            with pytest.raises(JobError, match=message):
+                run_job(command, job, io.StringIO())
+
+
+class TestJobKeys:
+    @pytest.mark.parametrize("command, job, unread", [
+        ("config", {"equation": "heine", "solutions": "heine.1"}, "solutions"),
+        ("verify", {"equation": "heine", "solution": "heine.1"}, "solution"),
+        ("sample", {"equation": "heine", "solutions": ["heine.1"], "allow_invalid_params": True},
+         "allow_invalid_params"),
+        ("relations", {"samples": 4}, "samples"),
+        ("limits", {"equation": "e3"}, "equation"),
+    ])
+    def test_keys_the_command_does_not_read_are_refused(self, tmp_path, command, job, unread):
+        """A misspelt "solutions" used to verify every label of the equation."""
+        job = {**job, "seed": 0}
+        assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match=rf"{command} reads no job keys \['{unread}'\]"):
+            run_job(command, job, io.StringIO())
+
+    def test_flags_add_keys(self, tmp_path):
+        job = write_job(tmp_path, {"equation": "heine", "seed": 0})
+        assert main(["config", "--job", job, "--samples", "3"]) == EXIT_INPUT
+        assert main(["config", "--job", job, "--seed", "3"]) == EXIT_OK
