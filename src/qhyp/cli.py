@@ -43,10 +43,8 @@ RESIDUAL_TOL = 1e-8
 COCYCLE_TOL = 1e-12
 RELATION_TOL = 1e-12
 
-# the B of the relations Casoratian pattern, and the k of the limits
-# series scales 1.1 q^-k
+# the B of the relations Casoratian pattern
 CASORATIAN_B = 0.9 + 0.2j
-LATTICE_STEPS = (12, 16, 20)
 
 _PARAM_CLASSES = {"heine": HeineParams, "qheun": HeunParams, "qheun3": Heun3Params,
                   "h2": H2Params, "h3": H3Params, "e2": Params2, "e3": Params3}
@@ -211,6 +209,8 @@ def cmd_config(job: dict, rng, ctx: QContext, report: Report):
     """Computed configuration, with PASS/FAIL against the catalogued one for
     named equations; raw operator input is reported without expectation."""
     if "operator" in job:
+        if unread := sorted({"equation", "params"} & set(job)):
+            raise JobError(f"config reads no job keys {unread} beside an operator")
         op = QDiffOperator.from_records(ctx.q, operator_records(job["operator"]))
         cfg = op.configuration(ctx)
         report.add({"check": "configuration", "equation": "raw",
@@ -269,8 +269,8 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
     """The label loop of verify and sample: per label, in order, the record
     and pass flag (None: no flag) of ``measure(handle, xs)``, or its error.
     The labels of one equation share one tuple and Jackson table; "params"
-    apply to the named equation only; without them a zero-slot Heine row or
-    a heine_extra row draws its own tuple, meeting its row's condition."""
+    apply to the named equation only; without them a row with a condition
+    (``Solution.condition``) draws its own tuple, meeting that condition."""
     named, raw = job.get("equation"), job.get("params")
     if named is not None and not (isinstance(named, str) and named in BUILDERS):
         raise JobError(f"equation must be one of {sorted(BUILDERS)}")
@@ -286,11 +286,8 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
         row = CATALOGUE[label]
         kind = row.equation
         p = params[kind]
-        if raw is None or kind != named:
-            if row.terminating is not None:
-                p = sampling.draw_heine_for(rng, ctx, row.index)
-            elif row.family == "heine_extra":
-                p = sampling.draw_heine_extra(rng, ctx, row.index)
+        if row.condition is not None and (raw is None or kind != named):
+            p = sampling.draw_heine_for(rng, ctx, label)
         try:
             sigma = as_complex(job["sigma"]) if "sigma" in job else sampling.default_sigma(p) \
                 if kind == "e2" else 1.3
@@ -315,8 +312,7 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
 def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
     """Cocycle deviations, group relation table, orbit size, Casoratian
     table and the transformation-constant check."""
-    p3 = equation_params("e3", job.get("params"), rng, ctx) \
-        if job.get("equation", "e3") == "e3" else sampling.draw_params3(rng, ctx)
+    p3 = equation_params("e3", job.get("params"), rng, ctx)
     x = 0.3 * solutions.integral_scale(p3, ctx)
     taus = [Endpoint.q_over_a(1), Endpoint.q_over_a(2),
             Endpoint.q_over_a(3), Endpoint.q_over_Ax()]
@@ -330,8 +326,8 @@ def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
     rank = solutions.incidence_rank()
     report.add({"check": "relation_matrix_rank", "rank": rank}, passed=rank == 3)
 
-    p2 = sampling.draw_params2(rng, ctx, series_room=True)
-    ph = sampling.draw_heine(rng, ctx)
+    p2 = equation_params("e2", None, rng, ctx)
+    ph = equation_params("heine", None, rng, ctx)
     for group, params in (("G1", ph), ("G2", p2), ("G3", p3)):
         state = groups.params_to_state(params, 0.7 + 0.2j, ctx)
         devs = groups.check_relations(group, state, ctx)
@@ -389,10 +385,9 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
             sc = solutions.e2_series_scale(p2, ctx)
             x1, x2 = 0.2 * sc, 0.4 * sc
             q = abs(complex(ctx.q))
-            # advance the scale along the q-lattice: decimal steps drift
-            # through the pole grid of the scaled denominator parameters
-            ks = LATTICE_STEPS[: len(scales)]
-            ells = [1.1 * q ** (-k) for k in ks]
+            # one q-lattice step per job scale: decimal steps drift through
+            # the pole grid of the scaled denominator parameters
+            ells = [1.1 * q ** (-12 - 4 * i) for i in range(len(scales))]
             devs = [solutions.e3_to_e2_series_deviation(p2, x1, x2, s, ctx)
                     for s in ells]
             monotone = all(d1 > d2 for d1, d2 in zip(devs, devs[1:])) if not single else None
@@ -406,8 +401,6 @@ def cmd_limits(job: dict, rng, ctx: QContext, report: Report):
             base = sampling.draw_h3(rng, ctx)
         elif kind == "h2_to_heine":
             base = sampling.draw_h2(rng, ctx)
-            base = H2Params(0.5, base.alpha1 + base.alpha2 + base.l1 - 1.5 + base.l2,
-                            base.l1, base.l2, 1.0, base.t2, base.alpha1, base.alpha2)
         else:
             raise JobError(f"unknown degeneration kind {kind!r}")
         dscales = scales if kind != "h2_to_heine" else [1.0 / s for s in scales]
@@ -451,7 +444,7 @@ _LABEL_KEYS = {"equation", "solutions", "params", "samples", "sigma"}
 _JOB_KEYS = {
     "config": {"equation", "params", "operator"},
     "verify": _LABEL_KEYS,
-    "relations": {"equation", "params"},
+    "relations": {"params"},
     "limits": {"kinds", "scales"},
     "sample": _LABEL_KEYS,
 }

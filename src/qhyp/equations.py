@@ -498,12 +498,6 @@ class DegenerationReport:
     monotone: bool | None
     passed: bool
 
-    def rows(self) -> list[dict]:
-        return [
-            {"scale": s, "deviation": d}
-            for s, d in zip(self.scales, self.deviations)
-        ]
-
 
 def _pivot_normalize(op: QDiffOperator, pivot_key: tuple[int, int]) -> dict:
     pivot = op.coeffs.get(pivot_key)
@@ -535,12 +529,15 @@ def verify_degeneration(
         degree-two operator as s grows.
     kind "h3_to_h2": base_params is H3Params; t3 = s -> infinity, limit has
         (alpha1, alpha2) = (alpha, alpha - h3 + l3).
-    kind "h2_to_heine": base_params is H2Params with t1 = 1, h1 = 1/2 and
-        h2 - l2 = alpha1 + alpha2 + l1 - 3/2; t2 = s -> 0, limit is
+    kind "h2_to_heine": base_params is H2Params; the limit holds on the
+        slice t1 = 1, h1 = 1/2, h2 - l2 = alpha1 + alpha2 + l1 - 3/2, to
+        which the check pins the base's t1, h1 and h2; t2 = s -> 0, limit is
         x T^{-1} Heine(q^alpha1, q^alpha2, q^(alpha1+alpha2+l1-1/2)).
     """
     q = complex(ctx.q)
     p = base_params
+    if kind == "h2_to_heine":
+        p = replace(p, h1=0.5, h2=p.alpha1 + p.alpha2 + p.l1 - 1.5 + p.l2, t1=1.0)
     # kind -> (limit operator of the base tuple, operator at scale s)
     cases = {
         "e3_to_e2": (

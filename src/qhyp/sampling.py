@@ -141,25 +141,15 @@ def draw_params2_terminating(
     raise RuntimeError("could not draw terminating degree-two parameters")
 
 
-def draw_heine_extra(rng: np.random.Generator, ctx: QContext, which: int) -> HeineParams:
-    """Parameters for the two extra catalogue entries: the terminating factor
-    for the formal series, the unit-disc constraint for the integral-analog."""
-    p = draw_heine(rng, ctx)
-    q = complex(ctx.q)
-    if which == 1:
-        return HeineParams(q ** (-3), p.b, p.c)
-    return HeineParams(p.a * 0.55 / abs(p.a), p.b, p.c)
-
-
 def draw_heine_for(
-    rng: np.random.Generator, ctx: QContext, which: int, n: int = 2
+    rng: np.random.Generator, ctx: QContext, label: str, n: int = 2
 ) -> HeineParams:
-    """Heine parameters admissible for catalogue row ``which``: generic for
-    the everywhere-valid rows, with the row's terminating relation imposed
-    for the zero-slot rows."""
+    """Heine parameters admissible for catalogue row ``label``: a generic
+    draw with the row's condition imposed, if it has one; ``n`` is the order
+    of a zero-slot ``heine`` row's terminating relation."""
     p = draw_heine(rng, ctx)
-    terminating = CATALOGUE[f"heine.{which}"].terminating
-    return p if terminating is None else terminating(p, complex(ctx.q), n)
+    condition = CATALOGUE[label].condition
+    return p if condition is None else condition(p, complex(ctx.q), n)
 
 
 def _expn(rng: np.random.Generator) -> complex:

@@ -21,9 +21,9 @@ same value bit for bit.  An evaluator given no table uses a throwaway one.
 The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
 (end of the module): the operator a label solves, its endpoint pair or its
 series formula in Gasper & Rahman's notation, its domain, sampling scale and
-terminating relation.  Handles, :func:`all_labels`, the samplers and the CLI
-read these records, and a label that is not a key of the catalogue is
-refused with ValueError.
+the parameter condition under which it holds.  Handles, :func:`all_labels`,
+the samplers and the CLI read these records, and a label that is not a key of
+the catalogue is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -642,9 +642,10 @@ class Solution:
         (alpha, beta, gamma) = log_q (a, b, c), or None.
     domain, scale: (params, ctx) -> the |x| interval on the positive axis
         and the natural |x| scale of sampling.
-    terminating: (params, q, n) -> the parameters with the relation imposed
-        (n >= 0) that terminates a zero-slot ``heine`` row, which is rigorous
-        exactly then; None for the other rows.
+    condition: (params, q, n) -> the parameters with the row's condition
+        imposed, or None.  A zero-slot ``heine`` row holds exactly when its
+        relation of order n >= 0 terminates it; the ``heine_extra`` rows need
+        a = q^-3 and |a| = 0.55 < 1, and ignore n.
     """
 
     label: str
@@ -657,7 +658,7 @@ class Solution:
     single: Callable | None = None
     formula: Callable | None = None
     exponent: Callable | None = None
-    terminating: Callable | None = None
+    condition: Callable | None = None
 
     @property
     def family(self) -> str:
@@ -755,13 +756,13 @@ def _heine(n: int, power: str | None, domain: str, terminating: str | None, form
         lambda p, ctx: interval(*_moduli(p, ctx)),
         lambda p, ctx: 0.5 * scale(*_moduli(p, ctx)),
         index=n, formula=formula, exponent=power and _Z_POWERS[power],
-        terminating=terminating and _TERMINATING[terminating])
+        condition=terminating and _TERMINATING[terminating])
 
 
-def _heine_extra(n: int, formula) -> Solution:
+def _heine_extra(n: int, condition, formula) -> Solution:
     """Extra Heine-type row n: formula(a, b, c, q, z), inside the unit disc."""
-    return Solution(f"heine_extra.{n}", "heine", "heine_extra",
-                    lambda p, ctx: (0.0, 1.0), lambda p, ctx: 0.4, index=n, formula=formula)
+    return Solution(f"heine_extra.{n}", "heine", "heine_extra", lambda p, ctx: (0.0, 1.0),
+                    lambda p, ctx: 0.4, index=n, formula=formula, condition=condition)
 
 
 _ROWS = (
@@ -902,8 +903,10 @@ _ROWS = (
                                      ([q / a, b * q / c, 0.0], [q**2 / c, q**2 / (a * z)], q))),
     # the terminating 3phi1 form (formal otherwise) and the integral-analog
     # series behind the transformation formula
-    _heine_extra(1, lambda a, b, c, q, z: (None, ([a, b, q / z], [a * b * q / c], z / c))),
-    _heine_extra(2, lambda a, b, c, q, z: (([b * z], [z]), ([c / a, z], [b * z], a))),
+    _heine_extra(1, lambda p, q, n: HeineParams(q ** (-3), p.b, p.c),
+                 lambda a, b, c, q, z: (None, ([a, b, q / z], [a * b * q / c], z / c))),
+    _heine_extra(2, lambda p, q, n: HeineParams(p.a * 0.55 / abs(p.a), p.b, p.c),
+                 lambda a, b, c, q, z: (([b * z], [z]), ([c / a, z], [b * z], a))),
 )
 
 CATALOGUE: dict[str, Solution] = {row.label: row for row in _ROWS}

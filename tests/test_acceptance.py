@@ -188,7 +188,7 @@ def test_criterion_4_series_solutions():
     for trial in range(3):
         ctx = QContext(rng.uniform(0.35, 0.55))
         for which in range(1, 33):
-            ph = draw_heine_for(rng, ctx, which, n=2 + trial % 2)
+            ph = draw_heine_for(rng, ctx, f"heine.{which}", n=2 + trial % 2)
             oph = build_heine(ph, ctx)
             h = solution_handle(f"heine.{which}", ph, ctx)
             xs = sample_points(h, 10, ctx)

@@ -598,7 +598,7 @@ class TestRecordsEqualTheChains:
     def test_terminating_draws_are_bit_identical(self, seed, q, n):
         ctx = QContext(q)
         for which in range(1, 33):
-            new = draw_heine_for(np.random.default_rng(seed), ctx, which, n)
+            new = draw_heine_for(np.random.default_rng(seed), ctx, f"heine.{which}", n)
             old = ref_draw_heine_for(np.random.default_rng(seed), ctx, which, n)
             assert new == old and repr(new) == repr(old), which
 
@@ -606,8 +606,8 @@ class TestRecordsEqualTheChains:
         for family in FAMILIES:
             assert all_labels(family) == ref_all_labels(family)
         assert sorted(CATALOGUE) == sorted(lab for fam in FAMILIES for lab in ref_all_labels(fam))
-        assert {row.label for row in CATALOGUE.values() if row.terminating} == {
-            f"heine.{which}" for which in REF_HEINE_TERMINATING}
+        assert {row.label for row in CATALOGUE.values() if row.condition} == {
+            f"heine.{which}" for which in REF_HEINE_TERMINATING} | {"heine_extra.1", "heine_extra.2"}
 
 
 def readme_labels() -> dict[str, list[str]]:

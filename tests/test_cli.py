@@ -154,6 +154,13 @@ class TestLimitsCommand:
         assert code == EXIT_OK
         assert rows[0]["monotone"] is None
 
+    def test_series_row_takes_one_lattice_step_per_scale(self):
+        """Every scale past the third used to be dropped from the series row."""
+        code, rows, _ = run("limits", {"seed": 0, "scales": [1e3, 1e5, 1e7, 1e9]})
+        row = next(r for r in rows if r["kind"] == "e3_series_to_e2_series")
+        assert len(row["scales"]) == len(row["deviations"]) == 4
+        assert row["monotone"] is True
+
     @pytest.mark.parametrize("scales", [[], "1e5", [0.0, 1e5], [-1e5], [True], ["1e5"], None])
     def test_scales_must_be_a_non_empty_list_of_positive_numbers(self, tmp_path, scales):
         """"scales": [] used to report four passing rows, three of them with
@@ -462,6 +469,8 @@ class TestJobKeys:
         ("sample", {"equation": "heine", "solutions": ["heine.1"], "allow_invalid_params": True},
          "allow_invalid_params"),
         ("relations", {"samples": 4}, "samples"),
+        ("relations", {"equation": "e3"}, "equation"),
+        ("relations", {"equation": "heine", "params": {"zz": 1}}, "equation"),
         ("limits", {"equation": "e3"}, "equation"),
     ])
     def test_keys_the_command_does_not_read_are_refused(self, tmp_path, command, job, unread):
@@ -470,6 +479,14 @@ class TestJobKeys:
         assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
         with pytest.raises(JobError, match=rf"{command} reads no job keys \['{unread}'\]"):
             run_job(command, job, io.StringIO())
+
+    def test_tuple_keys_beside_an_operator_are_refused(self, tmp_path):
+        """A raw operator used to run with "equation" and "params" ignored."""
+        job = {"operator": [{"i": 0, "j": 0, "re": 1.0}], "equation": "nope", "params": 5}
+        assert main(["config", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        with pytest.raises(JobError, match=r"config reads no job keys \['equation', 'params'\] "
+                                           "beside an operator"):
+            run_job("config", job, io.StringIO())
 
     def test_flags_add_keys(self, tmp_path):
         job = write_job(tmp_path, {"equation": "heine", "seed": 0})

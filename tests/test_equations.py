@@ -210,8 +210,23 @@ class TestDegenerations:
         rep = verify_degeneration("h2_to_heine", p, [1e-5, 1e-7, 1e-9], ctx)
         assert rep.monotone and rep.passed
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_h2_to_heine_pins_its_base(self, seed):
+        """A raw draw gives the report of the tuple pinned to the slice
+        t1 = 1, h1 = 1/2, h2 = alpha1 + alpha2 + l1 - 3/2 + l2, bit for bit;
+        the check used to take the raw tuple as it was."""
+        ctx = QContext(0.45)
+        raw = draw_h2(np.random.default_rng(seed), ctx)
+        pinned = H2Params(0.5, raw.alpha1 + raw.alpha2 + raw.l1 - 1.5 + raw.l2,
+                          raw.l1, raw.l2, 1.0, raw.t2, raw.alpha1, raw.alpha2)
+        scales = [1e-5, 1e-7, 1e-9]
+        rep = verify_degeneration("h2_to_heine", raw, scales, ctx)
+        ref = verify_degeneration("h2_to_heine", pinned, scales, ctx)
+        assert rep == ref and repr(rep) == repr(ref)
+        assert rep.passed
+
     def test_single_scale_reports_no_monotonicity(self, ctx, rng):
         p2 = draw_params2(rng, ctx)
         rep = verify_degeneration("e3_to_e2", p2, [1e6], ctx)
         assert rep.monotone is None
-        assert len(rep.rows()) == 1
+        assert len(rep.deviations) == 1

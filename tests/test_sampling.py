@@ -176,7 +176,7 @@ def ref_draw_heine_for(
     the everywhere-valid rows, with the row's terminating relation imposed
     for the zero-slot rows."""
     p = ref_draw_heine(rng, ctx)
-    terminating = CATALOGUE[f"heine.{which}"].terminating
+    terminating = CATALOGUE[f"heine.{which}"].condition
     return p if terminating is None else terminating(p, complex(ctx.q), n)
 
 
@@ -332,9 +332,12 @@ class TestDrawsEqualTheReferences:
             (sampling.draw_heine, ref_draw_heine, ()),
             (sampling.draw_params2_terminating, ref_draw_params2_terminating, ()),
             (sampling.draw_params2_terminating, ref_draw_params2_terminating, (n,)),
-            (sampling.draw_heine_extra, ref_draw_heine_extra, (1,)),
-            (sampling.draw_heine_extra, ref_draw_heine_extra, (2,)),
-            (sampling.draw_heine_for, ref_draw_heine_for, (which, n)),
+            (partial(sampling.draw_heine_for, label="heine_extra.1"),
+             partial(ref_draw_heine_extra, which=1), ()),
+            (partial(sampling.draw_heine_for, label="heine_extra.2"),
+             partial(ref_draw_heine_extra, which=2), ()),
+            (partial(sampling.draw_heine_for, label=f"heine.{which}", n=n),
+             partial(ref_draw_heine_for, which=which, n=n), ()),
             (sampling.draw_heun, ref_draw_heun, ()),
             (sampling.draw_heun3, ref_draw_heun3, ()),
             (sampling.draw_h2, ref_draw_h2, ()),

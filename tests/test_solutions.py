@@ -260,7 +260,7 @@ class TestHeineCatalogue:
     @pytest.mark.parametrize("which", list(range(1, 33)))
     def test_residuals(self, which, rng):
         ctx = QContext(0.45)
-        p = draw_heine_for(rng, ctx, which)
+        p = draw_heine_for(rng, ctx, f"heine.{which}")
         op = build_heine(p, ctx)
         h = solution_handle(f"heine.{which}", p, ctx)
         xs = sample_points(h, 5, ctx)
@@ -269,23 +269,21 @@ class TestHeineCatalogue:
     def test_first_is_plain_series(self, ctx, rng):
         from qhyp.qseries import phi21
 
-        p = draw_heine_for(rng, ctx, 1)
+        p = draw_heine_for(rng, ctx, "heine.1")
         z = 0.3
         assert heine_solution(p, 1, z, ctx) == phi21(p.a, p.b, p.c, z, ctx)
 
     def test_rows_one_and_two_equal(self, ctx, rng):
         """Both are the regular solution at the origin normalized to 1."""
-        p = draw_heine_for(rng, ctx, 2)
+        p = draw_heine_for(rng, ctx, "heine.2")
         for z in (0.15, 0.3):
             v1 = heine_solution(p, 1, z, ctx)
             v2 = heine_solution(p, 2, z, ctx)
             assert abs(v1 - v2) <= 1e-9 * abs(v1)
 
     def test_extras(self, ctx, rng):
-        from qhyp.sampling import draw_heine_extra
-
         for which in (1, 2):
-            p = draw_heine_extra(rng, ctx, which)
+            p = draw_heine_for(rng, ctx, f"heine_extra.{which}")
             h = solution_handle(f"heine_extra.{which}", p, ctx)
             xs = sample_points(h, 4, ctx)
             assert residual(h.equation, h, xs, ctx) < 1e-8
