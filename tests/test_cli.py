@@ -469,9 +469,9 @@ class TestJobKeys:
         ("sample", {"equation": "heine", "solutions": ["heine.1"], "allow_invalid_params": True},
          "allow_invalid_params"),
         ("relations", {"samples": 4}, "samples"),
+        ("limits", {"equation": "e3"}, "equation"),
         ("relations", {"equation": "e3"}, "equation"),
         ("relations", {"equation": "heine", "params": {"zz": 1}}, "equation"),
-        ("limits", {"equation": "e3"}, "equation"),
     ])
     def test_keys_the_command_does_not_read_are_refused(self, tmp_path, command, job, unread):
         """A misspelt "solutions" used to verify every label of the equation."""
