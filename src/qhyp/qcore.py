@@ -12,7 +12,12 @@ magnitude at a time; chunked numpy kernels feed it whole chunks.
 Every term-ratio sum (``phi``, ``w87``, both sides of ``psi33`` and of the
 Jackson grid sums) is one chunked kernel, :func:`_ratio_sum`, which sums many
 rows at once, each in order and with its own stop, so that a row's value does
-not depend on the rows beside it; scalar callers pass one row.  Whether a
+not depend on the rows beside it; scalar callers pass one row.  A step over
+one column is taken as one over two equal columns, because numpy rounds
+complex products over a single element differently (:func:`_ratio_sum`).
+The series batches of many points are summed in blocks of at most
+``_BATCH_ELEMENTS`` rows x factors x columns (:func:`_by_blocks`), so their
+working set does not grow with their rows.  Whether a
 factor 1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros
 and terminating parameters alike.  Where the step ratios tend to a constant
 r with 0 < |r| < 1, the kernel sums term by term only up to the closure
@@ -150,6 +155,22 @@ def _one(outcomes: list) -> complex:
     return value
 
 
+# the most elements (rows x factors x columns) of one block of a series
+# batch, 64 KiB a complex array; a batch of more rows is summed block by
+# block, so its working set does not grow with its rows
+_BATCH_ELEMENTS = 1 << 12
+
+
+def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int) -> list:
+    """``kernel(block)`` over consecutive blocks of ``rows``, concatenated:
+    one entry per row.  A block holds as many rows (one at least) as keep
+    rows x ``factors`` x ``_CHUNK`` within ``_BATCH_ELEMENTS``; ``_CHUNK``
+    is the widest chunk of :func:`_pochhammer_product` and about twice the
+    first chunk a convergent series row takes at q = 1/2."""
+    size = max(1, _BATCH_ELEMENTS // (factors * _CHUNK))
+    return [entry for lo in range(0, len(rows), size) for entry in kernel(rows[lo:lo + size])]
+
+
 _MIN_CHUNK = 32
 # a bigger chunk makes psi33's factor matrices (6 rows) big enough that
 # allocating them page-faults anew for every chunk: at 4096, psi33 near
@@ -253,18 +274,30 @@ def _ratio_sum(
     t = np.array(t0, dtype=complex)[:, None]  # the term before the chunk
     if len(live) < rows:
         t = t[live]
+
+    def ratios_at(ns: np.ndarray) -> np.ndarray:
+        # numpy rounds a complex product over one column other than over
+        # many (an in-place product or a product reduction over a single
+        # element skips the fused multiply-add of its vector loops, and a
+        # broadcast over one column changes which operand its loop holds
+        # fixed); so one column is stepped as two equal ones, and every
+        # ratio is rounded as in a chunk of many, alone or in a batch
+        if len(ns) == 1:
+            return step(live, np.repeat(ns, 2))[:, :1]
+        return step(live, ns)
+
     n0 = 0
     while True:
         hi = min(n0 + size, max(ends))
         ns = np.arange(n0, hi)
         if n0:
-            ratios = step(live, ns - 1)
+            ratios = ratios_at(ns - 1)
             seq = np.multiply.accumulate(np.concatenate((t, ratios), axis=1), axis=1)[:, 1:]
             terms = seq if weigh is None else weigh(live, ns, seq)
             # sums[:, k]: the sum of the terms up to n0 + k
             sums = np.add.accumulate(np.concatenate((total, terms), axis=1), axis=1)[:, 1:]
         else:  # t_0 r_0 ... needs no first ratio 1, and 0 + t_0 is t_0
-            seq = np.multiply.accumulate(np.concatenate((t, step(live, ns[:-1])), axis=1), axis=1)
+            seq = np.multiply.accumulate(np.concatenate((t, ratios_at(ns[:-1])), axis=1), axis=1)
             terms = seq if weigh is None else weigh(live, ns, seq)
             sums = np.add.accumulate(terms, axis=1)
             scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)

@@ -10,11 +10,15 @@ plain power series with radius 1.
 
 ``phi``, ``w87`` and both sides of ``psi33`` are term-ratio sums: each builds
 its step ratios t_{n+1} / t_n as arrays over a chunk of n and hands them to
-the one series kernel, :func:`qhyp.qcore._ratio_sum`, as a batch of one row.
-A denominator factor that vanishes to rounding (:func:`qhyp.qcore._vanishes`)
-before the sum ends raises PoleError; a numerator parameter q^-n ends the
-series after term n; divergence is refused up front (DivergenceError,
-AnnulusError).
+the one series kernel, :func:`qhyp.qcore._ratio_sum`.  :func:`_phi_rows` and
+:func:`_w87_rows` sum many parameter tuples at once, one row each, their step
+ratios read from per-row parameter arrays, in blocks of bounded size
+(:func:`qhyp.qcore._by_blocks`); each row's value or error is what it is
+alone, bit for bit, and ``phi`` and ``w87`` are the one-row case.  Both sides
+of ``psi33`` pass one row.  A denominator factor that vanishes to rounding
+(:func:`qhyp.qcore._vanishes`) before the sum ends raises PoleError; a
+numerator parameter q^-n ends the series after term n; divergence is refused
+up front (DivergenceError, AnnulusError), row by row.
 ``appell_phi1`` is a double series and keeps its own loop.
 """
 
@@ -29,6 +33,7 @@ import numpy as np
 from .errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
 from .qcore import (
     QContext,
+    _by_blocks,
     _one,
     _quotient,
     _ratio_sum,
@@ -54,34 +59,73 @@ class PhiSpec:
         object.__setattr__(self, "argument", complex(argument))
 
 
-def phi(spec: PhiSpec, ctx: QContext) -> complex:
-    """Evaluate the general q-hypergeometric series at ``spec.argument``."""
-    nums, dens, z = spec.numerator, spec.denominator, spec.argument
-    r, s = len(nums), len(dens)
-    p = s + 1 - r  # exponent of the (-1)^n q^C(n,2) factor
-    q = complex(ctx.q)
+def _sum_rows(out: list, live: list, plans: list, step, ctx: QContext, what: str) -> list:
+    """Sum the rows ``live`` of a series block into ``out``.  ``plans[k]``
+    belongs to row ``live[k]``: (values, rate, reach, last, pole), with
+    ``values`` the row's parameters, and the rest as
+    :func:`qhyp.qcore._ratio_sum` takes them.  ``step(v, ns)`` gives the
+    step ratios at ``ns`` of the rows whose parameters are ``v``, shaped
+    (parameters, rows, 1)."""
+    if live:
+        values = np.array([plan[0] for plan in plans], dtype=complex).T.copy()[:, :, None]
+        rate, reach, last, pole = zip(*(plan[1:] for plan in plans))
+        sums = _ratio_sum(
+            [1.0] * len(live),
+            lambda sub, ns: step(values if len(sub) == len(live) else values[:, sub], ns),
+            ctx, rate, reach, what, last=last, pole=pole)
+        for i, value in zip(live, sums):
+            out[i] = value
+    return out
 
-    n_stop = _termination_order(nums, ctx)
-    if n_stop is None:
-        if p < 0:
-            raise DivergenceError(
+
+def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
+    """Row i: the general series of (numerators, denominators, argument) =
+    ``rows[i]``, as :func:`phi` sums it alone; the rows share their numbers
+    of numerators and of denominators.  Returns one entry per row: its
+    value, or the error it raises.  The rows are summed block by block
+    (:func:`qhyp.qcore._by_blocks`)."""
+    if not rows:
+        return []
+    r, s = len(rows[0][0]), len(rows[0][1])
+    return _by_blocks(lambda block: _phi_block(block, r, s, ctx), rows, r + s + 1)
+
+
+def _phi_block(rows: Sequence[tuple], r: int, s: int, ctx: QContext) -> list:
+    """One block of :func:`_phi_rows`, its rows of r numerators and s
+    denominators summed together."""
+    q = complex(ctx.q)
+    p = s + 1 - r  # exponent of the (-1)^n q^C(n,2) factor
+    out: list = [None] * len(rows)
+    live, plans = [], []
+    for i, (nums, dens, z) in enumerate(rows):
+        nums, dens, z = [complex(v) for v in nums], [complex(v) for v in dens], complex(z)
+        n_stop = _termination_order(nums, ctx)
+        if n_stop is None and p < 0:
+            out[i] = DivergenceError(
                 "series with r > s+1 diverges unless a numerator parameter "
                 "is q^-n for some n >= 0"
             )
-        if p == 0 and abs(z) >= 1.0:
-            raise DivergenceError(f"|argument| = {abs(z):.6g} >= 1 for r = s+1")
+        elif n_stop is None and p == 0 and abs(z) >= 1.0:
+            out[i] = DivergenceError(f"|argument| = {abs(z):.6g} >= 1 for r = s+1")
+        else:
+            live.append(i)
+            plans.append(((*nums, *dens, q, z), z if p == 0 else 0.0,
+                          max(map(abs, (*nums, *dens, q))), n_stop, _termination_order(dens, ctx)))
 
-    params = np.array((*nums, *dens, q), dtype=complex)[:, None]
-
-    def step(rows: list, ns: np.ndarray) -> np.ndarray:
+    def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """v: the numerators, denominators, q and the argument."""
         qn = q**ns
-        ratio = _quotient(1.0 - params * qn, r)
-        ratio *= z * (-qn) ** p if p else z
-        return ratio[None]
+        ratio = _quotient(1.0 - v[:-1] * qn, r)
+        ratio *= v[-1] * (-qn) ** p if p else v[-1]
+        return ratio
 
-    return _one(_ratio_sum([1.0], step, ctx, [z if p == 0 else 0.0],
-                           [max(map(abs, (*nums, *dens, q)))], "q-hypergeometric series",
-                           last=[n_stop], pole=[_termination_order(dens, ctx)]))
+    return _sum_rows(out, live, plans, step, ctx, "q-hypergeometric series")
+
+
+def phi(spec: PhiSpec, ctx: QContext) -> complex:
+    """Evaluate the general q-hypergeometric series at ``spec.argument``:
+    the one-row case of :func:`_phi_rows`."""
+    return _one(_phi_rows([(spec.numerator, spec.denominator, spec.argument)], ctx))
 
 
 def phi21(a: complex, b: complex, c: complex, z: complex, ctx: QContext) -> complex:
@@ -130,33 +174,51 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
                                    "psi33 downward tail"))
 
 
+def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
+    """Row i: the very-well-poised series of (a, b, c, d, e, f, z) =
+    ``rows[i]``, as :func:`w87` sums it alone.  Returns one entry per row:
+    its value, or the error it raises.  The rows are summed block by block
+    (:func:`qhyp.qcore._by_blocks`) of 14 factors 1 - c q^n a step."""
+    return _by_blocks(lambda block: _w87_block(block, ctx), rows, 14)
+
+
+def _w87_block(rows: Sequence[tuple], ctx: QContext) -> list:
+    """One block of :func:`_w87_rows`, its rows summed together."""
+    q = complex(ctx.q)
+    out: list = [None] * len(rows)
+    live, plans = [], []
+    for i, row in enumerate(rows):
+        a, b, c, d, e, f, z = (complex(v) for v in row)
+        params = (b, c, d, e, f)
+        n_stop = _termination_order(params + (a,), ctx)
+        if n_stop is None and abs(z) >= 1.0:
+            out[i] = DivergenceError(f"w87 needs |z| < 1, got {abs(z):.6g}")
+            continue
+        dens = [q * a / p for p in params]
+        # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
+        poles = [n for n in (_termination_order(dens, ctx), _termination_order(
+            [cmath.sqrt(a), -cmath.sqrt(a)], ctx)) if n is not None]
+        live.append(i)
+        plans.append(((a, *params, *dens, q, z), z, max(map(abs, (a, *params, *dens, q))),
+                      n_stop, min(poles, default=None)))
+
+    def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """(a, b, ..., f)_n / (q, qa/b, ..., qa/f)_n steps and the very-well-poised
+        (1 - a q^{2n+2}) / (1 - a q^{2n}); v: a, b, ..., f, qa/b, ..., qa/f, q, z."""
+        qn = q**ns
+        sq = v[0] * qn * qn
+        return v[12] * _quotient(1.0 - np.concatenate(
+            (v[:6] * qn, (q * q * sq)[None], v[6:12] * qn, sq[None])), 7)
+
+    return _sum_rows(out, live, plans, step, ctx, "w87 series")
+
+
 def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,
         ctx: QContext) -> complex:
     """Very-well-poised series
-    sum_n (1-a q^{2n})/(1-a) (a,b,c,d,e,f)_n / (q, qa/b, ..., qa/f)_n z^n."""
-    a, b, c, d, e, f, z = (complex(v) for v in (a, b, c, d, e, f, z))
-    q = complex(ctx.q)
-    params = (b, c, d, e, f)
-    n_stop = _termination_order(params + (a,), ctx)
-    if n_stop is None and abs(z) >= 1.0:
-        raise DivergenceError(f"w87 needs |z| < 1, got {abs(z):.6g}")
-    dens = [q * a / p for p in params]
-    # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
-    poles = [n for n in (_termination_order(dens, ctx), _termination_order(
-        [cmath.sqrt(a), -cmath.sqrt(a)], ctx)) if n is not None]
-    pole = min(poles, default=None)
-    num = np.array((a, *params), dtype=complex)[:, None]
-    den = np.array((*dens, q), dtype=complex)[:, None]
-
-    def step(rows: list, ns: np.ndarray) -> np.ndarray:
-        """(a, b, ..., f)_n / (q, qa/b, ..., qa/f)_n steps and the very-well-poised
-        (1 - a q^{2n+2}) / (1 - a q^{2n})."""
-        qn = q**ns
-        sq = a * qn * qn
-        return z * _quotient(1.0 - np.vstack((num * qn, q * q * sq, den * qn, sq)), 7)[None]
-
-    return _one(_ratio_sum([1.0], step, ctx, [z], [max(map(abs, (a, *params, *dens, q)))],
-                           "w87 series", last=[n_stop], pole=[pole]))
+    sum_n (1-a q^{2n})/(1-a) (a,b,c,d,e,f)_n / (q, qa/b, ..., qa/f)_n z^n;
+    the one-row case of :func:`_w87_rows`."""
+    return _one(_w87_rows([(a, b, c, d, e, f, z)], ctx))
 
 
 def is_balanced_w87(

@@ -18,6 +18,14 @@ fill every point x q^j of an endpoint in one batch before it evaluates
 anything; a lone lookup is the one-row case of the same kernel, with the
 same value bit for bit.  An evaluator given no table uses a throwaway one.
 
+A series handle keeps a :class:`SeriesTable` of its own values, which
+:meth:`SolutionHandle.fill` computes for every point in one batch: the
+catalogue formula runs per point, and then the Pochhammer prefactors of all
+the points are one batch of the product kernel and their series one batch of
+:func:`qhyp.qseries._phi_rows` or ``_w87_rows`` (:func:`_label_rows`).  Each
+value equals the one-point evaluator's bit for bit, and a point whose
+evaluation raises stores its error, which every lookup of it raises.
+
 The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
 (end of the module): the operator a label solves, its endpoint pair or its
 series formula in Gasper & Rahman's notation, its domain, sampling scale and
@@ -49,6 +57,7 @@ from .equations import (
 from .opalgebra import QDiffOperator
 from .qcore import (
     QContext,
+    _by_blocks,
     _one,
     _pochhammer_product,
     _quotient,
@@ -56,7 +65,7 @@ from .qcore import (
     _termination_order,
     qpoch_ratio,
 )
-from .qseries import PhiSpec, phi, w87
+from .qseries import PhiSpec, _phi_rows, _w87_rows, phi
 
 
 # -- endpoints --------------------------------------------------------------------
@@ -344,26 +353,66 @@ def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
 # -- series solutions -----------------------------------------------------------------
 #
 # A series row of the catalogue (end of the module) keeps its formulas as a
-# function of its family's variables.  The evaluators below compute those
-# variables and read the row; what a label is lives in its row alone.
+# function of its family's variables.  Each family's ``_*_rows`` below
+# computes those variables at every point of a batch and reads the row, which
+# gives the point's lead factor, prefactor and series; :func:`_label_rows`
+# then evaluates all the points of the batch together.  The one-point
+# evaluators (``e3_series``, ``e2_series``, ``heine_solution``,
+# ``heine_extra``) are the one-row case; what a label is lives in its row
+# alone.
 
 
-def _phi_row(spec, ctx: QContext, factor: complex | None = None) -> complex:
-    """factor * prefactor ratio * phi(series) for spec = (prefactor, series),
-    multiplied left to right; an absent factor is skipped, not taken as 1."""
-    prefactor, series = spec
-    if prefactor is not None:
-        ratio = qpoch_ratio(*prefactor, ctx)
-        factor = ratio if factor is None else factor * ratio
-    value = phi(PhiSpec(*series), ctx)
-    return value if factor is None else factor * value
+def _label_rows(terms: Callable, xs: Sequence[complex], series_rows: Callable,
+                ctx: QContext) -> list:
+    """Entry i: lead * ratio * series for (lead, prefactor, series) =
+    ``terms(xs[i])``, multiplied left to right, where an absent (None) lead
+    or prefactor is skipped, not taken as 1; ratio is the Pochhammer ratio of
+    prefactor = (numerators, denominators), and series the value of
+    ``series_rows`` (:func:`qhyp.qseries._phi_rows` or ``_w87_rows``) for
+    its arguments.
+
+    Returns one entry per x: its value, or the error that evaluating x alone
+    raises first: the error of ``terms``, then the prefactor's, then the
+    series'.  The prefactors of all points are one Pochhammer batch and
+    their series one series batch, each summed block by block
+    (:func:`qhyp.qcore._by_blocks`); every row is independent of its batch, so
+    each entry equals the one-point value bit for bit.
+    """
+    out: list = [None] * len(xs)
+    live, leads, prefactors, series = [], [], [], []
+    for i, x in enumerate(xs):
+        try:
+            lead, prefactor, args = terms(x)
+        except (DomainError, ArithmeticError, ValueError) as exc:
+            out[i] = exc  # raised on lookup, as evaluating x alone raises it
+            continue
+        live.append(i)
+        leads.append(lead)
+        prefactors.append(prefactor)
+        series.append(args)
+    if not live:
+        return out
+    ratios = [None] * len(live)
+    if prefactors[0] is not None:
+        n_num = len(prefactors[0][0])
+        args = [[*nums, *dens] for nums, dens in prefactors]
+        ratios = _by_blocks(lambda block: _pochhammer_product(block, n_num, ctx), args,
+                            len(args[0]))
+    for i, lead, ratio, value in zip(live, leads, ratios, series_rows(series, ctx)):
+        if isinstance(ratio, Exception) or isinstance(value, Exception):
+            out[i] = ratio if isinstance(ratio, Exception) else value
+            continue
+        factor = lead
+        if ratio is not None:
+            factor = ratio if factor is None else factor * ratio
+        out[i] = value if factor is None else factor * value
+    return out
 
 
-def _gr_series_value(
-    a: complex, b: complex, cd: tuple[complex, complex],
-    efg: tuple[complex, complex, complex], h: complex, ctx: QContext,
-) -> complex:
-    """Series side of the Jackson-integral <-> very-well-poised correspondence
+def _gr_terms(a: complex, b: complex, cd: tuple[complex, complex],
+              efg: tuple[complex, complex, complex], h: complex, q: complex) -> tuple:
+    """(lead, prefactor, W(8,7) arguments) of the series side of the
+    Jackson-integral <-> very-well-poised correspondence
 
         int_a^b (qt/a, qt/b, ct, dt)_inf / (et, ft, gt, ht)_inf dq t
         = b (1-q) (q, bq/a, a/b, cd/eh, cd/fh, cd/gh, bc, bd)_inf
@@ -372,15 +421,22 @@ def _gr_series_value(
 
     valid for balanced data cd = ab efg h and |a h| < 1.
     """
-    q = complex(ctx.q)
     c, d = cd
     e, f, g = efg
-    pref_num = [q, b * q / a, a / b, c * d / (e * h), c * d / (f * h),
-                c * d / (g * h), b * c, b * d]
-    pref_den = [a * e, a * f, a * g, b * e, b * f, b * g, b * h, b * c * d / h]
-    pref = b * (1.0 - q) * qpoch_ratio(pref_num, pref_den, ctx)
-    return pref * w87(b * c * d / (h * q), b * e, b * f, b * g, c / h, d / h,
-                      a * h, ctx)
+    return (b * (1.0 - q),
+            ([q, b * q / a, a / b, c * d / (e * h), c * d / (f * h), c * d / (g * h),
+              b * c, b * d],
+             [a * e, a * f, a * g, b * e, b * f, b * g, b * h, b * c * d / h]),
+            (b * c * d / (h * q), b * e, b * f, b * g, c / h, d / h, a * h))
+
+
+def _gr_series_value(
+    a: complex, b: complex, cd: tuple[complex, complex],
+    efg: tuple[complex, complex, complex], h: complex, ctx: QContext,
+) -> complex:
+    """The value of the correspondence of :func:`_gr_terms`."""
+    terms = _gr_terms(a, b, cd, efg, h, complex(ctx.q))
+    return _one(_label_rows(lambda _: terms, [None], _w87_rows, ctx))
 
 
 def _e3_gr_data(p: Params3, which: int, x: complex, ctx: QContext):
@@ -389,22 +445,37 @@ def _e3_gr_data(p: Params3, which: int, x: complex, ctx: QContext):
     return _row(f"thmser3.{which}").formula(complex(ctx.q), p.A * x, p.B * x, p)
 
 
+def _e3_rows(p: Params3, which: int, xs: Sequence[complex], ctx: QContext) -> list:
+    """:func:`e3_series` at every x of ``xs``, by :func:`_label_rows`."""
+    q = complex(ctx.q)
+
+    def terms(x):
+        a, b, cd, efg, h = _e3_gr_data(p, which, x, ctx)
+        if abs(a * h) >= 1.0:
+            raise DomainError(f"series {which}: |a h| = {abs(a*h):.4g} >= 1 at x = {x}")
+        return _gr_terms(a, b, cd, efg, h, q)
+    return _label_rows(terms, xs, _w87_rows, ctx)
+
+
 def e3_series(p: Params3, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six very-well-poised series solutions of the degree-three
     equation, normalized to equal its corresponding endpoint-pair integral."""
-    a, b, cd, efg, h = _e3_gr_data(p, which, x, ctx)
-    if abs(a * h) >= 1.0:
-        raise DomainError(f"series {which}: |a h| = {abs(a*h):.4g} >= 1 at x = {x}")
-    return _gr_series_value(a, b, cd, efg, h, ctx)
+    return _one(_e3_rows(p, which, [x], ctx))
+
+
+def _e2_rows(p: Params2, which: int, xs: Sequence[complex], ctx: QContext) -> list:
+    """:func:`e2_series` at every x of ``xs``, by :func:`_label_rows`."""
+    q = complex(ctx.q)
+    formula, qa = _row(f"thmser2.{which}").formula, qpow(q, p.alpha)
+    return _label_rows(
+        lambda x: (None, *formula(q, qa, complex(x), p.alpha, p.a1, p.a2, p.b1, p.b2, p.A, p.B)),
+        xs, _phi_rows, ctx)
 
 
 def e2_series(p: Params2, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six catalogued 3phi2 series solutions of the degree-two
     equation."""
-    q = complex(ctx.q)
-    spec = _row(f"thmser2.{which}").formula(
-        q, qpow(q, p.alpha), complex(x), p.alpha, p.a1, p.a2, p.b1, p.b2, p.A, p.B)
-    return _phi_row(spec, ctx)
+    return _one(_e2_rows(p, which, [x], ctx))
 
 
 def e2_series_limit_target(p: Params2, x: complex, ctx: QContext) -> complex:
@@ -455,38 +526,81 @@ def _heine_exponents(p: HeineParams, ctx: QContext):
             cmath.log(complex(p.c)) / lq)
 
 
-def heine_solution(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
-    """One of the 32 catalogued series solutions of the q-hypergeometric
-    equation of Heine type; exponent prefactors use principal branches."""
+def _heine_rows(p: HeineParams, which: int, zs: Sequence[complex], ctx: QContext) -> list:
+    """:func:`heine_solution` at every z of ``zs``, by :func:`_label_rows`."""
     row = _row(f"heine.{which}")
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
-    z = complex(z)
-    alpha, beta, gamma = _heine_exponents(p, ctx)
-    zpow = None
-    if row.exponent is not None:
-        zpow = cmath.exp(complex(row.exponent(alpha, beta, gamma)) * cmath.log(z))
-    return _phi_row(row.formula(a, b, c, q, z, a * b * z / c), ctx, zpow)
+    power = None if row.exponent is None else complex(row.exponent(*_heine_exponents(p, ctx)))
+
+    def terms(z):
+        z = complex(z)
+        lead = None if power is None else cmath.exp(power * cmath.log(z))
+        return (lead, *row.formula(a, b, c, q, z, a * b * z / c))
+    return _label_rows(terms, zs, _phi_rows, ctx)
+
+
+def heine_solution(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
+    """One of the 32 catalogued series solutions of the q-hypergeometric
+    equation of Heine type; exponent prefactors use principal branches."""
+    return _one(_heine_rows(p, which, [z], ctx))
+
+
+def _heine_extra_rows(p: HeineParams, which: int, zs: Sequence[complex], ctx: QContext) -> list:
+    """:func:`heine_extra` at every z of ``zs``, by :func:`_label_rows`."""
+    q = complex(ctx.q)
+    a, b, c = complex(p.a), complex(p.b), complex(p.c)
+    formula = _row(f"heine_extra.{which}").formula
+    return _label_rows(lambda z: (None, *formula(a, b, c, q, complex(z))), zs, _phi_rows, ctx)
 
 
 def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
     """The two additional catalogued solutions: the terminating 3phi1 form
     (formal otherwise) and the integral-analog series behind the
     transformation formula."""
-    q = complex(ctx.q)
-    a, b, c = complex(p.a), complex(p.b), complex(p.c)
-    return _phi_row(_row(f"heine_extra.{which}").formula(a, b, c, q, complex(z)), ctx)
+    return _one(_heine_extra_rows(p, which, [z], ctx))
 
 
 # -- verification utilities ---------------------------------------------------------
 
 
+class SeriesTable:
+    """The values of one series label at many points, each computed once;
+    meant to live for one handle.
+
+    ``rows(xs)`` gives one value or error per x (a family's ``_*_rows`` at
+    the label's parameters).  :meth:`fill` computes the missing points of
+    ``xs`` in one batch; :meth:`value` looks one up and computes it alone if
+    it is missing.  Points are compared by value.  An error is stored like a
+    value, and every lookup of its point raises it.
+    """
+
+    __slots__ = ("rows", "_values")
+
+    def __init__(self, rows: Callable[[Sequence[complex]], list]):
+        self.rows = rows
+        self._values: dict = {}
+
+    def fill(self, xs: Sequence[complex]) -> None:
+        todo = [x for x in dict.fromkeys(xs) if x not in self._values]
+        if todo:
+            self._values.update(zip(todo, self.rows(todo)))
+
+    def value(self, x: complex) -> complex:
+        if x not in self._values:
+            self.fill([x])
+        found = self._values[x]
+        if isinstance(found, Exception):
+            raise found.with_traceback(None)
+        return found
+
+
 @dataclass
 class SolutionHandle:
     """A named evaluable solution: label, evaluator, positive-axis sampling
-    interval and scale, claimed operator and its T-power range.  An integral
-    handle also names the Jackson table it evaluates through and the
-    (integrand, endpoint) pairs of its two single integrals."""
+    interval and scale, claimed operator and its T-power range.  ``batch``,
+    if given, computes in one batch what the evaluator reads at many points
+    (:meth:`fill`)."""
 
     label: str
     evaluator: Callable[[complex], complex]
@@ -494,18 +608,19 @@ class SolutionHandle:
     equation: QDiffOperator
     params: object
     scale: float = 1.0
-    table: JacksonTable | None = None
-    integrals: tuple[tuple[Callable, Endpoint], ...] = ()
+    batch: Callable[[Sequence[complex]], None] | None = None
 
     def domain(self, x: complex) -> bool:
         lo, hi = self.interval
         return lo < abs(x) < hi
 
     def fill(self, xs: Sequence[complex]) -> None:
-        """Compute the single integrals the evaluator reads at ``xs``, one
-        batch per endpoint; nothing for a series handle."""
-        for single, e in self.integrals:
-            self.table.fill(single, e, xs)
+        """Compute what the evaluator reads at ``xs`` before it is read: the
+        single integrals of an integral handle, one batch per endpoint; the
+        values of a series handle, in one batch; nothing for a handle
+        without ``batch``."""
+        if self.batch is not None:
+            self.batch(xs)
 
     def __call__(self, x: complex) -> complex:
         return self.evaluator(x)
@@ -520,8 +635,8 @@ def residual(
     """Max over sample points of |sum of operator terms| relative to the sum
     of term magnitudes (backward-error style; floor keeps zeros harmless).
 
-    A handle's single integrals at every point x q^j are computed before the
-    loop over the sample points, one batch per endpoint."""
+    What a handle's evaluator reads at every point x q^j is computed before
+    the loop over the sample points (:meth:`SolutionHandle.fill`)."""
     ev = f.evaluator if isinstance(f, SolutionHandle) else f
     if isinstance(f, SolutionHandle):
         # every point the operator reads, formed as apply_terms forms it
@@ -627,9 +742,11 @@ class Solution:
     one label.
 
     equation: the operator the row solves, a key of ``equations.BUILDERS``.
-    evaluator: the name of the module function that evaluates the row; a
-        series row passes it ``index``, an integral row its endpoint
-        ``pair`` (the bilateral endpoint takes the handle's sigma).
+    evaluator: the name of the module function that evaluates the row.  A
+        series row's (``_*_rows``) takes (params, ``index``, points, ctx) and
+        gives one value or error per point; an integral row's takes its
+        endpoint ``pair`` (the bilateral endpoint takes the handle's sigma)
+        and one point.
     single: integral rows only, the single-endpoint integrand (one of the
         ``_*_single`` helpers) whose difference the evaluator takes.
     formula: series rows only, a function of the family's variables.  For
@@ -700,7 +817,7 @@ def _thmser3(n: int, domain, formula) -> Solution:
     |q|, |A|, |B|, |a1|, |b3|, where the series argument stays in the unit
     disc (pole grids with complex-generic bases miss the positive axis)."""
     return Solution(
-        f"thmser3.{n}", "e3", "e3_series",
+        f"thmser3.{n}", "e3", "_e3_rows",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.A), abs(p.B), abs(p.a1), abs(p.b3)),
         lambda p, ctx: 0.3 * integral_scale(p, ctx), index=n, formula=formula)
 
@@ -710,7 +827,7 @@ def _thmser2(n: int, domain, formula) -> Solution:
     domain over |q|, |B|, |a1|, |a2|, where the argument stays in the unit
     disc (the x-free arguments q^alpha and A/B impose nothing on x)."""
     return Solution(
-        f"thmser2.{n}", "e2", "e2_series",
+        f"thmser2.{n}", "e2", "_e2_rows",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.B), abs(p.a1), abs(p.a2)),
         lambda p, ctx: 0.3 * e2_series_scale(p, ctx), index=n, formula=formula)
 
@@ -752,7 +869,7 @@ def _heine(n: int, power: str | None, domain: str, terminating: str | None, form
     domain and scale are functions of |a|, |b|, |c|, |q|."""
     interval = _HEINE_DOMAINS[domain]
     return Solution(
-        f"heine.{n}", "heine", "heine_solution",
+        f"heine.{n}", "heine", "_heine_rows",
         lambda p, ctx: interval(*_moduli(p, ctx)),
         lambda p, ctx: 0.5 * scale(*_moduli(p, ctx)),
         index=n, formula=formula, exponent=power and _Z_POWERS[power],
@@ -761,7 +878,7 @@ def _heine(n: int, power: str | None, domain: str, terminating: str | None, form
 
 def _heine_extra(n: int, condition, formula) -> Solution:
     """Extra Heine-type row n: formula(a, b, c, q, z), inside the unit disc."""
-    return Solution(f"heine_extra.{n}", "heine", "heine_extra", lambda p, ctx: (0.0, 1.0),
+    return Solution(f"heine_extra.{n}", "heine", "_heine_extra_rows", lambda p, ctx: (0.0, 1.0),
                     lambda p, ctx: 0.4, index=n, formula=formula, condition=condition)
 
 
@@ -943,29 +1060,32 @@ def solution_handle(
 
     An integral label evaluates through ``table``, the single-endpoint
     integrals of ``params`` shared with the other labels of a job; without
-    one, the handle keeps a table of its own.  Series labels ignore it.
+    one, the handle keeps a table of its own.  Series labels ignore it: a
+    series handle keeps a :class:`SeriesTable` of its own values.
     ``sigma`` is the free constant of the bilateral endpoint.
     """
     row = _row(label)
     op = _claimed_operator(row.equation, params, ctx)
     # looked up when the handle is built, so a wrapper installed on the
-    # module attribute sees every evaluation
+    # module attribute sees every evaluation of an integral label
     evaluate = globals()[row.evaluator]
     if row.pair is None:
         which = row.index
-        table, integrals = None, ()
-
-        def evaluator(x: complex) -> complex:
-            return evaluate(params, which, x, ctx)
+        values = SeriesTable(lambda xs: evaluate(params, which, xs, ctx))
+        evaluator, batch = values.value, values.fill
     else:
         e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
                   for e in row.pair)
-        table, integrals = _table_for(params, ctx, table), ((row.single, e1), (row.single, e2))
+        table = _table_for(params, ctx, table)
 
         def evaluator(x: complex) -> complex:
             return evaluate(params, e1, e2, x, ctx, table)
+
+        def batch(xs: Sequence[complex]) -> None:
+            for e in (e1, e2):
+                table.fill(row.single, e, xs)
     return SolutionHandle(label, evaluator, row.domain(params, ctx), op, params,
-                          scale=row.scale(params, ctx), table=table, integrals=integrals)
+                          scale=row.scale(params, ctx), batch=batch)
 
 
 def all_labels(family: str) -> list[str]:

@@ -5,17 +5,20 @@ identities connecting them."""
 import cmath
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
 from qhyp.qcore import _RATIO_FACTORS, QContext, _Tail, qpoch_fin, qpoch_inf, qpoch_ratio
 from qhyp.qseries import (
     PhiSpec,
+    _phi_rows,
+    _w87_rows,
     appell_phi1,
     bailey_w87_transform,
     heine_transformation_constant,
@@ -587,6 +590,110 @@ class TestSeriesKernel:
         assert not isinstance(got, type)
         if sum(scan) <= 4 * abs(ref):
             assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+# -- row batches --------------------------------------------------------------
+#
+# _phi_rows and _w87_rows sum many rows at once, block by block; phi and w87
+# are their one-row case.  Every row must be what it is alone, bit for bit.
+
+
+def raised(fn, *args):
+    """fn(*args), or the series error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except (PoleError, DivergenceError, NonDecayingSumError) as exc:
+        return exc
+
+
+def assert_same(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+    else:
+        assert not isinstance(got, Exception), got
+        assert repr(got) == repr(want)
+
+
+@st.composite
+def phi_batches(draw):
+    """30 rows of phi_cases that share q, the budget and the numbers of
+    numerators and of denominators; they may mix good rows with divergent,
+    polar and budget-exhausting ones."""
+    q = q_draw(draw)
+    r, s = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    power = st.integers(0, 8).map(lambda k: q**-k)
+    row = st.tuples(
+        st.lists(st.one_of(params_draw(0.05, 2.0), power), min_size=r, max_size=r),
+        st.lists(st.one_of(params_draw(0.05, 2.0), params_draw(0.05, 2.0), power, st.just(0j)),
+                 min_size=s, max_size=s),
+        params_draw(0.0, 1.05))
+    rows = draw(st.lists(row, min_size=30, max_size=30))
+    return q, rows, draw(st.one_of(st.just(512), st.integers(1, 60)))
+
+
+@st.composite
+def w87_batches(draw):
+    """30 rows drawn as w87_cases draws one, but with one q and budget for
+    all, and |z| up to 1.1: good rows mixed with terminating, polar,
+    divergent and budget-exhausting ones."""
+    q = q_draw(draw)
+    rows = []
+    for _ in range(30):
+        a = draw(st.one_of(params_draw(0.3, 1.5), params_draw(0.3, 1.5),
+                           st.integers(1, 3).map(lambda m: q ** (-2 * m))))
+        rest = draw(st.lists(st.one_of(
+            params_draw(0.3, 1.5), params_draw(0.3, 1.5),
+            st.integers(0, 6).map(lambda k: q**-k),
+            st.integers(0, 6).map(lambda k: a * q ** (k + 1))), min_size=5, max_size=5))
+        rows.append((a, *rest, draw(params_draw(0.0, 1.1))))
+    return q, rows, draw(st.one_of(st.just(512), st.integers(1, 60)))
+
+
+class TestRowBatches:
+    # a batch of 30 rows is the smallest input these tests are about
+    batch_settings = settings(max_examples=25, deadline=None,
+                              suppress_health_check=[HealthCheck.large_base_example])
+
+    @batch_settings
+    @given(case=phi_batches())
+    def test_phi_rows_equal_phi_alone(self, case):
+        q, rows, max_terms = case
+        ctx = QContext(q, max_terms=max_terms)
+        for n in (1, 2, 30):
+            batch = raised(_phi_rows, rows[:n], ctx)
+            assert len(batch) == n
+            for row, got in zip(rows, batch):
+                assert_same(got, raised(phi, PhiSpec(*row), ctx))
+
+    @batch_settings
+    @given(case=w87_batches())
+    def test_w87_rows_equal_w87_alone(self, case):
+        q, rows, max_terms = case
+        ctx = QContext(q, max_terms=max_terms)
+        for n in (1, 2, 30):
+            batch = raised(_w87_rows, rows[:n], ctx)
+            assert len(batch) == n
+            for row, got in zip(rows, batch):
+                assert_same(got, raised(w87, *row, ctx))
+
+    def test_batch_memory_does_not_grow_with_its_rows(self):
+        """A batch is summed block by block: the traced peak of 300 rows of
+        3phi2 stays within twice that of 30 rows."""
+        ctx = QContext(0.5)
+        rng = np.random.default_rng(11)
+        rows = [([rand_complex(rng) for _ in range(3)], [rand_complex(rng) for _ in range(2)],
+                 rand_complex(rng, 0.2, 0.9)) for _ in range(300)]
+        peaks = []
+        for n in (30, 300):
+            tracemalloc.start()
+            try:
+                values = _phi_rows(rows[:n], ctx)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not any(isinstance(v, Exception) for v in values)
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def mp_terms_sum(first, ratio, scale_digits=45, limit=20_000):

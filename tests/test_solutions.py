@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qhyp import solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
 from qhyp.errors import (
+    DivergenceError,
     DomainError,
     NonDecayingSumError,
     PoleError,
@@ -30,6 +31,7 @@ from qhyp.qcore import (
     qpoch_ratio,
 )
 from qhyp.solutions import (
+    CATALOGUE,
     _grid_sum,
     Endpoint,
     JacksonTable,
@@ -54,6 +56,7 @@ from qhyp.solutions import (
 )
 from qhyp.sampling import (
     default_sigma,
+    draw_equation_params,
     draw_heine_for,
     draw_params2,
     draw_params2_terminating,
@@ -296,6 +299,61 @@ class TestHeineCatalogue:
         p = draw_heine(rng, ctx)
         with pytest.raises(DivergenceError):
             heine_extra(p, 1, 0.4, ctx)
+
+
+# the one-point evaluator of each series family
+ONE_POINT = {"thmser3": e3_series, "thmser2": e2_series, "heine": heine_solution,
+             "heine_extra": solutions.heine_extra}
+
+
+class TestSeriesTable:
+    """A series handle fills its table with every point in one batch; each
+    value equals the one-point evaluator's bit for bit, and each error its
+    type and message."""
+
+    @staticmethod
+    def points(h, ctx):
+        """The points residual() reads at four samples, then two past the
+        interval (DomainError on thmser3.1 and .4, where |a h| >= 1;
+        DivergenceError on rows whose argument leaves the unit disc) and
+        the q-grid through 1, where the (z)_inf denominators of Heine
+        prefactors vanish (PoleError)."""
+        q = complex(ctx.q)
+        try:
+            samples = sample_points(h, 4, ctx)
+        except DomainError:
+            samples = []
+        xs = [q**j * complex(x) for x in samples
+              for j in range(h.equation.t_min, h.equation.t_max + 1)]
+        hi = h.interval[1]
+        if np.isfinite(hi):
+            xs += [1.2 * hi, 3.0 * hi]
+        return xs + [q**-k for k in range(3)]
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.4, 0.55))
+    def test_fill_equals_one_point_evaluation(self, seed, q):
+        ctx = QContext(q)
+        rng = np.random.default_rng(seed)
+        shared = {kind: draw_equation_params(kind, rng, ctx) for kind in ("e2", "e3")}
+        seen = set()
+        for label, row in CATALOGUE.items():
+            if row.pair is not None:
+                continue
+            p = shared.get(row.equation) or draw_heine_for(rng, ctx, label)
+            h = solution_handle(label, p, ctx)
+            xs = self.points(h, ctx)
+            with np.errstate(all="ignore"):
+                h.fill(xs)
+                for x in xs:
+                    got = outcome_of(h.evaluator, x)
+                    want = outcome_of(ONE_POINT[row.family], p, row.index, x, ctx)
+                    if isinstance(want, Exception):
+                        assert type(got) is type(want) and str(got) == str(want), (label, x)
+                        seen.add(type(want))
+                    else:
+                        assert repr(got) == repr(want), (label, x)
+        assert {DomainError, PoleError, DivergenceError} <= seen
 
 
 class TestRelationsAmongIntegrals:
