@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from typing import Any
 
@@ -55,8 +56,8 @@ class JobError(Exception):
 
 
 def _is_real(value: Any) -> bool:
-    """A JSON number: booleans and strings are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: booleans, strings, NaN and infinities are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def as_complex(value: Any) -> complex:

@@ -72,6 +72,8 @@ class Params2:
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
     def validate(self, ctx: QContext):
+        if 0 in (*self.a_list(), *self.b_list(), self.A, self.B):
+            raise DomainError("degree-two parameters a_i, b_i, A and B must be nonzero")
         if self.balance_deviation(ctx) > ctx.eq_tol:
             raise BalanceError("need a1 a2 A = q^(alpha+1) b1 b2 B")
 
@@ -105,6 +107,8 @@ class Params3:
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
     def validate(self, ctx: QContext):
+        if 0 in (*self.a_list(), *self.b_list(), self.A, self.B):
+            raise DomainError("degree-three parameters a_i, b_i, A and B must be nonzero")
         if self.balance_deviation(ctx) > ctx.eq_tol:
             raise BalanceError("need a1 a2 a3 A = q^2 b1 b2 b3 B")
 
@@ -216,6 +220,10 @@ class H3Params:
 
     def t_list(self):
         return (self.t1, self.t2, self.t3)
+
+    def validate(self, ctx: QContext):
+        if 0 in self.t_list():
+            raise DomainError("h3 parameters t1, t2 and t3 must be nonzero")
 
 
 # -- builders ---------------------------------------------------------------------

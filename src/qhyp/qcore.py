@@ -1,16 +1,16 @@
-"""Foundational q-arithmetic: Pochhammer symbols, theta, Jackson integration,
-and the series kernel.
+"""Foundational q-arithmetic: Pochhammer symbols, theta and the series kernel.
 
 Everything here is pure and reentrant.  The global numeric policy lives in
 :class:`QContext`, and so does the one truncation rule every sum of the
-package obeys (:class:`_Tail`): a sum stops at the third consecutive term
-whose magnitude is below ``tail_tol`` times the running maximum of the
+package obeys (:func:`_tail_state`): a sum stops at the third consecutive
+term whose magnitude is below ``tail_tol`` times the running maximum of the
 magnitudes so far (floored at 1), so that isolated tiny terms of alternating
-series do not trigger premature truncation.  Term-by-term loops feed it one
-magnitude at a time; chunked numpy kernels feed it whole chunks.
+series do not trigger premature truncation.  The series kernel applies it to
+whole chunks of terms of many rows at once.
 
-Every term-ratio sum (``phi``, ``w87``, both sides of ``psi33`` and of the
-Jackson grid sums) is one chunked kernel, :func:`_ratio_sum`, which sums many
+Every term-ratio sum of the package (``phi``, ``w87``, both sides of
+``psi33`` and of the Jackson grid sums, and ``appell_phi1``, a row weighed by
+its inner series) is one chunked kernel, :func:`_ratio_sum`, which sums many
 rows at once, each in order and with its own stop, so that a row's value does
 not depend on the rows beside it; scalar callers pass one row.  A step over
 one column is taken as one over two equal columns, because numpy rounds
@@ -104,47 +104,6 @@ def _tail_state(mags: np.ndarray, scale, prior: np.ndarray, tol: float) -> tuple
     scale = np.fmax(np.fmax.accumulate(mags, axis=-1), scale)
     small = np.concatenate((prior, mags < tol * scale), axis=-1)
     return scale, small, small[..., 2:] & small[..., 1:-1] & small[..., :-2]
-
-
-class _Tail:
-    """The truncation rule, with its running maximum and its count of
-    consecutive small terms.
-
-    :meth:`done` is the scalar monitor, fed one term magnitude at a time;
-    :meth:`first_stop` is the chunk finder (:func:`_tail_state`, which the
-    series kernel applies to many rows at once), fed one chunk of
-    magnitudes.  Both carry the state across calls, so any split of a
-    magnitude sequence into scalars and chunks stops at the same term.
-    """
-
-    __slots__ = ("tol", "scale", "run")
-
-    def __init__(self, ctx: QContext):
-        self.tol = ctx.tail_tol
-        self.scale = 1.0
-        self.run = 0
-
-    def done(self, mag: float) -> bool:
-        """Feed the magnitude of the term just added; True once the sum stops."""
-        if mag > self.scale:
-            self.scale = mag
-        if mag < self.tol * self.scale:
-            self.run += 1
-            return self.run >= _CONSECUTIVE_SMALL
-        self.run = 0
-        return False
-
-    def first_stop(self, mags: np.ndarray) -> int | None:
-        """Index of the term of a non-empty chunk at which the sum stops, or
-        None when it runs on past the chunk."""
-        prior = np.array([self.run >= 2, self.run >= 1])
-        scale, small, stop = _tail_state(mags, self.scale, prior, self.tol)
-        hit = stop.argmax()
-        if stop[hit]:
-            return int(hit)
-        self.scale = float(scale[-1])
-        self.run = int(small[-1]) + int(small[-1] and small[-2])
-        return None
 
 
 def _one(outcomes: list) -> complex:
@@ -482,65 +441,3 @@ def theta(t: complex, ctx: QContext) -> complex:
     if t == 0:
         raise DomainError("theta(t) requires t != 0")
     return qpoch_inf(t, ctx) * qpoch_inf(ctx.q / t, ctx)
-
-
-def _jackson_side(
-    f: Callable[[complex], complex], t: complex, step: complex, weighted: bool,
-    ctx: QContext, what: str,
-) -> complex:
-    """sum_k f(t step^k) (times t step^k when ``weighted``) under the tail rule."""
-    total = 0.0 + 0.0j
-    tail = _Tail(ctx)
-    for _ in range(ctx.max_terms):
-        term = complex(f(t))
-        if weighted:
-            term *= t
-        total += term
-        if tail.done(abs(term)):
-            return total
-        t *= step
-    raise NonDecayingSumError(f"{what} did not meet the tail criterion within budget")
-
-
-def jackson_0_to_tau(
-    f: Callable[[complex], complex],
-    tau: complex,
-    measure: str,
-    ctx: QContext,
-) -> complex:
-    """One-sided Jackson integral of ``f`` from 0 to ``tau``.
-
-    measure "dqt" sums (1-q) sum_n f(tau q^n) tau q^n, measure "dqt_over_t"
-    drops the weight.  Truncated by the tail rule of this module.
-    """
-    if measure not in ("dqt", "dqt_over_t"):
-        raise ValueError(f"unknown measure {measure!r}")
-    tau = complex(tau)
-    if tau == 0:
-        return 0.0 + 0.0j
-    q = complex(ctx.q)
-    return (1.0 - q) * _jackson_side(f, tau, q, measure == "dqt", ctx, "one-sided Jackson sum")
-
-
-def jackson_bilateral(
-    f: Callable[[complex], complex],
-    tau: complex,
-    ctx: QContext,
-    measure: str = "dqt_over_t",
-) -> complex:
-    """Bilateral Jackson integral: (1-q) sum over all n in Z of f(tau q^n).
-
-    Both tails must decay; each direction is truncated by the same tail rule
-    as the one-sided sum.
-    """
-    if measure not in ("dqt", "dqt_over_t"):
-        raise ValueError(f"unknown measure {measure!r}")
-    tau = complex(tau)
-    if tau == 0:
-        raise DomainError("bilateral Jackson integral requires tau != 0")
-    q = complex(ctx.q)
-    weighted = measure == "dqt"
-    up = _jackson_side(f, tau, q, weighted, ctx, "bilateral Jackson sum: n -> +inf tail")
-    down = _jackson_side(f, tau / q, 1.0 / q, weighted, ctx,
-                         "bilateral Jackson sum: n -> -inf tail")
-    return (1.0 - q) * (up + down)

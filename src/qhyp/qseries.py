@@ -18,8 +18,10 @@ alone, bit for bit, and ``phi`` and ``w87`` are the one-row case.  Both sides
 of ``psi33`` pass one row.  A denominator factor that vanishes to rounding
 (:func:`qhyp.qcore._vanishes`) before the sum ends raises PoleError; a
 numerator parameter q^-n ends the series after term n; divergence is refused
-up front (DivergenceError, AnnulusError), row by row.
-``appell_phi1`` is a double series and keeps its own loop.
+up front (DivergenceError, AnnulusError), row by row.  The q-Appell double
+series ``appell_phi1`` is one row over its first index, each term weighed by
+its inner 2phi1, and the inner series of a chunk are one :func:`_phi_rows`
+batch.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
+from .errors import AnnulusError, DivergenceError, PoleError
 from .qcore import (
     QContext,
     _by_blocks,
     _one,
     _quotient,
     _ratio_sum,
-    _Tail,
     _termination_order,
-    _vanishes,
     qpoch_ratio,
 )
 
@@ -242,39 +242,33 @@ def appell_phi1(
     ctx: QContext,
 ) -> complex:
     """q-Appell double series
-    sum (a)_{n1+n2} (b1)_{n1} (b2)_{n2} / ((c)_{n1+n2} (q)_{n1} (q)_{n2}) x1^n1 x2^n2.
-
-    Summed along anti-diagonals n1+n2 = s, matching the (a)_{n1+n2} coupling;
-    the tail rule is applied to the anti-diagonal blocks.
+    sum (a)_{m+n} (b1)_m (b2)_n / ((c)_{m+n} (q)_m (q)_n) x1^m x2^n
+      = sum_m (a, b1)_m / (q, c)_m x1^m 2phi1(a q^m, b2; c q^m; q, x2)
+    (Gasper & Rahman, ch. 10): one row of the series kernel over m, each chunk
+    of its terms weighed by one :func:`_phi_rows` batch of the inner series.
     """
     a, b1, b2, c, x1, x2 = (complex(v) for v in (a, b1, b2, c, x1, x2))
     if abs(x1) >= 1.0 or abs(x2) >= 1.0:
         raise DivergenceError("appell_phi1 needs |x1| < 1 and |x2| < 1")
     q = complex(ctx.q)
+    outer = np.array([a, b1, q, c])[:, None]
 
-    # u[k] = (b1)_k x1^k / (q)_k,  v[k] = (b2)_k x2^k / (q)_k, grown on demand
-    u = [1.0 + 0.0j]
-    v = [1.0 + 0.0j]
-    ac = 1.0 + 0.0j  # (a)_s / (c)_s
-    total = 0.0 + 0.0j
-    tail = _Tail(ctx)
-    for s in range(ctx.max_terms):
-        k = len(u) - 1
-        while k < s:
-            qk = q**k
-            u.append(u[-1] * (1.0 - b1 * qk) * x1 / (1.0 - q ** (k + 1)))
-            v.append(v[-1] * (1.0 - b2 * qk) * x2 / (1.0 - q ** (k + 1)))
-            k += 1
-        block = ac * sum(u[n1] * v[s - n1] for n1 in range(s + 1))
-        total += block
-        if tail.done(abs(block)):
-            return total
-        qs = q**s
-        cfac = 1.0 - c * qs
-        if _vanishes(cfac, c * qs):
-            raise PoleError(f"appell_phi1 denominator parameter {c} hits q^-{s}")
-        ac *= (1.0 - a * qs) / cfac
-    raise NonDecayingSumError("appell_phi1 did not converge within budget")
+    def step(rows: list, ns: np.ndarray) -> np.ndarray:
+        return x1 * _quotient(1.0 - outer * q**ns, 2)[None]
+
+    def weigh(rows: list, ns: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """t_m times 2phi1(a q^m, b2; c q^m; q, x2), whose error is raised."""
+        qm = q**ns
+        # the rows of a batch are stepped together up to the last index of
+        # the longest; a row's ratios past its own end may divide by zero,
+        # and are never summed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = _phi_rows([((u, b2), (v,), x2) for u, v in zip(a * qm, c * qm)], ctx)
+        return t * np.array([_one([value]) for value in inner])
+
+    return _one(_ratio_sum([1.0], step, ctx, [x1], [max(map(abs, (a, b1, c, q)))],
+                           "appell_phi1", last=[_termination_order([a, b1], ctx)],
+                           pole=[_termination_order([c], ctx)], weigh=weigh))
 
 
 def heine_transformation_constant(

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -248,6 +249,13 @@ class TestEntryPoint:
         assert main(["verify", "--job", str(job)]) == EXIT_INPUT
 
 
+def drawn_params(kind, **override):
+    """A drawn tuple of ``kind`` as job params, with the fields ``override``."""
+    p = draw_equation_params(kind, np.random.default_rng(3), QContext(0.5))
+    return {**{f.name: [getattr(p, f.name).real, getattr(p, f.name).imag]
+               for f in dataclasses.fields(p)}, **override}
+
+
 def write_job(tmp_path, job):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
@@ -261,6 +269,27 @@ class TestJobInput:
             params = {"a": [0.5, 0.1], "b": [1.2, 0.0], "c": [1.7, 0.2], name: [0, 0]}
             job = {"equation": "heine", "solutions": ["heine.2"], "params": params}
             assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command, job", [
+        ("config", {"equation": "e3", "params": drawn_params("e3", a1=0, b1=0)}),
+        ("verify", {"equation": "e3", "params": drawn_params("e3", a1=0, b1=0)}),
+        ("sample", {"equation": "e3", "params": drawn_params("e3", A=0, B=0)}),
+        ("relations", {"params": drawn_params("e3", A=0, B=0)}),
+        ("config", {"equation": "e2", "params": drawn_params("e2", a1=0, b1=0)}),
+        ("verify", {"equation": "e2", "params": drawn_params("e2", A=0, B=0)}),
+        ("config", {"equation": "h3", "params": drawn_params("h3", t1=0)}),
+        ("config", {"equation": "heine", "params": {"a": math.nan, "b": 1.2, "c": 1.7}}),
+        ("verify", {"equation": "heine", "params": {"a": [0.5, math.inf], "b": 1.2, "c": 1.7}}),
+        ("config", {"operator": [{"i": 0, "j": 0, "re": math.nan}, {"i": 1, "j": 1, "re": 1.0}]}),
+    ], ids=["e3-config-a1b1", "e3-verify-a1b1", "e3-sample-AB", "e3-relations-AB",
+            "e2-config-a1b1", "e2-verify-AB", "h3-config-t1", "heine-nan", "heine-inf",
+            "operator-nan"])
+    def test_zero_divisor_or_non_finite_number_is_input_error(self, tmp_path, capsys, command, job):
+        """A zero parameter that the balance check or ``build_h3`` divides by,
+        or a NaN or infinity (which json.load accepts), is refused with a
+        message, not a traceback or a FAIL row."""
+        assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("equation", ["h2", "h3", "qheun", "qheun3"])
     def test_all_for_an_equation_without_catalogue_rows(self, tmp_path, equation):

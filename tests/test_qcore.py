@@ -1,4 +1,5 @@
-"""Foundational q-arithmetic: products, theta, Jackson sums."""
+"""Foundational q-arithmetic: products, theta, the truncation rule and the
+series kernel, and the Jackson grid sums that run on it."""
 
 import cmath
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import rand_complex
+from conftest import _Tail, rand_complex
 from qhyp.errors import (
     BudgetExceededError,
     DomainError,
@@ -21,14 +22,12 @@ from qhyp.qcore import (
     QContext,
     _one,
     _ratio_sum,
-    _Tail,
-    jackson_0_to_tau,
-    jackson_bilateral,
     qpoch_fin,
     qpoch_inf,
     qpoch_ratio,
     theta,
 )
+from qhyp.solutions import _grid_sum
 
 # (q; q)_inf at q = 1/2, computed with a 220-digit Decimal product of 714
 # factors (truncation tail < 1e-215); first 30 digits frozen here.
@@ -135,28 +134,13 @@ class TestTheta:
 
 
 class TestJackson:
-    def test_zero_function(self, ctx):
-        assert jackson_0_to_tau(lambda t: 0.0, 1.0, "dqt", ctx) == 0.0
-
     def test_geometric(self):
         ctx = QContext(0.5)
-        value = jackson_0_to_tau(lambda t: 1.0, 1.0, "dqt", ctx)
-        assert abs(value - 1.0) < 1e-14
-
-    def test_linear_in_integrand(self, ctx, rng):
-        f = lambda t: 1.0 / (1 - 0.3 * t)
-        g = lambda t: t**2
-        a, b = rand_complex(rng), rand_complex(rng)
-        tau = 0.8
-        combo = jackson_0_to_tau(lambda t: a * f(t) + b * g(t), tau, "dqt", ctx)
-        parts = a * jackson_0_to_tau(f, tau, "dqt", ctx) + b * jackson_0_to_tau(
-            g, tau, "dqt", ctx
-        )
-        assert abs(combo - parts) <= 1e-13 * max(1.0, abs(parts))
+        assert _grid_sum([1.0], [[0.0]], [[0.0]], ctx) == [1 + 0j]
 
     def test_non_decaying(self, ctx):
-        with pytest.raises(NonDecayingSumError):
-            jackson_0_to_tau(lambda t: 1.0 / t, 1.0, "dqt_over_t", ctx)
+        (value,) = _grid_sum([1.0], [[0.0]], [[0.0]], ctx, weighted=False)
+        assert isinstance(value, NonDecayingSumError)
 
     def test_degree2_series_representation(self, ctx, rng):
         # int_0^{q/a2} t^alpha prod(...)dq t/t against its 3phi2 form
@@ -167,18 +151,8 @@ class TestJackson:
         q = complex(ctx.q)
         x = 0.2 * min(abs(p.a1), abs(p.a2)) / (abs(q) * abs(p.B))
         alpha = p.alpha
-
-        def integrand(t):
-            return (
-                cmath.exp(alpha * cmath.log(t))
-                * qpoch_ratio(
-                    [p.A * x * t, p.a1 * t, p.a2 * t],
-                    [p.B * x * t, p.b1 * t, p.b2 * t],
-                    ctx,
-                )
-            )
-
-        lhs = jackson_0_to_tau(integrand, q / p.a2, "dqt_over_t", ctx)
+        lhs = _one(_grid_sum([q / p.a2], [[p.A * x, p.a1, p.a2]], [[p.B * x, p.b1, p.b2]],
+                             ctx, alpha=alpha, weighted=False))
         qa = cmath.exp(alpha * cmath.log(q))
         ser = qpoch_ratio([q * p.A * x / p.a2], [q * p.B * x / p.a2], ctx) * phi(
             PhiSpec(
@@ -197,34 +171,19 @@ class TestJackson:
 
 
 class TestJacksonBilateral:
-    def test_zero_function(self, ctx):
-        assert jackson_bilateral(lambda t: 0.0, 1.0, ctx) == 0.0
-
     def test_reduces_to_onesided_at_vanishing_endpoint(self, ctx, rng):
+        """From tau = q / a1 the descending grid meets the zero of (a1 t)_inf
+        at its first point, so the n < 0 tail adds nothing."""
         a1 = rand_complex(rng)
-
-        def poch_zero_aware(z):
-            # (z)_inf with an exact-zero detector, so the grid points where a
-            # factor vanishes identically return 0 instead of rounding noise
-            w, res = complex(z), 1.0 + 0.0j
-            for _ in range(2 * ctx.max_terms):
-                if abs(w) < ctx.tail_tol:
-                    return res
-                if abs(1 - w) < 1e-10 * (1 + abs(w)):
-                    return 0.0 + 0.0j
-                res *= 1 - w
-                w *= ctx.q
-            raise AssertionError("no convergence")
-
-        f = lambda t: poch_zero_aware(a1 * t) * t / (1 + 0.1 * t)
-        tau = ctx.q / a1
-        two_sided = jackson_bilateral(f, tau, ctx)
-        one_sided = jackson_0_to_tau(f, tau, "dqt_over_t", ctx)
+        nums, dens = [[a1, 0.3]], [[5.0, 4.0 + 1.0j]]
+        two_sided = _one(_grid_sum([ctx.q / a1], nums, dens, ctx, bilateral=True))
+        one_sided = _one(_grid_sum([ctx.q / a1], nums, dens, ctx))
         assert abs(two_sided - one_sided) <= 1e-12 * max(1.0, abs(one_sided))
 
     def test_non_decaying(self, ctx):
-        with pytest.raises(NonDecayingSumError):
-            jackson_bilateral(lambda t: 1.0, 1.0, ctx)
+        """dq t of 1: the ascending side converges, the descending one grows."""
+        (value,) = _grid_sum([1.0], [[0.5]], [[0.5]], ctx, bilateral=True)
+        assert isinstance(value, NonDecayingSumError)
 
 
 class TestTailRule:

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import rand_complex
+from conftest import _Tail, rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
-from qhyp.qcore import _RATIO_FACTORS, QContext, _Tail, qpoch_fin, qpoch_inf, qpoch_ratio
+from qhyp.qcore import _RATIO_FACTORS, QContext, _one, qpoch_fin, qpoch_inf, qpoch_ratio
 from qhyp.qseries import (
     PhiSpec,
     _phi_rows,
@@ -29,6 +29,7 @@ from qhyp.qseries import (
     w87,
     w87_to_phi32_limit,
 )
+from qhyp.solutions import _grid_sum
 
 
 class TestPhi:
@@ -256,22 +257,13 @@ class TestAppell:
 
     def test_integral_representation(self, ctx, rng):
         """The one-dimensional Jackson integral reproduces the double sum."""
-        import cmath
-
-        from qhyp.qcore import jackson_0_to_tau
-
         q = complex(ctx.q)
         alpha = complex(rng.uniform(0.4, 1.2), rng.uniform(-0.2, 0.2))
         a = cmath.exp(alpha * cmath.log(q))
         b1, b2, c = (rand_complex(rng) for _ in range(3))
         x1, x2 = 0.35 + 0.1j, 0.25 - 0.15j
-
-        def integrand(t):
-            return cmath.exp(alpha * cmath.log(t)) * qpoch_ratio(
-                [q * t, b1 * x1 * t, b2 * x2 * t], [c * t / a, x1 * t, x2 * t], ctx
-            )
-
-        lhs = jackson_0_to_tau(integrand, 1.0, "dqt_over_t", ctx)
+        lhs = _one(_grid_sum([1.0], [[q, b1 * x1, b2 * x2]], [[c / a, x1, x2]], ctx,
+                             alpha=alpha, weighted=False))
         rhs = (
             (1 - q)
             * qpoch_ratio([q, c], [a, c / a], ctx)
@@ -770,6 +762,65 @@ class TestSeriesOracle:
             exact = mp_terms_sum(1, up) + mp_terms_sum(down(0), lambda k: down(k + 1))
             got = psi33(a, b, z, QContext(q))
             assert abs(got - exact) <= 1e-13 * abs(exact)
+
+
+def mp_appell(a, b1, b2, c, x1, x2, q, last=None):
+    """The q-Appell double sum at 40 digits and its sum |t_mn| in double
+    precision, summed along the anti-diagonals m + n = s: up to s = ``last``,
+    or until five diagonals in a row add less than 1e-25 of sum |t_mn|."""
+    with mpmath.workdps(40):
+        qm = mpmath.mpf(q)
+        a, b1, b2, c, x1, x2 = (mpmath.mpc(v) for v in (a, b1, b2, c, x1, x2))
+        u, v = [mpmath.mpc(1)], [mpmath.mpc(1)]  # (b1)_k x1^k / (q)_k, (b2)_k x2^k / (q)_k
+        ac, total, mags, quiet = mpmath.mpc(1), mpmath.mpc(0), 0.0, 0  # ac = (a)_s / (c)_s
+        for s in range(10_000):
+            total += ac * mpmath.fdot(u, v[::-1])
+            size = float(abs(ac) * mpmath.fdot(map(abs, u), map(abs, v[::-1])))
+            mags += size
+            quiet = quiet + 1 if size < 1e-25 * mags else 0
+            if s == last or quiet == 5:
+                return complex(total), mags
+            qs = qm**s
+            ac *= (1 - a * qs) / (1 - c * qs)
+            u.append(u[-1] * (1 - b1 * qs) * x1 / (1 - qs * qm))
+            v.append(v[-1] * (1 - b2 * qs) * x2 / (1 - qs * qm))
+        raise AssertionError("mp double sum did not converge")
+
+
+class TestAppellOracle:
+    """appell_phi1 against the 40-digit double sum, to 1e-14 of sum |t_mn|:
+    a bound on the rounding of the terms, so cancellation among them cannot
+    make it flake.  Parameters keep a phase of at least 0.3 from the real
+    q, so no factor 1 - c q^n comes within 0.29 of 0."""
+
+    params = st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.1, 1.6),
+                       st.one_of(st.floats(0.3, math.pi), st.floats(-math.pi, -0.3)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(q=st.floats(0.1, 0.8), abc=st.lists(params, min_size=4, max_size=4),
+           x1=params_draw(0.0, 0.8), x2=params_draw(0.0, 0.8))
+    def test_against_double_sum(self, q, abc, x1, x2):
+        exact, mags = mp_appell(*abc, x1, x2, q)
+        got = appell_phi1(*abc, x1, x2, QContext(q))
+        assert abs(got - exact) <= 1e-14 * mags
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_terminating(self, n):
+        """a = q^-n: (a)_{m+n} ends the double sum after its diagonal s = n."""
+        q = 0.6
+        args = (q**-n, 1.3 + 0.4j, 0.7 - 1.1j, 0.5j, 0.95j, -0.9)
+        exact, mags = mp_appell(*args, q, last=n)
+        assert abs(appell_phi1(*args, QContext(q)) - exact) <= 1e-14 * mags
+
+    def test_pole(self):
+        """c = q^-2: (c)_{m+n} vanishes from m + n = 3 on, a pole.  With
+        a = q^-2 and c = q^-3 the sum ends at m + n = 2, before its pole."""
+        q = 0.6
+        ctx = QContext(q)
+        with pytest.raises(PoleError):
+            appell_phi1(0.8j, 1.3, 0.7, q**-2, 0.3, 0.2, ctx)
+        exact, mags = mp_appell(q**-2, 1.3, 0.7, q**-3, 0.3, 0.2, q, last=2)
+        assert abs(appell_phi1(q**-2, 1.3, 0.7, q**-3, 0.3, 0.2, ctx) - exact) <= 1e-14 * mags
 
 
 class TestSeriesKernelPaths:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _Tail
 from qhyp import solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
 from qhyp.errors import (
@@ -26,7 +27,6 @@ from qhyp.qcore import (
     QContext,
     _one,
     _quotient,
-    _Tail,
     _termination_order,
     qpoch_ratio,
 )
