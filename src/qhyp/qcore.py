@@ -27,6 +27,19 @@ budget as before, and adds the tail as t r / (1 - r), t the last term summed.
 The running maximum stays floored at 1, because the closed-form stop index
 and the reference loops in the tests apply the same rule.
 
+The kernel multiplies and adds in the precision of its first terms and
+step ratios.  ``phi``, ``w87`` and ``appell_phi1`` build their ratios in
+extended precision (``np.clongdouble``, a 64-bit significand on x86-64) from
+the powers q^n of :func:`_qpow`, so each of their values is rounded to a
+complex once, at its end.  In double precision every factor, ratio and
+partial sum is rounded at the scale of the largest term, which a series
+that cancels (|sum| << sum |t_n|) or a factor 1 - c q^n near 0 turns into
+errors above 1e-13 of the value.  ``psi33`` and the Jackson grid sums stay
+in double precision: a numerator q^-k ends a ``psi33`` side only through a
+factor that rounds to 0 or to about 1e-16, and where the tail rule stops
+such a side at the budget's edge depends on that rounding.  Where ``long
+double`` is plain double, every sum is a double-precision one.
+
 Every infinite q-Pochhammer product, (a)_inf alone or a ratio of them, comes
 from one numpy kernel (:func:`_pochhammer_product`, many products at once;
 :func:`qpoch_ratio` is its one-product case).  It builds the factors
@@ -41,6 +54,7 @@ BudgetExceededError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -81,6 +95,26 @@ def _termination_order(params: Sequence[complex], ctx: QContext) -> int | None:
                 break
             w *= q
     return best
+
+
+# q^n for 0 <= n < _POWER_TABLE comes from a table of each q (at most
+# _POWER_TABLES of them): one 32 KiB extended-precision array per q
+_POWER_TABLE = 2048
+_POWER_TABLES = 16
+
+
+@functools.lru_cache(maxsize=_POWER_TABLES)
+def _power_table(q: complex) -> np.ndarray:
+    return np.clongdouble(q) ** np.arange(_POWER_TABLE)
+
+
+def _qpow(q: complex, ns: np.ndarray) -> np.ndarray:
+    """q^n at the ascending integers ``ns``, in extended precision.  Each
+    power is one ``np.power`` of its n alone, whether it comes from the table
+    or not, so it does not depend on the other entries of ``ns``."""
+    if ns.size and 0 <= ns[0] and ns[-1] < _POWER_TABLE:
+        return _power_table(q)[ns]
+    return np.clongdouble(q) ** ns
 
 
 def _quotient(factors: np.ndarray, split: int) -> np.ndarray:
@@ -230,7 +264,8 @@ def _ratio_sum(
         size, tailed_any = max(size, first), tailed_any or tailed
     if not live:
         return out
-    t = np.array(t0, dtype=complex)[:, None]  # the term before the chunk
+    t = np.asarray(t0)  # the term before the chunk: complex, or extended as t0 is
+    t = t.astype(np.result_type(t, complex))[:, None]
     if len(live) < rows:
         t = t[live]
 
@@ -261,7 +296,10 @@ def _ratio_sum(
             sums = np.add.accumulate(terms, axis=1)
             scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)
         if tailed_any:  # rows the tail rule cannot end all end in the first chunk
-            scales, small, stop = _tail_state(np.abs(terms), scale, prior, ctx.tail_tol)
+            # the magnitudes of the terms rounded to complex: on x86-64, np.abs
+            # of an extended-precision array takes about six times as long
+            mags = np.abs(terms.astype(complex, copy=False))
+            scales, small, stop = _tail_state(mags, scale, prior, ctx.tail_tol)
             stops = stop.argmax(axis=1).tolist()
         going = []  # the rows that sum on past this chunk
         for i, r in enumerate(live):

@@ -21,7 +21,8 @@ numerator parameter q^-n ends the series after term n; divergence is refused
 up front (DivergenceError, AnnulusError), row by row.  The q-Appell double
 series ``appell_phi1`` is one row over its first index, each term weighed by
 its inner 2phi1, and the inner series of a chunk are one :func:`_phi_rows`
-batch.
+batch.  ``phi``, ``w87`` and ``appell_phi1`` step in extended precision
+(:mod:`qhyp.qcore`), ``psi33`` in double precision.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .qcore import (
     QContext,
     _by_blocks,
     _one,
+    _qpow,
     _quotient,
     _ratio_sum,
     _termination_order,
@@ -67,7 +69,7 @@ def _sum_rows(out: list, live: list, plans: list, step, ctx: QContext, what: str
     step ratios at ``ns`` of the rows whose parameters are ``v``, shaped
     (parameters, rows, 1)."""
     if live:
-        values = np.array([plan[0] for plan in plans], dtype=complex).T.copy()[:, :, None]
+        values = np.array([plan[0] for plan in plans], dtype=np.clongdouble).T.copy()[:, :, None]
         rate, reach, last, pole = zip(*(plan[1:] for plan in plans))
         sums = _ratio_sum(
             [1.0] * len(live),
@@ -114,7 +116,7 @@ def _phi_block(rows: Sequence[tuple], r: int, s: int, ctx: QContext) -> list:
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """v: the numerators, denominators, q and the argument."""
-        qn = q**ns
+        qn = _qpow(q, ns)
         ratio = _quotient(1.0 - v[:-1] * qn, r)
         ratio *= v[-1] * (-qn) ** p if p else v[-1]
         return ratio
@@ -199,16 +201,19 @@ def _w87_block(rows: Sequence[tuple], ctx: QContext) -> list:
         poles = [n for n in (_termination_order(dens, ctx), _termination_order(
             [cmath.sqrt(a), -cmath.sqrt(a)], ctx)) if n is not None]
         live.append(i)
-        plans.append(((a, *params, *dens, q, z), z, max(map(abs, (a, *params, *dens, q))),
+        plans.append(((a, *params, q, z), z, max(map(abs, (a, *params, *dens, q))),
                       n_stop, min(poles, default=None)))
+    qx = np.clongdouble(q)
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """(a, b, ..., f)_n / (q, qa/b, ..., qa/f)_n steps and the very-well-poised
-        (1 - a q^{2n+2}) / (1 - a q^{2n}); v: a, b, ..., f, qa/b, ..., qa/f, q, z."""
-        qn = q**ns
+        (1 - a q^{2n+2}) / (1 - a q^{2n}); v: a, b, ..., f, q, z.  qa/b, ...,
+        qa/f are formed here, in extended precision: one of them near 1
+        would turn a rounded quotient into a large error of its factor."""
+        qn = _qpow(q, ns)
         sq = v[0] * qn * qn
-        return v[12] * _quotient(1.0 - np.concatenate(
-            (v[:6] * qn, (q * q * sq)[None], v[6:12] * qn, sq[None])), 7)
+        return v[7] * _quotient(1.0 - np.concatenate(
+            (v[:6] * qn, (qx * q * sq)[None], qx * v[0] / v[1:6] * qn, v[6:7] * qn, sq[None])), 7)
 
     return _sum_rows(out, live, plans, step, ctx, "w87 series")
 
@@ -254,7 +259,7 @@ def appell_phi1(
     outer = np.array([a, b1, q, c])[:, None]
 
     def step(rows: list, ns: np.ndarray) -> np.ndarray:
-        return x1 * _quotient(1.0 - outer * q**ns, 2)[None]
+        return x1 * _quotient(1.0 - outer * _qpow(q, ns), 2)[None]
 
     def weigh(rows: list, ns: np.ndarray, t: np.ndarray) -> np.ndarray:
         """t_m times 2phi1(a q^m, b2; c q^m; q, x2), whose error is raised."""
