@@ -15,17 +15,21 @@ rows at once, each in order and with its own stop, so that a row's value does
 not depend on the rows beside it; scalar callers pass one row.  A step over
 one column is taken as one over two equal columns, because numpy rounds
 complex products over a single element differently (:func:`_ratio_sum`).
-The series batches of many points are summed in blocks of at most
-``_BATCH_ELEMENTS`` rows x factors x columns (:func:`_by_blocks`), so their
-working set does not grow with their rows.  Whether a
-factor 1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros
-and terminating parameters alike.  Where the step ratios tend to a constant
-r with 0 < |r| < 1, the kernel sums term by term only up to the closure
-index N, past which every ratio equals r to rounding; there it computes in
-closed form the term where the tail rule would stop, which decides the
-budget as before, and adds the tail as t r / (1 - r), t the last term summed.
-The running maximum stays floored at 1, because the closed-form stop index
-and the reference loops in the tests apply the same rule.
+The series batches of many points plan each row once (:func:`_row_plan`) and
+are summed in blocks cut by those plans (:func:`_by_blocks`): rows of like
+first chunks together, at most ``_BATCH_ELEMENTS`` rows x factors x columns
+in a block's first chunk, so their working set does not grow with their
+rows.  A chunk steps every row of its block to the chunk's end; the ratios
+past a row's own end are never summed, and the kernel keeps them from
+warning and takes them as 1.  Whether a factor 1 - w is zero is one test,
+:func:`_vanishes`, for poles, exact zeros and terminating parameters alike.
+Where the step ratios tend to a constant r with 0 < |r| < 1, the kernel
+sums term by term only up to the closure index N, past which every ratio
+equals r to rounding; there it computes in closed form the term where the
+tail rule would stop, which decides the budget as before, and adds the tail
+as t r / (1 - r), t the last term summed.  The running maximum stays
+floored at 1, because the closed-form stop index and the reference loops in
+the tests apply the same rule.
 
 The kernel multiplies and adds in the precision of its first terms and
 step ratios.  ``phi``, ``w87`` and ``appell_phi1`` build their ratios in
@@ -148,20 +152,40 @@ def _one(outcomes: list) -> complex:
     return value
 
 
-# the most elements (rows x factors x columns) of one block of a series
-# batch, 64 KiB a complex array; a batch of more rows is summed block by
-# block, so its working set does not grow with its rows
+# the most elements (rows x factors x columns) of the first chunk of one
+# block of a series batch, 64 KiB a complex array.  That chunk is the widest
+# first chunk the block's rows plan, so it bounds what they build first;
+# later chunks double, for the rows that sum on past it
 _BATCH_ELEMENTS = 1 << 12
 
 
-def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int) -> list:
-    """``kernel(block)`` over consecutive blocks of ``rows``, concatenated:
-    one entry per row.  A block holds as many rows (one at least) as keep
-    rows x ``factors`` x ``_CHUNK`` within ``_BATCH_ELEMENTS``; ``_CHUNK``
-    is the widest chunk of :func:`_pochhammer_product` and about twice the
-    first chunk a convergent series row takes at q = 1/2."""
-    size = max(1, _BATCH_ELEMENTS // (factors * _CHUNK))
-    return [entry for lo in range(0, len(rows), size) for entry in kernel(rows[lo:lo + size])]
+def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int,
+               widths: Sequence[int]) -> list:
+    """``kernel(block)`` over blocks of ``rows``: one entry per row, in the
+    order of ``rows``.  Row i wants ``widths[i]`` columns first (its planned
+    first chunk, or ``_CHUNK``, the widest chunk of
+    :func:`_pochhammer_product`).  A batch within ``_BATCH_ELEMENTS`` (rows
+    x ``factors`` x its widest width), or of one row, is one block.  Else
+    the rows are taken by width, narrowest first (a stable sort), and each
+    block holds as many rows (one at least) as keep rows x ``factors`` x its
+    widest width within the budget.  An entry must depend on its row alone,
+    not on the block it is computed in."""
+    if not rows:
+        return []
+    if len(rows) == 1 or len(rows) * factors * max(widths) <= _BATCH_ELEMENTS:
+        return kernel(rows)
+    order = sorted(range(len(rows)), key=widths.__getitem__)
+    out: list = [None] * len(rows)
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi + 1 - lo) * factors * widths[order[hi]] <= _BATCH_ELEMENTS:
+            hi += 1
+        block = order[lo:hi]
+        for i, entry in zip(block, kernel([rows[i] for i in block])):
+            out[i] = entry
+        lo = hi
+    return out
 
 
 _MIN_CHUNK = 32
@@ -173,19 +197,28 @@ _MAX_CHUNK = 2048
 _RATIO_FACTORS = 16
 
 
-def _row_plan(rho: float, reach: float, last: int | None, ctx: QContext, lq: float) -> tuple:
-    """(first chunk, end, closing, tailed) of one row of :func:`_ratio_sum`
-    (lq = -log |q|): the chunk its terms want first, the index where it
-    stops summing term by term, whether that is its closure index (else its
-    budget or its last term), and whether the tail rule may end it before."""
+def _row_plan(rate: complex, reach: float, last: int | None, pole: int | None,
+              ctx: QContext, what: str) -> tuple | PoleError:
+    """The plan of one row of :func:`_ratio_sum`, whose arguments these are:
+    (first chunk, end, closing, tailed, whole), the chunk its terms want
+    first, the index where it stops summing term by term, whether that is
+    its closure index, whether the tail rule may end it before, and whether
+    ``end`` is one past its last term (else, if not closing, its budget runs
+    out).  Or the PoleError it raises before summing anything, where
+    ``pole`` comes before its end at ``last``."""
+    if pole is not None and (last is None or pole < last):
+        return PoleError(f"{what}: a denominator factor vanishes at n = {pole}")
     count = ctx.max_terms if last is None else min(ctx.max_terms, last + 1)
-    if last is not None and count == last + 1 <= _CONSECUTIVE_SMALL:
+    whole = last is not None and count == last + 1
+    if whole and count <= _CONSECUTIVE_SMALL:
         # the tail rule cannot end a terminating sum this short before its last term
-        return count, count, False, False
+        return count, count, False, False, True
+    rho = abs(rate)
     n = 0.0 if rho == 0.0 else math.inf  # |rate| >= 1 or NaN: no decay to read off
     closure = math.inf
     if 0.0 < rho < 1.0:
         lr, aq = math.log1p(reach), abs(ctx.q)
+        lq = -math.log(aq)
         n = (lr * lr / (2.0 * lq) + lr / (1.0 - aq) - math.log(ctx.tail_tol)) / -math.log(rho)
         spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
         if last is None and spread < math.inf:  # not for an infinite or NaN reach
@@ -194,8 +227,8 @@ def _row_plan(rho: float, reach: float, last: int | None, ctx: QContext, lq: flo
     if n < _MAX_CHUNK:
         size = min(max(int(n) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
     if closure <= count:
-        return min(size, max(closure, _MIN_CHUNK)), closure, True, True
-    return size, count, False, True
+        return min(size, max(closure, _MIN_CHUNK)), closure, True, True, False
+    return size, count, False, True, whole
 
 
 def _ratio_sum(
@@ -203,11 +236,12 @@ def _ratio_sum(
     step: Callable[[list, np.ndarray], np.ndarray],
     ctx: QContext,
     rate: Sequence[complex],
-    reach: Sequence[float],
+    reach: Sequence[float] | None,
     what: str,
     last: Sequence[int | None] | None = None,
     pole: Sequence[int | None] | None = None,
     weigh: Callable[[list, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    plans: Sequence | None = None,
 ) -> list:
     """Row r: sum_n t_n, where t_0 = ``t0[r]`` and t_{n+1} = t_n r_n; all
     rows are summed together, a chunk of n at a time.
@@ -226,7 +260,10 @@ def _ratio_sum(
     without either raise NonDecayingSumError.  ``pole[r]`` is the first n
     whose r_n divides by a vanishing factor (:func:`_termination_order` of
     the denominators): unless the row ends at ``last[r]`` first, it raises
-    PoleError before summing anything.
+    PoleError before summing anything.  ``plans``, if given, stands for
+    ``reach``, ``last`` and ``pole``: it holds each row's
+    :func:`_row_plan`, made once by a caller that blocks its rows by their
+    first chunks.
 
     Each row is summed in order, one product and one addition at a time:
     t_n = (... (t_0 r_0) r_1 ...) r_{n-1}, and the sum adds t_n to the sum
@@ -237,7 +274,11 @@ def _ratio_sum(
     |rate| takes to fall by 1/tail_tol times the growth those factors can
     add, and the run the tail rule waits for, but no more than its closure
     index N (or ``_MIN_CHUNK``).  A batch's first chunk is the largest its
-    rows want; later chunks double, up to ``_MAX_CHUNK``.
+    rows want; later chunks double, up to ``_MAX_CHUNK``.  A chunk runs
+    every row still summing to its own last index, so a row that ends
+    inside it gets ratios past its end: those are computed with numpy's
+    floating-point warnings off (past a terminating row's last term a
+    denominator may vanish) and taken as 1, and no row reads them.
 
     The closed-form tail: from N on, where _RATIO_FACTORS reach |q|^N /
     (1 - |q|) <= tail_tol, every later r_n equals ``rate`` to rounding.  So
@@ -248,17 +289,18 @@ def _ratio_sum(
     last term summed; if not (or t is not finite), NonDecayingSumError is
     raised at once.
     """
-    rows = len(t0)
-    last = [None] * rows if last is None else last
-    out: list = [None] * rows
-    plans: list = [None] * rows  # (first chunk, end, closing, tailed) of each row
+    plans = [None] * len(t0) if plans is None else list(plans)
+    out: list = [None] * len(plans)
     live, ends, size, tailed_any = [], [], 0, False
-    lq = -math.log(abs(ctx.q))
-    for r in range(rows):
-        if pole is not None and pole[r] is not None and (last[r] is None or pole[r] < last[r]):
-            out[r] = PoleError(f"{what}: a denominator factor vanishes at n = {pole[r]}")
+    for r in range(len(plans)):
+        if plans[r] is None:
+            plans[r] = _row_plan(rate[r], reach[r], None if last is None else last[r],
+                                 None if pole is None else pole[r], ctx, what)
+        plan = plans[r]
+        if isinstance(plan, Exception):
+            out[r] = plan
             continue
-        plans[r] = first, end, _, tailed = _row_plan(abs(rate[r]), reach[r], last[r], ctx, lq)
+        first, end, _, tailed, _ = plan
         live.append(r)
         ends.append(end)
         size, tailed_any = max(size, first), tailed_any or tailed
@@ -266,10 +308,16 @@ def _ratio_sum(
         return out
     t = np.asarray(t0)  # the term before the chunk: complex, or extended as t0 is
     t = t.astype(np.result_type(t, complex))[:, None]
-    if len(live) < rows:
+    if len(live) < len(plans):
         t = t[live]
 
-    def ratios_at(ns: np.ndarray) -> np.ndarray:
+    def ratios_at(ns: np.ndarray, short: bool) -> np.ndarray:
+        """r_n at ``ns`` for the live rows; ``short``: some row ends before
+        the chunk does, and takes 1 for each r_n with n >= its end - 1."""
+        if short:  # past a terminating row's last term a denominator may vanish
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratios = ratios_at(ns, False)
+            return np.where(np.asarray(ends)[:, None] <= ns + 1, 1.0, ratios)
         # numpy rounds a complex product over one column other than over
         # many (an in-place product or a product reduction over a single
         # element skips the fused multiply-add of its vector loops, and a
@@ -284,14 +332,16 @@ def _ratio_sum(
     while True:
         hi = min(n0 + size, max(ends))
         ns = np.arange(n0, hi)
+        short = min(ends) < hi
         if n0:
-            ratios = ratios_at(ns - 1)
+            ratios = ratios_at(ns - 1, short)
             seq = np.multiply.accumulate(np.concatenate((t, ratios), axis=1), axis=1)[:, 1:]
             terms = seq if weigh is None else weigh(live, ns, seq)
             # sums[:, k]: the sum of the terms up to n0 + k
             sums = np.add.accumulate(np.concatenate((total, terms), axis=1), axis=1)[:, 1:]
         else:  # t_0 r_0 ... needs no first ratio 1, and 0 + t_0 is t_0
-            seq = np.multiply.accumulate(np.concatenate((t, ratios_at(ns[:-1])), axis=1), axis=1)
+            seq = np.multiply.accumulate(
+                np.concatenate((t, ratios_at(ns[:-1], short)), axis=1), axis=1)
             terms = seq if weigh is None else weigh(live, ns, seq)
             sums = np.add.accumulate(terms, axis=1)
             scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)
@@ -303,7 +353,7 @@ def _ratio_sum(
             stops = stop.argmax(axis=1).tolist()
         going = []  # the rows that sum on past this chunk
         for i, r in enumerate(live):
-            _, end, closing, tailed = plans[r]
+            _, end, closing, tailed, whole = plans[r]
             w = min(end, hi) - n0
             if tailed and stops[i] < w and stop[i, stops[i]]:
                 out[r] = complex(sums[i, stops[i]])
@@ -322,7 +372,7 @@ def _ratio_sum(
                     f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
                 if end + k + 1 - run < ctx.max_terms:
                     out[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rate[r] / (1.0 - rate[r]))
-            elif last[r] is not None and end == last[r] + 1:
+            elif whole:
                 out[r] = complex(sums[i, w - 1])
             else:
                 out[r] = NonDecayingSumError(

@@ -12,9 +12,12 @@ plain power series with radius 1.
 its step ratios t_{n+1} / t_n as arrays over a chunk of n and hands them to
 the one series kernel, :func:`qhyp.qcore._ratio_sum`.  :func:`_phi_rows` and
 :func:`_w87_rows` sum many parameter tuples at once, one row each, their step
-ratios read from per-row parameter arrays, in blocks of bounded size
-(:func:`qhyp.qcore._by_blocks`); each row's value or error is what it is
-alone, bit for bit, and ``phi`` and ``w87`` are the one-row case.  Both sides
+ratios read from per-row parameter arrays.  They plan each row once
+(termination and pole orders, reach, :func:`qhyp.qcore._row_plan`) and sum
+the rows in blocks of bounded size cut by their planned first chunks
+(:func:`qhyp.qcore._by_blocks`), so rows of like length share a block; each
+row's value or error is what it is alone, bit for bit, and ``phi`` and
+``w87`` are the one-row case.  Both sides
 of ``psi33`` pass one row.  A denominator factor that vanishes to rounding
 (:func:`qhyp.qcore._vanishes`) before the sum ends raises PoleError; a
 numerator parameter q^-n ends the series after term n; divergence is refused
@@ -41,6 +44,7 @@ from .qcore import (
     _qpow,
     _quotient,
     _ratio_sum,
+    _row_plan,
     _termination_order,
     qpoch_ratio,
 )
@@ -61,22 +65,32 @@ class PhiSpec:
         object.__setattr__(self, "argument", complex(argument))
 
 
-def _sum_rows(out: list, live: list, plans: list, step, ctx: QContext, what: str) -> list:
-    """Sum the rows ``live`` of a series block into ``out``.  ``plans[k]``
-    belongs to row ``live[k]``: (values, rate, reach, last, pole), with
-    ``values`` the row's parameters, and the rest as
-    :func:`qhyp.qcore._ratio_sum` takes them.  ``step(v, ns)`` gives the
-    step ratios at ``ns`` of the rows whose parameters are ``v``, shaped
-    (parameters, rows, 1)."""
-    if live:
-        values = np.array([plan[0] for plan in plans], dtype=np.clongdouble).T.copy()[:, :, None]
-        rate, reach, last, pole = zip(*(plan[1:] for plan in plans))
-        sums = _ratio_sum(
-            [1.0] * len(live),
-            lambda sub, ns: step(values if len(sub) == len(live) else values[:, sub], ns),
-            ctx, rate, reach, what, last=last, pole=pole)
-        for i, value in zip(live, sums):
-            out[i] = value
+def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: str) -> list:
+    """Sum the rows of a series batch into ``out``: ``rows`` holds (i,
+    values, rate, plan) for entry i, with ``values`` the row's parameters,
+    ``rate`` and ``plan`` (:func:`qhyp.qcore._row_plan`) as
+    :func:`qhyp.qcore._ratio_sum` takes them.  A row whose plan is its
+    PoleError takes that error; the others are summed in blocks cut by their
+    planned first chunks (:func:`qhyp.qcore._by_blocks`).  ``step(v, ns)``
+    gives the step ratios at ``ns`` of the rows whose parameters are ``v``,
+    shaped (parameters, rows, 1), from ``factors`` factors 1 - c q^n a
+    step."""
+    todo = []
+    for row in rows:
+        if isinstance(row[3], Exception):
+            out[row[0]] = row[3]
+        else:
+            todo.append(row)
+
+    def block(members: list) -> list:
+        _, values, rate, plans = zip(*members)
+        v = np.array(values, dtype=np.clongdouble).T.copy()[:, :, None]
+        return _ratio_sum([1.0] * len(members),
+                          lambda sub, ns: step(v if len(sub) == len(members) else v[:, sub], ns),
+                          ctx, rate, None, what, plans=plans)
+
+    for row, value in zip(todo, _by_blocks(block, todo, factors, [row[3][0] for row in todo])):
+        out[row[0]] = value
     return out
 
 
@@ -84,21 +98,15 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     """Row i: the general series of (numerators, denominators, argument) =
     ``rows[i]``, as :func:`phi` sums it alone; the rows share their numbers
     of numerators and of denominators.  Returns one entry per row: its
-    value, or the error it raises.  The rows are summed block by block
-    (:func:`qhyp.qcore._by_blocks`)."""
+    value, or the error it raises (:func:`_sum_rows`)."""
     if not rows:
         return []
-    r, s = len(rows[0][0]), len(rows[0][1])
-    return _by_blocks(lambda block: _phi_block(block, r, s, ctx), rows, r + s + 1)
-
-
-def _phi_block(rows: Sequence[tuple], r: int, s: int, ctx: QContext) -> list:
-    """One block of :func:`_phi_rows`, its rows of r numerators and s
-    denominators summed together."""
     q = complex(ctx.q)
+    r, s = len(rows[0][0]), len(rows[0][1])
     p = s + 1 - r  # exponent of the (-1)^n q^C(n,2) factor
+    what = "q-hypergeometric series"
     out: list = [None] * len(rows)
-    live, plans = [], []
+    planned = []  # (i, parameters, rate, plan) of the rows that do not diverge
     for i, (nums, dens, z) in enumerate(rows):
         nums, dens, z = [complex(v) for v in nums], [complex(v) for v in dens], complex(z)
         n_stop = _termination_order(nums, ctx)
@@ -110,9 +118,10 @@ def _phi_block(rows: Sequence[tuple], r: int, s: int, ctx: QContext) -> list:
         elif n_stop is None and p == 0 and abs(z) >= 1.0:
             out[i] = DivergenceError(f"|argument| = {abs(z):.6g} >= 1 for r = s+1")
         else:
-            live.append(i)
-            plans.append(((*nums, *dens, q, z), z if p == 0 else 0.0,
-                          max(map(abs, (*nums, *dens, q))), n_stop, _termination_order(dens, ctx)))
+            rate = z if p == 0 else 0.0
+            planned.append((i, (*nums, *dens, q, z), rate, _row_plan(
+                rate, max(map(abs, (*nums, *dens, q))), n_stop, _termination_order(dens, ctx),
+                ctx, what)))
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """v: the numerators, denominators, q and the argument."""
@@ -121,7 +130,7 @@ def _phi_block(rows: Sequence[tuple], r: int, s: int, ctx: QContext) -> list:
         ratio *= v[-1] * (-qn) ** p if p else v[-1]
         return ratio
 
-    return _sum_rows(out, live, plans, step, ctx, "q-hypergeometric series")
+    return _sum_rows(out, planned, step, r + s + 1, ctx, what)
 
 
 def phi(spec: PhiSpec, ctx: QContext) -> complex:
@@ -179,16 +188,12 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
 def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     """Row i: the very-well-poised series of (a, b, c, d, e, f, z) =
     ``rows[i]``, as :func:`w87` sums it alone.  Returns one entry per row:
-    its value, or the error it raises.  The rows are summed block by block
-    (:func:`qhyp.qcore._by_blocks`) of 14 factors 1 - c q^n a step."""
-    return _by_blocks(lambda block: _w87_block(block, ctx), rows, 14)
-
-
-def _w87_block(rows: Sequence[tuple], ctx: QContext) -> list:
-    """One block of :func:`_w87_rows`, its rows summed together."""
+    its value, or the error it raises (:func:`_sum_rows`, with 14 factors
+    1 - c q^n a step)."""
     q = complex(ctx.q)
+    what = "w87 series"
     out: list = [None] * len(rows)
-    live, plans = [], []
+    planned = []  # (i, parameters, rate, plan) of the rows that do not diverge
     for i, row in enumerate(rows):
         a, b, c, d, e, f, z = (complex(v) for v in row)
         params = (b, c, d, e, f)
@@ -200,9 +205,8 @@ def _w87_block(rows: Sequence[tuple], ctx: QContext) -> list:
         # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
         poles = [n for n in (_termination_order(dens, ctx), _termination_order(
             [cmath.sqrt(a), -cmath.sqrt(a)], ctx)) if n is not None]
-        live.append(i)
-        plans.append(((a, *params, q, z), z, max(map(abs, (a, *params, *dens, q))),
-                      n_stop, min(poles, default=None)))
+        planned.append((i, (a, *params, q, z), z, _row_plan(
+            z, max(map(abs, (a, *params, *dens, q))), n_stop, min(poles, default=None), ctx, what)))
     qx = np.clongdouble(q)
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -215,7 +219,7 @@ def _w87_block(rows: Sequence[tuple], ctx: QContext) -> list:
         return v[7] * _quotient(1.0 - np.concatenate(
             (v[:6] * qn, (qx * q * sq)[None], qx * v[0] / v[1:6] * qn, v[6:7] * qn, sq[None])), 7)
 
-    return _sum_rows(out, live, plans, step, ctx, "w87 series")
+    return _sum_rows(out, planned, step, 14, ctx, what)
 
 
 def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,
@@ -264,11 +268,7 @@ def appell_phi1(
     def weigh(rows: list, ns: np.ndarray, t: np.ndarray) -> np.ndarray:
         """t_m times 2phi1(a q^m, b2; c q^m; q, x2), whose error is raised."""
         qm = q**ns
-        # the rows of a batch are stepped together up to the last index of
-        # the longest; a row's ratios past its own end may divide by zero,
-        # and are never summed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = _phi_rows([((u, b2), (v,), x2) for u, v in zip(a * qm, c * qm)], ctx)
+        inner = _phi_rows([((u, b2), (v,), x2) for u, v in zip(a * qm, c * qm)], ctx)
         return t * np.array([_one([value]) for value in inner])
 
     return _one(_ratio_sum([1.0], step, ctx, [x1], [max(map(abs, (a, b1, c, q)))],

@@ -44,7 +44,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PoleError, UnsupportedCaseError
+from .errors import DomainError, PoleError, QhypError, UnsupportedCaseError
 from .equations import (
     BUILDERS,
     HeineParams,
@@ -56,6 +56,7 @@ from .equations import (
 )
 from .opalgebra import QDiffOperator
 from .qcore import (
+    _CHUNK,
     QContext,
     _by_blocks,
     _one,
@@ -322,6 +323,27 @@ def _difference(single: Callable, p, e1: Endpoint, e2: Endpoint, x: complex, ctx
     return cmath.exp(p.lam(ctx) * cmath.log(complex(x))) * value if reflected else value
 
 
+def _differences(single: Callable, p, e1: Endpoint, e2: Endpoint, xs: Sequence[complex],
+                 ctx: QContext, table: JacksonTable, reflected: bool) -> list:
+    """Entry i: :func:`_difference` at ``xs[i]``, or the error it raises.
+    The missing integrals of each endpoint are computed first, one batch
+    per endpoint (e1, then e2)."""
+    if e1 == e2:
+        return [0.0 + 0.0j] * len(xs)
+    for e in (e1, e2):
+        table.fill(single, e, xs)
+    lam = p.lam(ctx) if reflected else None
+    out = []
+    for x in xs:
+        try:
+            value = table.value(single, e2, x) - table.value(single, e1, x)
+        except (QhypError, ArithmeticError, ValueError) as exc:
+            out.append(exc)
+            continue
+        out.append(cmath.exp(lam * cmath.log(complex(x))) * value if reflected else value)
+    return out
+
+
 def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
          table: JacksonTable | None = None) -> complex:
     """Difference of two one-sided Jackson integrals of the degree-three
@@ -397,7 +419,7 @@ def _label_rows(terms: Callable, xs: Sequence[complex], series_rows: Callable,
         n_num = len(prefactors[0][0])
         args = [[*nums, *dens] for nums, dens in prefactors]
         ratios = _by_blocks(lambda block: _pochhammer_product(block, n_num, ctx), args,
-                            len(args[0]))
+                            len(args[0]), [_CHUNK] * len(args))
     for i, lead, ratio, value in zip(live, leads, ratios, series_rows(series, ctx)):
         if isinstance(ratio, Exception) or isinstance(value, Exception):
             out[i] = ratio if isinstance(ratio, Exception) else value
@@ -570,9 +592,10 @@ class SeriesTable:
 
     ``rows(xs)`` gives one value or error per x (a family's ``_*_rows`` at
     the label's parameters).  :meth:`fill` computes the missing points of
-    ``xs`` in one batch; :meth:`value` looks one up and computes it alone if
-    it is missing.  Points are compared by value.  An error is stored like a
-    value, and every lookup of its point raises it.
+    ``xs`` in one batch, and :meth:`read` returns them after it;
+    :meth:`value` looks one up and computes it alone if it is missing.
+    Points are compared by value.  An error is stored like a value, and
+    every lookup of its point raises it.
     """
 
     __slots__ = ("rows", "_values")
@@ -586,6 +609,11 @@ class SeriesTable:
         if todo:
             self._values.update(zip(todo, self.rows(todo)))
 
+    def read(self, xs: Sequence[complex]) -> list:
+        """The value or error at each x of ``xs``, after one :meth:`fill`."""
+        self.fill(xs)
+        return [self._values[x] for x in xs]
+
     def value(self, x: complex) -> complex:
         if x not in self._values:
             self.fill([x])
@@ -598,9 +626,11 @@ class SeriesTable:
 @dataclass
 class SolutionHandle:
     """A named evaluable solution: label, evaluator, positive-axis sampling
-    interval and scale, claimed operator and its T-power range.  ``batch``,
-    if given, computes in one batch what the evaluator reads at many points
-    (:meth:`fill`)."""
+    interval and scale, claimed operator and its T-power range.  ``read``,
+    if given, gives the value at each of many points in one call, or the
+    error the evaluator raises there, computing what they need in one batch:
+    a series handle's values from its :class:`SeriesTable`, an integral
+    handle's from its two :class:`JacksonTable` entries per point."""
 
     label: str
     evaluator: Callable[[complex], complex]
@@ -608,7 +638,7 @@ class SolutionHandle:
     equation: QDiffOperator
     params: object
     scale: float = 1.0
-    batch: Callable[[Sequence[complex]], None] | None = None
+    read: Callable[[Sequence[complex]], list] | None = None
 
     def domain(self, x: complex) -> bool:
         lo, hi = self.interval
@@ -618,9 +648,9 @@ class SolutionHandle:
         """Compute what the evaluator reads at ``xs`` before it is read: the
         single integrals of an integral handle, one batch per endpoint; the
         values of a series handle, in one batch; nothing for a handle
-        without ``batch``."""
-        if self.batch is not None:
-            self.batch(xs)
+        without ``read``."""
+        if self.read is not None:
+            self.read(xs)
 
     def __call__(self, x: complex) -> complex:
         return self.evaluator(x)
@@ -635,19 +665,35 @@ def residual(
     """Max over sample points of |sum of operator terms| relative to the sum
     of term magnitudes (backward-error style; floor keeps zeros harmless).
 
-    What a handle's evaluator reads at every point x q^j is computed before
-    the loop over the sample points (:meth:`SolutionHandle.fill`)."""
-    ev = f.evaluator if isinstance(f, SolutionHandle) else f
+    A handle with ``read`` gives its values at every point x q^j in one call
+    before the loop over the sample points; the terms are then formed and
+    added as :meth:`QDiffOperator.apply_terms` forms them, in coefficient
+    order, and the first error it would raise is raised."""
+    values = None
     if isinstance(f, SolutionHandle):
+        shifts = range(op.t_min, op.t_max + 1)
         # every point the operator reads, formed as apply_terms forms it
-        points = [op.q**j * complex(x) for x in xs for j in range(op.t_min, op.t_max + 1)]
+        powers = [op.q**j for j in shifts]
+        points = [qj * complex(x) for x in xs for qj in powers]
         bad = [y for y in points if not f.domain(y)]
         if bad:
             raise DomainError(f"points outside the solution domain: {sorted(set(map(abs, bad)))}")
-        f.fill(points)
+        if f.read is not None:
+            values, width = f.read(points), len(shifts)
+            terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
+        f = f.evaluator
     worst = 0.0
-    for x in xs:
-        terms = op.apply_terms(ev, x)
+    for k, x in enumerate(xs):
+        if values is None:
+            terms = op.apply_terms(f, x)
+        else:
+            x = complex(x)
+            row = values[k * width:(k + 1) * width]
+            terms = []
+            for i, j, c in terms_of:
+                if isinstance(row[j], Exception):
+                    raise row[j].with_traceback(None)
+                terms.append(c * x**i * row[j])
         num = abs(sum(terms))
         den = sum(abs(t) for t in terms) + 1e-30
         worst = max(worst, num / den)
@@ -1072,7 +1118,7 @@ def solution_handle(
     if row.pair is None:
         which = row.index
         values = SeriesTable(lambda xs: evaluate(params, which, xs, ctx))
-        evaluator, batch = values.value, values.fill
+        evaluator, read = values.value, values.read
     else:
         e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
                   for e in row.pair)
@@ -1081,11 +1127,11 @@ def solution_handle(
         def evaluator(x: complex) -> complex:
             return evaluate(params, e1, e2, x, ctx, table)
 
-        def batch(xs: Sequence[complex]) -> None:
-            for e in (e1, e2):
-                table.fill(row.single, e, xs)
+        def read(xs: Sequence[complex]) -> list:
+            return _differences(row.single, params, e1, e2, xs, ctx, table,
+                                row.single in (_phi3_tilde_single, _phi2_tilde_single))
     return SolutionHandle(label, evaluator, row.domain(params, ctx), op, params,
-                          scale=row.scale(params, ctx), batch=batch)
+                          scale=row.scale(params, ctx), read=read)
 
 
 def all_labels(family: str) -> list[str]:
@@ -1122,4 +1168,16 @@ def sample_points(handle: SolutionHandle, n: int, ctx: QContext) -> list[float]:
     if lo_s >= hi_s:
         raise DomainError(
             f"empty sampling window for {handle.label}: ({lo_eff:.3g}, {hi_eff:.3g})")
-    return list(np.geomspace(lo_s, hi_s, n))
+    return _log_spaced(lo_s, hi_s, n)
+
+
+def _log_spaced(lo: float, hi: float, n: int) -> list:
+    """``list(np.geomspace(lo, hi, n))`` for 0 < lo < hi, float for float:
+    the same exponents and powers of 10, both ends pinned, without
+    geomspace's generic dtype and sign handling (~5 times as fast)."""
+    a, b = np.log10(lo), np.log10(hi)
+    exps = np.arange(n) * ((b - a) / max(n - 1, 1)) + a
+    exps[-1:] = b
+    xs = np.power(10.0, exps)
+    xs[-1:], xs[:1] = hi, lo  # for n = 1, lo alone
+    return list(xs)

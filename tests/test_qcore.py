@@ -19,7 +19,10 @@ from qhyp.errors import (
     PoleError,
 )
 from qhyp.qcore import (
+    _BATCH_ELEMENTS,
+    _CHUNK,
     QContext,
+    _by_blocks,
     _one,
     _ratio_sum,
     qpoch_fin,
@@ -288,6 +291,48 @@ class TestBatchedSeriesKernel:
             got = _ratio_sum([1.0] * rows, lambda live, ns: np.array([ratios(ns)] * len(live)),
                              ctx, [0.1] * rows, [0.0] * rows, "row", last=[100] * rows)
             assert got == [want] * rows
+
+
+class TestBlocks:
+    """_by_blocks takes rows narrowest first and fills each block while rows
+    x factors x its widest first chunk stay within _BATCH_ELEMENTS; a batch
+    within the budget is one block."""
+
+    @staticmethod
+    def blocked(widths, factors):
+        """The blocks _by_blocks makes of rows 0, 1, ..., and its entries."""
+        blocks = []
+
+        def kernel(block):
+            blocks.append(list(block))
+            return [10 * row for row in block]
+
+        return blocks, _by_blocks(kernel, list(range(len(widths))), factors, widths)
+
+    def test_blocks_are_full_and_entries_keep_input_order(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            widths = rng.integers(1, 3000, int(rng.integers(0, 80))).tolist()
+            factors = int(rng.integers(1, 20))
+            blocks, out = self.blocked(widths, factors)
+            assert out == [10 * row for row in range(len(widths))]
+            assert sorted(row for block in blocks for row in block) == list(range(len(widths)))
+            if len(blocks) > 1:  # else the batch is one block, in input order
+                order = [row for block in blocks for row in block]
+                assert [widths[row] for row in order] == sorted(widths)
+            for block, after in zip(blocks, blocks[1:] + [None]):
+                cost = len(block) * factors * max(widths[row] for row in block)
+                assert len(block) == 1 or cost <= _BATCH_ELEMENTS
+                if after is not None:  # the next row would not have fitted
+                    assert (len(block) + 1) * factors * widths[after[0]] > _BATCH_ELEMENTS
+
+    def test_equal_widths_give_consecutive_blocks(self):
+        """At width _CHUNK for every row, as the Pochhammer prefactors pass it,
+        the blocks are consecutive runs of max(1, budget // (factors x _CHUNK))."""
+        for rows, factors in ((100, 16), (33, 4), (5, 40)):
+            size = max(1, _BATCH_ELEMENTS // (factors * _CHUNK))
+            blocks, _ = self.blocked([_CHUNK] * rows, factors)
+            assert blocks == [list(range(lo, min(lo + size, rows))) for lo in range(0, rows, size)]
 
 
 def scalar_qpoch_ratio(nums, dens, ctx):

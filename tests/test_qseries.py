@@ -14,7 +14,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import _Tail, rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
-from qhyp.qcore import _RATIO_FACTORS, QContext, _one, qpoch_fin, qpoch_inf, qpoch_ratio
+from qhyp import qseries
+from qhyp.qcore import (
+    _BATCH_ELEMENTS,
+    _CHUNK,
+    _RATIO_FACTORS,
+    QContext,
+    _one,
+    qpoch_fin,
+    qpoch_inf,
+    qpoch_ratio,
+)
 from qhyp.qseries import (
     PhiSpec,
     _phi_rows,
@@ -686,6 +696,115 @@ class TestRowBatches:
                 tracemalloc.stop()
             assert not any(isinstance(v, Exception) for v in values)
         assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def series_outcome(fn, *args):
+    """fn(*args), or the series error it raises; numpy's warnings stay errors."""
+    try:
+        return fn(*args)
+    except (PoleError, DivergenceError, NonDecayingSumError) as exc:
+        return exc
+
+
+def mixed_phi_rows(rng, q, n):
+    """n 2phi1 rows in random order: generic rows with |z| in [0.05, 0.95],
+    rows terminating after term L = 0-6, some of them with a denominator
+    that vanishes just past L, and rows with a pole before their end."""
+    rows = []
+    for _ in range(n):
+        a, b, c = (rand_complex(rng, 0.3, 1.6) for _ in range(3))
+        z = rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        kind, order = rng.integers(4), int(rng.integers(7))
+        if kind == 1:
+            a = q**-order
+        elif kind == 2:
+            a, c = q**-order, q ** -(order + 1)
+        elif kind == 3:
+            c = q**-order
+        rows.append(((a, b), (c,), z))
+    return rows
+
+
+def mixed_w87_rows(rng, q, n):
+    """n W(8,7) rows in random order, drawn as mixed_phi_rows draws its
+    rows: b = q^-L ends a row after term L, and f = a q^(k+1) makes
+    qa/f = q^-k, a pole at n = k."""
+    rows = []
+    for _ in range(n):
+        a, b, c, d, e, f = (rand_complex(rng, 0.3, 1.5) for _ in range(6))
+        z = rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        kind, order = rng.integers(4), int(rng.integers(7))
+        if kind == 1:
+            b = q**-order
+        elif kind == 2:
+            b, f = q**-order, a * q ** (order + 2)
+        elif kind == 3:
+            f = a * q ** (order + 1)
+        rows.append((a, b, c, d, e, f, z))
+    return rows
+
+
+class TestPlannedBlocks:
+    """_phi_rows and _w87_rows plan each row once and cut their blocks by
+    the rows' planned first chunks, narrowest first.  Each row is still
+    what it is alone, in input order, and no block of several rows holds
+    more than _BATCH_ELEMENTS elements in its first chunk."""
+
+    KINDS = {"phi": (mixed_phi_rows, _phi_rows, lambda row, ctx: phi(PhiSpec(*row), ctx), 4),
+             "w87": (mixed_w87_rows, _w87_rows, lambda row, ctx: w87(*row, ctx), 14)}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_shuffled_batches_equal_rows_alone(self, kind):
+        draw, rows_of, alone, _ = self.KINDS[kind]
+        rng = np.random.default_rng(22)
+        seen = set()
+        for k in range(16):
+            # a dyadic q makes c q^n exactly 1: a pole just past a row's end
+            # divides by an exact zero there
+            q = rng.choice([0.5, 0.375, 0.625]) if k % 2 else \
+                rng.uniform(0.3, 0.7) * cmath.exp(1j * rng.choice([0.0, 0.4]))
+            ctx = QContext(q)
+            rows = draw(rng, q, int(rng.integers(1, 61)))
+            batch = rows_of(rows, ctx)
+            assert len(batch) == len(rows)
+            for row, got in zip(rows, batch):
+                want = series_outcome(alone, row, ctx)
+                assert_same(got, want)
+                seen.add(type(want))
+        assert {complex, PoleError} <= seen
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_first_chunk_of_a_block_stays_within_the_budget(self, kind, monkeypatch):
+        draw, rows_of, _, factors = self.KINDS[kind]
+        blocks = []
+        ratio_sum = qseries._ratio_sum
+
+        def recorded(*args, plans, **kwargs):
+            blocks.append([plan[0] for plan in plans])
+            return ratio_sum(*args, plans=plans, **kwargs)
+
+        monkeypatch.setattr(qseries, "_ratio_sum", recorded)
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            rows_of(draw(rng, 0.5, 300), QContext(0.5))
+        assert sum(len(b) for b in blocks) > 8 * 200  # the pole rows skip the kernel
+        for firsts in blocks:
+            assert len(firsts) == 1 or len(firsts) * factors * max(firsts) <= _BATCH_ELEMENTS
+        # narrow rows share a block with more rows than a _CHUNK-wide block holds
+        assert max(map(len, blocks)) > _BATCH_ELEMENTS // (factors * _CHUNK)
+
+    def test_rows_ending_inside_a_chunk_do_not_warn(self):
+        """Rows terminating after terms 0-3, each with a denominator that
+        vanishes at the next index, share a block with rows that sum on, so
+        the block's chunk steps them past their ends; the kernel keeps those
+        unused ratios from warning (the suite turns RuntimeWarning into an
+        error), and every row equals its one-row value."""
+        q = 0.5
+        ctx = QContext(q)
+        rows = [((q**-k, 0.3 + 0.2j), (q ** -(k + 1),), 0.7) for k in range(4)]
+        rows += [((0.6 + 0.1j, 1.2), (0.8j,), 0.9 * cmath.exp(1j * k)) for k in range(4)]
+        assert [repr(v) for v in _phi_rows(rows, ctx)] == \
+            [repr(phi(PhiSpec(*row), ctx)) for row in rows]
 
 
 def mp_terms_sum(first, ratio, scale_digits=45, limit=20_000):

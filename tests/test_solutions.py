@@ -807,6 +807,58 @@ class TestLocalBasis:
             assert abs(g(x) - pred) <= 1e-8 * abs(g(x))
 
 
+class TestResidualReadsOnce:
+    """residual() reads a handle's values at every point in one call and
+    forms the operator's terms in coefficient order: the same float as the
+    point-by-point residual of its evaluator (apply_terms), and the same
+    first error."""
+
+    LABELS = ("thmint3.phi3[1,4]", "thmint3.tilde[2,4]", "thmint2.phi2[0,3]",
+              "thmint2.tilde[1,4]", "thmser3.2", "thmser2.1", "heine.3", "heine.12",
+              "heine_extra.2")
+
+    def test_equals_the_point_by_point_residual(self, rng):
+        for _ in range(2):
+            ctx = QContext(rng.uniform(0.35, 0.55))
+            shared = {"e3": draw_params3(rng, ctx, series_room=True),
+                      "e2": draw_params2(rng, ctx, series_room=True)}
+            for label in self.LABELS:
+                row = CATALOGUE[label]
+                p = shared.get(row.equation) or draw_heine_for(rng, ctx, label)
+                sigma = default_sigma(p) if row.equation == "e2" else 1.3
+                h = solution_handle(label, p, ctx, sigma=sigma)
+                xs = sample_points(h, 5, ctx)
+                got = residual(h.equation, h, xs, ctx)
+                assert repr(got) == repr(residual(h.equation, h.evaluator, xs, ctx)), label
+
+    def test_raises_the_first_error_apply_terms_raises(self):
+        ctx = QContext(0.5)
+        p = exact_zero_params(0.9 + 0j, ctx)
+        xs = [0.2, 0.3, 0.3 / ctx.q]
+        for i, j in ((1, 2), (2, 3), (2, 4)):
+            h = solution_handle(f"thmint3.phi3[{i},{j}]", p, ctx)
+            with pytest.raises(UnsupportedCaseError) as want:
+                residual(h.equation, h.evaluator, xs, ctx)
+            h = solution_handle(f"thmint3.phi3[{i},{j}]", p, ctx)
+            with pytest.raises(UnsupportedCaseError) as got:
+                residual(h.equation, h, xs, ctx)
+            assert str(got.value) == str(want.value)
+
+
+class TestLogSpacing:
+    def test_equals_geomspace(self):
+        """sample_points spaces its points as np.geomspace does, float for
+        float, over 100,000 random windows 0 < lo < hi and counts 1-64."""
+        rng = np.random.default_rng(1102)
+        draws = 100_000
+        los = 10 ** rng.uniform(-8, 4, draws)
+        his = los * (1 + 10 ** rng.uniform(-12, 6, draws))
+        for lo, hi, n in zip(los.tolist(), his.tolist(), rng.integers(1, 65, draws).tolist()):
+            got = solutions._log_spaced(lo, hi, n)
+            assert type(got[0]) is np.float64
+            assert np.array(got).tobytes() == np.geomspace(lo, hi, n).tobytes(), (lo, hi, n)
+
+
 class TestHandles:
     def test_zero_function_residual(self, ctx, rng):
         p = draw_params3(rng, ctx)
