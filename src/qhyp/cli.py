@@ -416,8 +416,11 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
     the parameters verify checks it at; written as CSV when the output file
     ends in .csv."""
     def measure(handle, xs):
-        handle.fill(xs)
-        return {"x": [float(v) for v in xs], "abs_f": [abs(handle.evaluator(x)) for x in xs]}, None
+        values = handle.read(xs)
+        for value in values:
+            if isinstance(value, Exception):
+                raise value.with_traceback(None)
+        return {"x": [float(v) for v in xs], "abs_f": [abs(v) for v in values]}, None
 
     _each_label(job, rng, ctx, report, "sample", 32, measure)
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QhypError
 from .equations import HeineParams, Params2, Params3
 from .qcore import QContext, qpoch_ratio
 from .solutions import SolutionHandle, solution_handle
@@ -266,9 +266,12 @@ def solution_transport(
 ) -> SolutionHandle:
     """Transport a catalogued solution along a group word.
 
-    The returned handle claims the *original* equation: its evaluator chains
-    the gauge multipliers and point moves of the word and evaluates the
-    catalogued family at the fully transformed parameters.
+    The returned handle claims the *original* equation.  Its ``read`` chains
+    the gauge multipliers and point moves of the word at each point, reads
+    the catalogued family at the fully transformed parameters at all the
+    moved points in one call, and multiplies each value by its gauge.  A
+    point whose transport raises (QhypError, ArithmeticError or ValueError)
+    keeps that error in its slot, as does a point whose inner value is one.
     """
     base = solution_handle(label, params, ctx)
     if not word:
@@ -286,16 +289,28 @@ def solution_transport(
     final_params = state_to_params(group, probe, ctx)
     inner = solution_handle(label, final_params, ctx)
 
-    def evaluator(x: complex) -> complex:
+    def transport(x: complex) -> tuple[complex, complex]:
+        """The word's gauge factor at x and the point it moves x to."""
         m = 1.0 + 0.0j
         state = params_to_state(params, x, ctx)
         y = complex(x)
         for idx in word:
-            new_state, gauge = group_action(group, idx, state, ctx)
+            state, gauge = group_action(group, idx, state, ctx)
             m *= gauge.factor(y, ctx)
-            state = new_state
             y = complex(state[-1])
-        return m * inner.evaluator(y)
+        return m, y
+
+    def read(xs: Sequence[complex]) -> list:
+        out: list = []
+        for x in xs:
+            try:
+                out.append(transport(x))
+            except (QhypError, ArithmeticError, ValueError) as exc:
+                out.append(exc)
+        live = [i for i, entry in enumerate(out) if not isinstance(entry, Exception)]
+        for i, value in zip(live, inner.read([out[i][1] for i in live])):
+            out[i] = value if isinstance(value, Exception) else out[i][0] * value
+        return out
 
     # preimage of the inner interval under |z| -> |u| |z|^eps
     lo, hi = inner.interval
@@ -313,7 +328,7 @@ def solution_transport(
     word_str = "".join(f"s{i}" for i in word)
     return SolutionHandle(
         label=f"{label}~{group}:{word_str}",
-        evaluator=evaluator,
+        read=read,
         interval=interval,
         equation=base.equation,
         params=params,

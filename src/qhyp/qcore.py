@@ -145,10 +145,11 @@ def _tail_state(mags: np.ndarray, scale, prior: np.ndarray, tol: float) -> tuple
 
 
 def _one(outcomes: list) -> complex:
-    """The value of a one-row batch; raises the error of its row instead."""
+    """The value of a one-row batch; raises the error of its row instead,
+    with its traceback cleared, as a stored error may be raised again."""
     (value,) = outcomes
     if isinstance(value, Exception):
-        raise value
+        raise value.with_traceback(None)
     return value
 
 
@@ -236,12 +237,10 @@ def _ratio_sum(
     step: Callable[[list, np.ndarray], np.ndarray],
     ctx: QContext,
     rate: Sequence[complex],
-    reach: Sequence[float] | None,
     what: str,
-    last: Sequence[int | None] | None = None,
-    pole: Sequence[int | None] | None = None,
+    *,
+    plans: Sequence,
     weigh: Callable[[list, np.ndarray, np.ndarray], np.ndarray] | None = None,
-    plans: Sequence | None = None,
 ) -> list:
     """Row r: sum_n t_n, where t_0 = ``t0[r]`` and t_{n+1} = t_n r_n; all
     rows are summed together, a chunk of n at a time.
@@ -253,23 +252,21 @@ def _ratio_sum(
     rows ``rows`` (a list of row indices), one array row each; a chunk asks
     only for the rows still summing.  ``weigh(rows, ns, t)``, if given, turns a
     chunk of t_n into the terms summed.  ``rate[r]`` is the limit of the
-    ratios of row r's terms (weighed, where ``weigh`` is given) and
-    ``reach[r]`` the largest |c| among the factors 1 - c q^n of its r_n.
-    ``last`` and ``pole``, if given, hold one entry (or None) per row.  Row r
-    stops by the tail rule or after term ``last[r]``; ``max_terms`` terms
-    without either raise NonDecayingSumError.  ``pole[r]`` is the first n
-    whose r_n divides by a vanishing factor (:func:`_termination_order` of
-    the denominators): unless the row ends at ``last[r]`` first, it raises
-    PoleError before summing anything.  ``plans``, if given, stands for
-    ``reach``, ``last`` and ``pole``: it holds each row's
-    :func:`_row_plan`, made once by a caller that blocks its rows by their
-    first chunks.
+    ratios of row r's terms (weighed, where ``weigh`` is given), and
+    ``plans[r]`` its :func:`_row_plan` of that rate, the largest |c| among
+    the factors 1 - c q^n of its r_n (its reach), its ``last`` and its
+    ``pole``, made by the caller.  Row r stops by the tail rule or after term
+    ``last``; ``max_terms`` terms without either raise NonDecayingSumError.
+    ``pole`` is the first n whose r_n divides by a vanishing factor
+    (:func:`_termination_order` of the denominators): unless the row ends at
+    ``last`` first, its plan is the PoleError it raises before summing
+    anything.
 
     Each row is summed in order, one product and one addition at a time:
     t_n = (... (t_0 r_0) r_1 ...) r_{n-1}, and the sum adds t_n to the sum
     of the terms before it.  So a row's value, bit for bit, depends neither
-    on the chunks nor on the rows it is summed with.  The chunks are read
-    off ``rate`` and ``reach``, as :func:`_pochhammer_product` reads its
+    on the chunks nor on the rows it is summed with.  The plans read the
+    chunks off the rate and the reach, as :func:`_pochhammer_product` reads its
     factor counts: a row wants first the terms a geometric sum of ratio
     |rate| takes to fall by 1/tail_tol times the growth those factors can
     add, and the run the tail rule waits for, but no more than its closure
@@ -289,14 +286,9 @@ def _ratio_sum(
     last term summed; if not (or t is not finite), NonDecayingSumError is
     raised at once.
     """
-    plans = [None] * len(t0) if plans is None else list(plans)
     out: list = [None] * len(plans)
     live, ends, size, tailed_any = [], [], 0, False
-    for r in range(len(plans)):
-        if plans[r] is None:
-            plans[r] = _row_plan(rate[r], reach[r], None if last is None else last[r],
-                                 None if pole is None else pole[r], ctx, what)
-        plan = plans[r]
+    for r, plan in enumerate(plans):
         if isinstance(plan, Exception):
             out[r] = plan
             continue

@@ -87,7 +87,7 @@ def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: st
         v = np.array(values, dtype=np.clongdouble).T.copy()[:, :, None]
         return _ratio_sum([1.0] * len(members),
                           lambda sub, ns: step(v if len(sub) == len(members) else v[:, sub], ns),
-                          ctx, rate, None, what, plans=plans)
+                          ctx, rate, what, plans=plans)
 
     for row, value in zip(todo, _by_blocks(block, todo, factors, [row[3][0] for row in todo])):
         out[row[0]] = value
@@ -176,13 +176,15 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
         return _quotient(q ** (1 + ks).astype(complex) - ba, 3) / z
 
     reach = np.abs(ab)
-    value = _one(_ratio_sum([1.0], up, ctx, [z], [reach.max()], "psi33 upward tail",
-                            pole=[poles[0]]))
+    what = "psi33 upward tail"
+    value = _one(_ratio_sum([1.0], up, ctx, [z], what,
+                            plans=[_row_plan(z, reach.max(), None, poles[0], ctx, what)]))
     if poles[1] is not None:
         raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
+    what = "psi33 downward tail"
+    plan = _row_plan(inner / z, (abs(q * q) / reach).max(), None, None, ctx, what)
     return value + _one(_ratio_sum([down(np.array([0]))[0]], lambda rows, ks: down(ks + 1)[None],
-                                   ctx, [inner / z], [(abs(q * q) / reach).max()],
-                                   "psi33 downward tail"))
+                                   ctx, [inner / z], what, plans=[plan]))
 
 
 def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
@@ -271,9 +273,9 @@ def appell_phi1(
         inner = _phi_rows([((u, b2), (v,), x2) for u, v in zip(a * qm, c * qm)], ctx)
         return t * np.array([_one([value]) for value in inner])
 
-    return _one(_ratio_sum([1.0], step, ctx, [x1], [max(map(abs, (a, b1, c, q)))],
-                           "appell_phi1", last=[_termination_order([a, b1], ctx)],
-                           pole=[_termination_order([c], ctx)], weigh=weigh))
+    plan = _row_plan(x1, max(map(abs, (a, b1, c, q))), _termination_order([a, b1], ctx),
+                     _termination_order([c], ctx), ctx, "appell_phi1")
+    return _one(_ratio_sum([1.0], step, ctx, [x1], "appell_phi1", weigh=weigh, plans=[plan]))
 
 
 def heine_transformation_constant(

@@ -10,21 +10,25 @@ row by row by its tail rule), with the grid weights t^alpha w(t) applied per
 chunk.  Zeros and poles on a grid are refused up front, row by row, by the
 one zero test of :mod:`qhyp.qcore`.
 
-Each integral solution is the difference of two single-endpoint integrals of
-one integrand.  A :class:`JacksonTable` holds those of one parameter tuple
-and computes each once, so the pair labels of a job that share an endpoint
-and a sample point share its grid sum.  :func:`residual` has a handle's table
-fill every point x q^j of an endpoint in one batch before it evaluates
-anything; a lone lookup is the one-row case of the same kernel, with the
-same value bit for bit.  An evaluator given no table uses a throwaway one.
+Every handle gives its values through one call, :meth:`SolutionHandle.read`,
+which takes many points and returns one value or error per point; calling a
+handle reads one point.  Values are kept by point in :class:`SeriesTable`
+memos, which compute the missing points of a read in one batch and store an
+error like a value, so every read of a failing point returns its error.
 
-A series handle keeps a :class:`SeriesTable` of its own values, which
-:meth:`SolutionHandle.fill` computes for every point in one batch: the
-catalogue formula runs per point, and then the Pochhammer prefactors of all
-the points are one batch of the product kernel and their series one batch of
+Each integral solution is the difference of two single-endpoint integrals of
+one integrand.  A :class:`JacksonTable` holds those of one parameter tuple,
+one memo per integrand and endpoint, so the pair labels of a job that share
+an endpoint and a sample point share its grid sum.  An integral handle's
+read fills both endpoints at all its points, one batch each; a lone lookup
+(``phi3`` and its siblings) is the one-point read, with the same value bit
+for bit, and one given no table uses a throwaway one.
+
+A series handle keeps a memo of its own values: the catalogue formula runs
+per point, and then the Pochhammer prefactors of all the points are one
+batch of the product kernel and their series one batch of
 :func:`qhyp.qseries._phi_rows` or ``_w87_rows`` (:func:`_label_rows`).  Each
-value equals the one-point evaluator's bit for bit, and a point whose
-evaluation raises stores its error, which every lookup of it raises.
+value equals the one-point evaluator's bit for bit.
 
 The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
 (end of the module): the operator a label solves, its endpoint pair or its
@@ -44,7 +48,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PoleError, QhypError, UnsupportedCaseError
+from .errors import DomainError, PoleError, UnsupportedCaseError
 from .equations import (
     BUILDERS,
     HeineParams,
@@ -63,6 +67,7 @@ from .qcore import (
     _pochhammer_product,
     _quotient,
     _ratio_sum,
+    _row_plan,
     _termination_order,
     qpoch_ratio,
 )
@@ -207,8 +212,10 @@ def _grid_sum(
 
     # upwards the step ratio tends to q^(alpha + 1) (weighted) or q^alpha
     rate = cmath.exp((alpha + (1 if weighted else 0)) * log_q)
-    value = _ratio_sum(seed, up, ctx, [rate] * len(seed), np.abs(nd * tau[:, None]).max(axis=1),
-                       "Jackson sum", weigh=weigh)
+    what = "Jackson sum"
+    plans = [_row_plan(rate, reach, None, None, ctx, what)
+             for reach in np.abs(nd * tau[:, None]).max(axis=1)]
+    value = _ratio_sum(seed, up, ctx, [rate] * len(seed), what, weigh=weigh, plans=plans)
     if bilateral:
         # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
         for i in range(len(live)):
@@ -216,11 +223,12 @@ def _grid_sum(
                     and _termination_order(q / (tau[i] * dens[i]), ctx) is not None):
                 value[i] = PoleError("integrand pole on the descending grid")
         rows = np.array([i for i, v in enumerate(value) if not isinstance(v, Exception)], dtype=int)
+        rates = np.prod(nums[rows], axis=1) / np.prod(dens[rows], axis=1) / rate
+        reaches = np.abs(q * q / (tau[rows, None] * nd[rows])).max(axis=1)
+        plans = [_row_plan(r, reach, None, None, ctx, what) for r, reach in zip(rates, reaches)]
         tails = _ratio_sum(
             seed[rows] * down(rows, np.array([0]))[:, 0], lambda sub, ks: down(rows[sub], -1 - ks),
-            ctx, np.prod(nums[rows], axis=1) / np.prod(dens[rows], axis=1) / rate,
-            np.abs(q * q / (tau[rows, None] * nd[rows])).max(axis=1), "Jackson sum",
-            weigh=lambda sub, ks, F: weigh(rows[sub], -1 - ks, F))
+            ctx, rates, what, weigh=lambda sub, ks, F: weigh(rows[sub], -1 - ks, F), plans=plans)
         for i, v in zip(rows, tails):
             value[i] = v if isinstance(v, Exception) else value[i] + v
     for r, v in zip(live, value):
@@ -266,42 +274,58 @@ def _phi2_tilde_single(p: Params2, e: Endpoint, xs: Sequence[complex], ctx: QCon
                      bilateral=e.tag == "sigma_infinity")
 
 
+class SeriesTable:
+    """The values of one function at many points, each computed once: a
+    series handle's values, or one integrand and endpoint of a
+    :class:`JacksonTable`.
+
+    ``rows(xs)`` gives one value or error per x (a family's ``_*_rows`` at
+    a label's parameters, or a ``_*_single`` integrand at a tuple and an
+    endpoint).  :meth:`read` computes the missing points of ``xs`` in one
+    batch and returns the entry of each.  Points are compared by value.  An
+    error is stored like a value, and every read of its point returns it.
+    """
+
+    __slots__ = ("rows", "_values")
+
+    def __init__(self, rows: Callable[[Sequence[complex]], list]):
+        self.rows = rows
+        self._values: dict = {}
+
+    def read(self, xs: Sequence[complex]) -> list:
+        """The value or error at each x of ``xs``."""
+        todo = [x for x in dict.fromkeys(xs) if x not in self._values]
+        if todo:
+            self._values.update(zip(todo, self.rows(todo)))
+        return [self._values[x] for x in xs]
+
+
 class JacksonTable:
     """The single-endpoint Jackson integrals of one parameter tuple under one
     context, each computed once; meant to live for one job.
 
-    Entries are keyed by (integrand, endpoint, x): the integrand is one of the
-    ``_*_single`` helpers above, the endpoint carries the free constant of the
-    bilateral endpoint, and x is compared by value.  :meth:`fill` computes
-    the missing entries of one integrand and endpoint at many x in one
-    batch; :meth:`value` looks one up and computes it alone if it is
-    missing.  A computation that raises stores nothing, so every lookup of
-    it computes it anew and raises.
+    Each integrand and endpoint has a :class:`SeriesTable` of its values at
+    the points x: the integrand is one of the ``_*_single`` helpers above,
+    the endpoint carries the free constant of the bilateral endpoint, and x
+    is compared by value.  :meth:`read` gives one integrand and endpoint at
+    many x, computing the missing points in one batch; a point whose
+    integral raises stores its error, which every read of it returns.
     """
 
-    __slots__ = ("params", "ctx", "_values")
+    __slots__ = ("params", "ctx", "_tables")
 
     def __init__(self, params, ctx: QContext):
         self.params = params
         self.ctx = ctx
-        self._values: dict[tuple, complex] = {}
+        self._tables: dict[tuple, SeriesTable] = {}
 
-    def fill(self, single: Callable, e: Endpoint, xs: Sequence[complex]) -> None:
-        """single(params, e, x, ctx) for every x of ``xs`` not yet held, in
-        one batch, in the order of ``xs``."""
-        todo = [x for x in dict.fromkeys(xs) if (single, e, x) not in self._values]
-        if todo:
-            for x, found in zip(todo, single(self.params, e, todo, self.ctx)):
-                if not isinstance(found, Exception):
-                    self._values[single, e, x] = found
-
-    def value(self, single: Callable, e: Endpoint, x: complex) -> complex:
-        """single(params, e, x, ctx), computed on the first lookup."""
-        key = (single, e, x)
-        found = self._values.get(key)
-        if found is None:
-            found = self._values[key] = _one(single(self.params, e, [x], self.ctx))
-        return found
+    def read(self, single: Callable, e: Endpoint, xs: Sequence[complex]) -> list:
+        """single(params, e, x, ctx), a value or an error, at each x of ``xs``."""
+        table = self._tables.get((single, e))
+        if table is None:
+            table = self._tables[single, e] = SeriesTable(
+                lambda todo: single(self.params, e, todo, self.ctx))
+        return table.read(xs)
 
 
 def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
@@ -312,34 +336,22 @@ def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
     return table
 
 
-def _difference(single: Callable, p, e1: Endpoint, e2: Endpoint, x: complex, ctx: QContext,
-                table: JacksonTable | None, reflected: bool) -> complex:
-    """single(e2) - single(e1) from the table, times x^lambda (principal
-    branch) for the reflected integrands."""
-    if e1 == e2:
-        return 0.0 + 0.0j
-    table = _table_for(p, ctx, table)
-    value = table.value(single, e2, x) - table.value(single, e1, x)
-    return cmath.exp(p.lam(ctx) * cmath.log(complex(x))) * value if reflected else value
-
-
 def _differences(single: Callable, p, e1: Endpoint, e2: Endpoint, xs: Sequence[complex],
                  ctx: QContext, table: JacksonTable, reflected: bool) -> list:
-    """Entry i: :func:`_difference` at ``xs[i]``, or the error it raises.
-    The missing integrals of each endpoint are computed first, one batch
-    per endpoint (e1, then e2)."""
+    """Entry i: single(e2) - single(e1) at ``xs[i]`` from the table, times
+    x^lambda (principal branch) for the reflected integrands; or the error
+    of e2's integral there, else e1's.  The missing integrals of each
+    endpoint are computed first, one batch per endpoint (e1, then e2)."""
     if e1 == e2:
         return [0.0 + 0.0j] * len(xs)
-    for e in (e1, e2):
-        table.fill(single, e, xs)
+    lows, highs = table.read(single, e1, xs), table.read(single, e2, xs)
     lam = p.lam(ctx) if reflected else None
     out = []
-    for x in xs:
-        try:
-            value = table.value(single, e2, x) - table.value(single, e1, x)
-        except (QhypError, ArithmeticError, ValueError) as exc:
-            out.append(exc)
+    for x, low, high in zip(xs, lows, highs):
+        if isinstance(high, Exception) or isinstance(low, Exception):
+            out.append(high if isinstance(high, Exception) else low)
             continue
+        value = high - low
         out.append(cmath.exp(lam * cmath.log(complex(x))) * value if reflected else value)
     return out
 
@@ -348,28 +360,32 @@ def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
          table: JacksonTable | None = None) -> complex:
     """Difference of two one-sided Jackson integrals of the degree-three
     Jordan-Pochhammer integrand between admissible endpoints."""
-    return _difference(_phi3_single, p, t1, t2, x, ctx, table, False)
+    table = _table_for(p, ctx, table)
+    return _one(_differences(_phi3_single, p, t1, t2, [x], ctx, table, False))
 
 
 def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
                table: JacksonTable | None = None) -> complex:
     """x^lambda times the reflected-integrand Jackson integral between
     admissible sigma-endpoints."""
-    return _difference(_phi3_tilde_single, p, s1, s2, x, ctx, table, True)
+    table = _table_for(p, ctx, table)
+    return _one(_differences(_phi3_tilde_single, p, s1, s2, [x], ctx, table, True))
 
 
 def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
          table: JacksonTable | None = None) -> complex:
     """Degree-two integral solution: t^alpha measure dq t / t, endpoints may
     include 0 (which contributes nothing)."""
-    return _difference(_phi2_single, p, t1, t2, x, ctx, table, False)
+    table = _table_for(p, ctx, table)
+    return _one(_differences(_phi2_single, p, t1, t2, [x], ctx, table, False))
 
 
 def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
                table: JacksonTable | None = None) -> complex:
     """Degree-two reflected integral; the sigma-infinity endpoint uses the
     bilateral Jackson sum."""
-    return _difference(_phi2_tilde_single, p, s1, s2, x, ctx, table, True)
+    table = _table_for(p, ctx, table)
+    return _one(_differences(_phi2_tilde_single, p, s1, s2, [x], ctx, table, True))
 
 
 # -- series solutions -----------------------------------------------------------------
@@ -406,7 +422,7 @@ def _label_rows(terms: Callable, xs: Sequence[complex], series_rows: Callable,
         try:
             lead, prefactor, args = terms(x)
         except (DomainError, ArithmeticError, ValueError) as exc:
-            out[i] = exc  # raised on lookup, as evaluating x alone raises it
+            out[i] = exc  # as evaluating x alone raises it
             continue
         live.append(i)
         leads.append(lead)
@@ -586,114 +602,61 @@ def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> comple
 # -- verification utilities ---------------------------------------------------------
 
 
-class SeriesTable:
-    """The values of one series label at many points, each computed once;
-    meant to live for one handle.
-
-    ``rows(xs)`` gives one value or error per x (a family's ``_*_rows`` at
-    the label's parameters).  :meth:`fill` computes the missing points of
-    ``xs`` in one batch, and :meth:`read` returns them after it;
-    :meth:`value` looks one up and computes it alone if it is missing.
-    Points are compared by value.  An error is stored like a value, and
-    every lookup of its point raises it.
-    """
-
-    __slots__ = ("rows", "_values")
-
-    def __init__(self, rows: Callable[[Sequence[complex]], list]):
-        self.rows = rows
-        self._values: dict = {}
-
-    def fill(self, xs: Sequence[complex]) -> None:
-        todo = [x for x in dict.fromkeys(xs) if x not in self._values]
-        if todo:
-            self._values.update(zip(todo, self.rows(todo)))
-
-    def read(self, xs: Sequence[complex]) -> list:
-        """The value or error at each x of ``xs``, after one :meth:`fill`."""
-        self.fill(xs)
-        return [self._values[x] for x in xs]
-
-    def value(self, x: complex) -> complex:
-        if x not in self._values:
-            self.fill([x])
-        found = self._values[x]
-        if isinstance(found, Exception):
-            raise found.with_traceback(None)
-        return found
-
-
 @dataclass
 class SolutionHandle:
-    """A named evaluable solution: label, evaluator, positive-axis sampling
-    interval and scale, claimed operator and its T-power range.  ``read``,
-    if given, gives the value at each of many points in one call, or the
-    error the evaluator raises there, computing what they need in one batch:
-    a series handle's values from its :class:`SeriesTable`, an integral
-    handle's from its two :class:`JacksonTable` entries per point."""
+    """A named evaluable solution: label, ``read``, positive-axis sampling
+    interval and scale, claimed operator and its T-power range.  ``read``
+    gives the value at each of many points in one call, or the error
+    evaluating there raises, computing what they need in one batch: a series
+    handle's values from its :class:`SeriesTable`, an integral handle's from
+    its two :class:`JacksonTable` entries per point.  Calling the handle
+    reads one point and raises its error."""
 
     label: str
-    evaluator: Callable[[complex], complex]
+    read: Callable[[Sequence[complex]], list]
     interval: tuple[float, float]
     equation: QDiffOperator
     params: object
     scale: float = 1.0
-    read: Callable[[Sequence[complex]], list] | None = None
 
     def domain(self, x: complex) -> bool:
         lo, hi = self.interval
         return lo < abs(x) < hi
 
-    def fill(self, xs: Sequence[complex]) -> None:
-        """Compute what the evaluator reads at ``xs`` before it is read: the
-        single integrals of an integral handle, one batch per endpoint; the
-        values of a series handle, in one batch; nothing for a handle
-        without ``read``."""
-        if self.read is not None:
-            self.read(xs)
-
     def __call__(self, x: complex) -> complex:
-        return self.evaluator(x)
+        return _one(self.read([x]))
 
 
 def residual(
     op: QDiffOperator,
-    f: Callable[[complex], complex] | SolutionHandle,
+    handle: SolutionHandle,
     xs: Sequence[complex],
     ctx: QContext,
 ) -> float:
     """Max over sample points of |sum of operator terms| relative to the sum
     of term magnitudes (backward-error style; floor keeps zeros harmless).
 
-    A handle with ``read`` gives its values at every point x q^j in one call
-    before the loop over the sample points; the terms are then formed and
-    added as :meth:`QDiffOperator.apply_terms` forms them, in coefficient
-    order, and the first error it would raise is raised."""
-    values = None
-    if isinstance(f, SolutionHandle):
-        shifts = range(op.t_min, op.t_max + 1)
-        # every point the operator reads, formed as apply_terms forms it
-        powers = [op.q**j for j in shifts]
-        points = [qj * complex(x) for x in xs for qj in powers]
-        bad = [y for y in points if not f.domain(y)]
-        if bad:
-            raise DomainError(f"points outside the solution domain: {sorted(set(map(abs, bad)))}")
-        if f.read is not None:
-            values, width = f.read(points), len(shifts)
-            terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
-        f = f.evaluator
+    The handle gives its values at every point x q^j in one read before the
+    loop over the sample points; the terms a_ij x^i f(x q^j) are then formed
+    and added in coefficient order, and the first error among them, sample
+    point by sample point, is raised."""
+    shifts = range(op.t_min, op.t_max + 1)
+    powers = [op.q**j for j in shifts]
+    points = [qj * complex(x) for x in xs for qj in powers]
+    bad = [y for y in points if not handle.domain(y)]
+    if bad:
+        raise DomainError(f"points outside the solution domain: {sorted(set(map(abs, bad)))}")
+    values, width = handle.read(points), len(shifts)
+    terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
     worst = 0.0
     for k, x in enumerate(xs):
-        if values is None:
-            terms = op.apply_terms(f, x)
-        else:
-            x = complex(x)
-            row = values[k * width:(k + 1) * width]
-            terms = []
-            for i, j, c in terms_of:
-                if isinstance(row[j], Exception):
-                    raise row[j].with_traceback(None)
-                terms.append(c * x**i * row[j])
+        x = complex(x)
+        row = values[k * width:(k + 1) * width]
+        terms = []
+        for i, j, c in terms_of:
+            if isinstance(row[j], Exception):
+                raise row[j].with_traceback(None)
+            terms.append(c * x**i * row[j])
         num = abs(sum(terms))
         den = sum(abs(t) for t in terms) + 1e-30
         worst = max(worst, num / den)
@@ -766,17 +729,15 @@ def incidence_rank() -> int:
 
 
 def casoratian(
-    f: Callable[[complex], complex] | SolutionHandle,
-    g: Callable[[complex], complex] | SolutionHandle,
+    f: Callable[[complex], complex],
+    g: Callable[[complex], complex],
     x: complex,
     ctx: QContext,
 ) -> complex:
     """f(x) g(qx) - f(qx) g(x): vanishes identically iff f, g are dependent
-    over the pseudo-constants."""
-    fe = f.evaluator if isinstance(f, SolutionHandle) else f
-    ge = g.evaluator if isinstance(g, SolutionHandle) else g
+    over the pseudo-constants.  A handle is such a function."""
     q = complex(ctx.q)
-    return fe(x) * ge(q * x) - fe(q * x) * ge(x)
+    return f(x) * g(q * x) - f(q * x) * g(x)
 
 
 # -- the catalogue ------------------------------------------------------------------------
@@ -788,13 +749,12 @@ class Solution:
     one label.
 
     equation: the operator the row solves, a key of ``equations.BUILDERS``.
-    evaluator: the name of the module function that evaluates the row.  A
-        series row's (``_*_rows``) takes (params, ``index``, points, ctx) and
-        gives one value or error per point; an integral row's takes its
-        endpoint ``pair`` (the bilateral endpoint takes the handle's sigma)
-        and one point.
-    single: integral rows only, the single-endpoint integrand (one of the
-        ``_*_single`` helpers) whose difference the evaluator takes.
+    evaluator: series rows only, the name of the module function
+        (``_*_rows``) that evaluates the row: it takes (params, ``index``,
+        points, ctx) and gives one value or error per point.
+    pair, single: integral rows only, the endpoint pair (the bilateral
+        endpoint takes the handle's sigma) and the single-endpoint integrand
+        (one of the ``_*_single`` helpers) whose difference the row is.
     formula: series rows only, a function of the family's variables.  For
         ``thmser2``, ``heine`` and ``heine_extra`` it gives (prefactor,
         series): prefactor = (numerators, denominators) of a Pochhammer ratio
@@ -813,9 +773,9 @@ class Solution:
 
     label: str
     equation: str
-    evaluator: str
     domain: Callable[[Any, QContext], tuple[float, float]]
     scale: Callable[[Any, QContext], float]
+    evaluator: str | None = None
     index: int = 0
     pair: tuple[Endpoint, Endpoint] | None = None
     single: Callable | None = None
@@ -841,18 +801,18 @@ def _integral_rows():
     q/(Ax) (0..3) and thmint2.tilde over b1, b2, Bx, sigma*infinity (1..4);
     the label [i,j], i < j, is the integral from endpoint i to endpoint j."""
     families = (
-        ("thmint3.phi3", "phi3", _phi3_single, "e3", 1,
+        ("thmint3.phi3", _phi3_single, "e3", 1,
          (Endpoint.q_over_a(1), Endpoint.q_over_a(2), Endpoint.q_over_a(3), Endpoint.q_over_Ax())),
-        ("thmint3.tilde", "phi3_tilde", _phi3_tilde_single, "e3", 1,
+        ("thmint3.tilde", _phi3_tilde_single, "e3", 1,
          (Endpoint.b(1), Endpoint.b(2), Endpoint.b(3), Endpoint.Bx())),
-        ("thmint2.phi2", "phi2", _phi2_single, "e2", 0,
+        ("thmint2.phi2", _phi2_single, "e2", 0,
          (Endpoint.zero(), Endpoint.q_over_a(1), Endpoint.q_over_a(2), Endpoint.q_over_Ax())),
-        ("thmint2.tilde", "phi2_tilde", _phi2_tilde_single, "e2", 1,
+        ("thmint2.tilde", _phi2_tilde_single, "e2", 1,
          (Endpoint.b(1), Endpoint.b(2), Endpoint.Bx(), Endpoint.sigma_inf())),
     )
-    for name, evaluator, single, equation, first, ends in families:
+    for name, single, equation, first, ends in families:
         for i, j in itertools.combinations(range(len(ends)), 2):
-            yield Solution(f"{name}[{first + i},{first + j}]", equation, evaluator,
+            yield Solution(f"{name}[{first + i},{first + j}]", equation,
                            lambda p, ctx: (0.0, np.inf),
                            lambda p, ctx: 0.3 * integral_scale(p, ctx),
                            pair=(ends[i], ends[j]), single=single)
@@ -863,9 +823,9 @@ def _thmser3(n: int, domain, formula) -> Solution:
     |q|, |A|, |B|, |a1|, |b3|, where the series argument stays in the unit
     disc (pole grids with complex-generic bases miss the positive axis)."""
     return Solution(
-        f"thmser3.{n}", "e3", "_e3_rows",
+        f"thmser3.{n}", "e3",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.A), abs(p.B), abs(p.a1), abs(p.b3)),
-        lambda p, ctx: 0.3 * integral_scale(p, ctx), index=n, formula=formula)
+        lambda p, ctx: 0.3 * integral_scale(p, ctx), "_e3_rows", index=n, formula=formula)
 
 
 def _thmser2(n: int, domain, formula) -> Solution:
@@ -873,9 +833,9 @@ def _thmser2(n: int, domain, formula) -> Solution:
     domain over |q|, |B|, |a1|, |a2|, where the argument stays in the unit
     disc (the x-free arguments q^alpha and A/B impose nothing on x)."""
     return Solution(
-        f"thmser2.{n}", "e2", "_e2_rows",
+        f"thmser2.{n}", "e2",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.B), abs(p.a1), abs(p.a2)),
-        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), index=n, formula=formula)
+        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), "_e2_rows", index=n, formula=formula)
 
 
 # |z| intervals of the Heine rows over |a|, |b|, |c|, |q|: series convergence
@@ -915,17 +875,17 @@ def _heine(n: int, power: str | None, domain: str, terminating: str | None, form
     domain and scale are functions of |a|, |b|, |c|, |q|."""
     interval = _HEINE_DOMAINS[domain]
     return Solution(
-        f"heine.{n}", "heine", "_heine_rows",
+        f"heine.{n}", "heine",
         lambda p, ctx: interval(*_moduli(p, ctx)),
         lambda p, ctx: 0.5 * scale(*_moduli(p, ctx)),
-        index=n, formula=formula, exponent=power and _Z_POWERS[power],
+        "_heine_rows", index=n, formula=formula, exponent=power and _Z_POWERS[power],
         condition=terminating and _TERMINATING[terminating])
 
 
 def _heine_extra(n: int, condition, formula) -> Solution:
     """Extra Heine-type row n: formula(a, b, c, q, z), inside the unit disc."""
-    return Solution(f"heine_extra.{n}", "heine", "_heine_extra_rows", lambda p, ctx: (0.0, 1.0),
-                    lambda p, ctx: 0.4, index=n, formula=formula, condition=condition)
+    return Solution(f"heine_extra.{n}", "heine", lambda p, ctx: (0.0, 1.0), lambda p, ctx: 0.4,
+                    "_heine_extra_rows", index=n, formula=formula, condition=condition)
 
 
 _ROWS = (
@@ -1112,26 +1072,19 @@ def solution_handle(
     """
     row = _row(label)
     op = _claimed_operator(row.equation, params, ctx)
-    # looked up when the handle is built, so a wrapper installed on the
-    # module attribute sees every evaluation of an integral label
-    evaluate = globals()[row.evaluator]
     if row.pair is None:
-        which = row.index
-        values = SeriesTable(lambda xs: evaluate(params, which, xs, ctx))
-        evaluator, read = values.value, values.read
+        rows, which = globals()[row.evaluator], row.index
+        read = SeriesTable(lambda xs: rows(params, which, xs, ctx)).read
     else:
         e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
                   for e in row.pair)
         table = _table_for(params, ctx, table)
 
-        def evaluator(x: complex) -> complex:
-            return evaluate(params, e1, e2, x, ctx, table)
-
         def read(xs: Sequence[complex]) -> list:
             return _differences(row.single, params, e1, e2, xs, ctx, table,
                                 row.single in (_phi3_tilde_single, _phi2_tilde_single))
-    return SolutionHandle(label, evaluator, row.domain(params, ctx), op, params,
-                          scale=row.scale(params, ctx), read=read)
+    return SolutionHandle(label, read, row.domain(params, ctx), op, params,
+                          scale=row.scale(params, ctx))
 
 
 def all_labels(family: str) -> list[str]:

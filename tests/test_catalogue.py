@@ -363,6 +363,20 @@ def ref_t2_sigmas(sigma: complex):
             4: Endpoint.sigma_inf(sigma)}
 
 
+def ref_read(evaluate):
+    """A handle's ``read`` from a one-point evaluator: at each point, its
+    value or the error it raises."""
+    def read(xs):
+        out = []
+        for x in xs:
+            try:
+                out.append(evaluate(x))
+            except Exception as exc:
+                out.append(exc)
+        return out
+    return read
+
+
 def ref_solution_handle(
     label: str,
     params,
@@ -388,8 +402,8 @@ def ref_solution_handle(
         e1, e2 = ends[i], ends[j]
         fn = phi3 if kind == "phi3" else phi3_tilde
         op = build_e3(p, ctx)
-        return SolutionHandle(label, lambda x: fn(p, e1, e2, x, ctx, table), (0.0, np.inf),
-                              op, p, scale=0.3 * integral_scale(p, ctx))
+        return SolutionHandle(label, ref_read(lambda x: fn(p, e1, e2, x, ctx, table)),
+                              (0.0, np.inf), op, p, scale=0.3 * integral_scale(p, ctx))
     if fam == "thmint2":
         p2: Params2 = params
         kind, i, j = ref_parse_pair(rest)
@@ -401,35 +415,35 @@ def ref_solution_handle(
             e1, e2 = sig[i], sig[j]
             fn2 = phi2_tilde
         op = build_e2(p2, ctx)
-        return SolutionHandle(label, lambda x: fn2(p2, e1, e2, x, ctx, table), (0.0, np.inf),
-                              op, p2, scale=0.3 * integral_scale(p2, ctx))
+        return SolutionHandle(label, ref_read(lambda x: fn2(p2, e1, e2, x, ctx, table)),
+                              (0.0, np.inf), op, p2, scale=0.3 * integral_scale(p2, ctx))
     if fam == "thmser3":
         p3: Params3 = params
         which = int(rest)
         op = build_e3(p3, ctx)
         lo, hi = ref_e3_series_domain(p3, which, ctx)
-        return SolutionHandle(label, lambda x: ref_e3_series(p3, which, x, ctx), (lo, hi),
-                              op, p3, scale=0.3 * ref_e3_series_scale(p3, ctx))
+        return SolutionHandle(label, ref_read(lambda x: ref_e3_series(p3, which, x, ctx)),
+                              (lo, hi), op, p3, scale=0.3 * ref_e3_series_scale(p3, ctx))
     if fam == "thmser2":
         p2s: Params2 = params
         which = int(rest)
         op = build_e2(p2s, ctx)
         lo, hi = ref_e2_series_domain(p2s, which, ctx)
-        return SolutionHandle(label, lambda x: ref_e2_series(p2s, which, x, ctx), (lo, hi),
-                              op, p2s, scale=0.3 * e2_series_scale(p2s, ctx))
+        return SolutionHandle(label, ref_read(lambda x: ref_e2_series(p2s, which, x, ctx)),
+                              (lo, hi), op, p2s, scale=0.3 * e2_series_scale(p2s, ctx))
     if fam == "heine":
         ph: HeineParams = params
         which = int(rest)
         op = build_heine(ph, ctx)
         lo, hi = ref_heine_domain(ph, which, ctx)
-        return SolutionHandle(label, lambda z: ref_heine_solution(ph, which, z, ctx), (lo, hi),
-                              op, ph, scale=0.5 * ref_heine_scale(ph, which, ctx))
+        return SolutionHandle(label, ref_read(lambda z: ref_heine_solution(ph, which, z, ctx)),
+                              (lo, hi), op, ph, scale=0.5 * ref_heine_scale(ph, which, ctx))
     if fam == "heine_extra":
         ph2: HeineParams = params
         which = int(rest)
         op = build_heine(ph2, ctx)
-        return SolutionHandle(label, lambda z: ref_heine_extra(ph2, which, z, ctx), (0.0, 1.0),
-                              op, ph2, scale=0.4)
+        return SolutionHandle(label, ref_read(lambda z: ref_heine_extra(ph2, which, z, ctx)),
+                              (0.0, 1.0), op, ph2, scale=0.4)
     raise ValueError(f"unknown solution label {label!r}")
 
 

@@ -3,6 +3,7 @@ and residual-preserving transport of solutions."""
 
 import pytest
 
+from qhyp.errors import QhypError
 from qhyp.groups import (
     apply_word,
     check_relations,
@@ -13,8 +14,24 @@ from qhyp.groups import (
     state_to_params,
 )
 from qhyp.qcore import QContext
-from qhyp.solutions import residual, sample_points
+from qhyp.solutions import residual, sample_points, solution_handle
 from qhyp.sampling import draw_heine, draw_params2, draw_params3
+
+
+def transported_at(group, word, label, params, x, ctx):
+    """One point of a transported solution, written out: the gauge factors
+    of the word along the moved point, times the one-point value of the
+    catalogued solution at the transformed parameters and the moved point;
+    or the error either raises."""
+    try:
+        m, state, y = 1.0 + 0.0j, params_to_state(params, x, ctx), complex(x)
+        for idx in word:
+            state, gauge = group_action(group, idx, state, ctx)
+            m *= gauge.factor(y, ctx)
+            y = complex(state[-1])
+        return m * solution_handle(label, state_to_params(group, state, ctx), ctx)(y)
+    except (QhypError, ArithmeticError, ValueError) as exc:
+        return exc
 
 
 @pytest.fixture
@@ -74,7 +91,7 @@ class TestTransport:
 
         base = solution_handle("heine.1", p, ctx)
         z = 0.3
-        assert h.evaluator(z) == base.evaluator(z)
+        assert h(z) == base(z)
 
     @pytest.mark.parametrize("group,label,n_gen", [
         ("G1", "heine.1", 4),
@@ -110,6 +127,41 @@ class TestTransport:
         h = solution_transport("G1", [3, 4, 3, 4, 3, 4, 3, 4], "heine.1", p, ctx)
         q = complex(ctx.q)
         for z in (0.2, 0.3):
-            r1 = h.evaluator(z) / base.evaluator(z)
-            r2 = h.evaluator(q * z) / base.evaluator(q * z)
+            r1 = h(z) / base(z)
+            r2 = h(q * z) / base(q * z)
             assert abs(r2 / r1 - 1) < 1e-10
+
+    @pytest.mark.parametrize("group,word,label", [
+        ("G1", [1, 3], "heine.1"),
+        ("G2", [4], "thmser2.1"),
+        ("G3", [2], "thmser3.1"),
+    ])
+    def test_read_equals_the_point_by_point_value(self, group, word, label, ctx, rng):
+        """read(xs) of a transported handle is, bit for bit, the gauge chain
+        times the inner solution's one-point value at each point.  A point
+        where the transport raises (a pole of a gauge Pochhammer ratio at
+        z = 1 or x = a1 / (q B), 1 / x at 0) keeps that error in its slot,
+        and so does one where the inner value raises (past the inner
+        series' domain)."""
+        if group == "G1":
+            p = draw_heine(rng, ctx)
+        elif group == "G2":
+            p = draw_params2(rng, ctx, series_room=True)
+        else:
+            p = draw_params3(rng, ctx, series_room=True)
+        h = solution_transport(group, word, label, p, ctx)
+        xs = sample_points(h, 6, ctx)
+        if group == "G1":
+            xs += [1.0, 40 * xs[-1]]
+        elif group == "G2":
+            xs += [p.a1 / (ctx.q * p.B), 40 * xs[-1]]
+        else:
+            xs += [0.0, xs[0] / 40]
+        got = h.read(xs)
+        assert [isinstance(entry, Exception) for entry in got] == [False] * 6 + [True] * 2
+        for x, entry in zip(xs, got):
+            want = transported_at(group, word, label, p, x, ctx)
+            if isinstance(want, Exception):
+                assert type(entry) is type(want) and str(entry) == str(want), x
+            else:
+                assert repr(entry) == repr(want), x

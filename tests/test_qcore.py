@@ -25,6 +25,7 @@ from qhyp.qcore import (
     _by_blocks,
     _one,
     _ratio_sum,
+    _row_plan,
     qpoch_fin,
     qpoch_inf,
     qpoch_ratio,
@@ -202,7 +203,8 @@ class TestTailRule:
         tail = _Tail(ctx)
         assert [tail.done(1e-20 * 0.999**n) for n in range(3)] == [False, False, True]
         got = _one(_ratio_sum([1e-20], lambda rows, ns: np.full((1, len(ns)), 0.999 + 0j), ctx,
-                              [0.999], [0.0], "tiny"))
+                              [0.999], "tiny",
+                              plans=[_row_plan(0.999, 0.0, None, None, ctx, "tiny")]))
         assert got == pytest.approx(1e-20 * (1 + 0.999 + 0.999**2), rel=1e-15)
 
     @given(
@@ -266,10 +268,12 @@ class TestBatchedSeriesKernel:
         rates = [0.1 if last is not None else z for z, last in zip(zs, lasts)]
         reaches = [0.3 * abs(z) for z in zs]
         t0s = [1.0 + 0.5j] * len(rows)
-        batch = _ratio_sum(t0s, step, ctx, rates, reaches, "row", last=lasts)
+        plans = [_row_plan(rate, reach, last, None, ctx, "row")
+                 for rate, reach, last in zip(rates, reaches, lasts)]
+        batch = _ratio_sum(t0s, step, ctx, rates, "row", plans=plans)
         for r, got in enumerate(batch):
             alone = _ratio_sum([t0s[r]], lambda live, ns, r=r: ratios(r, ns)[None], ctx,
-                               [rates[r]], [reaches[r]], "row", last=[lasts[r]])[0]
+                               [rates[r]], "row", plans=[plans[r]])[0]
             assert got == alone
             want = self.loop(t0s[r], lambda ns, r=r: ratios(r, ns), lasts[r], ctx)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) / (1 - abs(zs[r]))
@@ -289,7 +293,8 @@ class TestBatchedSeriesKernel:
         assert want == 30.0
         for rows in (1, 3):
             got = _ratio_sum([1.0] * rows, lambda live, ns: np.array([ratios(ns)] * len(live)),
-                             ctx, [0.1] * rows, [0.0] * rows, "row", last=[100] * rows)
+                             ctx, [0.1] * rows, "row",
+                             plans=[_row_plan(0.1, 0.0, 100, None, ctx, "row")] * rows)
             assert got == [want] * rows
 
 

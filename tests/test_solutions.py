@@ -4,6 +4,7 @@ single-endpoint identities, cocycle structure and Casoratians."""
 import cmath
 import itertools
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from qhyp.solutions import (
     _grid_sum,
     Endpoint,
     JacksonTable,
+    SolutionHandle,
     all_labels,
     casoratian,
     check_intcalcu,
@@ -344,9 +346,9 @@ class TestSeriesTable:
             h = solution_handle(label, p, ctx)
             xs = self.points(h, ctx)
             with np.errstate(all="ignore"):
-                h.fill(xs)
+                h.read(xs)
                 for x in xs:
-                    got = outcome_of(h.evaluator, x)
+                    got = outcome_of(h, x)
                     want = outcome_of(ONE_POINT[row.family], p, row.index, x, ctx)
                     if isinstance(want, Exception):
                         assert type(got) is type(want) and str(got) == str(want), (label, x)
@@ -497,11 +499,11 @@ class TestJacksonTable:
         """The points x q^j at which residual() evaluates the handle."""
         seen = []
 
-        def record(y):
-            seen.append(y)
-            return 0.0
+        def record(ys):
+            seen.extend(ys)
+            return [0.0] * len(ys)
 
-        residual(h.equation, record, sample_points(h, 4, ctx), ctx)
+        residual(h.equation, replace(h, read=record), sample_points(h, 4, ctx), ctx)
         return seen
 
     @staticmethod
@@ -538,7 +540,7 @@ class TestJacksonTable:
                 alone = solution_handle(label, p, ctx, sigma=sigma)
                 assert row == [alone(y) for y in points], label
 
-    def test_errors_are_not_cached(self, monkeypatch):
+    def test_errors_are_stored(self, monkeypatch):
         ctx = QContext(0.5)
         p = exact_zero_params(0.9 + 0j, ctx)
         x = 0.3
@@ -546,13 +548,13 @@ class TestJacksonTable:
         starts = self.count_grid_sums(monkeypatch)
         table = JacksonTable(p, ctx)
         messages = []
-        for i, j in ((1, 2), (1, 2), (2, 3), (2, 4)):
+        for k, (i, j) in enumerate(((1, 2), (1, 2), (2, 3), (2, 4))):
             h = solution_handle(f"thmint3.phi3[{i},{j}]", p, ctx, table=table)
             starts.clear()
             with pytest.raises(UnsupportedCaseError) as err:
                 h(x)
-            # the failing integral is computed anew on every lookup
-            assert starts.count(zero_start) == 1
+            # the failing integral is computed on the first lookup and stored
+            assert starts.count(zero_start) == (1 if k == 0 else 0)
             messages.append(str(err.value))
         assert len(set(messages)) == 1
 
@@ -739,9 +741,9 @@ class TestBatchedGridKernel:
     def test_per_row_errors_in_one_batch(self, monkeypatch):
         """One batch mixes an exact zero (exact_zero_params), a descending
         pole and an exhausted budget with good rows.  The good rows are
-        stored and equal their standalone values; each bad row raises on its
-        own lookup with the scalar kernel's type and message, computed anew
-        on every lookup."""
+        stored and equal their standalone values; each bad row's error is
+        stored too, and every lookup of it raises the scalar kernel's type
+        and message."""
         ctx = QContext(0.5)
         q = 0.5
         p = exact_zero_params(0.9 + 0j, ctx)
@@ -766,7 +768,7 @@ class TestBatchedGridKernel:
         starts = TestJacksonTable.count_grid_sums(monkeypatch)
         table = JacksonTable(p, ctx)
         e = Endpoint.sigma_inf()
-        table.fill(single, e, list(rows))
+        table.read(single, e, list(rows))
         assert len(starts) == len(rows)   # one batch
         errors = set()
         for x, (t, n, d) in rows.items():
@@ -775,12 +777,12 @@ class TestBatchedGridKernel:
             if isinstance(want, Exception):
                 for _ in range(2):
                     with pytest.raises(type(want)) as err:
-                        table.value(single, e, x)
+                        _one(table.read(single, e, [x]))
                     assert str(err.value) == str(want)
-                assert starts == [t, t]
+                assert not starts   # stored by the batch
                 errors.add(type(want))
                 continue
-            got = table.value(single, e, x)
+            got = _one(table.read(single, e, [x]))
             assert not starts   # stored by the batch
             assert got == grid_one(t, n, d, ctx, bilateral=True)
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -807,11 +809,21 @@ class TestLocalBasis:
             assert abs(g(x) - pred) <= 1e-8 * abs(g(x))
 
 
+def apply_terms_residual(op, f, xs):
+    """residual() point by point: the max over xs of |sum| / (sum |t| +
+    1e-30) of the terms op.apply_terms forms from one-point values f(y)."""
+    worst = 0.0
+    for x in xs:
+        terms = op.apply_terms(f, x)
+        worst = max(worst, abs(sum(terms)) / (sum(abs(t) for t in terms) + 1e-30))
+    return worst
+
+
 class TestResidualReadsOnce:
     """residual() reads a handle's values at every point in one call and
     forms the operator's terms in coefficient order: the same float as the
-    point-by-point residual of its evaluator (apply_terms), and the same
-    first error."""
+    point-by-point residual of its one-point values (apply_terms), and the
+    same first error."""
 
     LABELS = ("thmint3.phi3[1,4]", "thmint3.tilde[2,4]", "thmint2.phi2[0,3]",
               "thmint2.tilde[1,4]", "thmser3.2", "thmser2.1", "heine.3", "heine.12",
@@ -829,7 +841,7 @@ class TestResidualReadsOnce:
                 h = solution_handle(label, p, ctx, sigma=sigma)
                 xs = sample_points(h, 5, ctx)
                 got = residual(h.equation, h, xs, ctx)
-                assert repr(got) == repr(residual(h.equation, h.evaluator, xs, ctx)), label
+                assert repr(got) == repr(apply_terms_residual(h.equation, h, xs)), label
 
     def test_raises_the_first_error_apply_terms_raises(self):
         ctx = QContext(0.5)
@@ -838,7 +850,7 @@ class TestResidualReadsOnce:
         for i, j in ((1, 2), (2, 3), (2, 4)):
             h = solution_handle(f"thmint3.phi3[{i},{j}]", p, ctx)
             with pytest.raises(UnsupportedCaseError) as want:
-                residual(h.equation, h.evaluator, xs, ctx)
+                apply_terms_residual(h.equation, h, xs)
             h = solution_handle(f"thmint3.phi3[{i},{j}]", p, ctx)
             with pytest.raises(UnsupportedCaseError) as got:
                 residual(h.equation, h, xs, ctx)
@@ -863,7 +875,8 @@ class TestHandles:
     def test_zero_function_residual(self, ctx, rng):
         p = draw_params3(rng, ctx)
         op = build_e3(p, ctx)
-        assert residual(op, lambda x: 0.0, [0.3, 0.5], ctx) == 0.0
+        zero = SolutionHandle("zero", lambda xs: [0.0] * len(xs), (0.0, np.inf), op, p)
+        assert residual(op, zero, [0.3, 0.5], ctx) == 0.0
 
     def test_unknown_label(self, ctx, rng):
         with pytest.raises(ValueError):
