@@ -1,5 +1,7 @@
 """Constructors for the named q-difference operators, their parameter tuples,
-expected configurations, rigidity reconstruction and degeneration limits.
+expected configurations and degeneration limits, and rigidity reconstruction:
+one solve from a support and a configuration that determines heine, h2, h3,
+e2 and e3 and leaves the q-Heun pair's accessory parameter free.
 
 Operator displays in the source material carry a few sign/exponent variants;
 the forms built here are the ones under which every stated configuration,
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -579,25 +581,22 @@ def verify_degeneration(
 # -- rigidity: configuration -> operator -------------------------------------------
 
 
-def rigidity_reconstruct(kind: str, p, ctx: QContext) -> QDiffOperator:
-    """Reconstruct the operator from its expected configuration alone.
+def rigidity_reconstruct(
+    support: Iterable[tuple[int, int]], cfg: Configuration, ctx: QContext
+) -> QDiffOperator:
+    """The operator with configuration ``cfg`` on the (i, j) bounding box of
+    ``support`` (a builder's ``coeffs`` keys), up to one constant.
 
-    Sets up the homogeneous linear system expressing root data plus the two
-    non-logarithmic conditions and returns the (unique up to scale) null
-    vector as an operator; the builders must match it up to one constant.
+    The boundary rows L_0, L_M (in T) and columns P_0, P_N (in x), each counted
+    from its lowest power in ``support``, are proportional to prod (y - r) over
+    ``cfg``'s roots; a non-logarithmic double point a adds L_1(a) = 0 at x = 0
+    or L_{M-1}(a q) = 0 at x = infinity.  Raises ArithmeticError unless the
+    null space of that system has dimension 1.
     """
     q = complex(ctx.q)
-    if kind == "h2":
-        i_range = range(0, 3)
-        cfg = expected_configuration("h2", p, ctx)
-        nonlog = [("x0", cfg.double_x0)]
-    elif kind == "h3":
-        i_range = range(0, 4)
-        cfg = expected_configuration("h3", p, ctx)
-        nonlog = [("x0", cfg.double_x0), ("xinf", cfg.double_xinf * complex(ctx.q))]
-    else:
-        raise ValueError("rigidity reconstruction implemented for h2 and h3")
-    j_range = range(-1, 2)
+    support = set(support)
+    i_range = range(min(i for i, _ in support), max(i for i, _ in support) + 1)
+    j_range = range(min(j for _, j in support), max(j for _, j in support) + 1)
     keys = [(i, j) for i in i_range for j in j_range]
     index = {k: n for n, k in enumerate(keys)}
     rows: list[np.ndarray] = []
@@ -608,34 +607,32 @@ def rigidity_reconstruct(kind: str, p, ctx: QContext) -> QDiffOperator:
             row[index[key]] += val
         rows.append(row)
 
-    i_lo, i_hi = min(i_range), max(i_range)
+    def line_constraints(line, roots):
+        # ratios against the coefficient of y^len(roots) past the lowest power
+        lo = min(n for n, key in enumerate(line) if key in support)
+        if len(line) - lo < len(roots) + 1:
+            raise ValueError(f"a boundary line of {len(line) - lo} entries "
+                             f"cannot carry {len(roots)} roots")
+        mon = _monic_product(roots)
+        lead = line[lo + len(roots)]
+        for n, key in enumerate(line):
+            if key != lead:
+                add_row([(key, 1.0), (lead, -mon.get(n - lo, 0.0))])
 
-    def row_constraints(i, roots):
-        # a_{i,1} y^2 + a_{i,0} y + a_{i,-1} proportional to (y-r1)(y-r2)
-        r1, r2 = roots
-        add_row([((i, 0), 1.0), ((i, 1), r1 + r2)])
-        add_row([((i, -1), 1.0), ((i, 1), -r1 * r2)])
+    line_constraints([(i_range[0], j) for j in j_range], cfg.roots_x0)
+    line_constraints([(i_range[-1], j) for j in j_range], cfg.roots_xinf)
+    line_constraints([(i, j_range[0]) for i in i_range], cfg.roots_T0)
+    line_constraints([(i, j_range[-1]) for i in i_range], cfg.roots_Tinf)
+    if cfg.double_x0 is not None:
+        add_row([((i_range[0] + 1, j), complex(cfg.double_x0) ** j) for j in j_range])
+    if cfg.double_xinf is not None:
+        add_row([((i_range[-1] - 1, j), complex(cfg.double_xinf * q) ** j) for j in j_range])
 
-    def col_constraints(j, roots):
-        # sum_i a_{i,j} x^i proportional to prod (x - r_k)
-        mon = _monic_product(roots)  # monic degree len(roots)
-        deg = len(roots)
-        for i in range(i_lo, i_hi):  # ratios against the leading coefficient
-            add_row([((i, j), 1.0), ((i_hi, j), -mon.get(i, 0.0))])
-
-    row_constraints(i_lo, cfg.roots_x0)
-    row_constraints(i_hi, cfg.roots_xinf)
-    col_constraints(-1, cfg.roots_T0)
-    col_constraints(1, cfg.roots_Tinf)
-    for side, a in nonlog:
-        i = i_lo + 1 if side == "x0" else i_hi - 1
-        add_row([((i, j), complex(a) ** j) for j in j_range])
-
-    mat = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(mat)
+    _, svals, vh = np.linalg.svd(np.vstack(rows))
+    dim = len(keys) - int((svals > 1e-8 * svals[0]).sum())
+    if dim != 1:
+        raise ArithmeticError(f"configuration leaves a null space of dimension {dim}")
     null = vh[-1].conj()
-    if svals[-2] < 1e-8 * svals[0]:
-        raise ArithmeticError("configuration does not determine the operator")
     coeffs = {k: complex(null[index[k]]) for k in keys}
     top = max(abs(v) for v in coeffs.values())
     coeffs = {k: v for k, v in coeffs.items() if abs(v) > 1e-10 * top}

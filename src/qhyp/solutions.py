@@ -733,11 +733,13 @@ def casoratian(
     g: Callable[[complex], complex],
     x: complex,
     ctx: QContext,
-) -> complex:
-    """f(x) g(qx) - f(qx) g(x): vanishes identically iff f, g are dependent
-    over the pseudo-constants.  A handle is such a function."""
+) -> float:
+    """The relative Casoratian |f(x) g(qx) - f(qx) g(x)| / (|f(x) g(qx)| +
+    |f(qx) g(x)|): vanishes identically iff f, g are dependent over the
+    pseudo-constants.  A handle is such a function."""
     q = complex(ctx.q)
-    return f(x) * g(q * x) - f(q * x) * g(x)
+    u, v = f(x) * g(q * x), f(q * x) * g(x)
+    return abs(u - v) / (abs(u) + abs(v) + 1e-300)
 
 
 # -- the catalogue ------------------------------------------------------------------------

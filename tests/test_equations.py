@@ -3,6 +3,7 @@ gauge dictionaries, rigidity and degeneration limits."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qhyp.equations import (
     rigidity_reconstruct,
     verify_degeneration,
 )
+from qhyp.opalgebra import Configuration
 from qhyp.qcore import QContext
 from qhyp.sampling import (
     draw_equation_params,
@@ -187,8 +189,53 @@ class TestRigidity:
     ])
     def test_configuration_determines_operator(self, kind, draw, build, ctx, rng):
         p = draw(rng, ctx)
-        rec = rigidity_reconstruct(kind, p, ctx)
-        assert rec.ratio_to(build(p, ctx), rel_tol=1e-6) is not None
+        op = build(p, ctx)
+        rec = rigidity_reconstruct(op.coeffs, expected_configuration(kind, p, ctx), ctx)
+        assert rec.ratio_to(op, rel_tol=1e-6) is not None
+
+    @staticmethod
+    def _draws(kind):
+        """(operator, params, ctx) of seeds 0-19, q in [0.35, 0.55]."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ctx = QContext(rng.uniform(0.35, 0.55))
+            p = draw_equation_params(kind, rng, ctx)
+            yield BUILDERS[kind](p, ctx), p, ctx
+
+    @pytest.mark.parametrize("source", ["catalogued", "computed"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_equation(self, kind, source):
+        """The five rigid equations are their configuration's one operator;
+        the q-Heun pair keeps its accessory parameter free."""
+        for op, p, ctx in self._draws(kind):
+            cfg = (expected_configuration(kind, p, ctx) if source == "catalogued"
+                   else op.configuration(ctx))
+            if kind in ("qheun", "qheun3"):
+                with pytest.raises(ArithmeticError, match="dimension 2"):
+                    rigidity_reconstruct(op.coeffs, cfg, ctx)
+            else:
+                rec = rigidity_reconstruct(op.coeffs, cfg, ctx)
+                assert rec.ratio_to(op, rel_tol=1e-6) is not None, (kind, ctx.q)
+
+    @pytest.mark.parametrize("kind", ["heine", "h2", "h3", "e2", "e3"])
+    def test_moved_root_misses_the_operator(self, kind):
+        """Negative control: one T = 0 root moved by 1e-3 (relative) no longer
+        gives the builder's operator."""
+        for op, p, ctx in self._draws(kind):
+            cfg = expected_configuration(kind, p, ctx)
+            moved = replace(cfg, roots_T0=(cfg.roots_T0[0] * (1 + 1e-3), *cfg.roots_T0[1:]))
+            try:
+                rec = rigidity_reconstruct(op.coeffs, moved, ctx)
+            except ArithmeticError:
+                continue
+            assert rec.ratio_to(op, rel_tol=1e-6) is None, (kind, ctx.q)
+
+    def test_short_line_is_refused(self, ctx):
+        """A boundary line with fewer entries than its roots + 1 is an input
+        error, not an IndexError."""
+        cfg = Configuration((1.0, 2.0, 3.0), (1.0,), (1.0,), (1.0,))
+        with pytest.raises(ValueError, match="cannot carry 3 roots"):
+            rigidity_reconstruct({(0, 0), (0, 1), (1, 0), (1, 1)}, cfg, ctx)
 
 
 class TestDegenerations:

@@ -385,7 +385,7 @@ class TestRelationsAmongIntegrals:
         p = draw_params3(rng, ctx)
         f = lambda x: phi3(p, TAUS[1], TAUS[2], x, ctx)
         g = lambda x: 2.0 * f(x)
-        assert abs(casoratian(f, g, 0.3 * integral_scale(p, ctx), ctx)) < 1e-14
+        assert casoratian(f, g, 0.3 * integral_scale(p, ctx), ctx) < 1e-14
 
     def test_casoratian_pattern_special_case(self, ctx):
         q = complex(ctx.q)
@@ -396,12 +396,8 @@ class TestRelationsAmongIntegrals:
         f12 = lambda y: phi3(p, TAUS[1], TAUS[2], y, ctx)
         f13 = lambda y: phi3(p, TAUS[1], TAUS[3], y, ctx)
         t12 = lambda y: phi3_tilde(p, Endpoint.b(1), Endpoint.b(2), y, ctx)
-        w_ind = casoratian(f12, f13, x, ctx)
-        scale = abs(f12(x) * f13(q * x)) + abs(f12(q * x) * f13(x))
-        assert abs(w_ind) / scale > 1e-6
-        w_dep = casoratian(f12, t12, x, ctx)
-        scale = abs(f12(x) * t12(q * x)) + abs(f12(q * x) * t12(x))
-        assert abs(w_dep) / scale < 1e-10
+        assert casoratian(f12, f13, x, ctx) > 1e-6
+        assert casoratian(f12, t12, x, ctx) < 1e-10
 
     def test_same_index_ratio_is_constant(self, ctx):
         """The matching tau/sigma pairs are proportional in the rational
