@@ -266,12 +266,19 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
 
 
 def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
-                default_samples: int, measure) -> None:
+                default_samples: int, reads, measure) -> None:
     """The label loop of verify and sample: per label, in order, the record
     and pass flag (None: no flag) of ``measure(handle, xs)``, or its error.
     The labels of one equation share one tuple and Jackson table; "params"
     apply to the named equation only; without them a row with a condition
-    (``Solution.condition``) draws its own tuple, meeting that condition."""
+    (``Solution.condition``) draws its own tuple, meeting that condition.
+
+    Three passes: every label's handle, sample points xs and the points
+    ``reads(handle, xs)`` that ``measure`` will read, in label order (the
+    tuples drawn from ``rng`` in that order); then one fill of all those
+    reads (:func:`qhyp.solutions.fill`); then each label measured and
+    reported in label order.  A label whose first pass raises reports that
+    error and reads nothing."""
     named, raw = job.get("equation"), job.get("params")
     if named is not None and not (isinstance(named, str) and named in BUILDERS):
         raise JobError(f"equation must be one of {sorted(BUILDERS)}")
@@ -283,6 +290,8 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
     params = {kind: equation_params(kind, raw if kind == named else None, rng, ctx)
               for kind in sorted(kinds)}
     tables = {kind: solutions.JacksonTable(p, ctx) for kind, p in params.items()}
+    prepared = []  # per label: (label, (handle, xs), or the error)
+    requests = []
     for label in sorted(labels):
         row = CATALOGUE[label]
         kind = row.equation
@@ -293,7 +302,18 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
             sigma = as_complex(job["sigma"]) if "sigma" in job else sampling.default_sigma(p) \
                 if kind == "e2" else 1.3
             handle = solution_handle(label, p, ctx, sigma=sigma, table=tables[kind])
-            record, passed = measure(handle, sample_points(handle, n, ctx))
+            xs = sample_points(handle, n, ctx)
+            requests.append((handle, reads(handle, xs)))
+        except QhypError as exc:
+            prepared.append((label, exc))
+            continue
+        prepared.append((label, (handle, xs)))
+    solutions.fill(requests)
+    for label, entry in prepared:
+        try:
+            if isinstance(entry, QhypError):
+                raise entry  # the first pass's error, reported in label order
+            record, passed = measure(*entry)
         except QhypError as exc:
             report.add({"check": check, "label": label,
                         "error": f"{type(exc).__name__}: {exc}"}, passed=False)
@@ -303,11 +323,14 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
 
 def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
     """Per-label max relative residual under the claimed operator."""
+    def reads(handle, xs):
+        return solutions.residual_points(handle.equation, handle, xs)
+
     def measure(handle, xs):
         res = residual(handle.equation, handle, xs, ctx)
         return {"samples": len(xs), "max_residual": res}, res < RESIDUAL_TOL
 
-    _each_label(job, rng, ctx, report, "residual", 10, measure)
+    _each_label(job, rng, ctx, report, "residual", 10, reads, measure)
 
 
 def cmd_relations(job: dict, rng, ctx: QContext, report: Report):
@@ -420,7 +443,7 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
                 raise value.with_traceback(None)
         return {"x": [float(v) for v in xs], "abs_f": [abs(v) for v in values]}, None
 
-    _each_label(job, rng, ctx, report, "sample", 32, measure)
+    _each_label(job, rng, ctx, report, "sample", 32, lambda handle, xs: xs, measure)
 
 
 def _sample_rows_to_csv(rows: list[dict], out) -> None:

@@ -591,7 +591,10 @@ def rigidity_reconstruct(
     from its lowest power in ``support``, are proportional to prod (y - r) over
     ``cfg``'s roots; a non-logarithmic double point a adds L_1(a) = 0 at x = 0
     or L_{M-1}(a q) = 0 at x = infinity.  Raises ArithmeticError unless the
-    null space of that system has dimension 1.
+    null space of that system has dimension 1 and its vector spans the
+    bounding box (a nonzero coefficient on each boundary line): a
+    configuration that breaks the product relation can leave a null vector
+    zero on the boundary, which is no operator of the support.
     """
     q = complex(ctx.q)
     support = set(support)
@@ -636,4 +639,9 @@ def rigidity_reconstruct(
     coeffs = {k: complex(null[index[k]]) for k in keys}
     top = max(abs(v) for v in coeffs.values())
     coeffs = {k: v for k, v in coeffs.items() if abs(v) > 1e-10 * top}
+    i_kept, j_kept = [i for i, _ in coeffs], [j for _, j in coeffs]
+    if (min(i_kept), max(i_kept), min(j_kept), max(j_kept)) != (
+            i_range[0], i_range[-1], j_range[0], j_range[-1]):
+        raise ArithmeticError("the configuration's null vector does not span the bounding box "
+                              "of the support")
     return QDiffOperator(q, coeffs)

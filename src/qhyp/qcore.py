@@ -15,14 +15,19 @@ rows at once, each in order and with its own stop, so that a row's value does
 not depend on the rows beside it; scalar callers pass one row.  A step over
 one column is taken as one over two equal columns, because numpy rounds
 complex products over a single element differently (:func:`_ratio_sum`).
-The series batches of many points plan each row once (:func:`_row_plan`) and
-are summed in blocks cut by those plans (:func:`_by_blocks`): rows of like
-first chunks together, at most ``_BATCH_ELEMENTS`` rows x factors x columns
-in a block's first chunk, so their working set does not grow with their
-rows.  A chunk steps every row of its block to the chunk's end; the ratios
-past a row's own end are never summed, and the kernel keeps them from
-warning and takes them as 1.  Whether a factor 1 - w is zero is one test,
-:func:`_vanishes`, for poles, exact zeros and terminating parameters alike.
+The series and grid batches, one per kernel and shape for all the labels of
+a job (:func:`qhyp.solutions.fill`), plan each distinct row once
+(:func:`_row_plans`), scan each distinct parameter value once for their
+termination and pole orders (:func:`_termination_order` with one dict for
+the batch), and are summed in blocks cut by those plans (:func:`_by_blocks`),
+as are the Pochhammer batches by their columns (:func:`_pochhammer_widths`):
+rows of like first chunks together, at most ``_BATCH_ELEMENTS`` rows x
+factors x columns in a block's first chunk, so their working set does not
+grow with their rows.  A chunk steps every row of its block to the chunk's
+end; the ratios past a row's own end are never summed, and the kernel keeps
+them from warning and takes them as 1.  Whether a factor 1 - w is zero is
+one test, :func:`_vanishes`, for poles, exact zeros and terminating
+parameters alike.
 Where the step ratios tend to a constant r with 0 < |r| < 1, the kernel
 sums term by term only up to the closure index N, past which every ratio
 equals r to rounding; there it computes in closed form the term where the
@@ -83,21 +88,35 @@ def _vanishes(factor, w):
     return abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(w))
 
 
-def _termination_order(params: Sequence[complex], ctx: QContext) -> int | None:
+def _termination_order(params: Sequence[complex], ctx: QContext,
+                       orders: dict | None = None) -> int | None:
     """Smallest n < ``max_terms`` with some 1 - c q^n zero (:func:`_vanishes`),
     else None: where a series with numerators c terminates, or the first pole
-    of denominators c.  A descending form v q^n - c has the zeros of v / c."""
+    of denominators c.  A descending form v q^n - c has the zeros of v / c.
+
+    ``orders``, if given, maps the values c already scanned under ``ctx`` to
+    their own orders (None for none) and takes those of the values scanned
+    now: a batch passes one dict for all its rows, so that each distinct
+    value is scanned once.  The scan of a value is the same either way."""
     q = complex(ctx.q)
     best: int | None = None
     for a in params:
-        w = complex(a)
-        for n in range(ctx.max_terms):
-            if abs(w) < 0.5:
-                break  # |a q^n| only shrinks from here: can no longer hit 1
-            if _vanishes(1.0 - w, w):
-                best = n if best is None else min(best, n)
-                break
-            w *= q
+        c = complex(a)
+        if orders is not None and c in orders:
+            order = orders[c]
+        else:
+            order, w = None, c
+            for n in range(ctx.max_terms):
+                if abs(w) < 0.5:
+                    break  # |c q^n| only shrinks from here: can no longer hit 1
+                if _vanishes(1.0 - w, w):
+                    order = n
+                    break
+                w *= q
+            if orders is not None:
+                orders[c] = order
+        if order is not None and (best is None or order < best):
+            best = order
     return best
 
 
@@ -161,19 +180,24 @@ _BATCH_ELEMENTS = 1 << 12
 
 
 def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int,
-               widths: Sequence[int]) -> list:
+               widths: Sequence[int] | Callable[[], Sequence[int]]) -> list:
     """``kernel(block)`` over blocks of ``rows``: one entry per row, in the
     order of ``rows``.  Row i wants ``widths[i]`` columns first (its planned
-    first chunk, or ``_CHUNK``, the widest chunk of
-    :func:`_pochhammer_product`).  A batch within ``_BATCH_ELEMENTS`` (rows
-    x ``factors`` x its widest width), or of one row, is one block.  Else
-    the rows are taken by width, narrowest first (a stable sort), and each
-    block holds as many rows (one at least) as keep rows x ``factors`` x its
-    widest width within the budget.  An entry must depend on its row alone,
-    not on the block it is computed in."""
+    first chunk, or its first chunk of :func:`_pochhammer_product`,
+    :func:`_pochhammer_widths`); ``widths`` may be a function that gives
+    them, called only if the batch is cut.  A batch within
+    ``_BATCH_ELEMENTS`` (rows x ``factors`` x its widest width), or of one
+    row, is one block.  Else the rows are taken by width, narrowest first (a
+    stable sort), and each block holds as many rows (one at least) as keep
+    rows x ``factors`` x its widest width within the budget.  An entry must
+    depend on its row alone, not on the block it is computed in."""
     if not rows:
         return []
-    if len(rows) == 1 or len(rows) * factors * max(widths) <= _BATCH_ELEMENTS:
+    if len(rows) == 1:
+        return kernel(rows)
+    if callable(widths):
+        widths = widths()
+    if len(rows) * factors * max(widths) <= _BATCH_ELEMENTS:
         return kernel(rows)
     order = sorted(range(len(rows)), key=widths.__getitem__)
     out: list = [None] * len(rows)
@@ -230,6 +254,24 @@ def _row_plan(rate: complex, reach: float, last: int | None, pole: int | None,
     if closure <= count:
         return min(size, max(closure, _MIN_CHUNK)), closure, True, True, False
     return size, count, False, True, whole
+
+
+def _row_plans(rows: Sequence[tuple], ctx: QContext, what: str) -> list:
+    """The :func:`_row_plan` of each (rate, reach, last, pole) of ``rows``,
+    one batch's: each distinct tuple is planned once (a PoleError once per
+    row, as each row raises its own)."""
+    if len(rows) == 1:  # nothing to share
+        return [_row_plan(*rows[0], ctx, what)]
+    plans: dict = {}
+    out = []
+    for row in rows:
+        plan = plans.get(row)
+        if plan is None:
+            plan = _row_plan(*row, ctx, what)
+            if not isinstance(plan, Exception):
+                plans[row] = plan
+        out.append(plan)
+    return out
 
 
 def _ratio_sum(
@@ -360,10 +402,11 @@ def _ratio_sum(
                 if not run:
                     k += math.floor(math.log(ctx.tail_tol * scales[i, w - 1] / mag)
                                     / math.log(abs(rate[r])))
-                out[r] = NonDecayingSumError(
-                    f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
                 if end + k + 1 - run < ctx.max_terms:
                     out[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rate[r] / (1.0 - rate[r]))
+                else:
+                    out[r] = NonDecayingSumError(
+                        f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
             elif whole:
                 out[r] = complex(sums[i, w - 1])
             else:
@@ -461,6 +504,24 @@ def qpoch_ratio(nums: Sequence[complex], dens: Sequence[complex], ctx: QContext)
     return _one(_pochhammer_product([[*nums, *dens]], len(nums), ctx))
 
 
+def _factor_counts(mags: np.ndarray, ctx: QContext) -> np.ndarray:
+    """The number of k with |a| |q|^k >= tail_tol for each magnitude |a|
+    (0 for 0 and NaN): the factors 1 - a q^k of (a)_inf in a product."""
+    live = mags >= ctx.tail_tol  # False for 0 and NaN
+    counts = np.zeros(mags.shape)
+    counts[live] = np.floor(
+        (np.log(mags[live]) - math.log(ctx.tail_tol)) / -math.log(abs(complex(ctx.q)))) + 1
+    return counts
+
+
+def _pochhammer_widths(args, ctx: QContext) -> list:
+    """The first chunk of each row of ``args`` in :func:`_pochhammer_product`:
+    the most factors of any of its arguments, at most ``_CHUNK`` (the widths
+    that :func:`_by_blocks` cuts a batch of products by)."""
+    counts = _factor_counts(np.abs(np.array(args, dtype=complex)), ctx)
+    return np.minimum(counts.max(axis=1, initial=0.0), _CHUNK).astype(int).tolist()
+
+
 def _pochhammer_product(args, n_num: int, ctx: QContext) -> list:
     """Row r of ``args`` (R, M): prod_{i < n_num} (a_ri)_inf / prod_{i >= n_num}
     (a_ri)_inf, as :func:`qpoch_ratio` computes it, all rows in the same
@@ -473,11 +534,7 @@ def _pochhammer_product(args, n_num: int, ctx: QContext) -> list:
     a = np.array(args, dtype=complex)
     q = complex(ctx.q)
     mags = np.abs(a)
-    live = mags >= ctx.tail_tol  # False for 0 and NaN
-    # counts[r, i]: the number of k with |a_ri| |q|^k >= tail_tol
-    counts = np.zeros(a.shape)
-    counts[live] = np.floor(
-        (np.log(mags[live]) - math.log(ctx.tail_tol)) / -math.log(abs(q))) + 1
+    counts = _factor_counts(mags, ctx)
     top = counts.max(initial=0.0)
     cols = int(min(top, ctx.max_terms))
     result = None

@@ -12,9 +12,12 @@ plain power series with radius 1.
 its step ratios t_{n+1} / t_n as arrays over a chunk of n and hands them to
 the one series kernel, :func:`qhyp.qcore._ratio_sum`.  :func:`_phi_rows` and
 :func:`_w87_rows` sum many parameter tuples at once, one row each, their step
-ratios read from per-row parameter arrays.  They plan each row once
-(termination and pole orders, reach, :func:`qhyp.qcore._row_plan`) and sum
-the rows in blocks of bounded size cut by their planned first chunks
+ratios read from per-row parameter arrays; a job's fill hands them the rows
+of all its labels of one series shape (:func:`qhyp.solutions.fill`).  They
+plan each row (termination and pole orders, reach,
+:func:`qhyp.qcore._row_plans`), scanning each distinct parameter value of
+the batch once and planning each distinct row once, and sum the rows in
+blocks of bounded size cut by their planned first chunks
 (:func:`qhyp.qcore._by_blocks`), so rows of like length share a block; each
 row's value or error is what it is alone, bit for bit, and ``phi`` and
 ``w87`` are the one-row case.  Both sides
@@ -45,6 +48,7 @@ from .qcore import (
     _quotient,
     _ratio_sum,
     _row_plan,
+    _row_plans,
     _termination_order,
     qpoch_ratio,
 )
@@ -67,20 +71,20 @@ class PhiSpec:
 
 def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: str) -> list:
     """Sum the rows of a series batch into ``out``: ``rows`` holds (i,
-    values, rate, plan) for entry i, with ``values`` the row's parameters,
-    ``rate`` and ``plan`` (:func:`qhyp.qcore._row_plan`) as
-    :func:`qhyp.qcore._ratio_sum` takes them.  A row whose plan is its
-    PoleError takes that error; the others are summed in blocks cut by their
-    planned first chunks (:func:`qhyp.qcore._by_blocks`).  ``step(v, ns)``
-    gives the step ratios at ``ns`` of the rows whose parameters are ``v``,
-    shaped (parameters, rows, 1), from ``factors`` factors 1 - c q^n a
-    step."""
+    values, rate, reach, last, pole) for entry i, with ``values`` the row's
+    parameters and the rest as :func:`qhyp.qcore._row_plan` takes them
+    (:func:`qhyp.qcore._row_plans` plans each distinct row once).  A row
+    whose plan is its PoleError takes that error; the others are summed in
+    blocks cut by their planned first chunks (:func:`qhyp.qcore._by_blocks`).
+    ``step(v, ns)`` gives the step ratios at ``ns`` of the rows whose
+    parameters are ``v``, shaped (parameters, rows, 1), from ``factors``
+    factors 1 - c q^n a step."""
     todo = []
-    for row in rows:
-        if isinstance(row[3], Exception):
-            out[row[0]] = row[3]
+    for row, plan in zip(rows, _row_plans([row[2:] for row in rows], ctx, what)):
+        if isinstance(plan, Exception):
+            out[row[0]] = plan
         else:
-            todo.append(row)
+            todo.append((row[0], row[1], row[2], plan))
 
     def block(members: list) -> list:
         _, values, rate, plans = zip(*members)
@@ -106,10 +110,12 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     p = s + 1 - r  # exponent of the (-1)^n q^C(n,2) factor
     what = "q-hypergeometric series"
     out: list = [None] * len(rows)
-    planned = []  # (i, parameters, rate, plan) of the rows that do not diverge
+    planned = []  # (i, parameters, rate, reach, last, pole) of the rows that do not diverge
+    # each distinct parameter value is scanned once (a lone row shares nothing)
+    orders = {} if len(rows) > 1 else None
     for i, (nums, dens, z) in enumerate(rows):
-        nums, dens, z = [complex(v) for v in nums], [complex(v) for v in dens], complex(z)
-        n_stop = _termination_order(nums, ctx)
+        z = complex(z)
+        n_stop = _termination_order(nums, ctx, orders)
         if n_stop is None and p < 0:
             out[i] = DivergenceError(
                 "series with r > s+1 diverges unless a numerator parameter "
@@ -118,10 +124,9 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         elif n_stop is None and p == 0 and abs(z) >= 1.0:
             out[i] = DivergenceError(f"|argument| = {abs(z):.6g} >= 1 for r = s+1")
         else:
-            rate = z if p == 0 else 0.0
-            planned.append((i, (*nums, *dens, q, z), rate, _row_plan(
-                rate, max(map(abs, (*nums, *dens, q))), n_stop, _termination_order(dens, ctx),
-                ctx, what)))
+            values = (*nums, *dens, q, z)
+            planned.append((i, values, z if p == 0 else 0.0, max(map(abs, values[:-1])), n_stop,
+                            _termination_order(dens, ctx, orders)))
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """v: the numerators, denominators, q and the argument."""
@@ -195,20 +200,22 @@ def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     q = complex(ctx.q)
     what = "w87 series"
     out: list = [None] * len(rows)
-    planned = []  # (i, parameters, rate, plan) of the rows that do not diverge
+    planned = []  # (i, parameters, rate, reach, last, pole) of the rows that do not diverge
+    # each distinct parameter value is scanned once (a lone row shares nothing)
+    orders = {} if len(rows) > 1 else None
     for i, row in enumerate(rows):
         a, b, c, d, e, f, z = (complex(v) for v in row)
         params = (b, c, d, e, f)
-        n_stop = _termination_order(params + (a,), ctx)
+        n_stop = _termination_order(params + (a,), ctx, orders)
         if n_stop is None and abs(z) >= 1.0:
             out[i] = DivergenceError(f"w87 needs |z| < 1, got {abs(z):.6g}")
             continue
         dens = [q * a / p for p in params]
         # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
-        poles = [n for n in (_termination_order(dens, ctx), _termination_order(
-            [cmath.sqrt(a), -cmath.sqrt(a)], ctx)) if n is not None]
-        planned.append((i, (a, *params, q, z), z, _row_plan(
-            z, max(map(abs, (a, *params, *dens, q))), n_stop, min(poles, default=None), ctx, what)))
+        poles = [n for n in (_termination_order(dens, ctx, orders), _termination_order(
+            [cmath.sqrt(a), -cmath.sqrt(a)], ctx, orders)) if n is not None]
+        planned.append((i, (a, *params, q, z), z, max(map(abs, (a, *params, *dens, q))), n_stop,
+                        min(poles, default=None)))
     qx = np.clongdouble(q)
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:

@@ -3,32 +3,39 @@ verification, and the relation checks among the integrals.
 
 Integral evaluators sum Jordan-Pochhammer integrands over q-grids with
 :func:`_grid_sum`, for one-sided and bilateral endpoints alike, one row per
-grid start and many rows in one batch: the integrands at the grid starts are
-one row-wise Pochhammer-ratio evaluation, and each direction of the grids is
-a term-ratio sum of the series kernel of :mod:`qhyp.qcore` (chunked, stopped
-row by row by its tail rule), with the grid weights t^alpha w(t) applied per
-chunk.  Zeros and poles on a grid are refused up front, row by row, by the
-one zero test of :mod:`qhyp.qcore`.
+grid start and many rows in one batch, summed in blocks of bounded size: the
+integrands at the grid starts are one row-wise Pochhammer-ratio evaluation
+a block, and each direction of the grids is a term-ratio sum of the series
+kernel of :mod:`qhyp.qcore` (chunked, stopped row by row by its tail rule),
+with the grid weights t^alpha w(t) applied per chunk.  Zeros and poles on a
+grid are refused up front, row by row, by the one zero test of
+:mod:`qhyp.qcore`, which scans each distinct argument of a batch once.
 
 Every handle gives its values through one call, :meth:`SolutionHandle.read`,
 which takes many points and returns one value or error per point; calling a
 handle reads one point.  Values are kept by point in :class:`SeriesTable`
-memos, which compute the missing points of a read in one batch and store an
-error like a value, so every read of a failing point returns its error.
+memos, which store an error like a value, so every read of a failing point
+returns its error.  A table's missing values are computed by one fill
+(:func:`_fill`), over as many tables as there are to fill: the rows of all
+their missing points first, then one Pochhammer batch per prefactor shape
+and one kernel batch per kernel and series shape, each summed block by
+block.  A job fills every label's handle once, before it measures any
+(:func:`fill`, the CLI's label loop); a handle's own read is the one-handle
+fill.  Every row is independent of its batch, so each value equals the
+one-point evaluator's bit for bit, whatever shares its fill.
 
 Each integral solution is the difference of two single-endpoint integrals of
 one integrand.  A :class:`JacksonTable` holds those of one parameter tuple,
 one memo per integrand and endpoint, so the pair labels of a job that share
-an endpoint and a sample point share its grid sum.  An integral handle's
-read fills both endpoints at all its points, one batch each; a lone lookup
-(``phi3`` and its siblings) is the one-point read, with the same value bit
-for bit, and one given no table uses a throwaway one.
+an endpoint and a sample point share its grid sum; a fill sums all the
+missing endpoints of an integrand in one grid batch a side, the bilateral
+endpoint apart.  A lone lookup (``phi3`` and its siblings) is the one-point
+read, with the same value bit for bit, and one given no table uses a
+throwaway one.
 
-A series handle keeps a memo of its own values: the catalogue formula runs
-per point, and then the Pochhammer prefactors of all the points are one
-batch of the product kernel and their series one batch of
-:func:`qhyp.qseries._phi_rows` or ``_w87_rows`` (:func:`_label_rows`).  Each
-value equals the one-point evaluator's bit for bit.
+A series handle keeps a memo of its own values (``_*_table``): the
+catalogue formula runs per point and gives its lead factor, Pochhammer
+prefactor and :func:`qhyp.qseries._phi_rows` or ``_w87_rows`` row.
 
 The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
 (end of the module): the operator a label solves, its endpoint pair or its
@@ -60,14 +67,14 @@ from .equations import (
 )
 from .opalgebra import QDiffOperator
 from .qcore import (
-    _CHUNK,
     QContext,
     _by_blocks,
     _one,
     _pochhammer_product,
+    _pochhammer_widths,
     _quotient,
     _ratio_sum,
-    _row_plan,
+    _row_plans,
     _termination_order,
     qpoch_ratio,
 )
@@ -146,27 +153,35 @@ def _grid_sum(
     plain measure (weighted) and w = 1 for dq t / t; one row per grid start
     ``taus[r]``, with its arguments ``nums[r]`` and ``dens[r]``.
 
-    Returns one entry per row: its sum, or the error it raises.  The rows
-    are summed in one batch, and each row's value is the same, bit for bit,
-    whatever rows share the batch (a scalar caller passes one row).
+    Returns one entry per row: its sum, or the error it raises.  Each row
+    is planned upwards once (:func:`qhyp.qcore._row_plan`), and the rows are
+    summed in blocks cut by those plans (:func:`qhyp.qcore._by_blocks`), so
+    the working set of a batch does not grow with its rows.  Each row's
+    value is the same, bit for bit, whatever rows share the batch (a scalar
+    caller passes one row): the weights multiply the terms by an explicit
+    ``np.multiply``, because numpy may compute ``F * temporary`` in place as
+    ``temporary * F`` once the temporary reaches 256 KiB, and a complex
+    product with a fused multiply-add differs in its last bits when its
+    operands are swapped.
 
     One-sided sums run n >= 0; the bilateral version adds the n < 0 tail and
     needs equally many numerator and denominator arguments.  The seeds
-    F_r(tau_r) are one row-wise Pochhammer-ratio evaluation; each direction
-    is then a term-ratio sum of the series kernel of :mod:`qhyp.qcore`, with
-    the step ratios F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t) and
-    the weights t^alpha w(t) applied per chunk.  t^alpha is
-    exp(alpha (log tau + n log q)), single-valued along the grid.  A row
-    whose tau is 0 sums to 0.
+    F_r(tau_r) are one row-wise Pochhammer-ratio evaluation a block; each
+    direction is then a term-ratio sum of the series kernel of
+    :mod:`qhyp.qcore`, with the step ratios F(t q) / F(t) = prod (1 - d_j t)
+    / prod (1 - n_i t) and the weights t^alpha w(t) applied per chunk.
+    t^alpha is exp(alpha (log tau + n log q)), single-valued along the grid.
+    A row whose tau is 0 sums to 0.
 
     Zeros: F is zero on an ascending run of the grid that ends where a
     factor 1 - n_i t vanishes, and the recurrence cannot step out of it.  Such
     a run always holds the grid start, so a seed that is exactly zero, or an
-    argument n_i tau that is q^-k to rounding (:func:`_termination_order`),
-    is refused up front (UnsupportedCaseError).  Descending, a vanishing
-    numerator factor makes the rest of the tail exactly zero, which the tail
-    rule ends; a vanishing denominator factor anywhere within the budget is
-    a pole (PoleError, also up front).
+    argument n_i tau that is q^-k to rounding (:func:`_termination_order`,
+    each distinct argument scanned once a batch), is refused up front
+    (UnsupportedCaseError).  Descending, a vanishing numerator factor makes
+    the rest of the tail exactly zero, which the tail rule ends; a vanishing
+    denominator factor anywhere within the budget is a pole (PoleError, also
+    up front).
     """
     q = complex(ctx.q)
     alpha = complex(alpha)
@@ -174,130 +189,225 @@ def _grid_sum(
     nums = np.array(nums, dtype=complex).reshape(len(taus), -1)
     dens = np.array(dens, dtype=complex).reshape(len(taus), -1)
     n_num = nums.shape[1]
-    out: list = [0.0 + 0.0j if tau == 0 else None for tau in taus]
-    starts = np.hstack((nums, dens)) * taus[:, None]
-    live = np.flatnonzero(taus != 0)
-    for r, seed in zip(live, _pochhammer_product(starts[live], n_num, ctx)):
-        if isinstance(seed, Exception):
-            out[r] = seed
-        elif seed == 0 or _termination_order(starts[r, :n_num], ctx) is not None:
-            out[r] = UnsupportedCaseError(
-                f"integrand vanishes at the grid start {complex(taus[r])}")
-        else:
-            out[r] = seed
-    live = np.array([r for r in live if not isinstance(out[r], Exception)], dtype=int)
-    if not live.size:
-        return out
-    seed = np.array([out[r] for r in live])
-    tau, nums, dens = taus[live], nums[live], dens[live]
-    log_tau = np.log(tau)
     log_q = cmath.log(q)
+    # upwards the step ratio tends to q^(alpha + 1) (weighted) or q^alpha
+    rate = cmath.exp((alpha + (1 if weighted else 0)) * log_q)
+    what = "Jackson sum"
+    live = np.flatnonzero(taus != 0)
+    nd = np.hstack((nums, dens))
+    dn = np.hstack((dens, nums)).T[:, :, None]
+    starts = nd * taus[:, None]
+    log_tau = np.zeros(len(taus), dtype=complex)
+    log_tau[live] = np.log(taus[live])
+    plans = _row_plans([(rate, reach, None, None) for reach in np.abs(starts[live]).max(axis=1)],
+                       ctx, what)
+    orders: dict = {}
 
+    # the rows below are indices into taus
     def weigh(rows: Sequence[int], ns: np.ndarray, F: np.ndarray) -> np.ndarray:
         if alpha != 0:
-            F = F * np.exp(alpha * (log_tau[rows, None] + ns * log_q))
-        return F * (tau[rows, None] * q**ns) if weighted else F
-
-    dn, nd = np.hstack((dens, nums)).T[:, :, None], np.hstack((nums, dens))
+            F = np.multiply(F, np.exp(np.multiply(alpha, log_tau[rows, None] + ns * log_q)))
+        return np.multiply(F, taus[rows, None] * q**ns) if weighted else F
 
     def up(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t q) / F(t) at t = tau q^n."""
-        return _quotient(1.0 - dn[:, rows] * (tau[rows, None] * q**ns), dens.shape[1])
+        return _quotient(1.0 - dn[:, rows] * (taus[rows, None] * q**ns), dens.shape[1])
 
     def down(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
         powers of t/q cancel between numerator and denominator, and q/t
         underflows harmlessly."""
-        return _quotient(q / (tau[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
+        return _quotient(q / (taus[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
 
-    # upwards the step ratio tends to q^(alpha + 1) (weighted) or q^alpha
-    rate = cmath.exp((alpha + (1 if weighted else 0)) * log_q)
-    what = "Jackson sum"
-    plans = [_row_plan(rate, reach, None, None, ctx, what)
-             for reach in np.abs(nd * tau[:, None]).max(axis=1)]
-    value = _ratio_sum(seed, up, ctx, [rate] * len(seed), what, weigh=weigh, plans=plans)
-    if bilateral:
-        # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
-        for i in range(len(live)):
-            if (not isinstance(value[i], Exception)
-                    and _termination_order(q / (tau[i] * dens[i]), ctx) is not None):
-                value[i] = PoleError("integrand pole on the descending grid")
-        rows = np.array([i for i, v in enumerate(value) if not isinstance(v, Exception)], dtype=int)
-        rates = np.prod(nums[rows], axis=1) / np.prod(dens[rows], axis=1) / rate
-        reaches = np.abs(q * q / (tau[rows, None] * nd[rows])).max(axis=1)
-        plans = [_row_plan(r, reach, None, None, ctx, what) for r, reach in zip(rates, reaches)]
-        tails = _ratio_sum(
-            seed[rows] * down(rows, np.array([0]))[:, 0], lambda sub, ks: down(rows[sub], -1 - ks),
-            ctx, rates, what, weigh=lambda sub, ks, F: weigh(rows[sub], -1 - ks, F), plans=plans)
-        for i, v in zip(rows, tails):
-            value[i] = v if isinstance(v, Exception) else value[i] + v
-    for r, v in zip(live, value):
-        out[r] = v if isinstance(v, Exception) else (1.0 - q) * v
+    def block(ks: list) -> list:
+        """The sums of the live rows ``ks`` (indices into ``live``)."""
+        rows = live[ks]
+        value = _pochhammer_product(starts[rows], n_num, ctx)
+        for i, (seed, start) in enumerate(zip(value, starts[rows, :n_num].tolist())):
+            if not isinstance(seed, Exception) and (
+                    seed == 0 or _termination_order(start, ctx, orders) is not None):
+                value[i] = UnsupportedCaseError(
+                    f"integrand vanishes at the grid start {complex(taus[rows[i]])}")
+        good = [i for i, v in enumerate(value) if not isinstance(v, Exception)]
+        if not good:
+            return value
+        seed, at = np.array([value[i] for i in good]), rows[good]
+        sums = _ratio_sum(seed, lambda sub, ns: up(at[sub], ns), ctx, [rate] * len(good), what,
+                          weigh=lambda sub, ns, F: weigh(at[sub], ns, F),
+                          plans=[plans[ks[i]] for i in good])
+        if bilateral:
+            # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
+            for i, c in enumerate((q / (taus[at, None] * dens[at])).tolist()):
+                if (not isinstance(sums[i], Exception)
+                        and _termination_order(c, ctx, orders) is not None):
+                    sums[i] = PoleError("integrand pole on the descending grid")
+            on = [i for i, v in enumerate(sums) if not isinstance(v, Exception)]
+            down_at = at[on]
+            rates = np.prod(nums[down_at], axis=1) / np.prod(dens[down_at], axis=1) / rate
+            reaches = np.abs(q * q / (taus[down_at, None] * nd[down_at])).max(axis=1)
+            tails = _ratio_sum(
+                seed[on] * down(down_at, np.array([0]))[:, 0],
+                lambda sub, js: down(down_at[sub], -1 - js), ctx, rates, what,
+                weigh=lambda sub, js, F: weigh(down_at[sub], -1 - js, F),
+                plans=_row_plans([(r, reach, None, None) for r, reach in zip(rates, reaches)],
+                                 ctx, what))
+            for i, v in zip(on, tails):
+                sums[i] = v if isinstance(v, Exception) else sums[i] + v
+        for i, v in zip(good, sums):
+            value[i] = v if isinstance(v, Exception) else (1.0 - q) * v
+        return value
+
+    out: list = [0.0 + 0.0j] * len(taus)
+    entries = _by_blocks(block, list(range(len(live))), nd.shape[1], [plan[0] for plan in plans])
+    for r, v in zip(live, entries):
+        out[r] = v
     return out
 
 
 # -- integral solution families -------------------------------------------------------
 
 
-# Each integrand below gives the single-endpoint integrals of one parameter
-# tuple from one endpoint at many x: one grid row per x, summed in one batch,
-# and one entry per x, a value or the error its row raises.
+# Each integrand below gives single-endpoint integrals of one parameter tuple
+# at many points, (endpoint, x) pairs: one grid row each, and one entry each,
+# a value or the error its row raises (:func:`_jackson`).
 
 
-def _phi3_single(p: Params3, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
-    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
-                     [(p.A * x, p.a1, p.a2, p.a3) for x in xs],
-                     [(p.B * x, p.b1, p.b2, p.b3) for x in xs], ctx, weighted=True)
+def _jackson(p, points: Sequence[tuple[Endpoint, complex]], ctx: QContext,
+             nums: Callable, dens: Callable, **options) -> list:
+    """The Jackson grid sums from the endpoints at their x, with the
+    arguments ``nums(x)`` and ``dens(x)``: one :func:`_grid_sum` batch for
+    the one-sided endpoints and one for the bilateral endpoint, the only
+    one that sums the descending grid too.  The endpoint 0 adds nothing."""
+    out: list = [0.0 + 0.0j] * len(points)
+    for bilateral in (False, True):
+        rows = [i for i, (e, _) in enumerate(points)
+                if e.tag != "zero" and (e.tag == "sigma_infinity") == bilateral]
+        if rows:
+            xs = [points[i][1] for i in rows]
+            sums = _grid_sum([points[i][0].resolve(p, points[i][1], ctx) for i in rows],
+                             [nums(x) for x in xs], [dens(x) for x in xs], ctx,
+                             bilateral=bilateral, **options)
+            for i, v in zip(rows, sums):
+                out[i] = v
+    return out
 
 
-def _phi3_tilde_single(p: Params3, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
+def _phi3_single(p: Params3, points: Sequence[tuple], ctx: QContext) -> list:
+    return _jackson(p, points, ctx, lambda x: (p.A * x, p.a1, p.a2, p.a3),
+                    lambda x: (p.B * x, p.b1, p.b2, p.b3), weighted=True)
+
+
+def _phi3_tilde_single(p: Params3, points: Sequence[tuple], ctx: QContext) -> list:
     q = complex(ctx.q)
-    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
-                     [(q / (p.B * x), q / p.b1, q / p.b2, q / p.b3) for x in xs],
-                     [(q / (p.A * x), q / p.a1, q / p.a2, q / p.a3) for x in xs], ctx,
-                     weighted=True)
+    return _jackson(p, points, ctx, lambda x: (q / (p.B * x), q / p.b1, q / p.b2, q / p.b3),
+                    lambda x: (q / (p.A * x), q / p.a1, q / p.a2, q / p.a3), weighted=True)
 
 
-def _phi2_single(p: Params2, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
-    if e.tag == "zero":
-        return [0.0 + 0.0j] * len(xs)
-    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
-                     [(p.A * x, p.a1, p.a2) for x in xs],
-                     [(p.B * x, p.b1, p.b2) for x in xs], ctx, alpha=p.alpha, weighted=False)
+def _phi2_single(p: Params2, points: Sequence[tuple], ctx: QContext) -> list:
+    return _jackson(p, points, ctx, lambda x: (p.A * x, p.a1, p.a2),
+                    lambda x: (p.B * x, p.b1, p.b2), alpha=p.alpha, weighted=False)
 
 
-def _phi2_tilde_single(p: Params2, e: Endpoint, xs: Sequence[complex], ctx: QContext) -> list:
+def _phi2_tilde_single(p: Params2, points: Sequence[tuple], ctx: QContext) -> list:
     q = complex(ctx.q)
-    return _grid_sum([e.resolve(p, x, ctx) for x in xs],
-                     [(q / (p.B * x), q / p.b1, q / p.b2) for x in xs],
-                     [(q / (p.A * x), q / p.a1, q / p.a2) for x in xs], ctx, weighted=True,
-                     bilateral=e.tag == "sigma_infinity")
+    return _jackson(p, points, ctx, lambda x: (q / (p.B * x), q / p.b1, q / p.b2),
+                    lambda x: (q / (p.A * x), q / p.a1, q / p.a2), weighted=True)
 
 
 class SeriesTable:
     """The values of one function at many points, each computed once: a
-    series handle's values, or one integrand and endpoint of a
+    series label's values, or one integrand and endpoint of a
     :class:`JacksonTable`.
 
-    ``rows(xs)`` gives one value or error per x (a family's ``_*_rows`` at
-    a label's parameters, or a ``_*_single`` integrand at a tuple and an
-    endpoint).  :meth:`read` computes the missing points of ``xs`` in one
-    batch and returns the entry of each.  Points are compared by value.  An
+    ``terms(x)`` gives the row of x: (lead, prefactor, args), where lead is
+    a factor or None, prefactor the (numerators, denominators) of a
+    Pochhammer ratio or None, and args the row of ``kernel``, a batch
+    function ``kernel(rows, ctx)`` with one value or error per row
+    (:func:`qhyp.qseries._phi_rows` or ``_w87_rows`` of a series, or a
+    Jackson integrand of its (endpoint, x)).  The rows of one table have one
+    shape: a prefactor or none, and the same numbers of numerators and
+    denominators in each.  The value at x is lead * ratio * kernel value,
+    multiplied left to right, where an absent (None) factor is skipped, not
+    taken as 1; or the error that evaluating x alone raises first: that of
+    ``terms``, then the prefactor's, then the kernel's.
+
+    :func:`_fill` computes the missing points of many tables together, and
+    :meth:`read` is its one-table case.  Points are compared by value.  An
     error is stored like a value, and every read of its point returns it.
     """
 
-    __slots__ = ("rows", "_values")
+    __slots__ = ("terms", "kernel", "ctx", "_values")
 
-    def __init__(self, rows: Callable[[Sequence[complex]], list]):
-        self.rows = rows
+    def __init__(self, terms: Callable[[Any], tuple], kernel: Callable, ctx: QContext):
+        self.terms = terms
+        self.kernel = kernel
+        self.ctx = ctx
         self._values: dict = {}
 
-    def read(self, xs: Sequence[complex]) -> list:
+    def read(self, xs: Sequence) -> list:
         """The value or error at each x of ``xs``."""
-        todo = [x for x in dict.fromkeys(xs) if x not in self._values]
-        if todo:
-            self._values.update(zip(todo, self.rows(todo)))
+        _fill([(self, xs)])
         return [self._values[x] for x in xs]
+
+
+def _shape(args: tuple) -> tuple:
+    """The lengths of the parameter lists of a kernel row: rows of one
+    kernel and shape make one batch."""
+    return tuple([len(a) for a in args if isinstance(a, (list, tuple))])
+
+
+def _fill(requests: Sequence[tuple[SeriesTable, Sequence]]) -> None:
+    """Compute the missing values of every (table, points) request at once.
+
+    The rows of all the missing points come first, table by table in
+    request order.  Then the prefactors are one Pochhammer batch per context
+    and shape, summed block by block (:func:`qhyp.qcore._by_blocks`), and
+    the kernel rows one call per kernel (the same object), context and shape
+    (:func:`qhyp.qseries._phi_rows` and ``_w87_rows`` block their rows the
+    same way, and a Jackson integrand makes one :func:`_grid_sum` batch a
+    side).  Every row is independent of its batch, so each value equals the
+    one-point value bit for bit, whatever else the fill computes."""
+    rows = []  # (table, x, lead, prefactor, args) of each missing point, once
+    queued: dict = {}  # table -> its points in rows
+    prefactors: dict = {}  # (ctx, numerators, denominators) -> indices into rows
+    batches: dict = {}  # (kernel, ctx, shape) -> indices into rows
+    for table, xs in requests:
+        known, seen = table._values, queued.setdefault(table, set())
+        first = len(rows)
+        for x in xs:
+            if x in known or x in seen:
+                continue
+            try:
+                rows.append((table, x, *table.terms(x)))
+                seen.add(x)
+            except (DomainError, ArithmeticError, ValueError) as exc:
+                known[x] = exc  # as evaluating x alone raises it
+        if len(rows) > first:  # the rows of a table share their shapes
+            _, _, _, prefactor, args = rows[first]
+            batches.setdefault((table.kernel, table.ctx, _shape(args)), []).extend(
+                range(first, len(rows)))
+            if prefactor is not None:
+                prefactors.setdefault((table.ctx, *map(len, prefactor)), []).extend(
+                    range(first, len(rows)))
+    ratios: list = [None] * len(rows)
+    for (ctx, n_num, n_den), members in prefactors.items():
+        args = [[*rows[i][3][0], *rows[i][3][1]] for i in members]
+        for i, ratio in zip(members, _by_blocks(
+                lambda block: _pochhammer_product(block, n_num, ctx), args, n_num + n_den,
+                lambda: _pochhammer_widths(args, ctx))):
+            ratios[i] = ratio
+    values: list = [None] * len(rows)
+    for (kernel, ctx, _), members in batches.items():
+        for i, value in zip(members, kernel([rows[i][4] for i in members], ctx)):
+            values[i] = value
+    for (table, x, lead, _, _), ratio, value in zip(rows, ratios, values):
+        if isinstance(ratio, Exception) or isinstance(value, Exception):
+            table._values[x] = ratio if isinstance(ratio, Exception) else value
+            continue
+        factor = lead
+        if ratio is not None:
+            factor = ratio if factor is None else factor * ratio
+        table._values[x] = value if factor is None else factor * value
 
 
 class JacksonTable:
@@ -305,27 +415,30 @@ class JacksonTable:
     context, each computed once; meant to live for one job.
 
     Each integrand and endpoint has a :class:`SeriesTable` of its values at
-    the points x: the integrand is one of the ``_*_single`` helpers above,
-    the endpoint carries the free constant of the bilateral endpoint, and x
-    is compared by value.  :meth:`read` gives one integrand and endpoint at
-    many x, computing the missing points in one batch; a point whose
-    integral raises stores its error, which every read of it returns.
+    the points x (:meth:`entry`): the integrand is one of the ``_*_single``
+    helpers above, the endpoint carries the free constant of the bilateral
+    endpoint, and x is compared by value.  The entries of one integrand
+    share one kernel, so a fill sums all their missing points together; a
+    point whose integral raises stores its error, which every read of it
+    returns.
     """
 
-    __slots__ = ("params", "ctx", "_tables")
+    __slots__ = ("params", "ctx", "_tables", "_kernels")
 
     def __init__(self, params, ctx: QContext):
         self.params = params
         self.ctx = ctx
         self._tables: dict[tuple, SeriesTable] = {}
+        self._kernels: dict[Callable, Callable] = {}
 
-    def read(self, single: Callable, e: Endpoint, xs: Sequence[complex]) -> list:
-        """single(params, e, x, ctx), a value or an error, at each x of ``xs``."""
+    def entry(self, single: Callable, e: Endpoint) -> SeriesTable:
+        """The table of the integrals single(params, [(e, x)], ctx) over x."""
         table = self._tables.get((single, e))
         if table is None:
+            kernel = self._kernels.setdefault(single, functools.partial(single, self.params))
             table = self._tables[single, e] = SeriesTable(
-                lambda todo: single(self.params, e, todo, self.ctx))
-        return table.read(xs)
+                lambda x: (None, None, (e, x)), kernel, self.ctx)
+        return table
 
 
 def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
@@ -336,16 +449,18 @@ def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
     return table
 
 
-def _differences(single: Callable, p, e1: Endpoint, e2: Endpoint, xs: Sequence[complex],
-                 ctx: QContext, table: JacksonTable, reflected: bool) -> list:
+def _differences(table: JacksonTable, single: Callable, e1: Endpoint, e2: Endpoint,
+                 xs: Sequence[complex], reflected: bool) -> list:
     """Entry i: single(e2) - single(e1) at ``xs[i]`` from the table, times
     x^lambda (principal branch) for the reflected integrands; or the error
-    of e2's integral there, else e1's.  The missing integrals of each
-    endpoint are computed first, one batch per endpoint (e1, then e2)."""
+    of e2's integral there, else e1's.  The missing integrals of both
+    endpoints are computed first, in one fill."""
     if e1 == e2:
         return [0.0 + 0.0j] * len(xs)
-    lows, highs = table.read(single, e1, xs), table.read(single, e2, xs)
-    lam = p.lam(ctx) if reflected else None
+    low, high = table.entry(single, e1), table.entry(single, e2)
+    _fill([(low, xs), (high, xs)])
+    lows, highs = low.read(xs), high.read(xs)
+    lam = table.params.lam(table.ctx) if reflected else None
     out = []
     for x, low, high in zip(xs, lows, highs):
         if isinstance(high, Exception) or isinstance(low, Exception):
@@ -361,7 +476,7 @@ def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
     """Difference of two one-sided Jackson integrals of the degree-three
     Jordan-Pochhammer integrand between admissible endpoints."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(_phi3_single, p, t1, t2, [x], ctx, table, False))
+    return _one(_differences(table, _phi3_single, t1, t2, [x], False))
 
 
 def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
@@ -369,7 +484,7 @@ def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
     """x^lambda times the reflected-integrand Jackson integral between
     admissible sigma-endpoints."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(_phi3_tilde_single, p, s1, s2, [x], ctx, table, True))
+    return _one(_differences(table, _phi3_tilde_single, s1, s2, [x], True))
 
 
 def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
@@ -377,7 +492,7 @@ def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
     """Degree-two integral solution: t^alpha measure dq t / t, endpoints may
     include 0 (which contributes nothing)."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(_phi2_single, p, t1, t2, [x], ctx, table, False))
+    return _one(_differences(table, _phi2_single, t1, t2, [x], False))
 
 
 def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
@@ -385,66 +500,18 @@ def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
     """Degree-two reflected integral; the sigma-infinity endpoint uses the
     bilateral Jackson sum."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(_phi2_tilde_single, p, s1, s2, [x], ctx, table, True))
+    return _one(_differences(table, _phi2_tilde_single, s1, s2, [x], True))
 
 
 # -- series solutions -----------------------------------------------------------------
 #
 # A series row of the catalogue (end of the module) keeps its formulas as a
-# function of its family's variables.  Each family's ``_*_rows`` below
-# computes those variables at every point of a batch and reads the row, which
-# gives the point's lead factor, prefactor and series; :func:`_label_rows`
-# then evaluates all the points of the batch together.  The one-point
-# evaluators (``e3_series``, ``e2_series``, ``heine_solution``,
-# ``heine_extra``) are the one-row case; what a label is lives in its row
-# alone.
-
-
-def _label_rows(terms: Callable, xs: Sequence[complex], series_rows: Callable,
-                ctx: QContext) -> list:
-    """Entry i: lead * ratio * series for (lead, prefactor, series) =
-    ``terms(xs[i])``, multiplied left to right, where an absent (None) lead
-    or prefactor is skipped, not taken as 1; ratio is the Pochhammer ratio of
-    prefactor = (numerators, denominators), and series the value of
-    ``series_rows`` (:func:`qhyp.qseries._phi_rows` or ``_w87_rows``) for
-    its arguments.
-
-    Returns one entry per x: its value, or the error that evaluating x alone
-    raises first: the error of ``terms``, then the prefactor's, then the
-    series'.  The prefactors of all points are one Pochhammer batch and
-    their series one series batch, each summed block by block
-    (:func:`qhyp.qcore._by_blocks`); every row is independent of its batch, so
-    each entry equals the one-point value bit for bit.
-    """
-    out: list = [None] * len(xs)
-    live, leads, prefactors, series = [], [], [], []
-    for i, x in enumerate(xs):
-        try:
-            lead, prefactor, args = terms(x)
-        except (DomainError, ArithmeticError, ValueError) as exc:
-            out[i] = exc  # as evaluating x alone raises it
-            continue
-        live.append(i)
-        leads.append(lead)
-        prefactors.append(prefactor)
-        series.append(args)
-    if not live:
-        return out
-    ratios = [None] * len(live)
-    if prefactors[0] is not None:
-        n_num = len(prefactors[0][0])
-        args = [[*nums, *dens] for nums, dens in prefactors]
-        ratios = _by_blocks(lambda block: _pochhammer_product(block, n_num, ctx), args,
-                            len(args[0]), [_CHUNK] * len(args))
-    for i, lead, ratio, value in zip(live, leads, ratios, series_rows(series, ctx)):
-        if isinstance(ratio, Exception) or isinstance(value, Exception):
-            out[i] = ratio if isinstance(ratio, Exception) else value
-            continue
-        factor = lead
-        if ratio is not None:
-            factor = ratio if factor is None else factor * ratio
-        out[i] = value if factor is None else factor * value
-    return out
+# function of its family's variables.  Each family's ``_*_table`` below gives
+# a label's :class:`SeriesTable`, whose ``terms`` compute those variables at a
+# point and read the row: the point's lead factor, prefactor and series.  The
+# one-point evaluators (``e3_series``, ``e2_series``, ``heine_solution``,
+# ``heine_extra``) read one point of a fresh table; what a label is lives in
+# its row alone.
 
 
 def _gr_terms(a: complex, b: complex, cd: tuple[complex, complex],
@@ -474,7 +541,7 @@ def _gr_series_value(
 ) -> complex:
     """The value of the correspondence of :func:`_gr_terms`."""
     terms = _gr_terms(a, b, cd, efg, h, complex(ctx.q))
-    return _one(_label_rows(lambda _: terms, [None], _w87_rows, ctx))
+    return _one(SeriesTable(lambda _: terms, _w87_rows, ctx).read([None]))
 
 
 def _e3_gr_data(p: Params3, which: int, x: complex, ctx: QContext):
@@ -483,8 +550,8 @@ def _e3_gr_data(p: Params3, which: int, x: complex, ctx: QContext):
     return _row(f"thmser3.{which}").formula(complex(ctx.q), p.A * x, p.B * x, p)
 
 
-def _e3_rows(p: Params3, which: int, xs: Sequence[complex], ctx: QContext) -> list:
-    """:func:`e3_series` at every x of ``xs``, by :func:`_label_rows`."""
+def _e3_table(p: Params3, which: int, ctx: QContext) -> SeriesTable:
+    """The values of :func:`e3_series` at any points."""
     q = complex(ctx.q)
 
     def terms(x):
@@ -492,28 +559,28 @@ def _e3_rows(p: Params3, which: int, xs: Sequence[complex], ctx: QContext) -> li
         if abs(a * h) >= 1.0:
             raise DomainError(f"series {which}: |a h| = {abs(a*h):.4g} >= 1 at x = {x}")
         return _gr_terms(a, b, cd, efg, h, q)
-    return _label_rows(terms, xs, _w87_rows, ctx)
+    return SeriesTable(terms, _w87_rows, ctx)
 
 
 def e3_series(p: Params3, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six very-well-poised series solutions of the degree-three
     equation, normalized to equal its corresponding endpoint-pair integral."""
-    return _one(_e3_rows(p, which, [x], ctx))
+    return _one(_e3_table(p, which, ctx).read([x]))
 
 
-def _e2_rows(p: Params2, which: int, xs: Sequence[complex], ctx: QContext) -> list:
-    """:func:`e2_series` at every x of ``xs``, by :func:`_label_rows`."""
+def _e2_table(p: Params2, which: int, ctx: QContext) -> SeriesTable:
+    """The values of :func:`e2_series` at any points."""
     q = complex(ctx.q)
     formula, qa = _row(f"thmser2.{which}").formula, qpow(q, p.alpha)
-    return _label_rows(
+    return SeriesTable(
         lambda x: (None, *formula(q, qa, complex(x), p.alpha, p.a1, p.a2, p.b1, p.b2, p.A, p.B)),
-        xs, _phi_rows, ctx)
+        _phi_rows, ctx)
 
 
 def e2_series(p: Params2, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six catalogued 3phi2 series solutions of the degree-two
     equation."""
-    return _one(_e2_rows(p, which, [x], ctx))
+    return _one(_e2_table(p, which, ctx).read([x]))
 
 
 def e2_series_limit_target(p: Params2, x: complex, ctx: QContext) -> complex:
@@ -564,8 +631,8 @@ def _heine_exponents(p: HeineParams, ctx: QContext):
             cmath.log(complex(p.c)) / lq)
 
 
-def _heine_rows(p: HeineParams, which: int, zs: Sequence[complex], ctx: QContext) -> list:
-    """:func:`heine_solution` at every z of ``zs``, by :func:`_label_rows`."""
+def _heine_table(p: HeineParams, which: int, ctx: QContext) -> SeriesTable:
+    """The values of :func:`heine_solution` at any points."""
     row = _row(f"heine.{which}")
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
@@ -575,28 +642,28 @@ def _heine_rows(p: HeineParams, which: int, zs: Sequence[complex], ctx: QContext
         z = complex(z)
         lead = None if power is None else cmath.exp(power * cmath.log(z))
         return (lead, *row.formula(a, b, c, q, z, a * b * z / c))
-    return _label_rows(terms, zs, _phi_rows, ctx)
+    return SeriesTable(terms, _phi_rows, ctx)
 
 
 def heine_solution(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
     """One of the 32 catalogued series solutions of the q-hypergeometric
     equation of Heine type; exponent prefactors use principal branches."""
-    return _one(_heine_rows(p, which, [z], ctx))
+    return _one(_heine_table(p, which, ctx).read([z]))
 
 
-def _heine_extra_rows(p: HeineParams, which: int, zs: Sequence[complex], ctx: QContext) -> list:
-    """:func:`heine_extra` at every z of ``zs``, by :func:`_label_rows`."""
+def _heine_extra_table(p: HeineParams, which: int, ctx: QContext) -> SeriesTable:
+    """The values of :func:`heine_extra` at any points."""
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
     formula = _row(f"heine_extra.{which}").formula
-    return _label_rows(lambda z: (None, *formula(a, b, c, q, complex(z))), zs, _phi_rows, ctx)
+    return SeriesTable(lambda z: (None, *formula(a, b, c, q, complex(z))), _phi_rows, ctx)
 
 
 def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
     """The two additional catalogued solutions: the terminating 3phi1 form
     (formal otherwise) and the integral-analog series behind the
     transformation formula."""
-    return _one(_heine_extra_rows(p, which, [z], ctx))
+    return _one(_heine_extra_table(p, which, ctx).read([z]))
 
 
 # -- verification utilities ---------------------------------------------------------
@@ -607,10 +674,12 @@ class SolutionHandle:
     """A named evaluable solution: label, ``read``, positive-axis sampling
     interval and scale, claimed operator and its T-power range.  ``read``
     gives the value at each of many points in one call, or the error
-    evaluating there raises, computing what they need in one batch: a series
+    evaluating there raises, computing what they need in one fill: a series
     handle's values from its :class:`SeriesTable`, an integral handle's from
-    its two :class:`JacksonTable` entries per point.  Calling the handle
-    reads one point and raises its error."""
+    its two :class:`JacksonTable` entries per point.  ``tables`` are the
+    tables ``read`` takes its values from, which :func:`fill` fills for many
+    handles at once (none for a handle whose ``read`` is its own).  Calling
+    the handle reads one point and raises its error."""
 
     label: str
     read: Callable[[Sequence[complex]], list]
@@ -618,6 +687,7 @@ class SolutionHandle:
     equation: QDiffOperator
     params: object
     scale: float = 1.0
+    tables: tuple[SeriesTable, ...] = ()
 
     def domain(self, x: complex) -> bool:
         lo, hi = self.interval
@@ -625,6 +695,20 @@ class SolutionHandle:
 
     def __call__(self, x: complex) -> complex:
         return _one(self.read([x]))
+
+
+def residual_points(op: QDiffOperator, handle: SolutionHandle,
+                    xs: Sequence[complex]) -> list[complex]:
+    """The points x q^j at which :func:`residual` reads ``handle``: for each
+    sample point x in order, one per T-power j of ``op``, ascending.  Raises
+    DomainError, before anything is read, if one is outside the handle's
+    domain."""
+    powers = [op.q**j for j in range(op.t_min, op.t_max + 1)]
+    points = [qj * complex(x) for x in xs for qj in powers]
+    bad = [y for y in points if not handle.domain(y)]
+    if bad:
+        raise DomainError(f"points outside the solution domain: {sorted(set(map(abs, bad)))}")
+    return points
 
 
 def residual(
@@ -636,17 +720,13 @@ def residual(
     """Max over sample points of |sum of operator terms| relative to the sum
     of term magnitudes (backward-error style; floor keeps zeros harmless).
 
-    The handle gives its values at every point x q^j in one read before the
-    loop over the sample points; the terms a_ij x^i f(x q^j) are then formed
-    and added in coefficient order, and the first error among them, sample
-    point by sample point, is raised."""
+    The handle gives its values at every point x q^j
+    (:func:`residual_points`) in one read before the loop over the sample
+    points; the terms a_ij x^i f(x q^j) are then formed and added in
+    coefficient order, and the first error among them, sample point by
+    sample point, is raised."""
     shifts = range(op.t_min, op.t_max + 1)
-    powers = [op.q**j for j in shifts]
-    points = [qj * complex(x) for x in xs for qj in powers]
-    bad = [y for y in points if not handle.domain(y)]
-    if bad:
-        raise DomainError(f"points outside the solution domain: {sorted(set(map(abs, bad)))}")
-    values, width = handle.read(points), len(shifts)
+    values, width = handle.read(residual_points(op, handle, xs)), len(shifts)
     terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
     worst = 0.0
     for k, x in enumerate(xs):
@@ -675,7 +755,7 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
     op = build_e3(p, ctx)
     if endpoint.tag in ("q_over_a", "q_over_Ax"):
         def F(y: complex) -> complex:
-            return _one(_phi3_single(p, endpoint, [y], ctx))
+            return _one(_phi3_single(p, [(endpoint, y)], ctx))
         terms = op.apply_terms(F, x)
         target = (1.0 - q) * q * (p.A - p.B) * complex(x) ** 2
     elif endpoint.tag in ("b", "Bx"):
@@ -683,7 +763,7 @@ def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) ->
 
         def F(y: complex) -> complex:
             pref = cmath.exp(lam * cmath.log(complex(y)))
-            return pref * _one(_phi3_tilde_single(p, endpoint, [y], ctx))
+            return pref * _one(_phi3_tilde_single(p, [(endpoint, y)], ctx))
         terms = op.apply_terms(F, x)
         # the a1 a2 a3 / B factor is forced by expanding the integral at the
         # moving endpoint: the x^(lam+1) coefficient is
@@ -752,8 +832,8 @@ class Solution:
 
     equation: the operator the row solves, a key of ``equations.BUILDERS``.
     evaluator: series rows only, the name of the module function
-        (``_*_rows``) that evaluates the row: it takes (params, ``index``,
-        points, ctx) and gives one value or error per point.
+        (``_*_table``) that makes the row's values: it takes (params,
+        ``index``, ctx) and gives the :class:`SeriesTable` of the label.
     pair, single: integral rows only, the endpoint pair (the bilateral
         endpoint takes the handle's sigma) and the single-endpoint integrand
         (one of the ``_*_single`` helpers) whose difference the row is.
@@ -827,7 +907,7 @@ def _thmser3(n: int, domain, formula) -> Solution:
     return Solution(
         f"thmser3.{n}", "e3",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.A), abs(p.B), abs(p.a1), abs(p.b3)),
-        lambda p, ctx: 0.3 * integral_scale(p, ctx), "_e3_rows", index=n, formula=formula)
+        lambda p, ctx: 0.3 * integral_scale(p, ctx), "_e3_table", index=n, formula=formula)
 
 
 def _thmser2(n: int, domain, formula) -> Solution:
@@ -837,7 +917,7 @@ def _thmser2(n: int, domain, formula) -> Solution:
     return Solution(
         f"thmser2.{n}", "e2",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.B), abs(p.a1), abs(p.a2)),
-        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), "_e2_rows", index=n, formula=formula)
+        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), "_e2_table", index=n, formula=formula)
 
 
 # |z| intervals of the Heine rows over |a|, |b|, |c|, |q|: series convergence
@@ -880,14 +960,14 @@ def _heine(n: int, power: str | None, domain: str, terminating: str | None, form
         f"heine.{n}", "heine",
         lambda p, ctx: interval(*_moduli(p, ctx)),
         lambda p, ctx: 0.5 * scale(*_moduli(p, ctx)),
-        "_heine_rows", index=n, formula=formula, exponent=power and _Z_POWERS[power],
+        "_heine_table", index=n, formula=formula, exponent=power and _Z_POWERS[power],
         condition=terminating and _TERMINATING[terminating])
 
 
 def _heine_extra(n: int, condition, formula) -> Solution:
     """Extra Heine-type row n: formula(a, b, c, q, z), inside the unit disc."""
     return Solution(f"heine_extra.{n}", "heine", lambda p, ctx: (0.0, 1.0), lambda p, ctx: 0.4,
-                    "_heine_extra_rows", index=n, formula=formula, condition=condition)
+                    "_heine_extra_table", index=n, formula=formula, condition=condition)
 
 
 _ROWS = (
@@ -1075,18 +1155,30 @@ def solution_handle(
     row = _row(label)
     op = _claimed_operator(row.equation, params, ctx)
     if row.pair is None:
-        rows, which = globals()[row.evaluator], row.index
-        read = SeriesTable(lambda xs: rows(params, which, xs, ctx)).read
+        values = globals()[row.evaluator](params, row.index, ctx)
+        read, tables = values.read, (values,)
     else:
         e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
                   for e in row.pair)
         table = _table_for(params, ctx, table)
+        tables = () if e1 == e2 else (table.entry(row.single, e1), table.entry(row.single, e2))
 
         def read(xs: Sequence[complex]) -> list:
-            return _differences(row.single, params, e1, e2, xs, ctx, table,
+            return _differences(table, row.single, e1, e2, xs,
                                 row.single in (_phi3_tilde_single, _phi2_tilde_single))
     return SolutionHandle(label, read, row.domain(params, ctx), op, params,
-                          scale=row.scale(params, ctx))
+                          scale=row.scale(params, ctx), tables=tables)
+
+
+def fill(requests: Sequence[tuple[SolutionHandle, Sequence[complex]]]) -> None:
+    """Compute every value that reading each handle at its points needs and
+    its tables do not hold yet, for all the (handle, points) requests in one
+    fill (:func:`_fill`): one Pochhammer batch per prefactor shape and one
+    series batch per series shape over all the series labels, one Jackson
+    grid sum per integrand and side over all the integral labels.  Each
+    handle's ``read`` of its points then looks its values up; every value is
+    the same, bit for bit, as the handle's ``read`` alone computes it."""
+    _fill([(table, xs) for handle, xs in requests for table in handle.tables])
 
 
 def all_labels(family: str) -> list[str]:

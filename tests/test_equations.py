@@ -230,6 +230,19 @@ class TestRigidity:
                 continue
             assert rec.ratio_to(op, rel_tol=1e-6) is None, (kind, ctx.q)
 
+    @pytest.mark.parametrize("kind", ["qheun", "qheun3"])
+    def test_broken_heun_configuration_is_refused(self, kind):
+        """A q-Heun configuration whose product relation fails (one T = 0
+        root moved by 1e-3) leaves one null vector, zero on the boundary of
+        the support: refused, not returned as a one-term operator."""
+        ctx = QContext(0.45)
+        p = draw_equation_params(kind, np.random.default_rng(0), ctx)
+        op = BUILDERS[kind](p, ctx)
+        cfg = expected_configuration(kind, p, ctx)
+        moved = replace(cfg, roots_T0=(cfg.roots_T0[0] * (1 + 1e-3), *cfg.roots_T0[1:]))
+        with pytest.raises(ArithmeticError, match="bounding box"):
+            rigidity_reconstruct(op.coeffs, moved, ctx)
+
     def test_short_line_is_refused(self, ctx):
         """A boundary line with fewer entries than its roots + 1 is an input
         error, not an IndexError."""

@@ -24,8 +24,11 @@ from qhyp.qcore import (
     QContext,
     _by_blocks,
     _one,
+    _pochhammer_widths,
     _ratio_sum,
     _row_plan,
+    _row_plans,
+    _termination_order,
     qpoch_fin,
     qpoch_inf,
     qpoch_ratio,
@@ -298,6 +301,36 @@ class TestBatchedSeriesKernel:
             assert got == [want] * rows
 
 
+class TestBatchOrders:
+    """A batch scans each distinct parameter value once (one ``orders`` dict
+    for all its rows) and plans each distinct row once; both give what the
+    per-row calls give, also at the edge of the zero test."""
+
+    # c = q^-n (1 + delta), |delta| about 1e-12, where 1 - c q^n is zero or
+    # not by a hair; values drawn from a small pool, so rows share them
+    near = st.tuples(st.integers(0, 60), st.floats(0.3, 3.0), st.floats(-math.pi, math.pi))
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.floats(0.3, 0.7), pool=st.lists(near, min_size=1, max_size=6),
+           picks=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4),
+                          min_size=1, max_size=10))
+    def test_batch_orders_equal_row_scans(self, q, pool, picks):
+        ctx = QContext(q)
+        values = [q**-n * (1 + 1e-12 * r * cmath.exp(1j * t)) for n, r, t in pool]
+        rows = [[values[k % len(values)] for k in pick] for pick in picks]
+        orders: dict = {}
+        assert ([_termination_order(row, ctx, orders) for row in rows]
+                == [_termination_order(row, ctx) for row in rows])
+        keys = [(0.5, abs(row[0]), _termination_order(row, ctx), _termination_order(row[1:], ctx))
+                for row in rows]
+
+        def outcome(plan):
+            return (type(plan), str(plan)) if isinstance(plan, Exception) else plan
+
+        assert ([outcome(plan) for plan in _row_plans(keys, ctx, "row")]
+                == [outcome(_row_plan(*key, ctx, "row")) for key in keys])
+
+
 class TestBlocks:
     """_by_blocks takes rows narrowest first and fills each block while rows
     x factors x its widest first chunk stay within _BATCH_ELEMENTS; a batch
@@ -330,6 +363,33 @@ class TestBlocks:
                 assert len(block) == 1 or cost <= _BATCH_ELEMENTS
                 if after is not None:  # the next row would not have fitted
                     assert (len(block) + 1) * factors * widths[after[0]] > _BATCH_ELEMENTS
+
+    def test_widths_are_read_only_to_cut(self):
+        """Widths given as a function are asked for only when the batch may
+        have to be cut, and then cut it as the list would."""
+        asked = []
+
+        def widths():
+            asked.append(True)
+            return [_CHUNK] * 40
+
+        for rows in ([], [0]):
+            assert _by_blocks(lambda block: list(block), rows, 16, widths) == rows
+        assert not asked
+        blocks, _ = self.blocked([_CHUNK] * 40, 16)
+        cut = []
+        _by_blocks(lambda block: cut.append(list(block)) or list(block), list(range(40)), 16,
+                   widths)
+        assert asked and cut == blocks
+
+    def test_pochhammer_widths_are_first_chunks(self, ctx):
+        """A row's width is its most factors of any argument, at most _CHUNK:
+        the columns _pochhammer_product builds for it alone, in one chunk."""
+        args = [[0.5, 2.0], [1e-20, 0.0], [1e9, 0.1], [float("nan"), 1.0], [1e30, 1.0]]
+        counts = [max(sum(abs(a) * abs(ctx.q) ** k >= ctx.tail_tol for k in range(400))
+                      for a in row) for row in args]
+        assert counts[2] < _CHUNK < counts[4]
+        assert _pochhammer_widths(args, ctx) == [min(c, _CHUNK) for c in counts]
 
     def test_equal_widths_give_consecutive_blocks(self):
         """At width _CHUNK for every row, as the Pochhammer prefactors pass it,

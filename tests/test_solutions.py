@@ -2,8 +2,10 @@
 single-endpoint identities, cocycle structure and Casoratians."""
 
 import cmath
+import io
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import _Tail
-from qhyp import solutions
+from qhyp import cli, solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
 from qhyp.errors import (
     DivergenceError,
@@ -758,13 +760,13 @@ class TestBatchedGridKernel:
             0.6: phi3_row(TAUS[4], 0.5),
         }
 
-        def single(params, e, xs, ctx):
-            return solutions._grid_sum(*zip(*(rows[x] for x in xs)), ctx, bilateral=True)
+        def single(params, points, ctx):
+            return solutions._grid_sum(*zip(*(rows[x] for _, x in points)), ctx, bilateral=True)
 
         starts = TestJacksonTable.count_grid_sums(monkeypatch)
         table = JacksonTable(p, ctx)
         e = Endpoint.sigma_inf()
-        table.read(single, e, list(rows))
+        table.entry(single, e).read(list(rows))
         assert len(starts) == len(rows)   # one batch
         errors = set()
         for x, (t, n, d) in rows.items():
@@ -773,16 +775,103 @@ class TestBatchedGridKernel:
             if isinstance(want, Exception):
                 for _ in range(2):
                     with pytest.raises(type(want)) as err:
-                        _one(table.read(single, e, [x]))
+                        _one(table.entry(single, e).read([x]))
                     assert str(err.value) == str(want)
                 assert not starts   # stored by the batch
                 errors.add(type(want))
                 continue
-            got = _one(table.read(single, e, [x]))
+            got = _one(table.entry(single, e).read([x]))
             assert not starts   # stored by the batch
             assert got == grid_one(t, n, d, ctx, bilateral=True)
             assert abs(got - want) <= 1e-12 * abs(want)
         assert errors == {UnsupportedCaseError, PoleError, NonDecayingSumError}
+
+
+class TestLargeGridBatch:
+    """A batch far past one block: 300 grid starts of a drawn tuple, one
+    integrand and endpoint, as a verify job with "samples": 100 builds."""
+
+    CASES = {
+        "phi3 q/a1": (solutions._phi3_single, Endpoint.q_over_a(1), "e3"),
+        "phi3 q/(Ax)": (solutions._phi3_single, Endpoint.q_over_Ax(), "e3"),
+        "phi2 q/a1": (solutions._phi2_single, Endpoint.q_over_a(1), "e2"),
+        "phi2 tilde sigma": (solutions._phi2_tilde_single, Endpoint.sigma_inf(), "e2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_row_as_alone(self, case):
+        """Each row of the batch is the same, bit for bit, as the row summed
+        alone: the batch is cut into blocks, and no product of a block
+        depends on how many rows it holds."""
+        single, e, kind = self.CASES[case]
+        ctx = QContext(0.5)
+        p = draw_equation_params(kind, np.random.default_rng(4001), ctx)
+        h = solution_handle("thmint3.phi3[1,4]" if kind == "e3" else "thmint2.phi2[1,3]", p, ctx)
+        points = [(e, x) for x in sample_points(h, 300, ctx)]
+        batch = single(p, points, ctx)
+        for point, got in zip(points, batch):
+            want = outcome_of(lambda: _one(single(p, [point], ctx)))
+            assert repr(got) == repr(want), (case, point[1])
+
+
+class TestJobFill:
+    """A verify job fills every label's values in one pass before it measures
+    any; each value is the one its label's handle reads alone."""
+
+    @staticmethod
+    def same(got, want) -> bool:
+        if isinstance(want, Exception):
+            return type(got) is type(want) and str(got) == str(want)
+        return repr(got) == repr(want)
+
+    @pytest.mark.parametrize("equation,family", [
+        ("e3", "thmser3.all"), ("e2", "thmser2.all"), ("heine", "heine.all"),
+        ("heine", "heine_extra.all"), ("e3", "thmint3.all"), ("e2", "thmint2.all")])
+    def test_values_equal_fresh_handles(self, monkeypatch, equation, family):
+        made, filled = {}, []
+        handle_of, fill = cli.solution_handle, solutions.fill
+
+        def recorded_handle(label, p, ctx, sigma=1.3, table=None):
+            made[label] = (p, ctx, sigma)
+            return handle_of(label, p, ctx, sigma=sigma, table=table)
+
+        def recorded_fill(requests):
+            filled.extend(requests)
+            return fill(requests)
+
+        monkeypatch.setattr(cli, "solution_handle", recorded_handle)
+        monkeypatch.setattr(solutions, "fill", recorded_fill)
+        cli.run_job("verify", {"equation": equation, "solutions": family, "seed": 0},
+                    io.StringIO())
+        assert len(filled) > 1
+        for h, points in filled:
+            # the job's one fill left nothing for the measuring pass to compute
+            assert h.tables and all(x in t._values for t in h.tables for x in points)
+            p, ctx, sigma = made[h.label]
+            alone = handle_of(h.label, p, ctx, sigma=sigma).read(points)
+            for x, got, want in zip(points, h.read(points), alone):
+                assert self.same(got, want), (h.label, x)
+
+
+class TestMixedSeriesBatch:
+    def test_terminating_row_among_others_warns_nothing(self):
+        """One _phi_rows batch of the zero-slot heine.9 rows, terminating
+        (a = q^-n) and not (a generic tuple), as a job's fill builds it: no
+        RuntimeWarning, and each row as phi sums it alone."""
+        from qhyp.qseries import PhiSpec, _phi_rows, phi
+
+        ctx = QContext(0.5)
+        rng = np.random.default_rng(9)
+        tables = [solutions._heine_table(draw_heine_for(rng, ctx, "heine.9"), 9, ctx),
+                  solutions._heine_table(draw_equation_params("heine", rng, ctx), 9, ctx)]
+        rows = [table.terms(z)[2] for z in np.geomspace(0.05, 3.0, 12) for table in tables]
+        assert _termination_order(rows[0][0], ctx) is not None
+        assert _termination_order(rows[1][0], ctx) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = _phi_rows(rows, ctx)
+        for row, got in zip(rows, batch):
+            assert repr(got) == repr(phi(PhiSpec(*row), ctx))
 
 
 class TestLocalBasis:
