@@ -268,17 +268,19 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
 def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
                 default_samples: int, reads, measure) -> None:
     """The label loop of verify and sample: per label, in order, the record
-    and pass flag (None: no flag) of ``measure(handle, xs)``, or its error.
-    The labels of one equation share one tuple and Jackson table; "params"
-    apply to the named equation only; without them a row with a condition
-    (``Solution.condition``) draws its own tuple, meeting that condition.
+    and pass flag (None: no flag) of ``measure(handle, xs, points)``, or its
+    error.  The labels of one equation share one tuple and Jackson table;
+    "params" apply to the named equation only; without them a row with a
+    condition (``Solution.condition``) draws its own tuple, meeting that
+    condition.
 
     Three passes: every label's handle, sample points xs and the points
-    ``reads(handle, xs)`` that ``measure`` will read, in label order (the
-    tuples drawn from ``rng`` in that order); then one fill of all those
-    reads (:func:`qhyp.solutions.fill`); then each label measured and
-    reported in label order.  A label whose first pass raises reports that
-    error and reads nothing."""
+    ``reads(handle, xs)`` that ``measure`` will read, computed once and
+    handed to it, in label order (the tuples drawn from ``rng`` in that
+    order); then one fill of all those reads
+    (:func:`qhyp.solutions.fill`); then each label measured and reported in
+    label order.  A label whose first pass raises reports that error and
+    reads nothing."""
     named, raw = job.get("equation"), job.get("params")
     if named is not None and not (isinstance(named, str) and named in BUILDERS):
         raise JobError(f"equation must be one of {sorted(BUILDERS)}")
@@ -290,7 +292,7 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
     params = {kind: equation_params(kind, raw if kind == named else None, rng, ctx)
               for kind in sorted(kinds)}
     tables = {kind: solutions.JacksonTable(p, ctx) for kind, p in params.items()}
-    prepared = []  # per label: (label, (handle, xs), or the error)
+    prepared = []  # per label: (label, (handle, xs, points), or the error)
     requests = []
     for label in sorted(labels):
         row = CATALOGUE[label]
@@ -303,11 +305,12 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
                 if kind == "e2" else 1.3
             handle = solution_handle(label, p, ctx, sigma=sigma, table=tables[kind])
             xs = sample_points(handle, n, ctx)
-            requests.append((handle, reads(handle, xs)))
+            points = reads(handle, xs)
         except QhypError as exc:
             prepared.append((label, exc))
             continue
-        prepared.append((label, (handle, xs)))
+        requests.append((handle, points))
+        prepared.append((label, (handle, xs, points)))
     solutions.fill(requests)
     for label, entry in prepared:
         try:
@@ -326,8 +329,8 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
     def reads(handle, xs):
         return solutions.residual_points(handle.equation, handle, xs)
 
-    def measure(handle, xs):
-        res = residual(handle.equation, handle, xs, ctx)
+    def measure(handle, xs, points):
+        res = residual(handle.equation, handle, xs, ctx, points)
         return {"samples": len(xs), "max_residual": res}, res < RESIDUAL_TOL
 
     _each_label(job, rng, ctx, report, "residual", 10, reads, measure)
@@ -436,7 +439,7 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
     """Records of |f(x)| along the positive axis for plotting, each label at
     the parameters verify checks it at; written as CSV when the output file
     ends in .csv."""
-    def measure(handle, xs):
+    def measure(handle, xs, _):
         values = handle.read(xs)
         for value in values:
             if isinstance(value, Exception):

@@ -21,13 +21,13 @@ a job (:func:`qhyp.solutions.fill`), plan each distinct row once
 termination and pole orders (:func:`_termination_order` with one dict for
 the batch), and are summed in blocks cut by those plans (:func:`_by_blocks`),
 as are the Pochhammer batches by their columns (:func:`_pochhammer_widths`):
-rows of like first chunks together, at most ``_BATCH_ELEMENTS`` rows x
-factors x columns in a block's first chunk, so their working set does not
-grow with their rows.  A chunk steps every row of its block to the chunk's
-end; the ratios past a row's own end are never summed, and the kernel keeps
-them from warning and takes them as 1.  Whether a factor 1 - w is zero is
-one test, :func:`_vanishes`, for poles, exact zeros and terminating
-parameters alike.
+rows of like first chunks together, at most ``_BATCH_BYTES`` (512 KiB) of
+rows x factors x columns in a block's first chunk, counted in the bytes of
+the block's dtype, so their working set does not grow with their rows.  A
+chunk steps every row of its block to the chunk's end; the ratios past a
+row's own end are never summed, and the kernel keeps them from warning and
+takes them as 1.  Whether a factor 1 - w is zero is one test,
+:func:`_vanishes`, for poles, exact zeros and terminating parameters alike.
 Where the step ratios tend to a constant r with 0 < |r| < 1, the kernel
 sums term by term only up to the closure index N, past which every ratio
 equals r to rounding; there it computes in closed form the term where the
@@ -172,39 +172,45 @@ def _one(outcomes: list) -> complex:
     return value
 
 
-# the most elements (rows x factors x columns) of the first chunk of one
-# block of a series batch, 64 KiB a complex array.  That chunk is the widest
-# first chunk the block's rows plan, so it bounds what they build first;
-# later chunks double, for the rows that sum on past it
-_BATCH_ELEMENTS = 1 << 12
+# the most bytes (rows x factors x columns x itemsize) of the first chunk
+# of one block of a batch: 32K complex elements of a grid or Pochhammer
+# block, 16K extended-precision elements of a series block (32 bytes on
+# x86-64).  That chunk is the widest first chunk the block's rows plan, so
+# it bounds what they build first; later chunks double, for the rows that
+# sum on past it.  Each block pays a fixed dispatch cost for its kernels;
+# 512 KiB was the knee of the job times in a sweep from 64 KiB to 1 MiB
+_BATCH_BYTES = 1 << 19
 
 
 def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int,
-               widths: Sequence[int] | Callable[[], Sequence[int]]) -> list:
+               widths: Sequence[int] | Callable[[], Sequence[int]], itemsize: int) -> list:
     """``kernel(block)`` over blocks of ``rows``: one entry per row, in the
     order of ``rows``.  Row i wants ``widths[i]`` columns first (its planned
     first chunk, or its first chunk of :func:`_pochhammer_product`,
-    :func:`_pochhammer_widths`); ``widths`` may be a function that gives
-    them, called only if the batch is cut.  A batch within
-    ``_BATCH_ELEMENTS`` (rows x ``factors`` x its widest width), or of one
-    row, is one block.  Else the rows are taken by width, narrowest first (a
-    stable sort), and each block holds as many rows (one at least) as keep
-    rows x ``factors`` x its widest width within the budget.  An entry must
-    depend on its row alone, not on the block it is computed in."""
+    :func:`_pochhammer_widths`) of ``factors`` factors of ``itemsize`` bytes
+    each; ``widths`` may be a function that gives them, called for every
+    batch of two rows or more.  A batch within ``_BATCH_BYTES`` (rows x
+    ``factors`` x its widest width x ``itemsize``), or of one row, is one
+    block.  Else the rows are taken by width, narrowest first (a stable
+    sort), and each block holds as many rows (one at least) as keep rows x
+    ``factors`` x its widest width x ``itemsize`` within the budget.  An
+    entry must depend on its row alone, not on the block it is computed
+    in."""
     if not rows:
         return []
     if len(rows) == 1:
         return kernel(rows)
     if callable(widths):
         widths = widths()
-    if len(rows) * factors * max(widths) <= _BATCH_ELEMENTS:
+    column = factors * itemsize  # the bytes of one column of one row
+    if len(rows) * column * max(widths) <= _BATCH_BYTES:
         return kernel(rows)
     order = sorted(range(len(rows)), key=widths.__getitem__)
     out: list = [None] * len(rows)
     lo = 0
     while lo < len(order):
         hi = lo + 1
-        while hi < len(order) and (hi + 1 - lo) * factors * widths[order[hi]] <= _BATCH_ELEMENTS:
+        while hi < len(order) and (hi + 1 - lo) * column * widths[order[hi]] <= _BATCH_BYTES:
             hi += 1
         block = order[lo:hi]
         for i, entry in zip(block, kernel([rows[i] for i in block])):

@@ -93,7 +93,8 @@ def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: st
                           lambda sub, ns: step(v if len(sub) == len(members) else v[:, sub], ns),
                           ctx, rate, what, plans=plans)
 
-    for row, value in zip(todo, _by_blocks(block, todo, factors, [row[3][0] for row in todo])):
+    for row, value in zip(todo, _by_blocks(block, todo, factors, [row[3][0] for row in todo],
+                                           np.dtype(np.clongdouble).itemsize)):
         out[row[0]] = value
     return out
 

@@ -153,23 +153,28 @@ def _grid_sum(
     plain measure (weighted) and w = 1 for dq t / t; one row per grid start
     ``taus[r]``, with its arguments ``nums[r]`` and ``dens[r]``.
 
-    Returns one entry per row: its sum, or the error it raises.  Each row
-    is planned upwards once (:func:`qhyp.qcore._row_plan`), and the rows are
-    summed in blocks cut by those plans (:func:`qhyp.qcore._by_blocks`), so
-    the working set of a batch does not grow with its rows.  Each row's
-    value is the same, bit for bit, whatever rows share the batch (a scalar
-    caller passes one row): the weights multiply the terms by an explicit
-    ``np.multiply``, because numpy may compute ``F * temporary`` in place as
-    ``temporary * F`` once the temporary reaches 256 KiB, and a complex
-    product with a fused multiply-add differs in its last bits when its
-    operands are swapped.
+    Returns one entry per row: its sum, or the error it raises.  The batch
+    is planned and tested once, before it is cut: each row's plans upwards
+    and, bilateral, downwards (:func:`qhyp.qcore._row_plans`), and its
+    refusal tests below.  The rows are then summed in blocks cut by their
+    upward plans (:func:`qhyp.qcore._by_blocks`, at most
+    ``qcore._BATCH_BYTES`` of complex factors in a block's first chunk: the
+    54 rows of a ``thmint2`` integrand's one-sided batch make one block), so
+    the working set of a batch does not grow with its rows, and a block only
+    runs the kernels.  Each row's value is the same, bit for bit, whatever
+    rows share the batch (a scalar caller passes one row): the weights
+    multiply the terms by an explicit ``np.multiply``, because numpy may
+    compute ``F * temporary`` in place as ``temporary * F`` once the
+    temporary reaches 256 KiB, and a complex product with a fused
+    multiply-add differs in its last bits when its operands are swapped.
 
     One-sided sums run n >= 0; the bilateral version adds the n < 0 tail and
     needs equally many numerator and denominator arguments.  The seeds
-    F_r(tau_r) are one row-wise Pochhammer-ratio evaluation a block; each
-    direction is then a term-ratio sum of the series kernel of
-    :mod:`qhyp.qcore`, with the step ratios F(t q) / F(t) = prod (1 - d_j t)
-    / prod (1 - n_i t) and the weights t^alpha w(t) applied per chunk.
+    F_r(tau_r) are one row-wise Pochhammer-ratio evaluation a block, whose
+    errors come before the refusals; each direction is then a term-ratio
+    sum of the series kernel of :mod:`qhyp.qcore`, with the step ratios
+    F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t) and the weights
+    t^alpha w(t) applied per chunk.
     t^alpha is exp(alpha (log tau + n log q)), single-valued along the grid.
     A row whose tau is 0 sums to 0.
 
@@ -181,7 +186,7 @@ def _grid_sum(
     (UnsupportedCaseError).  Descending, a vanishing numerator factor makes
     the rest of the tail exactly zero, which the tail rule ends; a vanishing
     denominator factor anywhere within the budget is a pole (PoleError, also
-    up front).
+    up front, raised by a row whose upward sum succeeds).
     """
     q = complex(ctx.q)
     alpha = complex(alpha)
@@ -199,9 +204,22 @@ def _grid_sum(
     starts = nd * taus[:, None]
     log_tau = np.zeros(len(taus), dtype=complex)
     log_tau[live] = np.log(taus[live])
+    # per live row, before the batch is cut: its plan upwards; whether it is
+    # refused, for a numerator argument that is q^-k at its grid start, or,
+    # descending, for a denominator pole (q/t - d_j at t = tau q^-n vanishes
+    # where 1 - (q / (tau d_j)) q^n does); and its rate and plan downwards
     plans = _row_plans([(rate, reach, None, None) for reach in np.abs(starts[live]).max(axis=1)],
                        ctx, what)
     orders: dict = {}
+    vanishing = [_termination_order(start, ctx, orders) is not None
+                 for start in starts[live, :n_num].tolist()]
+    if bilateral:
+        poles = [_termination_order(c, ctx, orders) is not None
+                 for c in (q / (taus[live, None] * dens[live])).tolist()]
+        rates = np.prod(nums[live], axis=1) / np.prod(dens[live], axis=1) / rate
+        reaches = np.abs(q * q / (taus[live, None] * nd[live])).max(axis=1)
+        down_plans = _row_plans([(r, reach, None, None) for r, reach in zip(rates, reaches)],
+                                ctx, what)
 
     # the rows below are indices into taus
     def weigh(rows: Sequence[int], ns: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -220,37 +238,33 @@ def _grid_sum(
         return _quotient(q / (taus[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
 
     def block(ks: list) -> list:
-        """The sums of the live rows ``ks`` (indices into ``live``)."""
-        rows = live[ks]
-        value = _pochhammer_product(starts[rows], n_num, ctx)
-        for i, (seed, start) in enumerate(zip(value, starts[rows, :n_num].tolist())):
-            if not isinstance(seed, Exception) and (
-                    seed == 0 or _termination_order(start, ctx, orders) is not None):
+        """The sums of the live rows ``ks`` (indices into ``live``): only
+        the kernels run here, on the rows the refusals above leave."""
+        value = _pochhammer_product(starts[live[ks]], n_num, ctx)
+        for i, k in enumerate(ks):
+            if not isinstance(value[i], Exception) and (value[i] == 0 or vanishing[k]):
                 value[i] = UnsupportedCaseError(
-                    f"integrand vanishes at the grid start {complex(taus[rows[i]])}")
+                    f"integrand vanishes at the grid start {complex(taus[live[k]])}")
         good = [i for i, v in enumerate(value) if not isinstance(v, Exception)]
         if not good:
             return value
-        seed, at = np.array([value[i] for i in good]), rows[good]
+        seed, up_ks = np.array([value[i] for i in good]), [ks[i] for i in good]
+        at = live[up_ks]
         sums = _ratio_sum(seed, lambda sub, ns: up(at[sub], ns), ctx, [rate] * len(good), what,
                           weigh=lambda sub, ns, F: weigh(at[sub], ns, F),
-                          plans=[plans[ks[i]] for i in good])
+                          plans=[plans[k] for k in up_ks])
         if bilateral:
-            # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
-            for i, c in enumerate((q / (taus[at, None] * dens[at])).tolist()):
-                if (not isinstance(sums[i], Exception)
-                        and _termination_order(c, ctx, orders) is not None):
+            for i, k in enumerate(up_ks):
+                if not isinstance(sums[i], Exception) and poles[k]:
                     sums[i] = PoleError("integrand pole on the descending grid")
             on = [i for i, v in enumerate(sums) if not isinstance(v, Exception)]
-            down_at = at[on]
-            rates = np.prod(nums[down_at], axis=1) / np.prod(dens[down_at], axis=1) / rate
-            reaches = np.abs(q * q / (taus[down_at, None] * nd[down_at])).max(axis=1)
+            down_ks = [up_ks[i] for i in on]
+            down_at = live[down_ks]
             tails = _ratio_sum(
                 seed[on] * down(down_at, np.array([0]))[:, 0],
-                lambda sub, js: down(down_at[sub], -1 - js), ctx, rates, what,
+                lambda sub, js: down(down_at[sub], -1 - js), ctx, rates[down_ks], what,
                 weigh=lambda sub, js, F: weigh(down_at[sub], -1 - js, F),
-                plans=_row_plans([(r, reach, None, None) for r, reach in zip(rates, reaches)],
-                                 ctx, what))
+                plans=[down_plans[k] for k in down_ks])
             for i, v in zip(on, tails):
                 sums[i] = v if isinstance(v, Exception) else sums[i] + v
         for i, v in zip(good, sums):
@@ -258,7 +272,8 @@ def _grid_sum(
         return value
 
     out: list = [0.0 + 0.0j] * len(taus)
-    entries = _by_blocks(block, list(range(len(live))), nd.shape[1], [plan[0] for plan in plans])
+    entries = _by_blocks(block, list(range(len(live))), nd.shape[1], [plan[0] for plan in plans],
+                         starts.itemsize)
     for r, v in zip(live, entries):
         out[r] = v
     return out
@@ -347,6 +362,10 @@ class SeriesTable:
     def read(self, xs: Sequence) -> list:
         """The value or error at each x of ``xs``."""
         _fill([(self, xs)])
+        return self.stored(xs)
+
+    def stored(self, xs: Sequence) -> list:
+        """The value or error at each x of ``xs``, all of them filled."""
         return [self._values[x] for x in xs]
 
 
@@ -394,7 +413,7 @@ def _fill(requests: Sequence[tuple[SeriesTable, Sequence]]) -> None:
         args = [[*rows[i][3][0], *rows[i][3][1]] for i in members]
         for i, ratio in zip(members, _by_blocks(
                 lambda block: _pochhammer_product(block, n_num, ctx), args, n_num + n_den,
-                lambda: _pochhammer_widths(args, ctx))):
+                lambda: _pochhammer_widths(args, ctx), np.dtype(complex).itemsize)):
             ratios[i] = ratio
     values: list = [None] * len(rows)
     for (kernel, ctx, _), members in batches.items():
@@ -454,12 +473,12 @@ def _differences(table: JacksonTable, single: Callable, e1: Endpoint, e2: Endpoi
     """Entry i: single(e2) - single(e1) at ``xs[i]`` from the table, times
     x^lambda (principal branch) for the reflected integrands; or the error
     of e2's integral there, else e1's.  The missing integrals of both
-    endpoints are computed first, in one fill."""
+    endpoints are computed first, in one fill, and then looked up."""
     if e1 == e2:
         return [0.0 + 0.0j] * len(xs)
     low, high = table.entry(single, e1), table.entry(single, e2)
     _fill([(low, xs), (high, xs)])
-    lows, highs = low.read(xs), high.read(xs)
+    lows, highs = low.stored(xs), high.stored(xs)
     lam = table.params.lam(table.ctx) if reflected else None
     out = []
     for x, low, high in zip(xs, lows, highs):
@@ -716,17 +735,21 @@ def residual(
     handle: SolutionHandle,
     xs: Sequence[complex],
     ctx: QContext,
+    points: Sequence[complex] | None = None,
 ) -> float:
     """Max over sample points of |sum of operator terms| relative to the sum
     of term magnitudes (backward-error style; floor keeps zeros harmless).
 
-    The handle gives its values at every point x q^j
-    (:func:`residual_points`) in one read before the loop over the sample
-    points; the terms a_ij x^i f(x q^j) are then formed and added in
-    coefficient order, and the first error among them, sample point by
-    sample point, is raised."""
+    The handle gives its values at every point x q^j in one read before the
+    loop over the sample points: at ``points``, the caller's
+    :func:`residual_points` of ``op``, ``handle`` and ``xs`` (the CLI has
+    them from its first pass), else at those computed here.  The terms
+    a_ij x^i f(x q^j) are then formed and added in coefficient order, and
+    the first error among them, sample point by sample point, is raised."""
     shifts = range(op.t_min, op.t_max + 1)
-    values, width = handle.read(residual_points(op, handle, xs)), len(shifts)
+    if points is None:
+        points = residual_points(op, handle, xs)
+    values, width = handle.read(points), len(shifts)
     terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
     worst = 0.0
     for k, x in enumerate(xs):

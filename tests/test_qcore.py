@@ -2,6 +2,7 @@
 series kernel, and the Jackson grid sums that run on it."""
 
 import cmath
+import itertools
 import math
 import time
 from decimal import Decimal, getcontext
@@ -19,7 +20,7 @@ from qhyp.errors import (
     PoleError,
 )
 from qhyp.qcore import (
-    _BATCH_ELEMENTS,
+    _BATCH_BYTES,
     _CHUNK,
     QContext,
     _by_blocks,
@@ -331,13 +332,19 @@ class TestBatchOrders:
                 == [outcome(_row_plan(*key, ctx, "row")) for key in keys])
 
 
+# the itemsizes the callers of _by_blocks pass: complex grid and Pochhammer
+# blocks, extended-precision series blocks (32 bytes on x86-64, 16 where
+# long double is plain double)
+ITEMSIZES = sorted({np.dtype(complex).itemsize, np.dtype(np.clongdouble).itemsize})
+
+
 class TestBlocks:
     """_by_blocks takes rows narrowest first and fills each block while rows
-    x factors x its widest first chunk stay within _BATCH_ELEMENTS; a batch
-    within the budget is one block."""
+    x factors x its widest first chunk x itemsize stay within _BATCH_BYTES;
+    a batch within the budget is one block."""
 
     @staticmethod
-    def blocked(widths, factors):
+    def blocked(widths, factors, itemsize):
         """The blocks _by_blocks makes of rows 0, 1, ..., and its entries."""
         blocks = []
 
@@ -345,28 +352,42 @@ class TestBlocks:
             blocks.append(list(block))
             return [10 * row for row in block]
 
-        return blocks, _by_blocks(kernel, list(range(len(widths))), factors, widths)
+        return blocks, _by_blocks(kernel, list(range(len(widths))), factors, widths, itemsize)
 
     def test_blocks_are_full_and_entries_keep_input_order(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            widths = rng.integers(1, 3000, int(rng.integers(0, 80))).tolist()
+        for _ in range(400):
+            widths = rng.integers(1, 3000, int(rng.integers(0, 300))).tolist()
             factors = int(rng.integers(1, 20))
-            blocks, out = self.blocked(widths, factors)
+            itemsize = int(rng.choice(ITEMSIZES))
+            blocks, out = self.blocked(widths, factors, itemsize)
             assert out == [10 * row for row in range(len(widths))]
             assert sorted(row for block in blocks for row in block) == list(range(len(widths)))
             if len(blocks) > 1:  # else the batch is one block, in input order
                 order = [row for block in blocks for row in block]
                 assert [widths[row] for row in order] == sorted(widths)
             for block, after in zip(blocks, blocks[1:] + [None]):
-                cost = len(block) * factors * max(widths[row] for row in block)
-                assert len(block) == 1 or cost <= _BATCH_ELEMENTS
+                cost = len(block) * factors * max(widths[row] for row in block) * itemsize
+                assert len(block) == 1 or cost <= _BATCH_BYTES
                 if after is not None:  # the next row would not have fitted
-                    assert (len(block) + 1) * factors * widths[after[0]] > _BATCH_ELEMENTS
+                    assert (len(block) + 1) * factors * widths[after[0]] * itemsize > _BATCH_BYTES
 
-    def test_widths_are_read_only_to_cut(self):
-        """Widths given as a function are asked for only when the batch may
-        have to be cut, and then cut it as the list would."""
+    def test_the_budget_counts_bytes(self):
+        """A batch whose first chunk is the budget exactly at 16 bytes an
+        element is one block at 16 and two at 32; one more row makes it two
+        at 16."""
+        factors, width = 8, 64
+        rows = _BATCH_BYTES // (factors * width * 16)
+        for itemsize, count in ((16, 1), (32, 2)):
+            blocks, _ = self.blocked([width] * rows, factors, itemsize)
+            assert len(blocks) == count
+        blocks, _ = self.blocked([width] * (rows + 1), factors, 16)
+        assert len(blocks) == 2
+
+    def test_widths_are_read_for_every_batch_of_rows(self):
+        """Widths given as a function are asked for by every batch of two
+        rows or more, not by an empty or one-row batch, and cut it as the
+        list would."""
         asked = []
 
         def widths():
@@ -374,13 +395,16 @@ class TestBlocks:
             return [_CHUNK] * 40
 
         for rows in ([], [0]):
-            assert _by_blocks(lambda block: list(block), rows, 16, widths) == rows
+            assert _by_blocks(lambda block: list(block), rows, 16, widths, 16) == rows
         assert not asked
-        blocks, _ = self.blocked([_CHUNK] * 40, 16)
-        cut = []
-        _by_blocks(lambda block: cut.append(list(block)) or list(block), list(range(40)), 16,
-                   widths)
-        assert asked and cut == blocks
+        assert _by_blocks(lambda block: list(block), [0, 1], 16, widths, 16) == [0, 1]
+        assert len(asked) == 1  # a batch this small is one block, but still asks
+        for itemsize in ITEMSIZES:
+            blocks, _ = self.blocked([_CHUNK] * 40, 16, itemsize)
+            cut = []
+            _by_blocks(lambda block: cut.append(list(block)) or list(block), list(range(40)), 16,
+                       widths, itemsize)
+            assert cut == blocks
 
     def test_pochhammer_widths_are_first_chunks(self, ctx):
         """A row's width is its most factors of any argument, at most _CHUNK:
@@ -393,10 +417,12 @@ class TestBlocks:
 
     def test_equal_widths_give_consecutive_blocks(self):
         """At width _CHUNK for every row, as the Pochhammer prefactors pass it,
-        the blocks are consecutive runs of max(1, budget // (factors x _CHUNK))."""
-        for rows, factors in ((100, 16), (33, 4), (5, 40)):
-            size = max(1, _BATCH_ELEMENTS // (factors * _CHUNK))
-            blocks, _ = self.blocked([_CHUNK] * rows, factors)
+        the blocks are consecutive runs of max(1, budget // (factors x _CHUNK
+        x itemsize))."""
+        for (rows, factors), itemsize in itertools.product(
+                ((300, 16), (100, 4), (5, 400)), ITEMSIZES):
+            size = max(1, _BATCH_BYTES // (factors * _CHUNK * itemsize))
+            blocks, _ = self.blocked([_CHUNK] * rows, factors, itemsize)
             assert blocks == [list(range(lo, min(lo + size, rows))) for lo in range(0, rows, size)]
 
 

@@ -16,7 +16,7 @@ from conftest import _Tail, rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
 from qhyp import qseries
 from qhyp.qcore import (
-    _BATCH_ELEMENTS,
+    _BATCH_BYTES,
     _CHUNK,
     _RATIO_FACTORS,
     QContext,
@@ -747,8 +747,9 @@ def mixed_w87_rows(rng, q, n):
 class TestPlannedBlocks:
     """_phi_rows and _w87_rows plan each row once and cut their blocks by
     the rows' planned first chunks, narrowest first.  Each row is still
-    what it is alone, in input order, and no block of several rows holds
-    more than _BATCH_ELEMENTS elements in its first chunk."""
+    what it is alone, in input order, and no block of several rows builds
+    more than _BATCH_BYTES of extended-precision factors in its first
+    chunk."""
 
     KINDS = {"phi": (mixed_phi_rows, _phi_rows, lambda row, ctx: phi(PhiSpec(*row), ctx), 4),
              "w87": (mixed_w87_rows, _w87_rows, lambda row, ctx: w87(*row, ctx), 14)}
@@ -776,22 +777,31 @@ class TestPlannedBlocks:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_first_chunk_of_a_block_stays_within_the_budget(self, kind, monkeypatch):
         draw, rows_of, _, factors = self.KINDS[kind]
-        blocks = []
+        blocks, itemsizes = [], set()
         ratio_sum = qseries._ratio_sum
 
-        def recorded(*args, plans, **kwargs):
+        def recorded(t0, step, *args, plans, **kwargs):
+            def stepped(rows, ns):
+                ratios = step(rows, ns)
+                itemsizes.add(ratios.itemsize)
+                return ratios
+
             blocks.append([plan[0] for plan in plans])
-            return ratio_sum(*args, plans=plans, **kwargs)
+            return ratio_sum(t0, stepped, *args, plans=plans, **kwargs)
 
         monkeypatch.setattr(qseries, "_ratio_sum", recorded)
         rng = np.random.default_rng(23)
         for _ in range(8):
             rows_of(draw(rng, 0.5, 300), QContext(0.5))
         assert sum(len(b) for b in blocks) > 8 * 200  # the pole rows skip the kernel
+        # the series kernels step in extended precision, and are budgeted so
+        (itemsize,) = itemsizes
+        assert itemsize == np.dtype(np.clongdouble).itemsize
         for firsts in blocks:
-            assert len(firsts) == 1 or len(firsts) * factors * max(firsts) <= _BATCH_ELEMENTS
+            assert (len(firsts) == 1
+                    or len(firsts) * factors * max(firsts) * itemsize <= _BATCH_BYTES)
         # narrow rows share a block with more rows than a _CHUNK-wide block holds
-        assert max(map(len, blocks)) > _BATCH_ELEMENTS // (factors * _CHUNK)
+        assert max(map(len, blocks)) > _BATCH_BYTES // (factors * _CHUNK * itemsize)
 
     def test_rows_ending_inside_a_chunk_do_not_warn(self):
         """Rows terminating after terms 0-3, each with a denominator that
