@@ -1,12 +1,19 @@
 """Foundational q-arithmetic: Pochhammer symbols, theta and the series kernel.
 
-Everything here is pure and reentrant.  The global numeric policy lives in
-:class:`QContext`, and so does the one truncation rule every sum of the
-package obeys (:func:`_tail_state`): a sum stops at the third consecutive
-term whose magnitude is below ``tail_tol`` times the running maximum of the
-magnitudes so far (floored at 1), so that isolated tiny terms of alternating
-series do not trigger premature truncation.  The series kernel applies it to
-whole chunks of terms of many rows at once.
+Everything here is pure and reentrant.  The one state the kernels keep is
+a pool of work buffers per thread (:func:`_work`), into which a large chunk
+writes its arrays with ufunc ``out=`` arguments instead of allocating them
+afresh: a chunk borrows from it in a scope (:func:`_lend`) that it gives back
+in a ``finally`` (:func:`_reclaim`), inner scopes stacking above outer ones
+(``appell_phi1``'s inner series run inside its outer chunk), every array is
+written before it is read, and nothing borrowed outlives its scope; so no
+value depends on what ran before it, in any thread.  The global numeric
+policy lives in :class:`QContext`, and so does the one truncation rule
+every sum of the package obeys (:func:`_tail_state`): a sum stops at the
+third consecutive term whose magnitude is below ``tail_tol`` times the
+running maximum of the magnitudes so far (floored at 1), so that isolated
+tiny terms of alternating series do not trigger premature truncation.  The
+series kernel applies it to whole chunks of terms of many rows at once.
 
 Every term-ratio sum of the package (``phi``, ``w87``, both sides of
 ``psi33`` and of the Jackson grid sums, and ``appell_phi1``, a row weighed by
@@ -23,10 +30,11 @@ the batch), and are summed in blocks cut by those plans (:func:`_by_blocks`),
 as are the Pochhammer batches by their columns (:func:`_pochhammer_widths`):
 rows of like first chunks together, at most ``_BATCH_BYTES`` (512 KiB) of
 rows x factors x columns in a block's first chunk, counted in the bytes of
-the block's dtype, so their working set does not grow with their rows.  A
-chunk steps every row of its block to the chunk's end; the ratios past a
-row's own end are never summed, and the kernel keeps them from warning and
-takes them as 1.  Whether a factor 1 - w is zero is one test,
+the block's dtype, and no later chunk wider than keeps its rows within it,
+so their working set does not grow with their rows and fits the buffers of
+the pool.  A chunk steps every row of its block to the chunk's end; the
+ratios past a row's own end are never summed, and the kernel keeps them
+from warning and takes them as 1.  Whether a factor 1 - w is zero is one test,
 :func:`_vanishes`, for poles, exact zeros and terminating parameters alike.
 Where the step ratios tend to a constant r with 0 < |r| < 1, the kernel
 sums term by term only up to the closure index N, past which every ratio
@@ -65,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,6 +95,16 @@ _CHUNK = 128
 def _vanishes(factor, w):
     """Whether the factor 1 - w is zero to rounding (elementwise for arrays)."""
     return abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(w))
+
+
+def _vanishing(factor: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`_vanishes` of arrays, written into work arrays (:func:`_work`):
+    the same operations in the same order."""
+    lend = _pool.lending
+    bound = np.abs(w, out=_work(w.shape, float) if lend else None)
+    np.multiply(_ZERO_FACTOR_RTOL, np.add(1.0, bound, out=bound), out=bound)
+    return np.less_equal(np.abs(factor, out=_work(factor.shape, float) if lend else None), bound,
+                         out=_work(factor.shape, bool) if lend else None)
 
 
 def _termination_order(params: Sequence[complex], ctx: QContext,
@@ -140,11 +159,113 @@ def _qpow(q: complex, ns: np.ndarray) -> np.ndarray:
     return np.clongdouble(q) ** ns
 
 
+# the most bytes (rows x factors x columns x itemsize) of one chunk of one
+# block of a batch: 32K complex elements of a grid or Pochhammer block, 16K
+# extended-precision elements of a series block (32 bytes on x86-64).  The
+# blocks are cut by their rows' first chunks, and later chunks double for
+# the rows that sum on past them, but no wider than keeps them within it
+# (:func:`_ratio_sum`); so it is also the size of a work buffer
+# (:func:`_work`).  Each block pays a fixed dispatch cost for its kernels;
+# 512 KiB was the knee of the job times in a sweep from 64 KiB to 1 MiB
+_BATCH_BYTES = 1 << 19
+# The work arrays of a chunk come from a pool of the thread (:func:`_work`):
+# at most _POOL_BUFFERS buffers of _BATCH_BYTES, about as many as the
+# arrays of the largest chunk take, a series chunk inside appell_phi1's
+# outer chunk included.  Fresh arrays of a block's size are mapped and
+# unmapped afresh by the C allocator once a process's heap holds what it
+# keeps: a series job took 0.6-3.7 thousand minor page faults before.  A
+# chunk whose step factors take fewer than _POOL_MIN_BYTES, outside any
+# open scope, leaves its arrays to numpy: they are small, and taking them
+# from the pool would cost more time than it saves.  numpy's ufuncs copy broadcast and cast
+# operands through buffers of their own, by default of 8192 elements (up
+# to 256 KiB each, mapped afresh as well); a lending scope runs them with
+# buffers of _UFUNC_BUFFER elements, 125 KiB of extended precision, below
+# the 128 KiB from which the C allocator maps a block afresh by default.
+# Neither changes a value: a work array is written whole before it is
+# read, and a ufunc computes each element alike whatever its buffers.
+_POOL_BUFFERS = 6
+_POOL_MIN_BYTES = 1 << 14
+_UFUNC_BUFFER = 4000
+
+
+class _Pool(threading.local):
+    """One thread's work buffers: ``buffers``, byte arrays of _BATCH_BYTES;
+    ``top``, the bytes lent from the start of the first, a buffer's tail
+    left unlent where the next array does not fit; and ``lending``, whether
+    a scope (:func:`_lend`) is open."""
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+        self.top = 0
+        self.lending = False
+
+
+_pool = _Pool()
+
+
+def _lend(nbytes: int) -> tuple | None:
+    """Open a scope of work arrays for a chunk whose step factors take
+    ``nbytes``, if at least _POOL_MIN_BYTES or inside an open scope (else
+    None: a small chunk's arrays come from numpy).  Returns the mark that
+    :func:`_reclaim`, called in a ``finally``, takes the buffers back to:
+    what the scope lent, and only that, inner scopes being reclaimed first.
+    The outermost scope runs numpy's ufuncs with buffers of _UFUNC_BUFFER
+    elements."""
+    pool = _pool
+    if pool.lending:
+        return pool.top, None
+    if nbytes < _POOL_MIN_BYTES:
+        return None
+    pool.lending = True
+    return pool.top, np.setbufsize(_UFUNC_BUFFER)
+
+
+def _reclaim(mark: tuple | None) -> None:
+    """Close the scope opened by :func:`_lend` that returned ``mark``;
+    drop the buffers past _POOL_BUFFERS that no open scope uses."""
+    if mark is None:
+        return
+    pool = _pool
+    pool.top, bufsize = mark
+    if bufsize is not None:  # the outermost scope
+        pool.lending = False
+        np.setbufsize(bufsize)
+    if len(pool.buffers) > _POOL_BUFFERS:
+        del pool.buffers[max(_POOL_BUFFERS, -(-pool.top // _BATCH_BYTES)):]
+
+
+def _work(shape: tuple, dtype) -> np.ndarray | None:
+    """An array of ``shape`` and ``dtype``, its values unset, on the
+    thread's work buffers, for a ufunc's ``out=``; or None, for numpy to
+    allocate it, outside a lending scope (:func:`_lend`) or where it would
+    be empty or exceed _BATCH_BYTES.  Every caller writes it whole before
+    reading it, and only while its scope is open."""
+    pool = _pool
+    if not pool.lending:
+        return None
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    if not 0 < size <= _BATCH_BYTES:
+        return None
+    i, at = divmod(pool.top, _BATCH_BYTES)
+    if at + size > _BATCH_BYTES:
+        i, at = i + 1, 0
+    if i == len(pool.buffers):
+        pool.buffers.append(np.empty(_BATCH_BYTES, np.uint8))
+    pool.top = i * _BATCH_BYTES + at + -(-size // 64) * 64  # the next array 64-byte aligned
+    return np.ndarray(shape, dtype, pool.buffers[i], at)
+
+
 def _quotient(factors: np.ndarray, split: int) -> np.ndarray:
     """The product of the first ``split`` rows of ``factors`` over that of the
     rest: the step ratio of a product of q-Pochhammer symbols, one row per
-    parameter and one column per n."""
-    return np.multiply.reduce(factors[:split], axis=0) / np.multiply.reduce(factors[split:], axis=0)
+    parameter and one column per n (on work arrays, :func:`_work`)."""
+    lend = _pool.lending  # work arrays (_work) only where a scope lends them
+    num = np.multiply.reduce(factors[:split], axis=0,
+                             out=_work(factors.shape[1:], factors.dtype) if lend else None)
+    num /= np.multiply.reduce(factors[split:], axis=0,
+                              out=_work(num.shape, num.dtype) if lend else None)
+    return num
 
 
 def _tail_state(mags: np.ndarray, scale, prior: np.ndarray, tol: float) -> tuple:
@@ -158,9 +279,15 @@ def _tail_state(mags: np.ndarray, scale, prior: np.ndarray, tol: float) -> tuple
     sum, so the last two flags are all the state the next chunk needs.
     """
     # fmax, unlike maximum, skips NaN exactly as the scalar comparison does
-    scale = np.fmax(np.fmax.accumulate(mags, axis=-1), scale)
-    small = np.concatenate((prior, mags < tol * scale), axis=-1)
-    return scale, small, small[..., 2:] & small[..., 1:-1] & small[..., :-2]
+    lend = _pool.lending  # work arrays (_work) only where a scope lends them
+    scales = np.fmax.accumulate(mags, axis=-1, out=_work(mags.shape, mags.dtype) if lend else None)
+    np.fmax(scales, scale, out=scales)
+    small = np.concatenate((prior, mags < tol * scales), axis=-1, out=_work(
+        (*mags.shape[:-1], mags.shape[-1] + 2), bool) if lend else None)
+    stop = np.bitwise_and(small[..., 2:], small[..., 1:-1],
+                          out=_work(mags.shape, bool) if lend else None)
+    stop &= small[..., :-2]
+    return scales, small, stop
 
 
 def _one(outcomes: list) -> complex:
@@ -170,16 +297,6 @@ def _one(outcomes: list) -> complex:
     if isinstance(value, Exception):
         raise value.with_traceback(None)
     return value
-
-
-# the most bytes (rows x factors x columns x itemsize) of the first chunk
-# of one block of a batch: 32K complex elements of a grid or Pochhammer
-# block, 16K extended-precision elements of a series block (32 bytes on
-# x86-64).  That chunk is the widest first chunk the block's rows plan, so
-# it bounds what they build first; later chunks double, for the rows that
-# sum on past it.  Each block pays a fixed dispatch cost for its kernels;
-# 512 KiB was the knee of the job times in a sweep from 64 KiB to 1 MiB
-_BATCH_BYTES = 1 << 19
 
 
 def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int,
@@ -226,6 +343,7 @@ _MIN_CHUNK = 32
 _MAX_CHUNK = 2048
 # no step ratio here has more factors 1 - c q^n than this (w87 has 14)
 _RATIO_FACTORS = 16
+_EXTENDED_BYTES = np.dtype(np.clongdouble).itemsize
 
 
 def _row_plan(rate: complex, reach: float, last: int | None, pole: int | None,
@@ -289,6 +407,7 @@ def _ratio_sum(
     *,
     plans: Sequence,
     weigh: Callable[[list, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    column: int = _RATIO_FACTORS * _EXTENDED_BYTES,
 ) -> list:
     """Row r: sum_n t_n, where t_0 = ``t0[r]`` and t_{n+1} = t_n r_n; all
     rows are summed together, a chunk of n at a time.
@@ -298,9 +417,10 @@ def _ratio_sum(
 
     ``step(rows, ns)`` gives the ratios r_n at the indices ``ns`` for the
     rows ``rows`` (a list of row indices), one array row each; a chunk asks
-    only for the rows still summing.  ``weigh(rows, ns, t)``, if given, turns a
-    chunk of t_n into the terms summed.  ``rate[r]`` is the limit of the
-    ratios of row r's terms (weighed, where ``weigh`` is given), and
+    only for the rows still summing, in an array of its own, which the
+    kernel may overwrite.  ``weigh(rows, ns, t)``, if given, turns a chunk
+    of t_n into the terms summed, without writing to t.  ``rate[r]`` is the
+    limit of the ratios of row r's terms (weighed, where ``weigh`` is given), and
     ``plans[r]`` its :func:`_row_plan` of that rate, the largest |c| among
     the factors 1 - c q^n of its r_n (its reach), its ``last`` and its
     ``pole``, made by the caller.  Row r stops by the tail rule or after term
@@ -308,7 +428,9 @@ def _ratio_sum(
     ``pole`` is the first n whose r_n divides by a vanishing factor
     (:func:`_termination_order` of the denominators): unless the row ends at
     ``last`` first, its plan is the PoleError it raises before summing
-    anything.
+    anything.  ``column`` is the bytes of one column of one row of the step
+    factors (factors x itemsize, as :func:`_by_blocks` takes them; by
+    default the most a step here has).
 
     Each row is summed in order, one product and one addition at a time:
     t_n = (... (t_0 r_0) r_1 ...) r_{n-1}, and the sum adds t_n to the sum
@@ -319,11 +441,17 @@ def _ratio_sum(
     |rate| takes to fall by 1/tail_tol times the growth those factors can
     add, and the run the tail rule waits for, but no more than its closure
     index N (or ``_MIN_CHUNK``).  A batch's first chunk is the largest its
-    rows want; later chunks double, up to ``_MAX_CHUNK``.  A chunk runs
-    every row still summing to its own last index, so a row that ends
-    inside it gets ratios past its end: those are computed with numpy's
-    floating-point warnings off (past a terminating row's last term a
-    denominator may vanish) and taken as 1, and no row reads them.
+    rows want; later chunks double, up to ``_MAX_CHUNK``.  No chunk is wider
+    than keeps the step factors of the rows still summing within
+    ``_BATCH_BYTES`` (``_MIN_CHUNK`` at least), so each array of a chunk
+    fits a work buffer: the arrays of a large chunk, the step's and the
+    weights' included, are work arrays of one scope (:func:`_lend`,
+    :func:`_work`), taken back when the chunk ends, and what the next chunk
+    carries is copied out.  A chunk runs every row still summing to its own
+    last index, so a row that ends inside it gets ratios past its end: those
+    are computed with numpy's floating-point warnings off (past a
+    terminating row's last term a denominator may vanish) and taken as 1,
+    and no row reads them.
 
     The closed-form tail: from N on, where _RATIO_FACTORS reach |q|^N /
     (1 - |q|) <= tail_tol, every later r_n equals ``rate`` to rounding.  So
@@ -347,7 +475,7 @@ def _ratio_sum(
     if not live:
         return out
     t = np.asarray(t0)  # the term before the chunk: complex, or extended as t0 is
-    t = t.astype(np.result_type(t, complex))[:, None]
+    t = t.astype(np.promote_types(t.dtype, complex))[:, None]
     if len(live) < len(plans):
         t = t[live]
 
@@ -357,7 +485,8 @@ def _ratio_sum(
         if short:  # past a terminating row's last term a denominator may vanish
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratios = ratios_at(ns, False)
-            return np.where(np.asarray(ends)[:, None] <= ns + 1, 1.0, ratios)
+            np.copyto(ratios, 1.0, where=np.asarray(ends)[:, None] <= ns + 1)
+            return ratios
         # numpy rounds a complex product over one column other than over
         # many (an in-place product or a product reduction over a single
         # element skips the fused multiply-add of its vector loops, and a
@@ -370,60 +499,76 @@ def _ratio_sum(
 
     n0 = 0
     while True:
+        size = min(size, max(_BATCH_BYTES // (len(live) * column), _MIN_CHUNK))
         hi = min(n0 + size, max(ends))
         ns = np.arange(n0, hi)
         short = min(ends) < hi
-        if n0:
-            ratios = ratios_at(ns - 1, short)
-            seq = np.multiply.accumulate(np.concatenate((t, ratios), axis=1), axis=1)[:, 1:]
+        mark = _lend(len(live) * (hi - n0) * column)
+        lend = mark is not None  # work arrays (_work) only where this chunk lends them
+        try:
+            # the terms t_n0 ... of a chunk follow the term t before it; the
+            # first chunk starts at t_0, with no first ratio 1
+            ratios = ratios_at(ns - 1 if n0 else ns[:-1], short)
+            # t and the ratios, then their running products in place
+            seq = np.concatenate((t, ratios), axis=1, out=_work(
+                (len(live), ratios.shape[1] + 1), np.promote_types(t.dtype, ratios.dtype))
+                if lend else None)
+            np.multiply.accumulate(seq, axis=1, out=seq)
+            seq = seq[:, 1:] if n0 else seq
             terms = seq if weigh is None else weigh(live, ns, seq)
-            # sums[:, k]: the sum of the terms up to n0 + k
-            sums = np.add.accumulate(np.concatenate((total, terms), axis=1), axis=1)[:, 1:]
-        else:  # t_0 r_0 ... needs no first ratio 1, and 0 + t_0 is t_0
-            seq = np.multiply.accumulate(
-                np.concatenate((t, ratios_at(ns[:-1], short)), axis=1), axis=1)
-            terms = seq if weigh is None else weigh(live, ns, seq)
-            sums = np.add.accumulate(terms, axis=1)
-            scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)
-        if tailed_any:  # rows the tail rule cannot end all end in the first chunk
-            # the magnitudes of the terms rounded to complex: on x86-64, np.abs
-            # of an extended-precision array takes about six times as long
-            mags = np.abs(terms.astype(complex, copy=False))
-            scales, small, stop = _tail_state(mags, scale, prior, ctx.tail_tol)
-            stops = stop.argmax(axis=1).tolist()
-        going = []  # the rows that sum on past this chunk
-        for i, r in enumerate(live):
-            _, end, closing, tailed, whole = plans[r]
-            w = min(end, hi) - n0
-            if tailed and stops[i] < w and stop[i, stops[i]]:
-                out[r] = complex(sums[i, stops[i]])
-            elif end > hi:
-                going.append(i)
-            elif closing and math.isfinite(mag := abs(terms[i, w - 1])):
-                # the tail rule's run of small terms goes on from the run
-                # ending at the last term summed; with none, it starts at the
-                # first k with mag rho^k < tol scale
-                run = int(small[i, w + 1]) + int(small[i, w + 1] and small[i, w])
-                k = 1
-                if not run:
-                    k += math.floor(math.log(ctx.tail_tol * scales[i, w - 1] / mag)
-                                    / math.log(abs(rate[r])))
-                if end + k + 1 - run < ctx.max_terms:
-                    out[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rate[r] / (1.0 - rate[r]))
+            if n0:  # sums[:, k]: the sum of the terms up to n0 + k, of the terms' dtype
+                sums = np.concatenate((total, terms), axis=1, out=_work(
+                    (len(live), terms.shape[1] + 1), terms.dtype) if lend else None)
+                sums = np.add.accumulate(sums, axis=1, out=sums)[:, 1:]
+            else:  # 0 + t_0 is t_0
+                sums = np.add.accumulate(terms, axis=1,
+                                         out=_work(terms.shape, terms.dtype) if lend else None)
+                scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)
+            if tailed_any:  # rows the tail rule cannot end all end in the first chunk
+                # the magnitudes of the terms rounded to complex: on x86-64, np.abs
+                # of an extended-precision array takes about six times as long
+                mags = np.abs(terms.astype(complex, copy=False),
+                              out=_work(terms.shape, float) if lend else None)
+                scales, small, stop = _tail_state(mags, scale, prior, ctx.tail_tol)
+                stops = stop.argmax(axis=1).tolist()
+            going = []  # the rows that sum on past this chunk
+            for i, r in enumerate(live):
+                _, end, closing, tailed, whole = plans[r]
+                w = min(end, hi) - n0
+                if tailed and stops[i] < w and stop[i, stops[i]]:
+                    out[r] = complex(sums[i, stops[i]])
+                elif end > hi:
+                    going.append(i)
+                elif closing and math.isfinite(mag := abs(terms[i, w - 1])):
+                    # the tail rule's run of small terms goes on from the run
+                    # ending at the last term summed; with none, it starts at the
+                    # first k with mag rho^k < tol scale
+                    run = int(small[i, w + 1]) + int(small[i, w + 1] and small[i, w])
+                    k = 1
+                    if not run:
+                        k += math.floor(math.log(ctx.tail_tol * scales[i, w - 1] / mag)
+                                        / math.log(abs(rate[r])))
+                    if end + k + 1 - run < ctx.max_terms:
+                        out[r] = complex(
+                            sums[i, w - 1] + terms[i, w - 1] * rate[r] / (1.0 - rate[r]))
+                    else:
+                        out[r] = NonDecayingSumError(
+                            f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
+                elif whole:
+                    out[r] = complex(sums[i, w - 1])
                 else:
                     out[r] = NonDecayingSumError(
                         f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
-            elif whole:
-                out[r] = complex(sums[i, w - 1])
-            else:
-                out[r] = NonDecayingSumError(
-                    f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
-        if not going:
-            return out
+            if not going:
+                return out
+            # what the next chunk carries, copied off work arrays (it reuses them)
+            carry = going if lend or len(going) < len(live) else slice(None)
+            t, total = seq[carry, -1:], sums[carry, -1:]
+            scale, prior = scales[carry, -1:], small[carry, -2:]
+        finally:
+            _reclaim(mark)
         if len(going) < len(live):
             live, ends = [live[i] for i in going], [ends[i] for i in going]
-            seq, sums, scales, small = seq[going], sums[going], scales[going], small[going]
-        t, total, scale, prior = seq[:, -1:], sums[:, -1:], scales[:, -1:], small[:, -2:]
         n0, size = hi, min(2 * size, _MAX_CHUNK)
 
 
@@ -535,7 +680,10 @@ def _pochhammer_product(args, n_num: int, ctx: QContext) -> list:
 
     A column past a row's own factor counts holds factors 1 for it, and a
     row refused for a pole takes factors 1 from then on, so each row's
-    product is the same as it would be alone, bit for bit.
+    product is the same as it would be alone, bit for bit.  A chunk of
+    columns writes its factors, pole tests and ratios into work arrays of
+    one scope (:func:`_lend`, :func:`_work`); only the running product
+    leaves it.
     """
     a = np.array(args, dtype=complex)
     q = complex(ctx.q)
@@ -547,20 +695,31 @@ def _pochhammer_product(args, n_num: int, ctx: QContext) -> list:
     poles: dict[int, PoleError] = {}
     for start in range(0, cols, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, cols))
-        w = a[:, :, None] * q**ks
-        f = 1.0 - w
-        f[ks >= counts[:, :, None]] = 1.0
-        pole = _vanishes(f[:, n_num:], w[:, n_num:])
-        if pole.any():
-            for r, j, k in np.argwhere(pole):
-                poles.setdefault(int(r), PoleError(
-                    f"denominator q-Pochhammer factor vanishes: arg={w[r, n_num + j, k]}"))
-            f[list(poles)] = 1.0
-        ratios = np.multiply.reduce(f[:, :n_num], axis=1) / np.multiply.reduce(f[:, n_num:], axis=1)
-        # the running product over k, left to right from 1 (1 z == z exactly)
-        if result is not None:
-            ratios = np.concatenate((result[:, None], ratios), axis=1)
-        result = np.multiply.reduce(ratios, axis=1)
+        mark = _lend(a.nbytes * len(ks))
+        lend = mark is not None  # work arrays (_work) only where this chunk lends them
+        try:
+            w = np.multiply(a[:, :, None], q**ks,
+                            out=_work((*a.shape, len(ks)), complex) if lend else None)
+            f = np.subtract(1.0, w, out=_work(w.shape, complex) if lend else None)
+            f[np.greater_equal(ks, counts[:, :, None],
+                               out=_work(w.shape, bool) if lend else None)] = 1.0
+            pole = _vanishing(f[:, n_num:], w[:, n_num:])
+            if pole.any():
+                for r, j, k in np.argwhere(pole):
+                    poles.setdefault(int(r), PoleError(
+                        f"denominator q-Pochhammer factor vanishes: arg={w[r, n_num + j, k]}"))
+                f[list(poles)] = 1.0
+            ratios = np.multiply.reduce(f[:, :n_num], axis=1,
+                                        out=_work((len(a), len(ks)), complex) if lend else None)
+            ratios /= np.multiply.reduce(f[:, n_num:], axis=1,
+                                         out=_work(ratios.shape, complex) if lend else None)
+            # the running product over k, left to right from 1 (1 z == z exactly)
+            if result is not None:
+                ratios = np.concatenate((result[:, None], ratios), axis=1, out=_work(
+                    (len(a), len(ks) + 1), complex) if lend else None)
+            result = np.multiply.reduce(ratios, axis=1)
+        finally:
+            _reclaim(mark)
     out: list = [1.0 + 0.0j] * len(a) if result is None else result.tolist()
     # a NaN argument never falls below tail_tol, so it exhausts any budget;
     # its factors are all 1, so the other arguments' columns hold every pole

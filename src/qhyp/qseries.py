@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import AnnulusError, DivergenceError, PoleError
 from .qcore import (
+    _EXTENDED_BYTES,
     QContext,
     _by_blocks,
     _one,
@@ -50,6 +51,7 @@ from .qcore import (
     _row_plan,
     _row_plans,
     _termination_order,
+    _work,
     qpoch_ratio,
 )
 
@@ -78,7 +80,8 @@ def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: st
     blocks cut by their planned first chunks (:func:`qhyp.qcore._by_blocks`).
     ``step(v, ns)`` gives the step ratios at ``ns`` of the rows whose
     parameters are ``v``, shaped (parameters, rows, 1), from ``factors``
-    factors 1 - c q^n a step."""
+    factors 1 - c q^n a step, written into work arrays
+    (:func:`qhyp.qcore._work`) of the kernel's chunk."""
     todo = []
     for row, plan in zip(rows, _row_plans([row[2:] for row in rows], ctx, what)):
         if isinstance(plan, Exception):
@@ -91,10 +94,10 @@ def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: st
         v = np.array(values, dtype=np.clongdouble).T.copy()[:, :, None]
         return _ratio_sum([1.0] * len(members),
                           lambda sub, ns: step(v if len(sub) == len(members) else v[:, sub], ns),
-                          ctx, rate, what, plans=plans)
+                          ctx, rate, what, plans=plans, column=factors * _EXTENDED_BYTES)
 
     for row, value in zip(todo, _by_blocks(block, todo, factors, [row[3][0] for row in todo],
-                                           np.dtype(np.clongdouble).itemsize)):
+                                           _EXTENDED_BYTES)):
         out[row[0]] = value
     return out
 
@@ -132,9 +135,12 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """v: the numerators, denominators, q and the argument."""
         qn = _qpow(q, ns)
-        ratio = _quotient(1.0 - v[:-1] * qn, r)
-        ratio *= v[-1] * (-qn) ** p if p else v[-1]
-        return ratio
+        f = np.multiply(v[:-1], qn, out=_work((len(v) - 1, v.shape[1], len(ns)), v.dtype))
+        ratio = _quotient(np.subtract(1.0, f, out=f), r)
+        if p:
+            lead = np.multiply(v[-1], (-qn) ** p, out=_work(ratio.shape, v.dtype))
+            return np.multiply(ratio, lead, out=ratio)
+        return np.multiply(ratio, v[-1], out=ratio)
 
     return _sum_rows(out, planned, step, r + s + 1, ctx, what)
 
@@ -183,14 +189,14 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
 
     reach = np.abs(ab)
     what = "psi33 upward tail"
-    value = _one(_ratio_sum([1.0], up, ctx, [z], what,
+    value = _one(_ratio_sum([1.0], up, ctx, [z], what, column=ab.nbytes,
                             plans=[_row_plan(z, reach.max(), None, poles[0], ctx, what)]))
     if poles[1] is not None:
         raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
     what = "psi33 downward tail"
     plan = _row_plan(inner / z, (abs(q * q) / reach).max(), None, None, ctx, what)
     return value + _one(_ratio_sum([down(np.array([0]))[0]], lambda rows, ks: down(ks + 1)[None],
-                                   ctx, [inner / z], what, plans=[plan]))
+                                   ctx, [inner / z], what, plans=[plan], column=ba.nbytes))
 
 
 def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
@@ -225,9 +231,16 @@ def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         qa/f are formed here, in extended precision: one of them near 1
         would turn a rounded quotient into a large error of its factor."""
         qn = _qpow(q, ns)
-        sq = v[0] * qn * qn
-        return v[7] * _quotient(1.0 - np.concatenate(
-            (v[:6] * qn, (qx * q * sq)[None], qx * v[0] / v[1:6] * qn, v[6:7] * qn, sq[None])), 7)
+        shape = (14, v.shape[1], len(ns))  # the factors' c q^n, then 1 - c q^n
+        f = _work(shape, v.dtype)
+        f = np.empty(shape, v.dtype) if f is None else f  # written a part at a time
+        sq = np.multiply(np.multiply(v[0], qn, out=f[13]), qn, out=f[13])
+        np.multiply(v[:6], qn, out=f[:6])
+        np.multiply(qx * q, sq, out=f[6])
+        np.multiply(qx * v[0] / v[1:6], qn, out=f[7:12])
+        np.multiply(v[6:7], qn, out=f[12:13])
+        ratio = _quotient(np.subtract(1.0, f, out=f), 7)
+        return np.multiply(v[7], ratio, out=ratio)
 
     return _sum_rows(out, planned, step, 14, ctx, what)
 
@@ -283,7 +296,8 @@ def appell_phi1(
 
     plan = _row_plan(x1, max(map(abs, (a, b1, c, q))), _termination_order([a, b1], ctx),
                      _termination_order([c], ctx), ctx, "appell_phi1")
-    return _one(_ratio_sum([1.0], step, ctx, [x1], "appell_phi1", weigh=weigh, plans=[plan]))
+    return _one(_ratio_sum([1.0], step, ctx, [x1], "appell_phi1", weigh=weigh, plans=[plan],
+                           column=len(outer) * _EXTENDED_BYTES))
 
 
 def heine_transformation_constant(

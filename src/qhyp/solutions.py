@@ -76,6 +76,7 @@ from .qcore import (
     _ratio_sum,
     _row_plans,
     _termination_order,
+    _work,
     qpoch_ratio,
 )
 from .qseries import PhiSpec, _phi_rows, _w87_rows, phi
@@ -221,21 +222,38 @@ def _grid_sum(
         down_plans = _row_plans([(r, reach, None, None) for r, reach in zip(rates, reaches)],
                                 ctx, what)
 
-    # the rows below are indices into taus
+    # the rows below are indices into taus; the arrays of a chunk are work
+    # arrays of the kernel's chunk (qcore._work), whose step factors take
+    # ``column`` bytes a column of a row
+    column = nd.shape[1] * starts.itemsize
+
+    def grid(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
+        """t = tau q^n."""
+        return np.multiply(taus[rows, None], q**ns, out=_work((len(rows), len(ns)), complex))
+
     def weigh(rows: Sequence[int], ns: np.ndarray, F: np.ndarray) -> np.ndarray:
         if alpha != 0:
-            F = np.multiply(F, np.exp(np.multiply(alpha, log_tau[rows, None] + ns * log_q)))
-        return np.multiply(F, taus[rows, None] * q**ns) if weighted else F
+            power = np.add(log_tau[rows, None], ns * log_q, out=_work(F.shape, complex))
+            F = np.multiply(F, np.exp(np.multiply(alpha, power, out=power), out=power), out=power)
+        if weighted:
+            t = grid(rows, ns)
+            return np.multiply(F, t, out=t)
+        return F
 
     def up(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t q) / F(t) at t = tau q^n."""
-        return _quotient(1.0 - dn[:, rows] * (taus[rows, None] * q**ns), dens.shape[1])
+        f = np.multiply(dn[:, rows], grid(rows, ns),
+                        out=_work((len(dn), len(rows), len(ns)), complex))
+        return _quotient(np.subtract(1.0, f, out=f), dens.shape[1])
 
     def down(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
         powers of t/q cancel between numerator and denominator, and q/t
         underflows harmlessly."""
-        return _quotient(q / (taus[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
+        t = grid(rows, ns)
+        f = np.subtract(np.divide(q, t, out=t), nd.T[:, rows, None],
+                        out=_work((len(dn), len(rows), len(ns)), complex))
+        return _quotient(f, n_num)
 
     def block(ks: list) -> list:
         """The sums of the live rows ``ks`` (indices into ``live``): only
@@ -252,7 +270,7 @@ def _grid_sum(
         at = live[up_ks]
         sums = _ratio_sum(seed, lambda sub, ns: up(at[sub], ns), ctx, [rate] * len(good), what,
                           weigh=lambda sub, ns, F: weigh(at[sub], ns, F),
-                          plans=[plans[k] for k in up_ks])
+                          plans=[plans[k] for k in up_ks], column=column)
         if bilateral:
             for i, k in enumerate(up_ks):
                 if not isinstance(sums[i], Exception) and poles[k]:
@@ -264,7 +282,7 @@ def _grid_sum(
                 seed[on] * down(down_at, np.array([0]))[:, 0],
                 lambda sub, js: down(down_at[sub], -1 - js), ctx, rates[down_ks], what,
                 weigh=lambda sub, js, F: weigh(down_at[sub], -1 - js, F),
-                plans=[down_plans[k] for k in down_ks])
+                plans=[down_plans[k] for k in down_ks], column=column)
             for i, v in zip(on, tails):
                 sums[i] = v if isinstance(v, Exception) else sums[i] + v
         for i, v in zip(good, sums):

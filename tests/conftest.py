@@ -57,3 +57,30 @@ class _Tail:
         self.scale = float(scale[-1])
         self.run = int(small[-1]) + int(small[-1] and small[-2])
         return None
+
+
+def loop_appell_phi1(a, b1, b2, c, x1, x2, ctx: QContext) -> tuple[complex, float]:
+    """The q-Appell series term by term, in double precision: the sum over m
+    of (a, b1)_m / (q, c)_m x1^m times the inner 2phi1(a q^m, b2; c q^m; q,
+    x2), the outer sum and each inner one stopped by :class:`_Tail`.
+    Returns the value and the sum of |t_m| sum_n |u_mn| over the terms
+    summed, which bounds what the two summations can lose to rounding."""
+    q = complex(ctx.q)
+    total, mags, outer, tail = 0j, 0.0, 1.0 + 0j, _Tail(ctx)
+    for m in range(ctx.max_terms):
+        u, v = a * q**m, c * q**m
+        inner, inner_mags, term, inner_tail = 0j, 0.0, 1.0 + 0j, _Tail(ctx)
+        for n in range(ctx.max_terms):
+            inner += term
+            inner_mags += abs(term)
+            if inner_tail.done(abs(term)):
+                break
+            term *= (1 - u * q**n) * (1 - b2 * q**n) / ((1 - q ** (n + 1)) * (1 - v * q**n)) * x2
+        else:
+            raise AssertionError("inner 2phi1 did not meet the tail rule")
+        total += outer * inner
+        mags += abs(outer) * inner_mags
+        if tail.done(abs(outer * inner)):
+            return total, mags
+        outer *= (1 - a * q**m) * (1 - b1 * q**m) / ((1 - q ** (m + 1)) * (1 - c * q**m)) * x1
+    raise AssertionError("appell sum did not meet the tail rule")

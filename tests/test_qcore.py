@@ -2,8 +2,11 @@
 series kernel, and the Jackson grid sums that run on it."""
 
 import cmath
+import io
 import itertools
 import math
+import sys
+import threading
 import time
 from decimal import Decimal, getcontext
 
@@ -13,18 +16,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import _Tail, rand_complex
+from qhyp import cli, qcore
 from qhyp.errors import (
     BudgetExceededError,
     DomainError,
     NonDecayingSumError,
     PoleError,
+    UnsupportedCaseError,
 )
 from qhyp.qcore import (
     _BATCH_BYTES,
     _CHUNK,
+    _MIN_CHUNK,
     QContext,
     _by_blocks,
     _one,
+    _pochhammer_product,
     _pochhammer_widths,
     _ratio_sum,
     _row_plan,
@@ -35,6 +42,7 @@ from qhyp.qcore import (
     qpoch_ratio,
     theta,
 )
+from qhyp.qseries import _phi_rows, _w87_rows, appell_phi1
 from qhyp.solutions import _grid_sum
 
 # (q; q)_inf at q = 1/2, computed with a 220-digit Decimal product of 714
@@ -424,6 +432,154 @@ class TestBlocks:
             size = max(1, _BATCH_BYTES // (factors * _CHUNK * itemsize))
             blocks, _ = self.blocked([_CHUNK] * rows, factors, itemsize)
             assert blocks == [list(range(lo, min(lo + size, rows))) for lo in range(0, rows, size)]
+
+
+# numpy's ufunc buffer, which a lending scope of the kernels sets while it
+# is open (qcore._UFUNC_BUFFER)
+UFUNC_BUFFER = np.getbufsize()
+
+
+def pool_is_idle() -> bool:
+    """Every work buffer of this thread given back, no more kept than
+    qcore._POOL_BUFFERS, and numpy's ufunc buffer at its size again."""
+    pool = qcore._pool
+    return (pool.top == 0 and not pool.lending and len(pool.buffers) <= qcore._POOL_BUFFERS
+            and np.getbufsize() == UFUNC_BUFFER)
+
+
+def phi_batch(rng, rows):
+    """3phi2 rows of modulus-0.4-1.6 parameters, |z| in [0.2, 0.9]: enough
+    of them make every chunk a lending one."""
+    return [([rand_complex(rng) for _ in range(3)], [rand_complex(rng) for _ in range(2)],
+             rand_complex(rng, 0.2, 0.9)) for _ in range(rows)]
+
+
+class TestWorkPool:
+    """The arrays of the kernels' large chunks are work arrays of a pool of
+    the thread (qcore._work): lent to one chunk at a time and given back
+    when it ends, whatever it raises.  No value may depend on what the pool
+    held before."""
+
+    def test_every_chunk_stays_within_the_budget(self):
+        """Rows of ratio 0.999 that end after terms 400-3000 run in many
+        chunks; every chunk's step factors (rows still summing x columns x
+        the column's bytes) stay within _BATCH_BYTES, wider as rows end, and
+        each row is what it is alone, whose chunks differ."""
+        ctx = QContext(0.5, max_terms=4096)
+        column = 14 * np.dtype(np.clongdouble).itemsize
+        lasts = [400 + 100 * k for k in range(27)]
+        plans = [_row_plan(0.999, 0.0, last, None, ctx, "row") for last in lasts]
+        chunks = []
+
+        def step(rows, ns):
+            chunks.append((len(rows), len(ns)))
+            return np.full((len(rows), len(ns)), 0.999 + 0.001j, dtype=np.clongdouble)
+
+        batch = _ratio_sum([1.0] * len(lasts), step, ctx, [0.999] * len(lasts), "row",
+                           plans=plans, column=column)
+        assert len(chunks) > 10 and len({width for _, width in chunks}) > 2
+        for rows, width in chunks:
+            assert width <= _MIN_CHUNK or rows * width * column <= _BATCH_BYTES
+        for plan, got in zip(plans, batch):
+            alone = _ratio_sum([1.0], lambda rows, ns: np.full(
+                (len(rows), len(ns)), 0.999 + 0.001j, dtype=np.clongdouble),
+                ctx, [0.999], "row", plans=[plan], column=column)
+            assert repr(got) == repr(alone[0])
+
+    def test_batches_between_leave_no_trace(self):
+        """A series batch, then other batches of every kernel, then the first
+        batch again: the same bits, so no array is read before it is
+        written, whatever a buffer held."""
+        rng = np.random.default_rng(31)
+        ctx = QContext(0.5)
+        first = phi_batch(rng, 200)
+        before = [repr(v) for v in _phi_rows(first, ctx)]
+        assert pool_is_idle() and qcore._pool.buffers
+        _w87_rows([[rand_complex(rng) for _ in range(6)] + [rand_complex(rng, 0.2, 0.8)]
+                   for _ in range(150)], ctx)
+        _phi_rows(phi_batch(rng, 300), QContext(0.45))
+        _pochhammer_product([[rand_complex(rng, 0.1, 3.0) for _ in range(8)] for _ in range(100)],
+                            4, ctx)
+        _grid_sum([rand_complex(rng) for _ in range(100)],
+                  [[rand_complex(rng) for _ in range(4)] for _ in range(100)],
+                  [[rand_complex(rng) for _ in range(4)] for _ in range(100)], ctx)
+        assert [repr(v) for v in _phi_rows(first, ctx)] == before
+        assert pool_is_idle()
+
+    def test_rows_that_fail_return_every_buffer(self):
+        """Batches large enough to lend, with rows that end in PoleError,
+        NonDecayingSumError, BudgetExceededError and UnsupportedCaseError
+        among rows that succeed: each row still gets its outcome, and every
+        buffer is back when the batch returns."""
+        rng = np.random.default_rng(32)
+        q = 0.5
+        ctx = QContext(q, max_terms=40)
+        rows = phi_batch(rng, 120)
+        rows[7] = ([0.3, 0.5], [q**-3], 0.4)  # a pole at n = 3
+        rows[50] = ([0.3, 0.5], [0.7], 0.999)  # 40 terms do not reach the tail
+        got = _phi_rows(rows, ctx)
+        assert isinstance(got[7], PoleError) and isinstance(got[50], NonDecayingSumError)
+        assert pool_is_idle()
+        args = [[rand_complex(rng) for _ in range(8)] for _ in range(60)]
+        args[3][0], args[9][5] = 300.0, q**-2  # 61 factors, past the budget; a pole
+        got = _pochhammer_product(args, 4, QContext(q, max_terms=60))
+        assert isinstance(got[3], BudgetExceededError) and isinstance(got[9], PoleError)
+        assert pool_is_idle()
+        taus = [rand_complex(rng) for _ in range(80)]
+        nums = [[rand_complex(rng) for _ in range(4)] for _ in range(80)]
+        nums[11][0] = 1 / taus[11]  # the integrand vanishes at the grid start
+        got = _grid_sum(taus, nums, [[rand_complex(rng) for _ in range(4)] for _ in range(80)],
+                        QContext(q))
+        assert isinstance(got[11], UnsupportedCaseError)
+        assert pool_is_idle()
+
+    def test_errors_raised_inside_a_chunk_return_every_buffer(self):
+        """An error raised out of a lending chunk, by its step or by an inner
+        series of appell_phi1's weights, gives back what that chunk and the
+        scopes inside it had lent."""
+        ctx = QContext(0.5, max_terms=4096)
+        plan = _row_plan(0.999, 0.0, 3000, None, ctx, "row")
+
+        def step(rows, ns):
+            if ns[0] > 1000:
+                raise ZeroDivisionError("a step that fails")
+            return np.full((len(rows), len(ns)), 0.999 + 0j, dtype=np.clongdouble)
+
+        with pytest.raises(ZeroDivisionError):
+            _ratio_sum([1.0] * 8, step, ctx, [0.999] * 8, "row", plans=[plan] * 8)
+        assert pool_is_idle()
+        # the outer chunk of 0.9^m terms is ~300 wide and lends; its inner
+        # 2phi1 rows at x2 = 0.995 need more than 200 terms
+        with pytest.raises(NonDecayingSumError):
+            appell_phi1(0.3, 0.5, 0.7, 0.8, 0.9, 0.995, QContext(0.9, max_terms=200))
+        assert pool_is_idle()
+
+    def test_threads_print_what_one_thread_prints(self):
+        """Two threads verifying the seed-0 heine catalogue at once, each
+        with its own pool, print the same bytes as one thread alone."""
+        job = {"equation": "heine", "solutions": "heine.all", "seed": 0}
+
+        def run(outs, i):
+            out = io.StringIO()
+            cli.run_job("verify", job, out)
+            outs[i] = out.getvalue()
+
+        alone = [None]
+        run(alone, 0)
+        both = [None, None]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(both, i)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert both == alone * 2
+        assert pool_is_idle()
 
 
 def scalar_qpoch_ratio(nums, dens, ctx):
