@@ -138,11 +138,10 @@ def equation_params(kind: str, raw, rng, ctx: QContext):
     if raw is None:
         return sampling.draw_equation_params(kind, rng, ctx)
     p = parse_params(kind, raw)
-    if hasattr(p, "validate"):
-        try:
-            p.validate(ctx)
-        except QhypError as exc:
-            raise JobError(str(exc)) from exc
+    try:
+        p.validate(ctx)
+    except QhypError as exc:
+        raise JobError(str(exc)) from exc
     return p
 
 

@@ -44,6 +44,12 @@ def e_sym(vals: Sequence[complex], k: int) -> complex:
 # -- parameter tuples -----------------------------------------------------------
 
 
+def _nonzero(values: Sequence[complex], what: str) -> None:
+    """The zero check of every tuple's ``validate``: ``what`` names ``values``."""
+    if 0 in values:
+        raise DomainError(f"{what} must be nonzero")
+
+
 @dataclass(frozen=True)
 class HeineParams:
     a: complex
@@ -51,8 +57,7 @@ class HeineParams:
     c: complex
 
     def validate(self, ctx: QContext):
-        if 0 in (self.a, self.b, self.c):
-            raise DomainError("Heine parameters a, b and c must be nonzero")
+        _nonzero((self.a, self.b, self.c), "Heine parameters a, b and c")
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,8 @@ class Params2:
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
     def validate(self, ctx: QContext):
-        if 0 in (*self.a_list(), *self.b_list(), self.A, self.B):
-            raise DomainError("degree-two parameters a_i, b_i, A and B must be nonzero")
+        _nonzero((*self.a_list(), *self.b_list(), self.A, self.B),
+                 "degree-two parameters a_i, b_i, A and B")
         if self.balance_deviation(ctx) > ctx.eq_tol:
             raise BalanceError("need a1 a2 A = q^(alpha+1) b1 b2 B")
 
@@ -109,8 +114,8 @@ class Params3:
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
     def validate(self, ctx: QContext):
-        if 0 in (*self.a_list(), *self.b_list(), self.A, self.B):
-            raise DomainError("degree-three parameters a_i, b_i, A and B must be nonzero")
+        _nonzero((*self.a_list(), *self.b_list(), self.A, self.B),
+                 "degree-three parameters a_i, b_i, A and B")
         if self.balance_deviation(ctx) > ctx.eq_tol:
             raise BalanceError("need a1 a2 a3 A = q^2 b1 b2 b3 B")
 
@@ -143,6 +148,9 @@ class HeunParams:
         base = self.h1 + self.h2 - self.l1 - self.l2 - self.alpha1 - self.alpha2 + 2
         return ((base + self.beta) / 2, (base - self.beta) / 2)
 
+    def validate(self, ctx: QContext):
+        _nonzero((self.t1, self.t2), "qheun parameters t1 and t2")
+
 
 @dataclass(frozen=True)
 class Heun3Params:
@@ -163,6 +171,9 @@ class Heun3Params:
     def mu_pm(self) -> tuple[complex, complex]:
         base = (self.h1 + self.h2 + self.h3) - (self.l1 + self.l2 + self.l3) + 3
         return ((base + self.beta) / 2, (base - self.beta) / 2)
+
+    def validate(self, ctx: QContext):
+        _nonzero((self.t1, self.t2, self.t3), "qheun3 parameters t1, t2 and t3")
 
 
 @dataclass(frozen=True)
@@ -192,6 +203,9 @@ class H2Params:
         p = self.p_factor(q)
         return -p * ((qpow(q, -self.h2) + qpow(q, -self.l2)) * self.t1
                      + (qpow(q, -self.h1) + qpow(q, -self.l1)) * self.t2)
+
+    def validate(self, ctx: QContext):
+        _nonzero((self.t1, self.t2), "h2 parameters t1 and t2")
 
 
 @dataclass(frozen=True)
@@ -224,8 +238,7 @@ class H3Params:
         return (self.t1, self.t2, self.t3)
 
     def validate(self, ctx: QContext):
-        if 0 in self.t_list():
-            raise DomainError("h3 parameters t1, t2 and t3 must be nonzero")
+        _nonzero(self.t_list(), "h3 parameters t1, t2 and t3")
 
 
 # -- builders ---------------------------------------------------------------------

@@ -120,19 +120,6 @@ def group_action(group: str, index: int, state: tuple, ctx: QContext) -> tuple[t
     raise ValueError(f"unknown group {group!r}")
 
 
-def _point_map(group: str, index: int, state: tuple, q: complex) -> tuple[complex, int]:
-    """The generator's action on the evaluation point, as z -> u z^eps."""
-    if group == "G1" and index == 3:
-        a, b, c = state[0], state[1], state[2]
-        return a * b / c, 1
-    if group == "G1" and index == 4:
-        a, b, c = state[0], state[1], state[2]
-        return c * q / (a * b), -1
-    if group == "G3" and index == 2:
-        return 1.0 + 0.0j, -1
-    return 1.0 + 0.0j, 1
-
-
 def apply_word(group: str, word: Sequence[int], state: tuple, ctx: QContext) -> tuple:
     for idx in word:
         state, _ = group_action(group, idx, state, ctx)
@@ -272,22 +259,20 @@ def solution_transport(
     moved points in one call, and multiplies each value by its gauge.  A
     point whose transport raises (QhypError, ArithmeticError or ValueError)
     keeps that error in its slot, as does a point whose inner value is one.
+
+    Every generator moves the point by z -> u z^eps, so the word does too,
+    and :func:`apply_word` gives its map: u is where it takes 1, and eps is
+    1 if it takes 2 further out than u, else -1.  The handle's interval and
+    scale are the preimages of the inner handle's under |z| -> |u| |z|^eps.
     """
     base = solution_handle(label, params, ctx)
     if not word:
         return base
 
-    # dry-run the parameter chain to get final params and the composed
-    # point map z -> u z^eps
-    probe = params_to_state(params, 1.0, ctx)
-    u, eps = 1.0 + 0.0j, 1
-    for idx in word:
-        step_u, step_eps = _point_map(group, idx, probe, complex(ctx.q))
-        # compose (u', eps') after (u, eps): z -> u' (u z^eps)^eps'
-        u, eps = step_u * u**step_eps, eps * step_eps
-        probe, _ = group_action(group, idx, probe, ctx)
-    final_params = state_to_params(group, probe, ctx)
-    inner = solution_handle(label, final_params, ctx)
+    moved = apply_word(group, word, params_to_state(params, 1.0, ctx), ctx)
+    au = abs(moved[-1])
+    eps = 1 if abs(apply_word(group, word, params_to_state(params, 2.0, ctx), ctx)[-1]) > au else -1
+    inner = solution_handle(label, state_to_params(group, moved, ctx), ctx)
 
     def transport(x: complex) -> tuple[complex, complex]:
         """The word's gauge factor at x and the point it moves x to."""
@@ -312,9 +297,7 @@ def solution_transport(
             out[i] = value if isinstance(value, Exception) else out[i][0] * value
         return out
 
-    # preimage of the inner interval under |z| -> |u| |z|^eps
     lo, hi = inner.interval
-    au = abs(u)
     if eps == 1:
         interval = (lo / au, hi / au)
         scale = inner.scale / au

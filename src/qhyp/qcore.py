@@ -299,18 +299,18 @@ def _one(outcomes: list) -> complex:
     return value
 
 
-def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int,
-               widths: Sequence[int] | Callable[[], Sequence[int]], itemsize: int) -> list:
+def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, column: int,
+               widths: Sequence[int] | Callable[[], Sequence[int]]) -> list:
     """``kernel(block)`` over blocks of ``rows``: one entry per row, in the
     order of ``rows``.  Row i wants ``widths[i]`` columns first (its planned
     first chunk, or its first chunk of :func:`_pochhammer_product`,
-    :func:`_pochhammer_widths`) of ``factors`` factors of ``itemsize`` bytes
-    each; ``widths`` may be a function that gives them, called for every
-    batch of two rows or more.  A batch within ``_BATCH_BYTES`` (rows x
-    ``factors`` x its widest width x ``itemsize``), or of one row, is one
-    block.  Else the rows are taken by width, narrowest first (a stable
-    sort), and each block holds as many rows (one at least) as keep rows x
-    ``factors`` x its widest width x ``itemsize`` within the budget.  An
+    :func:`_pochhammer_widths`) of ``column`` bytes each (factors x
+    itemsize, as :func:`_ratio_sum` takes it); ``widths`` may be a function
+    that gives them, called for every batch of two rows or more.  A batch
+    within ``_BATCH_BYTES`` (rows x its widest width x ``column``), or of
+    one row, is one block.  Else the rows are taken by width, narrowest
+    first (a stable sort), and each block holds as many rows (one at least)
+    as keep rows x its widest width x ``column`` within the budget.  An
     entry must depend on its row alone, not on the block it is computed
     in."""
     if not rows:
@@ -319,7 +319,6 @@ def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, factors: int,
         return kernel(rows)
     if callable(widths):
         widths = widths()
-    column = factors * itemsize  # the bytes of one column of one row
     if len(rows) * column * max(widths) <= _BATCH_BYTES:
         return kernel(rows)
     order = sorted(range(len(rows)), key=widths.__getitem__)
@@ -429,7 +428,7 @@ def _ratio_sum(
     (:func:`_termination_order` of the denominators): unless the row ends at
     ``last`` first, its plan is the PoleError it raises before summing
     anything.  ``column`` is the bytes of one column of one row of the step
-    factors (factors x itemsize, as :func:`_by_blocks` takes them; by
+    factors (factors x itemsize, as :func:`_by_blocks` takes it; by
     default the most a step here has).
 
     Each row is summed in order, one product and one addition at a time:

@@ -89,15 +89,16 @@ def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: st
         else:
             todo.append((row[0], row[1], row[2], plan))
 
+    column = factors * _EXTENDED_BYTES
+
     def block(members: list) -> list:
         _, values, rate, plans = zip(*members)
         v = np.array(values, dtype=np.clongdouble).T.copy()[:, :, None]
         return _ratio_sum([1.0] * len(members),
                           lambda sub, ns: step(v if len(sub) == len(members) else v[:, sub], ns),
-                          ctx, rate, what, plans=plans, column=factors * _EXTENDED_BYTES)
+                          ctx, rate, what, plans=plans, column=column)
 
-    for row, value in zip(todo, _by_blocks(block, todo, factors, [row[3][0] for row in todo],
-                                           _EXTENDED_BYTES)):
+    for row, value in zip(todo, _by_blocks(block, todo, column, [row[3][0] for row in todo])):
         out[row[0]] = value
     return out
 

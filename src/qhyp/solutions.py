@@ -33,16 +33,18 @@ endpoint apart.  A lone lookup (``phi3`` and its siblings) is the one-point
 read, with the same value bit for bit, and one given no table uses a
 throwaway one.
 
-A series handle keeps a memo of its own values (``_*_table``): the
-catalogue formula runs per point and gives its lead factor, Pochhammer
-prefactor and :func:`qhyp.qseries._phi_rows` or ``_w87_rows`` row.
+A series handle keeps a memo of its own values, which its row's ``values``
+(its family's ``_*_table``) makes from the row: the catalogue formula runs
+per point and gives its lead factor, Pochhammer prefactor and
+:func:`qhyp.qseries._phi_rows` or ``_w87_rows`` row.
 
 The catalogue is :data:`CATALOGUE`, one :class:`Solution` record per label
-(end of the module): the operator a label solves, its endpoint pair or its
-series formula in Gasper & Rahman's notation, its domain, sampling scale and
-the parameter condition under which it holds.  Handles, :func:`all_labels`,
-the samplers and the CLI read these records, and a label that is not a key of
-the catalogue is refused with ValueError.
+(end of the module): the operator a label solves, its endpoint pair and
+:class:`Integrand` (which says whether it is reflected) or its series
+formula in Gasper & Rahman's notation and table builder, its domain,
+sampling scale and the parameter condition under which it holds.
+Handles, :func:`all_labels`, the samplers and the CLI read these records,
+and a label that is not a key of the catalogue is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -290,8 +292,7 @@ def _grid_sum(
         return value
 
     out: list = [0.0 + 0.0j] * len(taus)
-    entries = _by_blocks(block, list(range(len(live))), nd.shape[1], [plan[0] for plan in plans],
-                         starts.itemsize)
+    entries = _by_blocks(block, list(range(len(live))), column, [plan[0] for plan in plans])
     for r, v in zip(live, entries):
         out[r] = v
     return out
@@ -300,51 +301,54 @@ def _grid_sum(
 # -- integral solution families -------------------------------------------------------
 
 
-# Each integrand below gives single-endpoint integrals of one parameter tuple
-# at many points, (endpoint, x) pairs: one grid row each, and one entry each,
-# a value or the error its row raises (:func:`_jackson`).
+@dataclass(frozen=True)
+class Integrand:
+    """One Jordan-Pochhammer integrand of the integral rows of the catalogue.
+
+    Called as ``integrand(p, points, ctx)``, it gives the single-endpoint
+    Jackson integrals of the tuple p at many points, (endpoint, x) pairs: one
+    grid row and one entry each, a value or the error its row raises.  The
+    one-sided endpoints make one :func:`_grid_sum` batch and the bilateral
+    endpoint one more, the only one that sums the descending grid too; the
+    endpoint 0 adds nothing.
+
+    args(p, q, x): the arguments (n, d) of F(t) = prod (n_i t)_inf /
+        prod (d_j t)_inf at x.
+    reflected: an integral solution of a reflected integrand is x^lambda
+        times its difference of integrals (:func:`_differences`).
+    alpha(p), weighted: the grid weights t^alpha w(t) of :func:`_grid_sum`.
+    """
+
+    args: Callable
+    reflected: bool = False
+    alpha: Callable = lambda p: 0.0
+    weighted: bool = True
+
+    def __call__(self, p, points: Sequence[tuple[Endpoint, complex]], ctx: QContext) -> list:
+        q = complex(ctx.q)
+        out: list = [0.0 + 0.0j] * len(points)
+        for bilateral in (False, True):
+            rows = [i for i, (e, _) in enumerate(points)
+                    if e.tag != "zero" and (e.tag == "sigma_infinity") == bilateral]
+            if rows:
+                taus = [points[i][0].resolve(p, points[i][1], ctx) for i in rows]
+                nums, dens = zip(*[self.args(p, q, points[i][1]) for i in rows])
+                sums = _grid_sum(taus, nums, dens, ctx, alpha=self.alpha(p),
+                                 weighted=self.weighted, bilateral=bilateral)
+                for i, v in zip(rows, sums):
+                    out[i] = v
+        return out
 
 
-def _jackson(p, points: Sequence[tuple[Endpoint, complex]], ctx: QContext,
-             nums: Callable, dens: Callable, **options) -> list:
-    """The Jackson grid sums from the endpoints at their x, with the
-    arguments ``nums(x)`` and ``dens(x)``: one :func:`_grid_sum` batch for
-    the one-sided endpoints and one for the bilateral endpoint, the only
-    one that sums the descending grid too.  The endpoint 0 adds nothing."""
-    out: list = [0.0 + 0.0j] * len(points)
-    for bilateral in (False, True):
-        rows = [i for i, (e, _) in enumerate(points)
-                if e.tag != "zero" and (e.tag == "sigma_infinity") == bilateral]
-        if rows:
-            xs = [points[i][1] for i in rows]
-            sums = _grid_sum([points[i][0].resolve(p, points[i][1], ctx) for i in rows],
-                             [nums(x) for x in xs], [dens(x) for x in xs], ctx,
-                             bilateral=bilateral, **options)
-            for i, v in zip(rows, sums):
-                out[i] = v
-    return out
-
-
-def _phi3_single(p: Params3, points: Sequence[tuple], ctx: QContext) -> list:
-    return _jackson(p, points, ctx, lambda x: (p.A * x, p.a1, p.a2, p.a3),
-                    lambda x: (p.B * x, p.b1, p.b2, p.b3), weighted=True)
-
-
-def _phi3_tilde_single(p: Params3, points: Sequence[tuple], ctx: QContext) -> list:
-    q = complex(ctx.q)
-    return _jackson(p, points, ctx, lambda x: (q / (p.B * x), q / p.b1, q / p.b2, q / p.b3),
-                    lambda x: (q / (p.A * x), q / p.a1, q / p.a2, q / p.a3), weighted=True)
-
-
-def _phi2_single(p: Params2, points: Sequence[tuple], ctx: QContext) -> list:
-    return _jackson(p, points, ctx, lambda x: (p.A * x, p.a1, p.a2),
-                    lambda x: (p.B * x, p.b1, p.b2), alpha=p.alpha, weighted=False)
-
-
-def _phi2_tilde_single(p: Params2, points: Sequence[tuple], ctx: QContext) -> list:
-    q = complex(ctx.q)
-    return _jackson(p, points, ctx, lambda x: (q / (p.B * x), q / p.b1, q / p.b2),
-                    lambda x: (q / (p.A * x), q / p.a1, q / p.a2), weighted=True)
+_phi3_single = Integrand(lambda p, q, x: ((p.A * x, p.a1, p.a2, p.a3), (p.B * x, p.b1, p.b2, p.b3)))
+_phi3_tilde_single = Integrand(
+    lambda p, q, x: ((q / (p.B * x), q / p.b1, q / p.b2, q / p.b3),
+                     (q / (p.A * x), q / p.a1, q / p.a2, q / p.a3)), reflected=True)
+_phi2_single = Integrand(lambda p, q, x: ((p.A * x, p.a1, p.a2), (p.B * x, p.b1, p.b2)),
+                         alpha=lambda p: p.alpha, weighted=False)
+_phi2_tilde_single = Integrand(
+    lambda p, q, x: ((q / (p.B * x), q / p.b1, q / p.b2), (q / (p.A * x), q / p.a1, q / p.a2)),
+    reflected=True)
 
 
 class SeriesTable:
@@ -429,9 +433,10 @@ def _fill(requests: Sequence[tuple[SeriesTable, Sequence]]) -> None:
     ratios: list = [None] * len(rows)
     for (ctx, n_num, n_den), members in prefactors.items():
         args = [[*rows[i][3][0], *rows[i][3][1]] for i in members]
+        column = (n_num + n_den) * np.dtype(complex).itemsize
         for i, ratio in zip(members, _by_blocks(
-                lambda block: _pochhammer_product(block, n_num, ctx), args, n_num + n_den,
-                lambda: _pochhammer_widths(args, ctx), np.dtype(complex).itemsize)):
+                lambda block: _pochhammer_product(block, n_num, ctx), args, column,
+                lambda: _pochhammer_widths(args, ctx))):
             ratios[i] = ratio
     values: list = [None] * len(rows)
     for (kernel, ctx, _), members in batches.items():
@@ -486,25 +491,25 @@ def _table_for(p, ctx: QContext, table: JacksonTable | None) -> JacksonTable:
     return table
 
 
-def _differences(table: JacksonTable, single: Callable, e1: Endpoint, e2: Endpoint,
-                 xs: Sequence[complex], reflected: bool) -> list:
+def _differences(table: JacksonTable, single: Integrand, e1: Endpoint, e2: Endpoint,
+                 xs: Sequence[complex]) -> list:
     """Entry i: single(e2) - single(e1) at ``xs[i]`` from the table, times
-    x^lambda (principal branch) for the reflected integrands; or the error
-    of e2's integral there, else e1's.  The missing integrals of both
+    x^lambda (principal branch) if ``single`` is reflected; or the error of
+    e2's integral there, else e1's.  The missing integrals of both
     endpoints are computed first, in one fill, and then looked up."""
     if e1 == e2:
         return [0.0 + 0.0j] * len(xs)
     low, high = table.entry(single, e1), table.entry(single, e2)
     _fill([(low, xs), (high, xs)])
     lows, highs = low.stored(xs), high.stored(xs)
-    lam = table.params.lam(table.ctx) if reflected else None
+    lam = table.params.lam(table.ctx) if single.reflected else None
     out = []
     for x, low, high in zip(xs, lows, highs):
         if isinstance(high, Exception) or isinstance(low, Exception):
             out.append(high if isinstance(high, Exception) else low)
             continue
         value = high - low
-        out.append(cmath.exp(lam * cmath.log(complex(x))) * value if reflected else value)
+        out.append(value if lam is None else cmath.exp(lam * cmath.log(complex(x))) * value)
     return out
 
 
@@ -513,7 +518,7 @@ def phi3(p: Params3, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
     """Difference of two one-sided Jackson integrals of the degree-three
     Jordan-Pochhammer integrand between admissible endpoints."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(table, _phi3_single, t1, t2, [x], False))
+    return _one(_differences(table, _phi3_single, t1, t2, [x]))
 
 
 def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
@@ -521,7 +526,7 @@ def phi3_tilde(p: Params3, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
     """x^lambda times the reflected-integrand Jackson integral between
     admissible sigma-endpoints."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(table, _phi3_tilde_single, s1, s2, [x], True))
+    return _one(_differences(table, _phi3_tilde_single, s1, s2, [x]))
 
 
 def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
@@ -529,7 +534,7 @@ def phi2(p: Params2, t1: Endpoint, t2: Endpoint, x: complex, ctx: QContext,
     """Degree-two integral solution: t^alpha measure dq t / t, endpoints may
     include 0 (which contributes nothing)."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(table, _phi2_single, t1, t2, [x], False))
+    return _one(_differences(table, _phi2_single, t1, t2, [x]))
 
 
 def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext,
@@ -537,18 +542,19 @@ def phi2_tilde(p: Params2, s1: Endpoint, s2: Endpoint, x: complex, ctx: QContext
     """Degree-two reflected integral; the sigma-infinity endpoint uses the
     bilateral Jackson sum."""
     table = _table_for(p, ctx, table)
-    return _one(_differences(table, _phi2_tilde_single, s1, s2, [x], True))
+    return _one(_differences(table, _phi2_tilde_single, s1, s2, [x]))
 
 
 # -- series solutions -----------------------------------------------------------------
 #
 # A series row of the catalogue (end of the module) keeps its formulas as a
-# function of its family's variables.  Each family's ``_*_table`` below gives
-# a label's :class:`SeriesTable`, whose ``terms`` compute those variables at a
+# function of its family's variables, and its family's ``_*_table`` below as
+# its ``values``: called with the row, the tuple and the context, it gives the
+# label's :class:`SeriesTable`, whose ``terms`` compute those variables at a
 # point and read the row: the point's lead factor, prefactor and series.  The
 # one-point evaluators (``e3_series``, ``e2_series``, ``heine_solution``,
-# ``heine_extra``) read one point of a fresh table; what a label is lives in
-# its row alone.
+# ``heine_extra``) look their row up once and read one point of a fresh
+# table; what a label is lives in its row alone.
 
 
 def _gr_terms(a: complex, b: complex, cd: tuple[complex, complex],
@@ -581,20 +587,15 @@ def _gr_series_value(
     return _one(SeriesTable(lambda _: terms, _w87_rows, ctx).read([None]))
 
 
-def _e3_gr_data(p: Params3, which: int, x: complex, ctx: QContext):
-    """GR role assignment (a, b, {c,d}, {e,f,g}, h) of degree-three series
-    row ``which``."""
-    return _row(f"thmser3.{which}").formula(complex(ctx.q), p.A * x, p.B * x, p)
-
-
-def _e3_table(p: Params3, which: int, ctx: QContext) -> SeriesTable:
-    """The values of :func:`e3_series` at any points."""
+def _e3_table(row: Solution, p: Params3, ctx: QContext) -> SeriesTable:
+    """The values of the ``thmser3`` row at any points: the row's formula
+    gives the GR role assignment (a, b, {c,d}, {e,f,g}, h) at each."""
     q = complex(ctx.q)
 
     def terms(x):
-        a, b, cd, efg, h = _e3_gr_data(p, which, x, ctx)
+        a, b, cd, efg, h = row.formula(q, p.A * x, p.B * x, p)
         if abs(a * h) >= 1.0:
-            raise DomainError(f"series {which}: |a h| = {abs(a*h):.4g} >= 1 at x = {x}")
+            raise DomainError(f"series {row.index}: |a h| = {abs(a*h):.4g} >= 1 at x = {x}")
         return _gr_terms(a, b, cd, efg, h, q)
     return SeriesTable(terms, _w87_rows, ctx)
 
@@ -602,13 +603,13 @@ def _e3_table(p: Params3, which: int, ctx: QContext) -> SeriesTable:
 def e3_series(p: Params3, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six very-well-poised series solutions of the degree-three
     equation, normalized to equal its corresponding endpoint-pair integral."""
-    return _one(_e3_table(p, which, ctx).read([x]))
+    return _one(_e3_table(_row(f"thmser3.{which}"), p, ctx).read([x]))
 
 
-def _e2_table(p: Params2, which: int, ctx: QContext) -> SeriesTable:
-    """The values of :func:`e2_series` at any points."""
+def _e2_table(row: Solution, p: Params2, ctx: QContext) -> SeriesTable:
+    """The values of the ``thmser2`` row at any points."""
     q = complex(ctx.q)
-    formula, qa = _row(f"thmser2.{which}").formula, qpow(q, p.alpha)
+    qa, formula = qpow(q, p.alpha), row.formula
     return SeriesTable(
         lambda x: (None, *formula(q, qa, complex(x), p.alpha, p.a1, p.a2, p.b1, p.b2, p.A, p.B)),
         _phi_rows, ctx)
@@ -617,7 +618,7 @@ def _e2_table(p: Params2, which: int, ctx: QContext) -> SeriesTable:
 def e2_series(p: Params2, which: int, x: complex, ctx: QContext) -> complex:
     """One of the six catalogued 3phi2 series solutions of the degree-two
     equation."""
-    return _one(_e2_table(p, which, ctx).read([x]))
+    return _one(_e2_table(_row(f"thmser2.{which}"), p, ctx).read([x]))
 
 
 def e2_series_limit_target(p: Params2, x: complex, ctx: QContext) -> complex:
@@ -668,9 +669,8 @@ def _heine_exponents(p: HeineParams, ctx: QContext):
             cmath.log(complex(p.c)) / lq)
 
 
-def _heine_table(p: HeineParams, which: int, ctx: QContext) -> SeriesTable:
-    """The values of :func:`heine_solution` at any points."""
-    row = _row(f"heine.{which}")
+def _heine_table(row: Solution, p: HeineParams, ctx: QContext) -> SeriesTable:
+    """The values of the ``heine`` row at any points."""
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
     power = None if row.exponent is None else complex(row.exponent(*_heine_exponents(p, ctx)))
@@ -685,22 +685,21 @@ def _heine_table(p: HeineParams, which: int, ctx: QContext) -> SeriesTable:
 def heine_solution(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
     """One of the 32 catalogued series solutions of the q-hypergeometric
     equation of Heine type; exponent prefactors use principal branches."""
-    return _one(_heine_table(p, which, ctx).read([z]))
+    return _one(_heine_table(_row(f"heine.{which}"), p, ctx).read([z]))
 
 
-def _heine_extra_table(p: HeineParams, which: int, ctx: QContext) -> SeriesTable:
-    """The values of :func:`heine_extra` at any points."""
+def _heine_extra_table(row: Solution, p: HeineParams, ctx: QContext) -> SeriesTable:
+    """The values of the ``heine_extra`` row at any points."""
     q = complex(ctx.q)
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
-    formula = _row(f"heine_extra.{which}").formula
-    return SeriesTable(lambda z: (None, *formula(a, b, c, q, complex(z))), _phi_rows, ctx)
+    return SeriesTable(lambda z: (None, *row.formula(a, b, c, q, complex(z))), _phi_rows, ctx)
 
 
 def heine_extra(p: HeineParams, which: int, z: complex, ctx: QContext) -> complex:
     """The two additional catalogued solutions: the terminating 3phi1 form
     (formal otherwise) and the integral-analog series behind the
     transformation formula."""
-    return _one(_heine_extra_table(p, which, ctx).read([z]))
+    return _one(_heine_extra_table(_row(f"heine_extra.{which}"), p, ctx).read([z]))
 
 
 # -- verification utilities ---------------------------------------------------------
@@ -872,18 +871,19 @@ class Solution:
     one label.
 
     equation: the operator the row solves, a key of ``equations.BUILDERS``.
-    evaluator: series rows only, the name of the module function
-        (``_*_table``) that makes the row's values: it takes (params,
-        ``index``, ctx) and gives the :class:`SeriesTable` of the label.
+    values: series rows only, the function (its family's ``_*_table``)
+        that makes the row's values: ``values(row, params, ctx)`` gives the
+        :class:`SeriesTable` of the label.
+    index: the row's number within its family.
     pair, single: integral rows only, the endpoint pair (the bilateral
-        endpoint takes the handle's sigma) and the single-endpoint integrand
-        (one of the ``_*_single`` helpers) whose difference the row is.
+        endpoint takes the handle's sigma) and the single-endpoint
+        :class:`Integrand` whose difference the row is.
     formula: series rows only, a function of the family's variables.  For
         ``thmser2``, ``heine`` and ``heine_extra`` it gives (prefactor,
         series): prefactor = (numerators, denominators) of a Pochhammer ratio
         in front, or None; series = (numerators, denominators, argument) of
         r_phi_s.  For ``thmser3`` it gives the role assignment
-        (a, b, (c, d), (e, f, g), h) of :func:`_gr_series_value`.
+        (a, b, (c, d), (e, f, g), h) of :func:`_gr_terms`.
     exponent: ``heine`` rows only, the power of z in front as a function of
         (alpha, beta, gamma) = log_q (a, b, c), or None.
     domain, scale: (params, ctx) -> the |x| interval on the positive axis
@@ -898,10 +898,10 @@ class Solution:
     equation: str
     domain: Callable[[Any, QContext], tuple[float, float]]
     scale: Callable[[Any, QContext], float]
-    evaluator: str | None = None
+    values: Callable | None = None
     index: int = 0
     pair: tuple[Endpoint, Endpoint] | None = None
-    single: Callable | None = None
+    single: Integrand | None = None
     formula: Callable | None = None
     exponent: Callable | None = None
     condition: Callable | None = None
@@ -948,7 +948,7 @@ def _thmser3(n: int, domain, formula) -> Solution:
     return Solution(
         f"thmser3.{n}", "e3",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.A), abs(p.B), abs(p.a1), abs(p.b3)),
-        lambda p, ctx: 0.3 * integral_scale(p, ctx), "_e3_table", index=n, formula=formula)
+        lambda p, ctx: 0.3 * integral_scale(p, ctx), _e3_table, index=n, formula=formula)
 
 
 def _thmser2(n: int, domain, formula) -> Solution:
@@ -958,7 +958,7 @@ def _thmser2(n: int, domain, formula) -> Solution:
     return Solution(
         f"thmser2.{n}", "e2",
         lambda p, ctx: domain(abs(complex(ctx.q)), abs(p.B), abs(p.a1), abs(p.a2)),
-        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), "_e2_table", index=n, formula=formula)
+        lambda p, ctx: 0.3 * e2_series_scale(p, ctx), _e2_table, index=n, formula=formula)
 
 
 # |z| intervals of the Heine rows over |a|, |b|, |c|, |q|: series convergence
@@ -1001,14 +1001,14 @@ def _heine(n: int, power: str | None, domain: str, terminating: str | None, form
         f"heine.{n}", "heine",
         lambda p, ctx: interval(*_moduli(p, ctx)),
         lambda p, ctx: 0.5 * scale(*_moduli(p, ctx)),
-        "_heine_table", index=n, formula=formula, exponent=power and _Z_POWERS[power],
+        _heine_table, index=n, formula=formula, exponent=power and _Z_POWERS[power],
         condition=terminating and _TERMINATING[terminating])
 
 
 def _heine_extra(n: int, condition, formula) -> Solution:
     """Extra Heine-type row n: formula(a, b, c, q, z), inside the unit disc."""
     return Solution(f"heine_extra.{n}", "heine", lambda p, ctx: (0.0, 1.0), lambda p, ctx: 0.4,
-                    "_heine_extra_table", index=n, formula=formula, condition=condition)
+                    _heine_extra_table, index=n, formula=formula, condition=condition)
 
 
 _ROWS = (
@@ -1196,7 +1196,7 @@ def solution_handle(
     row = _row(label)
     op = _claimed_operator(row.equation, params, ctx)
     if row.pair is None:
-        values = globals()[row.evaluator](params, row.index, ctx)
+        values = row.values(row, params, ctx)
         read, tables = values.read, (values,)
     else:
         e1, e2 = (Endpoint.sigma_inf(sigma) if e.tag == "sigma_infinity" else e
@@ -1205,8 +1205,7 @@ def solution_handle(
         tables = () if e1 == e2 else (table.entry(row.single, e1), table.entry(row.single, e2))
 
         def read(xs: Sequence[complex]) -> list:
-            return _differences(table, row.single, e1, e2, xs,
-                                row.single in (_phi3_tilde_single, _phi2_tilde_single))
+            return _differences(table, row.single, e1, e2, xs)
     return SolutionHandle(label, read, row.domain(params, ctx), op, params,
                           scale=row.scale(params, ctx), tables=tables)
 

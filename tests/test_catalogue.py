@@ -558,7 +558,7 @@ class TestRecordsEqualTheChains:
     @given(p=params3, x=points, ctx=contexts)
     def test_degree_three_rows(self, p, x, ctx):
         for which in range(1, 7):
-            assert_same(solutions._e3_gr_data(p, which, x, ctx),
+            assert_same(CATALOGUE[f"thmser3.{which}"].formula(complex(ctx.q), p.A * x, p.B * x, p),
                         ref_e3_gr_data(p, which, x, ctx), which)
             assert_same(outcome(solutions.e3_series, p, which, x, ctx),
                         outcome(ref_e3_series, p, which, x, ctx), which)

@@ -278,16 +278,20 @@ class TestJobInput:
         ("config", {"equation": "e2", "params": drawn_params("e2", a1=0, b1=0)}),
         ("verify", {"equation": "e2", "params": drawn_params("e2", A=0, B=0)}),
         ("config", {"equation": "h3", "params": drawn_params("h3", t1=0)}),
+        ("config", {"equation": "qheun", "params": drawn_params("qheun", t1=0)}),
+        ("config", {"equation": "qheun3", "params": drawn_params("qheun3", t1=0)}),
+        ("config", {"equation": "h2", "params": drawn_params("h2", t1=0)}),
         ("config", {"equation": "heine", "params": {"a": math.nan, "b": 1.2, "c": 1.7}}),
         ("verify", {"equation": "heine", "params": {"a": [0.5, math.inf], "b": 1.2, "c": 1.7}}),
         ("config", {"operator": [{"i": 0, "j": 0, "re": math.nan}, {"i": 1, "j": 1, "re": 1.0}]}),
     ], ids=["e3-config-a1b1", "e3-verify-a1b1", "e3-sample-AB", "e3-relations-AB",
-            "e2-config-a1b1", "e2-verify-AB", "h3-config-t1", "heine-nan", "heine-inf",
-            "operator-nan"])
+            "e2-config-a1b1", "e2-verify-AB", "h3-config-t1", "qheun-config-t1",
+            "qheun3-config-t1", "h2-config-t1", "heine-nan", "heine-inf", "operator-nan"])
     def test_zero_divisor_or_non_finite_number_is_input_error(self, tmp_path, capsys, command, job):
         """A zero parameter that the balance check or ``build_h3`` divides by,
-        or a NaN or infinity (which json.load accepts), is refused with a
-        message, not a traceback or a FAIL row."""
+        a zero singular point t_i of any equation that has them, or a NaN or
+        infinity (which json.load accepts), is refused with a message, not a
+        traceback or a FAIL row."""
         assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 

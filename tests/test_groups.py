@@ -1,6 +1,7 @@
 """Symmetry groups: displayed relations as parameter maps, orbit structure,
 and residual-preserving transport of solutions."""
 
+import numpy as np
 import pytest
 
 from qhyp.errors import QhypError
@@ -130,6 +131,52 @@ class TestTransport:
             r1 = h(z) / base(z)
             r2 = h(q * z) / base(q * z)
             assert abs(r2 / r1 - 1) < 1e-10
+
+    @staticmethod
+    def composed_point_map(group, word, params, ctx):
+        """Reference: the final state and the point map z -> u z^eps of a
+        word, composed from a table of each generator's map."""
+        q = complex(ctx.q)
+
+        def step(index, state):
+            a, b, c = state[:3]
+            if group == "G1" and index == 3:
+                return a * b / c, 1
+            if group == "G1" and index == 4:
+                return c * q / (a * b), -1
+            if group == "G3" and index == 2:
+                return 1.0 + 0.0j, -1
+            return 1.0 + 0.0j, 1
+
+        state, u, eps = params_to_state(params, 1.0, ctx), 1.0 + 0.0j, 1
+        for idx in word:
+            step_u, step_eps = step(idx, state)
+            # compose (u', eps') after (u, eps): z -> u' (u z^eps)^eps'
+            u, eps = step_u * u**step_eps, eps * step_eps
+            state, _ = group_action(group, idx, state, ctx)
+        return state, u, eps
+
+    @pytest.mark.parametrize("group,word,label", [
+        ("G1", [4], "heine.1"),
+        ("G1", [3, 4], "heine.1"),
+        ("G3", [2], "thmser3.1"),
+    ])
+    def test_interval_and_scale_follow_the_composed_point_map(self, group, word, label, ctx,
+                                                              rng):
+        """The transported interval and scale are the preimages of the inner
+        handle's under |z| -> |u| |z|^eps, with u and eps composed generator
+        by generator, to rounding: for s3 s4 of G1, |u| = q, which here the
+        transport reads to the last bit and the composition one unit off."""
+        p = draw_heine(rng, ctx) if group == "G1" else draw_params3(rng, ctx, series_room=True)
+        state, u, eps = self.composed_point_map(group, word, p, ctx)
+        assert eps == -1
+        inner = solution_handle(label, state_to_params(group, state, ctx), ctx)
+        lo, hi = inner.interval
+        interval = (abs(u) / hi if np.isfinite(hi) and hi > 0 else 0.0,
+                    abs(u) / lo if lo > 0 else np.inf)
+        h = solution_transport(group, word, label, p, ctx)
+        assert h.interval == pytest.approx(interval, rel=1e-14)
+        assert h.scale == pytest.approx(abs(u) / inner.scale, rel=1e-14)
 
     @pytest.mark.parametrize("group,word,label", [
         ("G1", [1, 3], "heine.1"),

@@ -360,7 +360,7 @@ class TestBlocks:
             blocks.append(list(block))
             return [10 * row for row in block]
 
-        return blocks, _by_blocks(kernel, list(range(len(widths))), factors, widths, itemsize)
+        return blocks, _by_blocks(kernel, list(range(len(widths))), factors * itemsize, widths)
 
     def test_blocks_are_full_and_entries_keep_input_order(self):
         rng = np.random.default_rng(5)
@@ -403,15 +403,15 @@ class TestBlocks:
             return [_CHUNK] * 40
 
         for rows in ([], [0]):
-            assert _by_blocks(lambda block: list(block), rows, 16, widths, 16) == rows
+            assert _by_blocks(lambda block: list(block), rows, 16 * 16, widths) == rows
         assert not asked
-        assert _by_blocks(lambda block: list(block), [0, 1], 16, widths, 16) == [0, 1]
+        assert _by_blocks(lambda block: list(block), [0, 1], 16 * 16, widths) == [0, 1]
         assert len(asked) == 1  # a batch this small is one block, but still asks
         for itemsize in ITEMSIZES:
             blocks, _ = self.blocked([_CHUNK] * 40, 16, itemsize)
             cut = []
-            _by_blocks(lambda block: cut.append(list(block)) or list(block), list(range(40)), 16,
-                       widths, itemsize)
+            _by_blocks(lambda block: cut.append(list(block)) or list(block), list(range(40)),
+                       16 * itemsize, widths)
             assert cut == blocks
 
     def test_pochhammer_widths_are_first_chunks(self, ctx):

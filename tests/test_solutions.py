@@ -52,6 +52,7 @@ from qhyp.solutions import (
     incidence_rank,
     integral_scale,
     phi2,
+    phi2_tilde,
     phi3,
     phi3_tilde,
     residual,
@@ -177,7 +178,6 @@ class TestIntegralSolutions:
 class TestSeriesSolutions:
     def test_degree3_series_residuals_and_balance(self, rng):
         from qhyp.qseries import is_balanced_w87
-        from qhyp.solutions import _e3_gr_data
 
         for _ in range(2):
             ctx = QContext(rng.uniform(0.35, 0.55))
@@ -187,8 +187,9 @@ class TestSeriesSolutions:
                 h = solution_handle(f"thmser3.{which}", p, ctx)
                 xs = sample_points(h, 5, ctx)
                 assert residual(op, h, xs, ctx) < 1e-8, which
-                a, b, cd, efg, hh = _e3_gr_data(p, which, xs[0], ctx)
                 q = complex(ctx.q)
+                a, b, cd, efg, hh = CATALOGUE[f"thmser3.{which}"].formula(
+                    q, p.A * xs[0], p.B * xs[0], p)
                 assert is_balanced_w87(
                     b * cd[0] * cd[1] / (hh * q), b * efg[0], b * efg[1],
                     b * efg[2], cd[0] / hh, cd[1] / hh, a * hh, ctx
@@ -358,6 +359,33 @@ class TestSeriesTable:
                     else:
                         assert repr(got) == repr(want), (label, x)
         assert {DomainError, PoleError, DivergenceError} <= seen
+
+
+# the one-point evaluator of each integral family, by integrand
+ONE_POINT_INTEGRAL = {"thmint3.phi3": phi3, "thmint3.tilde": phi3_tilde, "thmint2.phi2": phi2,
+                      "thmint2.tilde": phi2_tilde}
+
+
+class TestIntegralHandles:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_read_equals_one_point_evaluator(self, seed):
+        """Every integral label's handle reads, at its sample points, what
+        the one-point evaluator of its integrand gives between its two
+        endpoints, bit for bit: times x^lambda for the reflected integrands
+        (phi3_tilde, phi2_tilde), as the integrand itself says, and without
+        it for phi3 and phi2."""
+        ctx = QContext(0.45)
+        rng = np.random.default_rng(seed)
+        for kind, family in (("e3", "thmint3"), ("e2", "thmint2")):
+            p = draw_equation_params(kind, rng, ctx)
+            for label in all_labels(family):
+                row = CATALOGUE[label]
+                evaluator = ONE_POINT_INTEGRAL[label.partition("[")[0]]
+                h = solution_handle(label, p, ctx)
+                xs = sample_points(h, 4, ctx)
+                for x, got in zip(xs, h.read(xs)):
+                    want = outcome_of(evaluator, p, *row.pair, x, ctx)
+                    assert repr(got) == repr(want), (label, x)
 
 
 class TestRelationsAmongIntegrals:
@@ -876,8 +904,9 @@ class TestMixedSeriesBatch:
 
         ctx = QContext(0.5)
         rng = np.random.default_rng(9)
-        tables = [solutions._heine_table(draw_heine_for(rng, ctx, "heine.9"), 9, ctx),
-                  solutions._heine_table(draw_equation_params("heine", rng, ctx), 9, ctx)]
+        row = CATALOGUE["heine.9"]
+        tables = [solutions._heine_table(row, draw_heine_for(rng, ctx, "heine.9"), ctx),
+                  solutions._heine_table(row, draw_equation_params("heine", rng, ctx), ctx)]
         rows = [table.terms(z)[2] for z in np.geomspace(0.05, 3.0, 12) for table in tables]
         assert _termination_order(rows[0][0], ctx) is not None
         assert _termination_order(rows[1][0], ctx) is None
