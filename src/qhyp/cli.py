@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -39,6 +40,7 @@ from .solutions import CATALOGUE, Endpoint, all_labels, residual, sample_points,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout closed it
 
 RESIDUAL_TOL = 1e-8
 COCYCLE_TOL = 1e-12
@@ -529,7 +531,17 @@ def main(argv: list[str] | None = None) -> int:
             csv = args.out.endswith(".csv")
             with open(args.out, "w", encoding="utf-8") as fh:
                 return run_job(args.command, job, fh, csv=csv)
-        return run_job(args.command, job, sys.stdout)
+        code = run_job(args.command, job, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # ``qhyp verify ... | head -n 1``: exit as SIGPIPE would end the
+        # process, without a traceback; stdout goes to os.devnull, so that
+        # flushing it at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -51,7 +51,6 @@ from .qcore import (
     _row_plan,
     _row_plans,
     _termination_order,
-    _work,
     qpoch_ratio,
 )
 
@@ -80,8 +79,7 @@ def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: st
     blocks cut by their planned first chunks (:func:`qhyp.qcore._by_blocks`).
     ``step(v, ns)`` gives the step ratios at ``ns`` of the rows whose
     parameters are ``v``, shaped (parameters, rows, 1), from ``factors``
-    factors 1 - c q^n a step, written into work arrays
-    (:func:`qhyp.qcore._work`) of the kernel's chunk."""
+    factors 1 - c q^n a step."""
     todo = []
     for row, plan in zip(rows, _row_plans([row[2:] for row in rows], ctx, what)):
         if isinstance(plan, Exception):
@@ -136,12 +134,9 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """v: the numerators, denominators, q and the argument."""
         qn = _qpow(q, ns)
-        f = np.multiply(v[:-1], qn, out=_work((len(v) - 1, v.shape[1], len(ns)), v.dtype))
-        ratio = _quotient(np.subtract(1.0, f, out=f), r)
-        if p:
-            lead = np.multiply(v[-1], (-qn) ** p, out=_work(ratio.shape, v.dtype))
-            return np.multiply(ratio, lead, out=ratio)
-        return np.multiply(ratio, v[-1], out=ratio)
+        ratio = _quotient(1.0 - v[:-1] * qn, r)
+        ratio *= v[-1] * (-qn) ** p if p else v[-1]
+        return ratio
 
     return _sum_rows(out, planned, step, r + s + 1, ctx, what)
 
@@ -232,16 +227,9 @@ def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         qa/f are formed here, in extended precision: one of them near 1
         would turn a rounded quotient into a large error of its factor."""
         qn = _qpow(q, ns)
-        shape = (14, v.shape[1], len(ns))  # the factors' c q^n, then 1 - c q^n
-        f = _work(shape, v.dtype)
-        f = np.empty(shape, v.dtype) if f is None else f  # written a part at a time
-        sq = np.multiply(np.multiply(v[0], qn, out=f[13]), qn, out=f[13])
-        np.multiply(v[:6], qn, out=f[:6])
-        np.multiply(qx * q, sq, out=f[6])
-        np.multiply(qx * v[0] / v[1:6], qn, out=f[7:12])
-        np.multiply(v[6:7], qn, out=f[12:13])
-        ratio = _quotient(np.subtract(1.0, f, out=f), 7)
-        return np.multiply(v[7], ratio, out=ratio)
+        sq = v[0] * qn * qn
+        return v[7] * _quotient(1.0 - np.concatenate(
+            (v[:6] * qn, (qx * q * sq)[None], qx * v[0] / v[1:6] * qn, v[6:7] * qn, sq[None])), 7)
 
     return _sum_rows(out, planned, step, 14, ctx, what)
 

@@ -78,7 +78,6 @@ from .qcore import (
     _ratio_sum,
     _row_plans,
     _termination_order,
-    _work,
     qpoch_ratio,
 )
 from .qseries import PhiSpec, _phi_rows, _w87_rows, phi
@@ -224,38 +223,24 @@ def _grid_sum(
         down_plans = _row_plans([(r, reach, None, None) for r, reach in zip(rates, reaches)],
                                 ctx, what)
 
-    # the rows below are indices into taus; the arrays of a chunk are work
-    # arrays of the kernel's chunk (qcore._work), whose step factors take
-    # ``column`` bytes a column of a row
+    # the rows below are indices into taus; the step factors take ``column``
+    # bytes a column of a row
     column = nd.shape[1] * starts.itemsize
-
-    def grid(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
-        """t = tau q^n."""
-        return np.multiply(taus[rows, None], q**ns, out=_work((len(rows), len(ns)), complex))
 
     def weigh(rows: Sequence[int], ns: np.ndarray, F: np.ndarray) -> np.ndarray:
         if alpha != 0:
-            power = np.add(log_tau[rows, None], ns * log_q, out=_work(F.shape, complex))
-            F = np.multiply(F, np.exp(np.multiply(alpha, power, out=power), out=power), out=power)
-        if weighted:
-            t = grid(rows, ns)
-            return np.multiply(F, t, out=t)
-        return F
+            F = np.multiply(F, np.exp(np.multiply(alpha, log_tau[rows, None] + ns * log_q)))
+        return np.multiply(F, taus[rows, None] * q**ns) if weighted else F
 
     def up(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t q) / F(t) at t = tau q^n."""
-        f = np.multiply(dn[:, rows], grid(rows, ns),
-                        out=_work((len(dn), len(rows), len(ns)), complex))
-        return _quotient(np.subtract(1.0, f, out=f), dens.shape[1])
+        return _quotient(1.0 - dn[:, rows] * (taus[rows, None] * q**ns), dens.shape[1])
 
     def down(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
         """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
         powers of t/q cancel between numerator and denominator, and q/t
         underflows harmlessly."""
-        t = grid(rows, ns)
-        f = np.subtract(np.divide(q, t, out=t), nd.T[:, rows, None],
-                        out=_work((len(dn), len(rows), len(ns)), complex))
-        return _quotient(f, n_num)
+        return _quotient(q / (taus[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
 
     def block(ks: list) -> list:
         """The sums of the live rows ``ks`` (indices into ``live``): only
@@ -576,15 +561,6 @@ def _gr_terms(a: complex, b: complex, cd: tuple[complex, complex],
               b * c, b * d],
              [a * e, a * f, a * g, b * e, b * f, b * g, b * h, b * c * d / h]),
             (b * c * d / (h * q), b * e, b * f, b * g, c / h, d / h, a * h))
-
-
-def _gr_series_value(
-    a: complex, b: complex, cd: tuple[complex, complex],
-    efg: tuple[complex, complex, complex], h: complex, ctx: QContext,
-) -> complex:
-    """The value of the correspondence of :func:`_gr_terms`."""
-    terms = _gr_terms(a, b, cd, efg, h, complex(ctx.q))
-    return _one(SeriesTable(lambda _: terms, _w87_rows, ctx).read([None]))
 
 
 def _e3_table(row: Solution, p: Params3, ctx: QContext) -> SeriesTable:

@@ -28,15 +28,16 @@ from qhyp.equations import (
     qpow,
 )
 from qhyp.errors import DomainError
-from qhyp.qcore import QContext, qpoch_ratio
-from qhyp.qseries import PhiSpec, phi
+from qhyp.qcore import QContext, _one, qpoch_ratio
+from qhyp.qseries import PhiSpec, _w87_rows, phi
 from qhyp.sampling import draw_heine, draw_heine_for, draw_params2, draw_params3
 from qhyp.solutions import (
     CATALOGUE,
     Endpoint,
     JacksonTable,
+    SeriesTable,
     SolutionHandle,
-    _gr_series_value,
+    _gr_terms,
     _heine_exponents,
     all_labels,
     e2_series_scale,
@@ -86,7 +87,8 @@ def ref_e3_series(p: Params3, which: int, x: complex, ctx: QContext) -> complex:
     a, b, cd, efg, h = ref_e3_gr_data(p, which, x, ctx)
     if abs(a * h) >= 1.0:
         raise DomainError(f"series {which}: |a h| = {abs(a*h):.4g} >= 1 at x = {x}")
-    return _gr_series_value(a, b, cd, efg, h, ctx)
+    terms = _gr_terms(a, b, cd, efg, h, complex(ctx.q))
+    return _one(SeriesTable(lambda _: terms, _w87_rows, ctx).read([None]))
 
 
 def ref_e3_series_domain(p: Params3, which: int, ctx: QContext) -> tuple[float, float]:

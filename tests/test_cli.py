@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import qhyp
-from qhyp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, JobError, _expand_labels, main, parse_params, run_job
+from qhyp.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_PIPE, JobError, _expand_labels, main,
+                      parse_params, run_job)
 from qhyp.qcore import QContext
 from qhyp.sampling import draw_equation_params
 from qhyp.solutions import CATALOGUE, all_labels
@@ -220,22 +221,42 @@ class TestSampleCommand:
         assert lines[1].startswith("heine.1,")
 
 
+def child_env():
+    """The environment of a child that imports the same qhyp as this
+    process, installed or not."""
+    path = os.pathsep.join(filter(None, [str(Path(qhyp.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoint:
     def test_console_invocation(self, tmp_path):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"equation": "heine", "seed": 1}))
         out = tmp_path / "report.ndjson"
-        # the child imports the same qhyp as this process, installed or not
-        path = os.pathsep.join(filter(None, [str(Path(qhyp.__file__).parents[1]),
-                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qhyp.cli", "config",
              "--job", str(job), "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(out.read_text().strip().split("\n")[-1])["failures"] == 0
+
+    def test_closed_output_pipe(self, tmp_path):
+        """A report written to a pipe whose reader has gone (as ``| head -n 1``
+        leaves it) exits 141, as SIGPIPE would end it, with no traceback."""
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"equation": "heine", "solutions": "heine.all", "seed": 0}))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qhyp.cli", "verify", "--job", str(job)],
+                stdout=write, stderr=subprocess.PIPE, timeout=120, env=child_env(),
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
 
     def test_missing_job_file(self):
         assert main(["verify", "--job", "/nonexistent/job.json"]) == EXIT_INPUT

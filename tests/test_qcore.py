@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import _Tail, rand_complex
-from qhyp import cli, qcore
+from qhyp import cli
 from qhyp.errors import (
     BudgetExceededError,
     DomainError,
@@ -434,31 +434,16 @@ class TestBlocks:
             assert blocks == [list(range(lo, min(lo + size, rows))) for lo in range(0, rows, size)]
 
 
-# numpy's ufunc buffer, which a lending scope of the kernels sets while it
-# is open (qcore._UFUNC_BUFFER)
-UFUNC_BUFFER = np.getbufsize()
-
-
-def pool_is_idle() -> bool:
-    """Every work buffer of this thread given back, no more kept than
-    qcore._POOL_BUFFERS, and numpy's ufunc buffer at its size again."""
-    pool = qcore._pool
-    return (pool.top == 0 and not pool.lending and len(pool.buffers) <= qcore._POOL_BUFFERS
-            and np.getbufsize() == UFUNC_BUFFER)
-
-
 def phi_batch(rng, rows):
     """3phi2 rows of modulus-0.4-1.6 parameters, |z| in [0.2, 0.9]: enough
-    of them make every chunk a lending one."""
+    of them fill blocks of _BATCH_BYTES."""
     return [([rand_complex(rng) for _ in range(3)], [rand_complex(rng) for _ in range(2)],
              rand_complex(rng, 0.2, 0.9)) for _ in range(rows)]
 
 
-class TestWorkPool:
-    """The arrays of the kernels' large chunks are work arrays of a pool of
-    the thread (qcore._work): lent to one chunk at a time and given back
-    when it ends, whatever it raises.  No value may depend on what the pool
-    held before."""
+class TestChunks:
+    """The kernels' large chunks: each stays within _BATCH_BYTES, and no
+    value depends on what ran before it, beside it or in another thread."""
 
     def test_every_chunk_stays_within_the_budget(self):
         """Rows of ratio 0.999 that end after terms 400-3000 run in many
@@ -489,12 +474,11 @@ class TestWorkPool:
     def test_batches_between_leave_no_trace(self):
         """A series batch, then other batches of every kernel, then the first
         batch again: the same bits, so no array is read before it is
-        written, whatever a buffer held."""
+        written, whatever the heap held."""
         rng = np.random.default_rng(31)
         ctx = QContext(0.5)
         first = phi_batch(rng, 200)
         before = [repr(v) for v in _phi_rows(first, ctx)]
-        assert pool_is_idle() and qcore._pool.buffers
         _w87_rows([[rand_complex(rng) for _ in range(6)] + [rand_complex(rng, 0.2, 0.8)]
                    for _ in range(150)], ctx)
         _phi_rows(phi_batch(rng, 300), QContext(0.45))
@@ -504,13 +488,11 @@ class TestWorkPool:
                   [[rand_complex(rng) for _ in range(4)] for _ in range(100)],
                   [[rand_complex(rng) for _ in range(4)] for _ in range(100)], ctx)
         assert [repr(v) for v in _phi_rows(first, ctx)] == before
-        assert pool_is_idle()
 
-    def test_rows_that_fail_return_every_buffer(self):
-        """Batches large enough to lend, with rows that end in PoleError,
+    def test_rows_that_fail_get_their_own_outcomes(self):
+        """Batches of several blocks, with rows that end in PoleError,
         NonDecayingSumError, BudgetExceededError and UnsupportedCaseError
-        among rows that succeed: each row still gets its outcome, and every
-        buffer is back when the batch returns."""
+        among rows that succeed: each row still gets its outcome."""
         rng = np.random.default_rng(32)
         q = 0.5
         ctx = QContext(q, max_terms=40)
@@ -519,24 +501,20 @@ class TestWorkPool:
         rows[50] = ([0.3, 0.5], [0.7], 0.999)  # 40 terms do not reach the tail
         got = _phi_rows(rows, ctx)
         assert isinstance(got[7], PoleError) and isinstance(got[50], NonDecayingSumError)
-        assert pool_is_idle()
         args = [[rand_complex(rng) for _ in range(8)] for _ in range(60)]
         args[3][0], args[9][5] = 300.0, q**-2  # 61 factors, past the budget; a pole
         got = _pochhammer_product(args, 4, QContext(q, max_terms=60))
         assert isinstance(got[3], BudgetExceededError) and isinstance(got[9], PoleError)
-        assert pool_is_idle()
         taus = [rand_complex(rng) for _ in range(80)]
         nums = [[rand_complex(rng) for _ in range(4)] for _ in range(80)]
         nums[11][0] = 1 / taus[11]  # the integrand vanishes at the grid start
         got = _grid_sum(taus, nums, [[rand_complex(rng) for _ in range(4)] for _ in range(80)],
                         QContext(q))
         assert isinstance(got[11], UnsupportedCaseError)
-        assert pool_is_idle()
 
-    def test_errors_raised_inside_a_chunk_return_every_buffer(self):
-        """An error raised out of a lending chunk, by its step or by an inner
-        series of appell_phi1's weights, gives back what that chunk and the
-        scopes inside it had lent."""
+    def test_errors_raised_inside_a_chunk_propagate(self):
+        """An error raised inside a large chunk, by its step or by an inner
+        series of appell_phi1's weights, leaves the kernel as it is raised."""
         ctx = QContext(0.5, max_terms=4096)
         plan = _row_plan(0.999, 0.0, 3000, None, ctx, "row")
 
@@ -547,16 +525,14 @@ class TestWorkPool:
 
         with pytest.raises(ZeroDivisionError):
             _ratio_sum([1.0] * 8, step, ctx, [0.999] * 8, "row", plans=[plan] * 8)
-        assert pool_is_idle()
-        # the outer chunk of 0.9^m terms is ~300 wide and lends; its inner
+        # the outer chunk of 0.9^m terms is ~300 wide; its inner
         # 2phi1 rows at x2 = 0.995 need more than 200 terms
         with pytest.raises(NonDecayingSumError):
             appell_phi1(0.3, 0.5, 0.7, 0.8, 0.9, 0.995, QContext(0.9, max_terms=200))
-        assert pool_is_idle()
 
     def test_threads_print_what_one_thread_prints(self):
-        """Two threads verifying the seed-0 heine catalogue at once, each
-        with its own pool, print the same bytes as one thread alone."""
+        """Two threads verifying the seed-0 heine catalogue at once print the
+        same bytes as one thread alone."""
         job = {"equation": "heine", "solutions": "heine.all", "seed": 0}
 
         def run(outs, i):
@@ -579,7 +555,6 @@ class TestWorkPool:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert both == alone * 2
-        assert pool_is_idle()
 
 
 def scalar_qpoch_ratio(nums, dens, ctx):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import _Tail, loop_appell_phi1, rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
-from qhyp import qcore, qseries
+from qhyp import qseries
 from qhyp.qcore import (
     _BATCH_BYTES,
     _CHUNK,
@@ -283,15 +283,13 @@ class TestAppell:
 
     def test_nested_batches_match_the_loops(self):
         """At q = 0.9 and x1 = 0.85 the outer row's first chunk is ~300 terms
-        wide, and lends work arrays; the inner 2phi1 of its terms are one
-        batch of several blocks, whose chunks lend again inside it.  The value
-        matches the scalar loops of conftest to 1e-13 of sum |t_m| sum
-        |u_mn|, and every buffer is back."""
+        wide; the inner 2phi1 of its terms are one batch of several blocks,
+        summed inside it.  The value matches the scalar loops of conftest to
+        1e-13 of sum |t_m| sum |u_mn|."""
         ctx = QContext(0.9)
         args = (0.3 + 0.1j, 0.5, 0.7 - 0.2j, 0.8, 0.85, 0.5 + 0.1j)
         want, mags = loop_appell_phi1(*args, ctx)
         assert abs(appell_phi1(*args, ctx) - want) <= 1e-13 * mags
-        assert qcore._pool.top == 0 and not qcore._pool.lending
 
 
 class TestHeineTransformation:
@@ -693,16 +691,13 @@ class TestRowBatches:
 
     def test_batch_memory_does_not_grow_with_its_rows(self):
         """A batch is summed block by block: the traced peak of 300 rows of
-        3phi2 stays within twice that of 30 rows.  Each batch starts from an
-        empty work pool (qcore._work), so that its peak counts the buffers it
-        takes, whatever ran before it."""
+        3phi2 stays within twice that of 30 rows."""
         ctx = QContext(0.5)
         rng = np.random.default_rng(11)
         rows = [([rand_complex(rng) for _ in range(3)], [rand_complex(rng) for _ in range(2)],
                  rand_complex(rng, 0.2, 0.9)) for _ in range(300)]
         peaks = []
         for n in (30, 300):
-            qcore._pool.buffers.clear()
             tracemalloc.start()
             try:
                 values = _phi_rows(rows[:n], ctx)
