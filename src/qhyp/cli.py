@@ -58,8 +58,14 @@ class JobError(Exception):
 
 
 def _is_real(value: Any) -> bool:
-    """A finite JSON number: booleans, strings, NaN and infinities are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number: booleans, strings, NaN, infinities and integers
+    past the largest float are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        return False
 
 
 def as_complex(value: Any) -> complex:
@@ -514,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.job, encoding="utf-8") as fh:
                 job = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, or an int past 4,300 digits
             print(f"error: cannot read job file: {exc}", file=sys.stderr)
             return EXIT_INPUT
         if not isinstance(job, dict):
@@ -528,9 +534,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.out:
-            csv = args.out.endswith(".csv")
-            with open(args.out, "w", encoding="utf-8") as fh:
-                return run_job(args.command, job, fh, csv=csv)
+            try:
+                fh = open(args.out, "w", encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot write output file: {exc}", file=sys.stderr)
+                return EXIT_INPUT
+            with fh:
+                return run_job(args.command, job, fh, csv=args.out.endswith(".csv"))
         code = run_job(args.command, job, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -17,17 +17,20 @@ rows at once, each in order and with its own stop, so that a row's value does
 not depend on the rows beside it; scalar callers pass one row.  A step over
 one column is taken as one over two equal columns, because numpy rounds
 complex products over a single element differently (:func:`_ratio_sum`).
-The series and grid batches, one per kernel and shape for all the labels of
-a job (:func:`qhyp.solutions.fill`), plan each distinct row once
-(:func:`_row_plans`), scan each distinct parameter value once for their
-termination and pole orders (:func:`_termination_order` with one dict for
-the batch), and are summed in blocks cut by those plans (:func:`_by_blocks`),
-as are the Pochhammer batches by their columns (:func:`_pochhammer_widths`):
-rows of like first chunks together, at most ``_BATCH_BYTES`` (512 KiB) of
-rows x factors x columns in a block's first chunk, counted in the bytes of
-the block's dtype, and no later chunk wider than keeps its rows within it,
-so their working set does not grow with their rows and stays on the C heap
-(see ``_BATCH_BYTES``).  A chunk steps every row of its block to the
+The two batch kernels, :func:`_ratio_sum` and :func:`_pochhammer_product`,
+take unplanned rows and return one entry per row.  Each plans its rows
+itself: the series kernel each distinct row once (:func:`_row_plans`),
+giving a row whose pole comes first its PoleError, and the product kernel
+by the factor counts of its arguments, counted once a batch.  Each then
+computes its rows in blocks (:func:`_by_blocks`): rows of like first chunks
+together, at most ``_BATCH_BYTES`` (512 KiB) of rows x factors x columns in
+a block's first chunk, counted in the bytes of the block's dtype, and no
+later chunk wider than keeps its rows within it, so their working set does
+not grow with their rows and stays on the C heap (see ``_BATCH_BYTES``).
+Their callers, one batch per kernel and shape for all the labels of a job
+(:func:`qhyp.solutions.fill`), scan each distinct parameter value once for
+the termination and pole orders of their rows (:func:`_termination_order`
+with one dict for the batch).  A chunk steps every row of its block to the
 chunk's end; the ratios past a row's own end are never summed, and the
 kernel keeps them from warning and takes them as 1.  Whether a factor
 1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros and
@@ -198,11 +201,12 @@ def _one(outcomes: list) -> complex:
 def _by_blocks(kernel: Callable[[Sequence], list], rows: Sequence, column: int,
                widths: Sequence[int] | Callable[[], Sequence[int]]) -> list:
     """``kernel(block)`` over blocks of ``rows``: one entry per row, in the
-    order of ``rows``.  Row i wants ``widths[i]`` columns first (its planned
-    first chunk, or its first chunk of :func:`_pochhammer_product`,
-    :func:`_pochhammer_widths`) of ``column`` bytes each (factors x
-    itemsize, as :func:`_ratio_sum` takes it); ``widths`` may be a function
-    that gives them, called for every batch of two rows or more.  A batch
+    order of ``rows``; the one blocking rule of the two batch kernels,
+    :func:`_ratio_sum` and :func:`_pochhammer_product`.  Row i wants
+    ``widths[i]`` columns first (its planned first chunk, or its first
+    chunk of Pochhammer factors) of ``column`` bytes each (factors x
+    itemsize); ``widths`` may be a function that gives them, called for
+    every batch of two rows or more.  A batch
     within ``_BATCH_BYTES`` (rows x its widest width x ``column``), or of
     one row, is one block.  Else the rows are taken by width, narrowest
     first (a stable sort), and each block holds as many rows (one at least)
@@ -297,35 +301,37 @@ def _ratio_sum(
     t0: Sequence[complex],
     step: Callable[[list, np.ndarray], np.ndarray],
     ctx: QContext,
-    rate: Sequence[complex],
+    rows: Sequence[tuple],
     what: str,
     *,
-    plans: Sequence,
     weigh: Callable[[list, np.ndarray, np.ndarray], np.ndarray] | None = None,
     column: int = _RATIO_FACTORS * _EXTENDED_BYTES,
 ) -> list:
-    """Row r: sum_n t_n, where t_0 = ``t0[r]`` and t_{n+1} = t_n r_n; all
+    """Row r: sum_n t_n, where t_0 = ``t0[r]`` and t_{n+1} = t_n r_n; the
     rows are summed together, a chunk of n at a time.
 
     Returns one entry per row: its sum, or the error it raises (a scalar
     caller passes one row and raises it with :func:`_one`).
 
+    ``rows[r]`` is (rate, reach, last, pole) of row r: ``rate`` the limit of
+    the ratios of its terms (weighed, where ``weigh`` is given), ``reach``
+    the largest |c| among the factors 1 - c q^n of its r_n, ``last`` its
+    last term, or None, and ``pole`` the first n whose r_n divides by a
+    vanishing factor (:func:`_termination_order` of the denominators), or
+    None.  Row r stops by the tail rule or after term ``last``; ``max_terms``
+    terms without either raise NonDecayingSumError.  The kernel plans each
+    distinct row once (:func:`_row_plans`): a row whose ``pole`` comes
+    before its end is the PoleError its plan is, and sums nothing.  It sums
+    the other rows in blocks cut by their first chunks (:func:`_by_blocks`),
+    so the working set of a batch does not grow with its rows.
+
     ``step(rows, ns)`` gives the ratios r_n at the indices ``ns`` for the
-    rows ``rows`` (a list of row indices), one array row each; a chunk asks
-    only for the rows still summing, in an array of its own, which the
-    kernel may overwrite.  ``weigh(rows, ns, t)``, if given, turns a chunk
-    of t_n into the terms summed, without writing to t.  ``rate[r]`` is the
-    limit of the ratios of row r's terms (weighed, where ``weigh`` is given), and
-    ``plans[r]`` its :func:`_row_plan` of that rate, the largest |c| among
-    the factors 1 - c q^n of its r_n (its reach), its ``last`` and its
-    ``pole``, made by the caller.  Row r stops by the tail rule or after term
-    ``last``; ``max_terms`` terms without either raise NonDecayingSumError.
-    ``pole`` is the first n whose r_n divides by a vanishing factor
-    (:func:`_termination_order` of the denominators): unless the row ends at
-    ``last`` first, its plan is the PoleError it raises before summing
-    anything.  ``column`` is the bytes of one column of one row of the step
-    factors (factors x itemsize, as :func:`_by_blocks` takes it; by
-    default the most a step here has).
+    rows ``rows`` (a list of indices into the batch), one array row each; a
+    chunk asks only for the rows still summing, in an array of its own,
+    which the kernel may overwrite.  ``weigh(rows, ns, t)``, if given, turns
+    a chunk of t_n of those rows into the terms summed, without writing to
+    t.  ``column`` is the bytes of one column of one row of the step factors
+    (factors x itemsize; by default the most a step here has).
 
     Each row is summed in order, one product and one addition at a time:
     t_n = (... (t_0 r_0) r_1 ...) r_{n-1}, and the sum adds t_n to the sum
@@ -335,7 +341,7 @@ def _ratio_sum(
     factor counts: a row wants first the terms a geometric sum of ratio
     |rate| takes to fall by 1/tail_tol times the growth those factors can
     add, and the run the tail rule waits for, but no more than its closure
-    index N (or ``_MIN_CHUNK``).  A batch's first chunk is the largest its
+    index N (or ``_MIN_CHUNK``).  A block's first chunk is the largest its
     rows want; later chunks double, up to ``_MAX_CHUNK``.  No chunk is wider
     than keeps the step factors of the rows still summing within
     ``_BATCH_BYTES`` (``_MIN_CHUNK`` at least), so the arrays of a chunk,
@@ -355,102 +361,107 @@ def _ratio_sum(
     last term summed; if not (or t is not finite), NonDecayingSumError is
     raised at once.
     """
-    out: list = [None] * len(plans)
-    live, ends, size, tailed_any = [], [], 0, False
-    for r, plan in enumerate(plans):
-        if isinstance(plan, Exception):
-            out[r] = plan
-            continue
-        first, end, _, tailed, _ = plan
-        live.append(r)
-        ends.append(end)
-        size, tailed_any = max(size, first), tailed_any or tailed
+    plans = _row_plans(rows, ctx, what)
+    out = list(plans)  # a row's PoleError stays its entry
+    live = [r for r, plan in enumerate(plans) if not isinstance(plan, Exception)]
     if not live:
         return out
-    t = np.asarray(t0)  # the term before the chunk: complex, or extended as t0 is
-    t = t.astype(np.promote_types(t.dtype, complex))[:, None]
-    if len(live) < len(plans):
-        t = t[live]
+    t0 = np.asarray(t0)  # complex, or extended as t0 is
+    t0 = t0.astype(np.promote_types(t0.dtype, complex))
 
-    def ratios_at(ns: np.ndarray, short: bool) -> np.ndarray:
-        """r_n at ``ns`` for the live rows; ``short``: some row ends before
-        the chunk does, and takes 1 for each r_n with n >= its end - 1."""
-        if short:  # past a terminating row's last term a denominator may vanish
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratios = ratios_at(ns, False)
-            np.copyto(ratios, 1.0, where=np.asarray(ends)[:, None] <= ns + 1)
-            return ratios
-        # numpy rounds a complex product over one column other than over
-        # many (an in-place product or a product reduction over a single
-        # element skips the fused multiply-add of its vector loops, and a
-        # broadcast over one column changes which operand its loop holds
-        # fixed); so one column is stepped as two equal ones, and every
-        # ratio is rounded as in a chunk of many, alone or in a batch
-        if len(ns) == 1:
-            return step(live, np.repeat(ns, 2))[:, :1]
-        return step(live, ns)
+    def block(members: list) -> list:
+        """The sums of the rows ``members``."""
+        sums_of: dict = {}
+        live = members  # the rows still summing
+        ends = [plans[r][1] for r in live]
+        size = max(plans[r][0] for r in live)
+        tailed_any = any(plans[r][3] for r in live)
+        t = t0[live, None]  # the term before the chunk
 
-    n0 = 0
-    while True:
-        size = min(size, max(_BATCH_BYTES // (len(live) * column), _MIN_CHUNK))
-        hi = min(n0 + size, max(ends))
-        ns = np.arange(n0, hi)
-        short = min(ends) < hi
-        # the terms t_n0 ... of a chunk follow the term t before it; the first
-        # chunk starts at t_0, with no first ratio 1.  t and the ratios, then
-        # their running products in place
-        seq = np.concatenate((t, ratios_at(ns - 1 if n0 else ns[:-1], short)), axis=1)
-        np.multiply.accumulate(seq, axis=1, out=seq)
-        seq = seq[:, 1:] if n0 else seq
-        terms = seq if weigh is None else weigh(live, ns, seq)
-        if n0:  # sums[:, k]: the sum of the terms up to n0 + k
-            sums = np.concatenate((total, terms), axis=1)
-            sums = np.add.accumulate(sums, axis=1, out=sums)[:, 1:]
-        else:  # 0 + t_0 is t_0
-            sums = np.add.accumulate(terms, axis=1)
-            scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)
-        if tailed_any:  # rows the tail rule cannot end all end in the first chunk
-            # the magnitudes of the terms rounded to complex: on x86-64, np.abs
-            # of an extended-precision array takes about six times as long
-            mags = np.abs(terms.astype(complex, copy=False))
-            scales, small, stop = _tail_state(mags, scale, prior, ctx.tail_tol)
-            stops = stop.argmax(axis=1).tolist()
-        going = []  # the rows that sum on past this chunk
-        for i, r in enumerate(live):
-            _, end, closing, tailed, whole = plans[r]
-            w = min(end, hi) - n0
-            if tailed and stops[i] < w and stop[i, stops[i]]:
-                out[r] = complex(sums[i, stops[i]])
-            elif end > hi:
-                going.append(i)
-            elif closing and math.isfinite(mag := abs(terms[i, w - 1])):
-                # the tail rule's run of small terms goes on from the run
-                # ending at the last term summed; with none, it starts at the
-                # first k with mag rho^k < tol scale
-                run = int(small[i, w + 1]) + int(small[i, w + 1] and small[i, w])
-                k = 1
-                if not run:
-                    k += math.floor(math.log(ctx.tail_tol * scales[i, w - 1] / mag)
-                                    / math.log(abs(rate[r])))
-                if end + k + 1 - run < ctx.max_terms:
-                    out[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rate[r] / (1.0 - rate[r]))
+        def ratios_at(ns: np.ndarray, short: bool) -> np.ndarray:
+            """r_n at ``ns`` for the live rows; ``short``: some row ends before
+            the chunk does, and takes 1 for each r_n with n >= its end - 1."""
+            if short:  # past a terminating row's last term a denominator may vanish
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    ratios = ratios_at(ns, False)
+                np.copyto(ratios, 1.0, where=np.asarray(ends)[:, None] <= ns + 1)
+                return ratios
+            # numpy rounds a complex product over one column other than over
+            # many (an in-place product or a product reduction over a single
+            # element skips the fused multiply-add of its vector loops, and a
+            # broadcast over one column changes which operand its loop holds
+            # fixed); so one column is stepped as two equal ones, and every
+            # ratio is rounded as in a chunk of many, alone or in a batch
+            if len(ns) == 1:
+                return step(live, np.repeat(ns, 2))[:, :1]
+            return step(live, ns)
+
+        n0 = 0
+        while True:
+            size = min(size, max(_BATCH_BYTES // (len(live) * column), _MIN_CHUNK))
+            hi = min(n0 + size, max(ends))
+            ns = np.arange(n0, hi)
+            short = min(ends) < hi
+            # the terms t_n0 ... of a chunk follow the term t before it; the first
+            # chunk starts at t_0, with no first ratio 1.  t and the ratios, then
+            # their running products in place
+            seq = np.concatenate((t, ratios_at(ns - 1 if n0 else ns[:-1], short)), axis=1)
+            np.multiply.accumulate(seq, axis=1, out=seq)
+            seq = seq[:, 1:] if n0 else seq
+            terms = seq if weigh is None else weigh(live, ns, seq)
+            if n0:  # sums[:, k]: the sum of the terms up to n0 + k
+                sums = np.concatenate((total, terms), axis=1)
+                sums = np.add.accumulate(sums, axis=1, out=sums)[:, 1:]
+            else:  # 0 + t_0 is t_0
+                sums = np.add.accumulate(terms, axis=1)
+                scale, prior = 1.0, np.zeros((len(live), 2), dtype=bool)
+            if tailed_any:  # rows the tail rule cannot end all end in the first chunk
+                # the magnitudes of the terms rounded to complex: on x86-64, np.abs
+                # of an extended-precision array takes about six times as long
+                mags = np.abs(terms.astype(complex, copy=False))
+                scales, small, stop = _tail_state(mags, scale, prior, ctx.tail_tol)
+                stops = stop.argmax(axis=1).tolist()
+            going = []  # the rows that sum on past this chunk
+            for i, r in enumerate(live):
+                _, end, closing, tailed, whole = plans[r]
+                rate = rows[r][0]
+                w = min(end, hi) - n0
+                if tailed and stops[i] < w and stop[i, stops[i]]:
+                    sums_of[r] = complex(sums[i, stops[i]])
+                elif end > hi:
+                    going.append(i)
+                elif closing and math.isfinite(mag := abs(terms[i, w - 1])):
+                    # the tail rule's run of small terms goes on from the run
+                    # ending at the last term summed; with none, it starts at the
+                    # first k with mag rho^k < tol scale
+                    run = int(small[i, w + 1]) + int(small[i, w + 1] and small[i, w])
+                    k = 1
+                    if not run:
+                        k += math.floor(math.log(ctx.tail_tol * scales[i, w - 1] / mag)
+                                        / math.log(abs(rate)))
+                    if end + k + 1 - run < ctx.max_terms:
+                        sums_of[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rate / (1.0 - rate))
+                    else:
+                        sums_of[r] = NonDecayingSumError(
+                            f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
+                elif whole:
+                    sums_of[r] = complex(sums[i, w - 1])
                 else:
-                    out[r] = NonDecayingSumError(
+                    sums_of[r] = NonDecayingSumError(
                         f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
-            elif whole:
-                out[r] = complex(sums[i, w - 1])
+            if not going:
+                return [sums_of[r] for r in members]
+            if len(going) < len(live):  # what the next chunk carries: the rows going on
+                live, ends = [live[i] for i in going], [ends[i] for i in going]
             else:
-                out[r] = NonDecayingSumError(
-                    f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
-        if not going:
-            return out
-        if len(going) < len(live):  # what the next chunk carries: the rows going on
-            live, ends = [live[i] for i in going], [ends[i] for i in going]
-        else:
-            going = slice(None)
-        t, total = seq[going, -1:], sums[going, -1:]
-        scale, prior = scales[going, -1:], small[going, -2:]
-        n0, size = hi, min(2 * size, _MAX_CHUNK)
+                going = slice(None)
+            t, total = seq[going, -1:], sums[going, -1:]
+            scale, prior = scales[going, -1:], small[going, -2:]
+            n0, size = hi, min(2 * size, _MAX_CHUNK)
+
+    for r, value in zip(live, _by_blocks(block, live, column, [plans[r][0] for r in live])):
+        out[r] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -546,27 +557,36 @@ def _factor_counts(mags: np.ndarray, ctx: QContext) -> np.ndarray:
     return counts
 
 
-def _pochhammer_widths(args, ctx: QContext) -> list:
-    """The first chunk of each row of ``args`` in :func:`_pochhammer_product`:
-    the most factors of any of its arguments, at most ``_CHUNK`` (the widths
-    that :func:`_by_blocks` cuts a batch of products by)."""
-    counts = _factor_counts(np.abs(np.array(args, dtype=complex)), ctx)
-    return np.minimum(counts.max(axis=1, initial=0.0), _CHUNK).astype(int).tolist()
-
-
 def _pochhammer_product(args, n_num: int, ctx: QContext) -> list:
     """Row r of ``args`` (R, M): prod_{i < n_num} (a_ri)_inf / prod_{i >= n_num}
-    (a_ri)_inf, as :func:`qpoch_ratio` computes it, all rows in the same
-    columns.  Returns one entry per row: its product, or the error it raises.
+    (a_ri)_inf, as :func:`qpoch_ratio` computes it.  Returns one entry per
+    row: its product, or the error it raises.
 
-    A column past a row's own factor counts holds factors 1 for it, and a
-    row refused for a pole takes factors 1 from then on, so each row's
-    product is the same as it would be alone, bit for bit.
+    The factors of each argument are counted once for the batch, and the
+    rows are computed in blocks (:func:`_by_blocks`), each row wanting its
+    most factors of any argument, at most ``_CHUNK`` columns, first.  A
+    column past a row's own factor counts holds factors 1 for it, and a row
+    refused for a pole takes factors 1 from then on, so each row's product
+    is the same as it would be alone, bit for bit.
     """
     a = np.array(args, dtype=complex)
-    q = complex(ctx.q)
     mags = np.abs(a)
     counts = _factor_counts(mags, ctx)
+
+    def block(rows: Sequence[int]) -> list:
+        if len(rows) == len(a):
+            return _pochhammer_block(a, mags, counts, n_num, ctx)
+        return _pochhammer_block(a[rows], mags[rows], counts[rows], n_num, ctx)
+
+    return _by_blocks(block, range(len(a)), a.shape[1] * a.itemsize, lambda: np.minimum(
+        counts.max(axis=1, initial=0.0), _CHUNK).astype(int).tolist())
+
+
+def _pochhammer_block(a: np.ndarray, mags: np.ndarray, counts: np.ndarray, n_num: int,
+                      ctx: QContext) -> list:
+    """The entries of :func:`_pochhammer_product` for the rows ``a``, with
+    their magnitudes and factor counts, all rows in the same columns."""
+    q = complex(ctx.q)
     top = counts.max(initial=0.0)
     cols = int(min(top, ctx.max_terms))
     result = None

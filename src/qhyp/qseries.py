@@ -14,20 +14,17 @@ the one series kernel, :func:`qhyp.qcore._ratio_sum`.  :func:`_phi_rows` and
 :func:`_w87_rows` sum many parameter tuples at once, one row each, their step
 ratios read from per-row parameter arrays; a job's fill hands them the rows
 of all its labels of one series shape (:func:`qhyp.solutions.fill`).  They
-plan each row (termination and pole orders, reach,
-:func:`qhyp.qcore._row_plans`), scanning each distinct parameter value of
-the batch once and planning each distinct row once, and sum the rows in
-blocks of bounded size cut by their planned first chunks
-(:func:`qhyp.qcore._by_blocks`), so rows of like length share a block; each
-row's value or error is what it is alone, bit for bit, and ``phi`` and
-``w87`` are the one-row case.  Both sides
-of ``psi33`` pass one row.  A denominator factor that vanishes to rounding
-(:func:`qhyp.qcore._vanishes`) before the sum ends raises PoleError; a
-numerator parameter q^-n ends the series after term n; divergence is refused
-up front (DivergenceError, AnnulusError), row by row.  The q-Appell double
-series ``appell_phi1`` is one row over its first index, each term weighed by
-its inner 2phi1, and the inner series of a chunk are one :func:`_phi_rows`
-batch.  ``phi``, ``w87`` and ``appell_phi1`` step in extended precision
+give the kernel each row's rate, reach, termination order and first pole,
+scanning each distinct parameter value of the batch once, and the kernel
+plans, refuses and blocks the rows; each row's value or error is what it
+is alone, bit for bit, and ``phi`` and ``w87`` are the one-row case.  Both
+sides of ``psi33`` pass one row.  A denominator factor that vanishes to
+rounding (:func:`qhyp.qcore._vanishes`) before the sum ends raises
+PoleError; a numerator parameter q^-n ends the series after term n;
+divergence is refused up front (DivergenceError, AnnulusError), row by row.
+The q-Appell double series ``appell_phi1`` is one row over its first index,
+each term weighed by its inner 2phi1, and the inner series of a chunk are
+one :func:`_phi_rows` batch.  ``phi``, ``w87`` and ``appell_phi1`` step in extended precision
 (:mod:`qhyp.qcore`), ``psi33`` in double precision.
 """
 
@@ -43,13 +40,10 @@ from .errors import AnnulusError, DivergenceError, PoleError
 from .qcore import (
     _EXTENDED_BYTES,
     QContext,
-    _by_blocks,
     _one,
     _qpow,
     _quotient,
     _ratio_sum,
-    _row_plan,
-    _row_plans,
     _termination_order,
     qpoch_ratio,
 )
@@ -73,31 +67,16 @@ class PhiSpec:
 def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: str) -> list:
     """Sum the rows of a series batch into ``out``: ``rows`` holds (i,
     values, rate, reach, last, pole) for entry i, with ``values`` the row's
-    parameters and the rest as :func:`qhyp.qcore._row_plan` takes them
-    (:func:`qhyp.qcore._row_plans` plans each distinct row once).  A row
-    whose plan is its PoleError takes that error; the others are summed in
-    blocks cut by their planned first chunks (:func:`qhyp.qcore._by_blocks`).
+    parameters and the rest the row of :func:`qhyp.qcore._ratio_sum`.
     ``step(v, ns)`` gives the step ratios at ``ns`` of the rows whose
     parameters are ``v``, shaped (parameters, rows, 1), from ``factors``
     factors 1 - c q^n a step."""
-    todo = []
-    for row, plan in zip(rows, _row_plans([row[2:] for row in rows], ctx, what)):
-        if isinstance(plan, Exception):
-            out[row[0]] = plan
-        else:
-            todo.append((row[0], row[1], row[2], plan))
-
-    column = factors * _EXTENDED_BYTES
-
-    def block(members: list) -> list:
-        _, values, rate, plans = zip(*members)
-        v = np.array(values, dtype=np.clongdouble).T.copy()[:, :, None]
-        return _ratio_sum([1.0] * len(members),
-                          lambda sub, ns: step(v if len(sub) == len(members) else v[:, sub], ns),
-                          ctx, rate, what, plans=plans, column=column)
-
-    for row, value in zip(todo, _by_blocks(block, todo, column, [row[3][0] for row in todo])):
-        out[row[0]] = value
+    if rows:
+        v = np.array([row[1] for row in rows], dtype=np.clongdouble).T[:, :, None]
+        sums = _ratio_sum([1.0] * len(rows), lambda sub, ns: step(v[:, sub], ns), ctx,
+                          [row[2:] for row in rows], what, column=factors * _EXTENDED_BYTES)
+        for row, value in zip(rows, sums):
+            out[row[0]] = value
     return out
 
 
@@ -184,15 +163,13 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
         return _quotient(q ** (1 + ks).astype(complex) - ba, 3) / z
 
     reach = np.abs(ab)
-    what = "psi33 upward tail"
-    value = _one(_ratio_sum([1.0], up, ctx, [z], what, column=ab.nbytes,
-                            plans=[_row_plan(z, reach.max(), None, poles[0], ctx, what)]))
+    value = _one(_ratio_sum([1.0], up, ctx, [(z, reach.max(), None, poles[0])],
+                            "psi33 upward tail", column=ab.nbytes))
     if poles[1] is not None:
         raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
-    what = "psi33 downward tail"
-    plan = _row_plan(inner / z, (abs(q * q) / reach).max(), None, None, ctx, what)
     return value + _one(_ratio_sum([down(np.array([0]))[0]], lambda rows, ks: down(ks + 1)[None],
-                                   ctx, [inner / z], what, plans=[plan], column=ba.nbytes))
+                                   ctx, [(inner / z, (abs(q * q) / reach).max(), None, None)],
+                                   "psi33 downward tail", column=ba.nbytes))
 
 
 def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
@@ -283,9 +260,9 @@ def appell_phi1(
         inner = _phi_rows([((u, b2), (v,), x2) for u, v in zip(a * qm, c * qm)], ctx)
         return t * np.array([_one([value]) for value in inner])
 
-    plan = _row_plan(x1, max(map(abs, (a, b1, c, q))), _termination_order([a, b1], ctx),
-                     _termination_order([c], ctx), ctx, "appell_phi1")
-    return _one(_ratio_sum([1.0], step, ctx, [x1], "appell_phi1", weigh=weigh, plans=[plan],
+    row = (x1, max(map(abs, (a, b1, c, q))), _termination_order([a, b1], ctx),
+           _termination_order([c], ctx))
+    return _one(_ratio_sum([1.0], step, ctx, [row], "appell_phi1", weigh=weigh,
                            column=len(outer) * _EXTENDED_BYTES))
 
 

@@ -3,13 +3,14 @@ verification, and the relation checks among the integrals.
 
 Integral evaluators sum Jordan-Pochhammer integrands over q-grids with
 :func:`_grid_sum`, for one-sided and bilateral endpoints alike, one row per
-grid start and many rows in one batch, summed in blocks of bounded size: the
-integrands at the grid starts are one row-wise Pochhammer-ratio evaluation
-a block, and each direction of the grids is a term-ratio sum of the series
-kernel of :mod:`qhyp.qcore` (chunked, stopped row by row by its tail rule),
-with the grid weights t^alpha w(t) applied per chunk.  Zeros and poles on a
-grid are refused up front, row by row, by the one zero test of
-:mod:`qhyp.qcore`, which scans each distinct argument of a batch once.
+grid start and many rows in one batch: the integrands at the grid starts
+are one row-wise Pochhammer-ratio evaluation, and each direction of the
+grids is one term-ratio sum of the series kernel of :mod:`qhyp.qcore`
+(chunked, stopped row by row by its tail rule), with the grid weights
+t^alpha w(t) applied per chunk; both kernels cut their rows into blocks of
+bounded size themselves.  Zeros and poles on a grid are refused up front,
+row by row, by the one zero test of :mod:`qhyp.qcore`, which scans each
+distinct argument of a batch once.
 
 Every handle gives its values through one call, :meth:`SolutionHandle.read`,
 which takes many points and returns one value or error per point; calling a
@@ -19,10 +20,10 @@ returns its error.  A table's missing values are computed by one fill
 (:func:`_fill`), over as many tables as there are to fill: the rows of all
 their missing points first, then one Pochhammer batch per prefactor shape
 and one kernel batch per kernel and series shape, each summed block by
-block.  A job fills every label's handle once, before it measures any
-(:func:`fill`, the CLI's label loop); a handle's own read is the one-handle
-fill.  Every row is independent of its batch, so each value equals the
-one-point evaluator's bit for bit, whatever shares its fill.
+block by its kernel.  A job fills every label's handle once, before it
+measures any (:func:`fill`, the CLI's label loop); a handle's own read is
+the one-handle fill.  Every row is independent of its batch, so each value
+equals the one-point evaluator's bit for bit, whatever shares its fill.
 
 Each integral solution is the difference of two single-endpoint integrals of
 one integrand.  A :class:`JacksonTable` holds those of one parameter tuple,
@@ -70,13 +71,10 @@ from .equations import (
 from .opalgebra import QDiffOperator
 from .qcore import (
     QContext,
-    _by_blocks,
     _one,
     _pochhammer_product,
-    _pochhammer_widths,
     _quotient,
     _ratio_sum,
-    _row_plans,
     _termination_order,
     qpoch_ratio,
 )
@@ -155,30 +153,25 @@ def _grid_sum(
     plain measure (weighted) and w = 1 for dq t / t; one row per grid start
     ``taus[r]``, with its arguments ``nums[r]`` and ``dens[r]``.
 
-    Returns one entry per row: its sum, or the error it raises.  The batch
-    is planned and tested once, before it is cut: each row's plans upwards
-    and, bilateral, downwards (:func:`qhyp.qcore._row_plans`), and its
-    refusal tests below.  The rows are then summed in blocks cut by their
-    upward plans (:func:`qhyp.qcore._by_blocks`, at most
-    ``qcore._BATCH_BYTES`` of complex factors in a block's first chunk: the
-    54 rows of a ``thmint2`` integrand's one-sided batch make one block), so
-    the working set of a batch does not grow with its rows, and a block only
-    runs the kernels.  Each row's value is the same, bit for bit, whatever
-    rows share the batch (a scalar caller passes one row): the weights
-    multiply the terms by an explicit ``np.multiply``, because numpy may
-    compute ``F * temporary`` in place as ``temporary * F`` once the
-    temporary reaches 256 KiB, and a complex product with a fused
-    multiply-add differs in its last bits when its operands are swapped.
-
-    One-sided sums run n >= 0; the bilateral version adds the n < 0 tail and
-    needs equally many numerator and denominator arguments.  The seeds
-    F_r(tau_r) are one row-wise Pochhammer-ratio evaluation a block, whose
-    errors come before the refusals; each direction is then a term-ratio
-    sum of the series kernel of :mod:`qhyp.qcore`, with the step ratios
+    Returns one entry per row: its sum, or the error it raises.  The seeds
+    F_r(tau_r) of the batch are one row-wise Pochhammer-ratio evaluation
+    (:func:`qhyp.qcore._pochhammer_product`), whose errors come before the
+    refusals below; each direction is then one call of the series kernel of
+    :mod:`qhyp.qcore` over the rows still summing, with the step ratios
     F(t q) / F(t) = prod (1 - d_j t) / prod (1 - n_i t) and the weights
-    t^alpha w(t) applied per chunk.
+    t^alpha w(t) applied per chunk.  Both kernels plan and block their rows
+    themselves, so the working set of a batch does not grow with its rows.
     t^alpha is exp(alpha (log tau + n log q)), single-valued along the grid.
-    A row whose tau is 0 sums to 0.
+    A row whose tau is 0 sums to 0.  One-sided sums run n >= 0; the
+    bilateral version adds the n < 0 tail and needs equally many numerator
+    and denominator arguments.
+
+    Each row's value is the same, bit for bit, whatever rows share the batch
+    (a scalar caller passes one row): the weights multiply the terms by an
+    explicit ``np.multiply``, because numpy may compute ``F * temporary`` in
+    place as ``temporary * F`` once the temporary reaches 256 KiB, and a
+    complex product with a fused multiply-add differs in its last bits when
+    its operands are swapped.
 
     Zeros: F is zero on an ascending run of the grid that ends where a
     factor 1 - n_i t vanishes, and the recurrence cannot step out of it.  Such
@@ -187,8 +180,8 @@ def _grid_sum(
     each distinct argument scanned once a batch), is refused up front
     (UnsupportedCaseError).  Descending, a vanishing numerator factor makes
     the rest of the tail exactly zero, which the tail rule ends; a vanishing
-    denominator factor anywhere within the budget is a pole (PoleError, also
-    up front, raised by a row whose upward sum succeeds).
+    denominator factor anywhere within the budget is a pole (PoleError,
+    raised before the descending sum by a row whose upward sum succeeds).
     """
     q = complex(ctx.q)
     alpha = complex(alpha)
@@ -206,80 +199,63 @@ def _grid_sum(
     starts = nd * taus[:, None]
     log_tau = np.zeros(len(taus), dtype=complex)
     log_tau[live] = np.log(taus[live])
-    # per live row, before the batch is cut: its plan upwards; whether it is
-    # refused, for a numerator argument that is q^-k at its grid start, or,
-    # descending, for a denominator pole (q/t - d_j at t = tau q^-n vanishes
-    # where 1 - (q / (tau d_j)) q^n does); and its rate and plan downwards
-    plans = _row_plans([(rate, reach, None, None) for reach in np.abs(starts[live]).max(axis=1)],
-                       ctx, what)
-    orders: dict = {}
-    vanishing = [_termination_order(start, ctx, orders) is not None
-                 for start in starts[live, :n_num].tolist()]
-    if bilateral:
-        poles = [_termination_order(c, ctx, orders) is not None
-                 for c in (q / (taus[live, None] * dens[live])).tolist()]
-        rates = np.prod(nums[live], axis=1) / np.prod(dens[live], axis=1) / rate
-        reaches = np.abs(q * q / (taus[live, None] * nd[live])).max(axis=1)
-        down_plans = _row_plans([(r, reach, None, None) for r, reach in zip(rates, reaches)],
-                                ctx, what)
-
-    # the rows below are indices into taus; the step factors take ``column``
-    # bytes a column of a row
+    # the step factors take ``column`` bytes a column of a row
     column = nd.shape[1] * starts.itemsize
 
-    def weigh(rows: Sequence[int], ns: np.ndarray, F: np.ndarray) -> np.ndarray:
+    def weigh(rows: np.ndarray, ns: np.ndarray, F: np.ndarray) -> np.ndarray:
         if alpha != 0:
             F = np.multiply(F, np.exp(np.multiply(alpha, log_tau[rows, None] + ns * log_q)))
         return np.multiply(F, taus[rows, None] * q**ns) if weighted else F
 
-    def up(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
+    def up(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """F(t q) / F(t) at t = tau q^n."""
         return _quotient(1.0 - dn[:, rows] * (taus[rows, None] * q**ns), dens.shape[1])
 
-    def down(rows: Sequence[int], ns: np.ndarray) -> np.ndarray:
+    def down(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """F(t / q) / F(t) at t = tau q^n.  1 - c t/q = (t/q) (q/t - c): the
         powers of t/q cancel between numerator and denominator, and q/t
         underflows harmlessly."""
         return _quotient(q / (taus[rows, None] * q**ns) - nd.T[:, rows, None], n_num)
 
-    def block(ks: list) -> list:
-        """The sums of the live rows ``ks`` (indices into ``live``): only
-        the kernels run here, on the rows the refusals above leave."""
-        value = _pochhammer_product(starts[live[ks]], n_num, ctx)
-        for i, k in enumerate(ks):
-            if not isinstance(value[i], Exception) and (value[i] == 0 or vanishing[k]):
-                value[i] = UnsupportedCaseError(
-                    f"integrand vanishes at the grid start {complex(taus[live[k]])}")
-        good = [i for i, v in enumerate(value) if not isinstance(v, Exception)]
-        if not good:
-            return value
-        seed, up_ks = np.array([value[i] for i in good]), [ks[i] for i in good]
-        at = live[up_ks]
-        sums = _ratio_sum(seed, lambda sub, ns: up(at[sub], ns), ctx, [rate] * len(good), what,
-                          weigh=lambda sub, ns, F: weigh(at[sub], ns, F),
-                          plans=[plans[k] for k in up_ks], column=column)
-        if bilateral:
-            for i, k in enumerate(up_ks):
-                if not isinstance(sums[i], Exception) and poles[k]:
-                    sums[i] = PoleError("integrand pole on the descending grid")
-            on = [i for i, v in enumerate(sums) if not isinstance(v, Exception)]
-            down_ks = [up_ks[i] for i in on]
-            down_at = live[down_ks]
-            tails = _ratio_sum(
-                seed[on] * down(down_at, np.array([0]))[:, 0],
-                lambda sub, js: down(down_at[sub], -1 - js), ctx, rates[down_ks], what,
-                weigh=lambda sub, js, F: weigh(down_at[sub], -1 - js, F),
-                plans=[down_plans[k] for k in down_ks], column=column)
-            for i, v in zip(on, tails):
-                sums[i] = v if isinstance(v, Exception) else sums[i] + v
-        for i, v in zip(good, sums):
-            value[i] = v if isinstance(v, Exception) else (1.0 - q) * v
-        return value
-
+    # the kernels pass ``rows``, indices into their own batch; ``at`` and
+    # ``down_at`` map those to indices into taus
     out: list = [0.0 + 0.0j] * len(taus)
-    entries = _by_blocks(block, list(range(len(live))), column, [plan[0] for plan in plans])
-    for r, v in zip(live, entries):
-        out[r] = v
+    seeds = _pochhammer_product(starts[live], n_num, ctx)
+    orders: dict = {}
+    for k, r in enumerate(live):
+        if not isinstance(seeds[k], Exception) and (
+                seeds[k] == 0 or _termination_order(starts[r, :n_num].tolist(), ctx, orders)
+                is not None):
+            seeds[k] = UnsupportedCaseError(
+                f"integrand vanishes at the grid start {complex(taus[r])}")
+        out[r] = seeds[k]
+    good = [k for k, v in enumerate(seeds) if not isinstance(v, Exception)]
+    at, seed = live[good], np.array([seeds[k] for k in good])
+    reaches = np.abs(starts[live]).max(axis=1)
+    sums = _ratio_sum(seed, lambda rows, ns: up(at[rows], ns), ctx,
+                      [(rate, reaches[k], None, None) for k in good], what,
+                      weigh=lambda rows, ns, F: weigh(at[rows], ns, F), column=column)
+    if bilateral:
+        # descending, q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n
+        # does: a pole, raised by a row whose upward sum succeeds
+        poles = (q / (taus[live, None] * dens[live])).tolist()
+        for i, k in enumerate(good):
+            if not isinstance(sums[i], Exception) and \
+                    _termination_order(poles[k], ctx, orders) is not None:
+                sums[i] = PoleError("integrand pole on the descending grid")
+        down_rates = np.prod(nums[live], axis=1) / np.prod(dens[live], axis=1) / rate
+        down_reaches = np.abs(q * q / (taus[live, None] * nd[live])).max(axis=1)
+        on = [i for i, v in enumerate(sums) if not isinstance(v, Exception)]
+        down_at = at[on]
+        tails = _ratio_sum(
+            seed[on] * down(down_at, np.array([0]))[:, 0],
+            lambda rows, js: down(down_at[rows], -1 - js), ctx,
+            [(down_rates[good[i]], down_reaches[good[i]], None, None) for i in on], what,
+            weigh=lambda rows, js, F: weigh(down_at[rows], -1 - js, F), column=column)
+        for i, v in zip(on, tails):
+            sums[i] = v if isinstance(v, Exception) else sums[i] + v
+    for r, v in zip(at, sums):
+        out[r] = v if isinstance(v, Exception) else (1.0 - q) * v
     return out
 
 
@@ -386,13 +362,14 @@ def _fill(requests: Sequence[tuple[SeriesTable, Sequence]]) -> None:
     """Compute the missing values of every (table, points) request at once.
 
     The rows of all the missing points come first, table by table in
-    request order.  Then the prefactors are one Pochhammer batch per context
-    and shape, summed block by block (:func:`qhyp.qcore._by_blocks`), and
+    request order.  Then the prefactors are one
+    :func:`qhyp.qcore._pochhammer_product` call per context and shape, and
     the kernel rows one call per kernel (the same object), context and shape
-    (:func:`qhyp.qseries._phi_rows` and ``_w87_rows`` block their rows the
-    same way, and a Jackson integrand makes one :func:`_grid_sum` batch a
-    side).  Every row is independent of its batch, so each value equals the
-    one-point value bit for bit, whatever else the fill computes."""
+    (:func:`qhyp.qseries._phi_rows` or ``_w87_rows``, or a Jackson
+    integrand, which makes one :func:`_grid_sum` batch a side); the batch
+    kernels of :mod:`qhyp.qcore` under them block their rows.  Every row is
+    independent of its batch, so each value equals the one-point value bit
+    for bit, whatever else the fill computes."""
     rows = []  # (table, x, lead, prefactor, args) of each missing point, once
     queued: dict = {}  # table -> its points in rows
     prefactors: dict = {}  # (ctx, numerators, denominators) -> indices into rows
@@ -416,12 +393,9 @@ def _fill(requests: Sequence[tuple[SeriesTable, Sequence]]) -> None:
                 prefactors.setdefault((table.ctx, *map(len, prefactor)), []).extend(
                     range(first, len(rows)))
     ratios: list = [None] * len(rows)
-    for (ctx, n_num, n_den), members in prefactors.items():
-        args = [[*rows[i][3][0], *rows[i][3][1]] for i in members]
-        column = (n_num + n_den) * np.dtype(complex).itemsize
-        for i, ratio in zip(members, _by_blocks(
-                lambda block: _pochhammer_product(block, n_num, ctx), args, column,
-                lambda: _pochhammer_widths(args, ctx))):
+    for (ctx, n_num, _), members in prefactors.items():
+        for i, ratio in zip(members, _pochhammer_product(
+                [[*rows[i][3][0], *rows[i][3][1]] for i in members], n_num, ctx)):
             ratios[i] = ratio
     values: list = [None] * len(rows)
     for (kernel, ctx, _), members in batches.items():

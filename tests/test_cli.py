@@ -261,6 +261,26 @@ class TestEntryPoint:
     def test_missing_job_file(self):
         assert main(["verify", "--job", "/nonexistent/job.json"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("content", [
+        b'{"equation": "heine", "params": {"a": 1' + b"0" * 5000 + b', "b": 1.2, "c": 1.7}}',
+        b'{"equation": "heine\xff"}'], ids=["5001-digit-int", "not-utf-8"])
+    def test_unreadable_job_file(self, tmp_path, capsys, content):
+        """json.load refuses an integer literal of more than 4,300 digits, and
+        a file that is not UTF-8, with a ValueError that is no JSONDecodeError:
+        the job file cannot be read, which is an input error, not a traceback."""
+        job = tmp_path / "job.json"
+        job.write_bytes(content)
+        assert main(["config", "--job", str(job)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot read job file")
+
+    @pytest.mark.parametrize("out", [".", "missing/report.ndjson"], ids=["directory", "no-parent"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, out):
+        """An --out that cannot be opened for writing (a directory, or a path
+        whose parent is missing) is refused with a message, not a traceback."""
+        job = write_job(tmp_path, {"equation": "heine", "seed": 0})
+        assert main(["config", "--job", job, "--out", str(tmp_path / out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot write output file")
+
     @pytest.mark.parametrize("label", ["thmser3.9", "thmint3.phi3[1,5]", "thmint3.phi3[1,1]",
                                        "thmint3.foo[1,2]", "thmint2.phi2[2,1]"])
     def test_unknown_label_index(self, tmp_path, label):
@@ -305,14 +325,17 @@ class TestJobInput:
         ("config", {"equation": "heine", "params": {"a": math.nan, "b": 1.2, "c": 1.7}}),
         ("verify", {"equation": "heine", "params": {"a": [0.5, math.inf], "b": 1.2, "c": 1.7}}),
         ("config", {"operator": [{"i": 0, "j": 0, "re": math.nan}, {"i": 1, "j": 1, "re": 1.0}]}),
+        ("config", {"equation": "heine", "params": {"a": 10**400, "b": 1.2, "c": 1.7}}),
     ], ids=["e3-config-a1b1", "e3-verify-a1b1", "e3-sample-AB", "e3-relations-AB",
             "e2-config-a1b1", "e2-verify-AB", "h3-config-t1", "qheun-config-t1",
-            "qheun3-config-t1", "h2-config-t1", "heine-nan", "heine-inf", "operator-nan"])
+            "qheun3-config-t1", "h2-config-t1", "heine-nan", "heine-inf", "operator-nan",
+            "heine-huge-int"])
     def test_zero_divisor_or_non_finite_number_is_input_error(self, tmp_path, capsys, command, job):
         """A zero parameter that the balance check or ``build_h3`` divides by,
-        a zero singular point t_i of any equation that has them, or a NaN or
-        infinity (which json.load accepts), is refused with a message, not a
-        traceback or a FAIL row."""
+        a zero singular point t_i of any equation that has them, a NaN or
+        infinity (which json.load accepts), or an integer past the largest
+        float (401 digits), is refused with a message, not a traceback or a
+        FAIL row."""
         assert main([command, "--job", write_job(tmp_path, job)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 

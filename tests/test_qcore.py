@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import _Tail, rand_complex
-from qhyp import cli
+from qhyp import cli, qcore
 from qhyp.errors import (
     BudgetExceededError,
     DomainError,
@@ -32,7 +32,6 @@ from qhyp.qcore import (
     _by_blocks,
     _one,
     _pochhammer_product,
-    _pochhammer_widths,
     _ratio_sum,
     _row_plan,
     _row_plans,
@@ -215,8 +214,7 @@ class TestTailRule:
         tail = _Tail(ctx)
         assert [tail.done(1e-20 * 0.999**n) for n in range(3)] == [False, False, True]
         got = _one(_ratio_sum([1e-20], lambda rows, ns: np.full((1, len(ns)), 0.999 + 0j), ctx,
-                              [0.999], "tiny",
-                              plans=[_row_plan(0.999, 0.0, None, None, ctx, "tiny")]))
+                              [(0.999, 0.0, None, None)], "tiny"))
         assert got == pytest.approx(1e-20 * (1 + 0.999 + 0.999**2), rel=1e-15)
 
     @given(
@@ -280,12 +278,11 @@ class TestBatchedSeriesKernel:
         rates = [0.1 if last is not None else z for z, last in zip(zs, lasts)]
         reaches = [0.3 * abs(z) for z in zs]
         t0s = [1.0 + 0.5j] * len(rows)
-        plans = [_row_plan(rate, reach, last, None, ctx, "row")
-                 for rate, reach, last in zip(rates, reaches, lasts)]
-        batch = _ratio_sum(t0s, step, ctx, rates, "row", plans=plans)
+        rows = [(rate, reach, last, None) for rate, reach, last in zip(rates, reaches, lasts)]
+        batch = _ratio_sum(t0s, step, ctx, rows, "row")
         for r, got in enumerate(batch):
             alone = _ratio_sum([t0s[r]], lambda live, ns, r=r: ratios(r, ns)[None], ctx,
-                               [rates[r]], "row", plans=[plans[r]])[0]
+                               [rows[r]], "row")[0]
             assert got == alone
             want = self.loop(t0s[r], lambda ns, r=r: ratios(r, ns), lasts[r], ctx)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) / (1 - abs(zs[r]))
@@ -305,8 +302,7 @@ class TestBatchedSeriesKernel:
         assert want == 30.0
         for rows in (1, 3):
             got = _ratio_sum([1.0] * rows, lambda live, ns: np.array([ratios(ns)] * len(live)),
-                             ctx, [0.1] * rows, "row",
-                             plans=[_row_plan(0.1, 0.0, 100, None, ctx, "row")] * rows)
+                             ctx, [(0.1, 0.0, 100, None)] * rows, "row")
             assert got == [want] * rows
 
 
@@ -414,14 +410,23 @@ class TestBlocks:
                        16 * itemsize, widths)
             assert cut == blocks
 
-    def test_pochhammer_widths_are_first_chunks(self, ctx):
-        """A row's width is its most factors of any argument, at most _CHUNK:
-        the columns _pochhammer_product builds for it alone, in one chunk."""
+    def test_pochhammer_widths_are_first_chunks(self, ctx, monkeypatch):
+        """The width _pochhammer_product hands _by_blocks for a row is its
+        most factors of any argument, at most _CHUNK: the columns it builds
+        for the row alone, in one chunk."""
         args = [[0.5, 2.0], [1e-20, 0.0], [1e9, 0.1], [float("nan"), 1.0], [1e30, 1.0]]
         counts = [max(sum(abs(a) * abs(ctx.q) ** k >= ctx.tail_tol for k in range(400))
                       for a in row) for row in args]
         assert counts[2] < _CHUNK < counts[4]
-        assert _pochhammer_widths(args, ctx) == [min(c, _CHUNK) for c in counts]
+        handed, by_blocks = [], qcore._by_blocks
+
+        def recorded(kernel, rows, column, widths):
+            handed.append(widths() if callable(widths) else widths)
+            return by_blocks(kernel, rows, column, widths)
+
+        monkeypatch.setattr(qcore, "_by_blocks", recorded)
+        _pochhammer_product(args, 1, ctx)
+        assert handed == [[min(c, _CHUNK) for c in counts]]
 
     def test_equal_widths_give_consecutive_blocks(self):
         """At width _CHUNK for every row, as the Pochhammer prefactors pass it,
@@ -449,26 +454,27 @@ class TestChunks:
         """Rows of ratio 0.999 that end after terms 400-3000 run in many
         chunks; every chunk's step factors (rows still summing x columns x
         the column's bytes) stay within _BATCH_BYTES, wider as rows end, and
-        each row is what it is alone, whose chunks differ."""
+        each row is what it is alone, whose chunks differ.  The rows are
+        planned off a fast rate, so their first chunks are _MIN_CHUNK wide
+        and all 27 share one block."""
         ctx = QContext(0.5, max_terms=4096)
         column = 14 * np.dtype(np.clongdouble).itemsize
         lasts = [400 + 100 * k for k in range(27)]
-        plans = [_row_plan(0.999, 0.0, last, None, ctx, "row") for last in lasts]
+        batch_rows = [(0.1, 0.0, last, None) for last in lasts]
         chunks = []
 
         def step(rows, ns):
             chunks.append((len(rows), len(ns)))
             return np.full((len(rows), len(ns)), 0.999 + 0.001j, dtype=np.clongdouble)
 
-        batch = _ratio_sum([1.0] * len(lasts), step, ctx, [0.999] * len(lasts), "row",
-                           plans=plans, column=column)
+        batch = _ratio_sum([1.0] * len(lasts), step, ctx, batch_rows, "row", column=column)
         assert len(chunks) > 10 and len({width for _, width in chunks}) > 2
         for rows, width in chunks:
             assert width <= _MIN_CHUNK or rows * width * column <= _BATCH_BYTES
-        for plan, got in zip(plans, batch):
+        for row, got in zip(batch_rows, batch):
             alone = _ratio_sum([1.0], lambda rows, ns: np.full(
                 (len(rows), len(ns)), 0.999 + 0.001j, dtype=np.clongdouble),
-                ctx, [0.999], "row", plans=[plan], column=column)
+                ctx, [row], "row", column=column)
             assert repr(got) == repr(alone[0])
 
     def test_batches_between_leave_no_trace(self):
@@ -497,8 +503,8 @@ class TestChunks:
         q = 0.5
         ctx = QContext(q, max_terms=40)
         rows = phi_batch(rng, 120)
-        rows[7] = ([0.3, 0.5], [q**-3], 0.4)  # a pole at n = 3
-        rows[50] = ([0.3, 0.5], [0.7], 0.999)  # 40 terms do not reach the tail
+        rows[7] = ([0.3, 0.5, 0.2], [q**-3, 0.6], 0.4)  # a pole at n = 3
+        rows[50] = ([0.3, 0.5, 0.2], [0.7, 0.6], 0.999)  # 40 terms do not reach the tail
         got = _phi_rows(rows, ctx)
         assert isinstance(got[7], PoleError) and isinstance(got[50], NonDecayingSumError)
         args = [[rand_complex(rng) for _ in range(8)] for _ in range(60)]
@@ -516,15 +522,13 @@ class TestChunks:
         """An error raised inside a large chunk, by its step or by an inner
         series of appell_phi1's weights, leaves the kernel as it is raised."""
         ctx = QContext(0.5, max_terms=4096)
-        plan = _row_plan(0.999, 0.0, 3000, None, ctx, "row")
-
         def step(rows, ns):
             if ns[0] > 1000:
                 raise ZeroDivisionError("a step that fails")
             return np.full((len(rows), len(ns)), 0.999 + 0j, dtype=np.clongdouble)
 
         with pytest.raises(ZeroDivisionError):
-            _ratio_sum([1.0] * 8, step, ctx, [0.999] * 8, "row", plans=[plan] * 8)
+            _ratio_sum([1.0] * 8, step, ctx, [(0.999, 0.0, 3000, None)] * 8, "row")
         # the outer chunk of 0.9^m terms is ~300 wide; its inner
         # 2phi1 rows at x2 = 0.995 need more than 200 terms
         with pytest.raises(NonDecayingSumError):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import _Tail, loop_appell_phi1, rand_complex
 from qhyp.errors import AnnulusError, DivergenceError, NonDecayingSumError, PoleError
-from qhyp import qseries
+from qhyp import qcore, qseries
 from qhyp.qcore import (
     _BATCH_BYTES,
     _CHUNK,
@@ -787,19 +787,27 @@ class TestPlannedBlocks:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_first_chunk_of_a_block_stays_within_the_budget(self, kind, monkeypatch):
         draw, rows_of, _, factors = self.KINDS[kind]
-        blocks, itemsizes = [], set()
-        ratio_sum = qseries._ratio_sum
+        blocks, itemsizes, columns = [], set(), set()
+        by_blocks, quotient = qcore._by_blocks, qseries._quotient
 
-        def recorded(t0, step, *args, plans, **kwargs):
-            def stepped(rows, ns):
-                ratios = step(rows, ns)
-                itemsizes.add(ratios.itemsize)
-                return ratios
+        def recorded(kernel, rows, column, widths):
+            """Each block's first chunks, as the kernel cuts it."""
+            columns.add(column)
+            first = dict(zip(rows, widths))
 
-            blocks.append([plan[0] for plan in plans])
-            return ratio_sum(t0, stepped, *args, plans=plans, **kwargs)
+            def block(members):
+                blocks.append([first[row] for row in members])
+                return kernel(members)
 
-        monkeypatch.setattr(qseries, "_ratio_sum", recorded)
+            return by_blocks(block, rows, column, widths)
+
+        def stepped(factors, split):
+            ratios = quotient(factors, split)
+            itemsizes.add(ratios.itemsize)
+            return ratios
+
+        monkeypatch.setattr(qcore, "_by_blocks", recorded)
+        monkeypatch.setattr(qseries, "_quotient", stepped)
         rng = np.random.default_rng(23)
         for _ in range(8):
             rows_of(draw(rng, 0.5, 300), QContext(0.5))
@@ -807,6 +815,7 @@ class TestPlannedBlocks:
         # the series kernels step in extended precision, and are budgeted so
         (itemsize,) = itemsizes
         assert itemsize == np.dtype(np.clongdouble).itemsize
+        assert columns == {factors * itemsize}
         for firsts in blocks:
             assert (len(firsts) == 1
                     or len(firsts) * factors * max(firsts) * itemsize <= _BATCH_BYTES)
