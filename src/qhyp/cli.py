@@ -35,7 +35,7 @@ from .errors import QhypError
 from .opalgebra import QDiffOperator
 from .qcore import QContext, qpoch_inf
 from .qseries import heine_transformation_constant
-from .solutions import CATALOGUE, Endpoint, all_labels, residual, sample_points, solution_handle
+from .solutions import CATALOGUE, Endpoint, all_labels, sample_points, solution_handle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -274,20 +274,20 @@ def _expand_labels(job: dict, kind: str | None) -> list[str]:
 
 def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
                 default_samples: int, reads, measure) -> None:
-    """The label loop of verify and sample: per label, in order, the record
-    and pass flag (None: no flag) of ``measure(handle, xs, points)``, or its
-    error.  The labels of one equation share one tuple and Jackson table;
-    "params" apply to the named equation only; without them a row with a
-    condition (``Solution.condition``) draws its own tuple, meeting that
-    condition.
+    """The label loop of verify and sample: per label, in order, its record
+    and pass flag (None: no flag), or its error.  The labels of one
+    equation share one tuple and Jackson table; "params" apply to the named
+    equation only; without them a row with a condition
+    (``Solution.condition``) draws its own tuple, meeting that condition.
 
     Three passes: every label's handle, sample points xs and the points
-    ``reads(handle, xs)`` that ``measure`` will read, computed once and
-    handed to it, in label order (the tuples drawn from ``rng`` in that
-    order); then one fill of all those reads
-    (:func:`qhyp.solutions.fill`); then each label measured and reported in
-    label order.  A label whose first pass raises reports that error and
-    reads nothing."""
+    ``reads(handle, xs)`` that ``measure`` will read, computed once, in
+    label order (the tuples drawn from ``rng`` in that order); then one fill
+    of all those reads (:func:`qhyp.solutions.fill`); then one
+    ``measure(entries)`` of the (handle, xs, points) of every label whose
+    first pass succeeded, one (record, pass flag) or error each, and every
+    label reported in label order.  A label whose first pass raises reports
+    that error and reads nothing."""
     named, raw = job.get("equation"), job.get("params")
     if named is not None and not (isinstance(named, str) and named in BUILDERS):
         raise JobError(f"equation must be one of {sorted(BUILDERS)}")
@@ -319,16 +319,18 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
         requests.append((handle, points))
         prepared.append((label, (handle, xs, points)))
     solutions.fill(requests)
+    measured = iter(measure([entry for _, entry in prepared if not isinstance(entry, QhypError)]))
     for label, entry in prepared:
-        try:
-            if isinstance(entry, QhypError):
-                raise entry  # the first pass's error, reported in label order
-            record, passed = measure(*entry)
-        except QhypError as exc:
+        # the first pass's error, or the measure's, reported in label order
+        outcome = entry if isinstance(entry, QhypError) else next(measured)
+        if isinstance(outcome, Exception) and not isinstance(outcome, QhypError):
+            raise outcome.with_traceback(None)  # not a failed check: the job's own error
+        if isinstance(outcome, QhypError):
             report.add({"check": check, "label": label,
-                        "error": f"{type(exc).__name__}: {exc}"}, passed=False)
-            continue
-        report.add({"check": check, "label": label, **record}, passed=passed)
+                        "error": f"{type(outcome).__name__}: {outcome}"}, passed=False)
+        else:
+            record, passed = outcome
+            report.add({"check": check, "label": label, **record}, passed=passed)
 
 
 def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
@@ -336,9 +338,13 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
     def reads(handle, xs):
         return solutions.residual_points(handle.equation, handle, xs)
 
-    def measure(handle, xs, points):
-        res = residual(handle.equation, handle, xs, ctx, points)
-        return {"samples": len(xs), "max_residual": res}, res < RESIDUAL_TOL
+    def measure(entries):
+        """Every label's residual, in one pass (:func:`qhyp.solutions.residuals`)."""
+        found = solutions.residuals([(handle.equation, handle, xs, points)
+                                     for handle, xs, points in entries])
+        return [res if isinstance(res, QhypError) else
+                ({"samples": len(xs), "max_residual": res}, res < RESIDUAL_TOL)
+                for (_, xs, _), res in zip(entries, found)]
 
     _each_label(job, rng, ctx, report, "residual", 10, reads, measure)
 
@@ -446,14 +452,13 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
     """Records of |f(x)| along the positive axis for plotting, each label at
     the parameters verify checks it at; written as CSV when the output file
     ends in .csv."""
-    def measure(handle, xs, _):
+    def measure_one(handle, xs):
         values = handle.read(xs)
-        for value in values:
-            if isinstance(value, Exception):
-                raise value.with_traceback(None)
-        return {"x": [float(v) for v in xs], "abs_f": [abs(v) for v in values]}, None
+        error = next((value for value in values if isinstance(value, Exception)), None)
+        return error or ({"x": [float(v) for v in xs], "abs_f": [abs(v) for v in values]}, None)
 
-    _each_label(job, rng, ctx, report, "sample", 32, lambda handle, xs: xs, measure)
+    _each_label(job, rng, ctx, report, "sample", 32, lambda handle, xs: xs,
+                lambda entries: [measure_one(handle, xs) for handle, xs, _ in entries])
 
 
 def _sample_rows_to_csv(rows: list[dict], out) -> None:

@@ -13,6 +13,10 @@ class NonDecayingSumError(QhypError):
     """A Jackson sum or series failed to meet the tail criterion within budget."""
 
 
+class NonFiniteError(QhypError):
+    """A residual term of a solution, or its residual, is NaN or infinite."""
+
+
 class PoleError(QhypError):
     """A denominator factor vanished (division by a zero Pochhammer factor)."""
 

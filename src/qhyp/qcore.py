@@ -72,7 +72,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,36 +94,59 @@ def _vanishes(factor, w):
     return abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(w))
 
 
-def _termination_order(params: Sequence[complex], ctx: QContext,
-                       orders: dict | None = None) -> int | None:
-    """Smallest n < ``max_terms`` with some 1 - c q^n zero (:func:`_vanishes`),
-    else None: where a series with numerators c terminates, or the first pole
-    of denominators c.  A descending form v q^n - c has the zeros of v / c.
+def _termination_orders(values, ctx: QContext) -> np.ndarray:
+    """For each value c of the array ``values``, in its shape: the smallest
+    n < ``max_terms`` with 1 - c q^n zero (:func:`_vanishes`), else
+    ``max_terms``.  Where a series with numerators c terminates, or the
+    first pole of denominators c; a descending form v q^n - c has the zeros
+    of v / c.  The order of a row is the least of its values'.
 
-    ``orders``, if given, maps the values c already scanned under ``ctx`` to
-    their own orders (None for none) and takes those of the values scanned
-    now: a batch passes one dict for all its rows, so that each distinct
-    value is scanned once.  The scan of a value is the same either way."""
+    One scan over all the values, a chunk of n at a time, with the
+    arithmetic of the scalar loop it replaced: w = c q^n by repeated
+    multiplication w q, the product taken as CPython takes it, re = wr qr -
+    wi qi and im = wr qi + wi qr, each an IEEE product or sum of its own
+    (numpy's complex loops may fuse a multiply-add), and |w| as
+    ``np.hypot``, as ``abs`` of a complex is.  The loop stops a value at the
+    first n where |w| < 0.5, with no order, or where 1 - w vanishes, order
+    n.  1 - w vanishes only where |w| is 1 to 3e-12, and |w| shrinks by
+    |q| (1 + 3 eps) < 1 a step, so no order comes after |w| < 0.5: the
+    order is the first n where 1 - w vanishes, and a value whose next |w|
+    is below 0.999 is done.  A chunk takes the steps up to where the largest
+    |w| falls below 1, within the budget and ``_BATCH_BYTES``.  So a NaN
+    value has no order, an infinite one order 0, and one still going after
+    ``max_terms`` steps none, as in the loop; a modulus past the largest
+    float, where ``abs`` raised OverflowError, counts as infinite."""
+    c = np.asarray(values, dtype=complex)
     q = complex(ctx.q)
-    best: int | None = None
-    for a in params:
-        c = complex(a)
-        if orders is not None and c in orders:
-            order = orders[c]
-        else:
-            order, w = None, c
-            for n in range(ctx.max_terms):
-                if abs(w) < 0.5:
-                    break  # |c q^n| only shrinks from here: can no longer hit 1
-                if _vanishes(1.0 - w, w):
-                    order = n
-                    break
-                w *= q
-            if orders is not None:
-                orders[c] = order
-        if order is not None and (best is None or order < best):
-            best = order
-    return best
+    across = np.array([[-q.imag], [q.imag]])  # times (wi, wr): (-wi qi, wr qi)
+    lq = -math.log(abs(q))
+    orders = np.full(c.size, ctx.max_terms)
+    live = np.arange(c.size)
+    w = np.ascontiguousarray(c.reshape(-1)).view(float).reshape(-1, 2).T  # (re, im) of each value
+    n0 = 0
+    with np.errstate(all="ignore"):  # the loop warns of nothing: NaN, inf and overflow pass
+        while True:
+            bound = np.abs(w[0]) + np.abs(w[1])  # at least |w|
+            top = bound.max(initial=1.0, where=bound < np.inf)
+            width = min(int(math.log(top) / lq) + 1, ctx.max_terms - n0,
+                        _BATCH_BYTES // (16 * live.size + 1) + 1)
+            ws = np.empty((width, *w.shape))
+            ws[0] = w
+            for now, then in zip(ws, ws[1:]):
+                np.multiply(now, q.real, out=then)
+                then += now[::-1] * across
+            re, im = ws[:, 0], ws[:, 1]
+            mags = np.hypot(re, im)
+            zero = np.hypot(1.0 - re, im) <= _ZERO_FACTOR_RTOL * (1.0 + mags)
+            first = zero.argmax(axis=0)
+            hit = zero[first, np.arange(live.size)]
+            orders[live[hit]] = n0 + first[hit]
+            going = ~hit & (mags[-1] >= 0.999 / abs(q))  # NaN is done
+            n0 += width
+            if n0 >= ctx.max_terms or not going.any():
+                return orders.reshape(c.shape)
+            live, w = live[going], ws[-1][:, going]
+            w = w * q.real + w[::-1] * across
 
 
 # q^n for 0 <= n < _POWER_TABLE comes from a table of each q (at most
@@ -245,63 +268,66 @@ _RATIO_FACTORS = 16
 _EXTENDED_BYTES = np.dtype(np.clongdouble).itemsize
 
 
-def _row_plan(rate: complex, reach: float, last: int | None, pole: int | None,
-              ctx: QContext, what: str) -> tuple | PoleError:
-    """The plan of one row of :func:`_ratio_sum`, whose arguments these are:
-    (first chunk, end, closing, tailed, whole), the chunk its terms want
-    first, the index where it stops summing term by term, whether that is
-    its closure index, whether the tail rule may end it before, and whether
-    ``end`` is one past its last term (else, if not closing, its budget runs
-    out).  Or the PoleError it raises before summing anything, where
-    ``pole`` comes before its end at ``last``."""
-    if pole is not None and (last is None or pole < last):
-        return PoleError(f"{what}: a denominator factor vanishes at n = {pole}")
-    count = ctx.max_terms if last is None else min(ctx.max_terms, last + 1)
-    whole = last is not None and count == last + 1
-    if whole and count <= _CONSECUTIVE_SMALL:
-        # the tail rule cannot end a terminating sum this short before its last term
-        return count, count, False, False, True
-    rho = abs(rate)
-    n = 0.0 if rho == 0.0 else math.inf  # |rate| >= 1 or NaN: no decay to read off
-    closure = math.inf
-    if 0.0 < rho < 1.0:
-        lr, aq = math.log1p(reach), abs(ctx.q)
-        lq = -math.log(aq)
-        n = (lr * lr / (2.0 * lq) + lr / (1.0 - aq) - math.log(ctx.tail_tol)) / -math.log(rho)
-        spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
-        if last is None and spread < math.inf:  # not for an infinite or NaN reach
-            closure = max(math.ceil(math.log(max(spread, 1.0)) / lq), 1)
-    size = _MAX_CHUNK
-    if n < _MAX_CHUNK:
-        size = min(max(int(n) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
-    if closure <= count:
-        return min(size, max(closure, _MIN_CHUNK)), closure, True, True, False
-    return size, count, False, True, whole
+class _Plans(NamedTuple):
+    """The plans of the rows of a :func:`_ratio_sum` batch, one array entry
+    per row: ``first`` the chunk its terms want first, ``end`` the index
+    where it stops summing term by term, ``closing`` whether that is its
+    closure index, ``tailed`` whether the tail rule may end it before, and
+    ``whole`` whether ``end`` is one past its last term (else, if not
+    closing, its budget runs out)."""
+
+    first: np.ndarray
+    end: np.ndarray
+    closing: np.ndarray
+    tailed: np.ndarray
+    whole: np.ndarray
 
 
-def _row_plans(rows: Sequence[tuple], ctx: QContext, what: str) -> list:
-    """The :func:`_row_plan` of each (rate, reach, last, pole) of ``rows``,
-    one batch's: each distinct tuple is planned once (a PoleError once per
-    row, as each row raises its own)."""
-    if len(rows) == 1:  # nothing to share
-        return [_row_plan(*rows[0], ctx, what)]
-    plans: dict = {}
-    out = []
-    for row in rows:
-        plan = plans.get(row)
-        if plan is None:
-            plan = _row_plan(*row, ctx, what)
-            if not isinstance(plan, Exception):
-                plans[row] = plan
-        out.append(plan)
-    return out
+def _plans(rate: np.ndarray, reach: np.ndarray, last: np.ndarray, ctx: QContext) -> _Plans:
+    """The plans of rows of :func:`_ratio_sum` with these rates, reaches and
+    last terms (``max_terms`` for none), in a few array passes.
+
+    The closure index decides where the closed-form tail starts, so it is
+    the scalar plan's to the bit: where its ceil's argument lies within
+    1e-12 (relative) of an integer, ``np.log`` is replaced by ``math.log``,
+    which may differ from it in the last bit.  The first chunks only choose
+    blocks and chunks, which change no value."""
+    whole = last < ctx.max_terms
+    count = np.minimum(last + 1, ctx.max_terms)
+    # the tail rule cannot end a terminating sum this short before its last term
+    short = whole & (count <= _CONSECUTIVE_SMALL)
+    rho = np.hypot(rate.real, rate.imag)
+    aq = abs(ctx.q)
+    lq = -math.log(aq)
+    spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
+    # the closure index where 0 < |rate| < 1, for a finite reach and no last term
+    closes = (rho < 1.0) & (rho > 0.0) & ~whole & (spread < np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # |rate| 0 or 1, NaN and inf
+        lr = np.log1p(reach)
+        # 0 where |rate| = 0, negative or NaN where it does not decay
+        n = (lr * lr / (2.0 * lq) + lr / (1.0 - aq) - math.log(ctx.tail_tol)) / -np.log(rho)
+        x = np.log(np.maximum(spread, 1.0)) / lq
+        near = closes & (np.abs(x - np.rint(x)) <= 1e-12 * x)
+    n[rho == 0.0] = 0.0
+    n[~((n >= 0.0) & (n < _MAX_CHUNK))] = _MAX_CHUNK
+    first = np.minimum(np.maximum(n.astype(int) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
+    for i in near.nonzero()[0].tolist():
+        x[i] = math.log(max(spread[i], 1.0)) / lq
+    x[~closes] = np.inf
+    closing = np.ceil(x) <= count
+    end = count
+    if closing.any():  # max(ceil, 1) <= count: count is 1 at least
+        end = np.where(closing, np.maximum(np.ceil(x), 1.0), count).astype(int)
+        np.copyto(first, np.minimum(first, np.maximum(end, _MIN_CHUNK)), where=closing)
+    np.copyto(first, count, where=short)
+    return _Plans(first, end, closing, ~short, whole)
 
 
 def _ratio_sum(
     t0: Sequence[complex],
     step: Callable[[list, np.ndarray], np.ndarray],
     ctx: QContext,
-    rows: Sequence[tuple],
+    rows: tuple,
     what: str,
     *,
     weigh: Callable[[list, np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -313,17 +339,19 @@ def _ratio_sum(
     Returns one entry per row: its sum, or the error it raises (a scalar
     caller passes one row and raises it with :func:`_one`).
 
-    ``rows[r]`` is (rate, reach, last, pole) of row r: ``rate`` the limit of
-    the ratios of its terms (weighed, where ``weigh`` is given), ``reach``
-    the largest |c| among the factors 1 - c q^n of its r_n, ``last`` its
-    last term, or None, and ``pole`` the first n whose r_n divides by a
-    vanishing factor (:func:`_termination_order` of the denominators), or
-    None.  Row r stops by the tail rule or after term ``last``; ``max_terms``
-    terms without either raise NonDecayingSumError.  The kernel plans each
-    distinct row once (:func:`_row_plans`): a row whose ``pole`` comes
-    before its end is the PoleError its plan is, and sums nothing.  It sums
-    the other rows in blocks cut by their first chunks (:func:`_by_blocks`),
-    so the working set of a batch does not grow with its rows.
+    ``rows`` is (rate, reach, last, pole), each a sequence of one entry per
+    row: ``rate`` the limit of the ratios of a row's terms (weighed, where
+    ``weigh`` is given), ``reach`` the largest |c| among the factors 1 - c
+    q^n of its r_n, ``last`` its last term, and ``pole`` the first n whose
+    r_n divides by a vanishing factor, both orders as
+    :func:`_termination_orders` gives them (``max_terms`` where there is
+    none), or None where no row has one.  Row r stops by the tail rule
+    or after term ``last``; ``max_terms`` terms without either raise
+    NonDecayingSumError.  The kernel plans the batch in array passes
+    (:func:`_plans`): a row whose ``pole`` comes before its end is a
+    PoleError of its own, and sums nothing.  It sums the other rows in
+    blocks cut by their first chunks (:func:`_by_blocks`), so the working
+    set of a batch does not grow with its rows.
 
     ``step(rows, ns)`` gives the ratios r_n at the indices ``ns`` for the
     rows ``rows`` (a list of indices into the batch), one array row each; a
@@ -361,21 +389,31 @@ def _ratio_sum(
     last term summed; if not (or t is not finite), NonDecayingSumError is
     raised at once.
     """
-    plans = _row_plans(rows, ctx, what)
-    out = list(plans)  # a row's PoleError stays its entry
-    live = [r for r, plan in enumerate(plans) if not isinstance(plan, Exception)]
-    if not live:
-        return out
+    none = np.full(len(t0), ctx.max_terms)
+    rate, reach = np.asarray(rows[0], complex), np.asarray(rows[1], float)
+    last, pole = (none if v is None else np.asarray(v) for v in rows[2:])
+    plans = _plans(rate, reach, last, ctx)
+    out: list = [None] * len(t0)
+    live = list(range(len(t0)))
+    if rows[3] is not None:
+        refused = pole < last
+        for r in refused.nonzero()[0].tolist():  # each row raises its own
+            out[r] = PoleError(f"{what}: a denominator factor vanishes at n = {pole[r]}")
+        live = (~refused).nonzero()[0].tolist()
+        if not live:
+            return out
     t0 = np.asarray(t0)  # complex, or extended as t0 is
     t0 = t0.astype(np.promote_types(t0.dtype, complex))
+    rates = rate.tolist()
+    firsts, ends, closings, taileds, wholes = (a.tolist() for a in plans)
 
     def block(members: list) -> list:
         """The sums of the rows ``members``."""
         sums_of: dict = {}
         live = members  # the rows still summing
-        ends = [plans[r][1] for r in live]
-        size = max(plans[r][0] for r in live)
-        tailed_any = any(plans[r][3] for r in live)
+        ends_live = [ends[r] for r in live]
+        size = max(firsts[r] for r in live)
+        tailed_any = any(taileds[r] for r in live)
         t = t0[live, None]  # the term before the chunk
 
         def ratios_at(ns: np.ndarray, short: bool) -> np.ndarray:
@@ -384,7 +422,7 @@ def _ratio_sum(
             if short:  # past a terminating row's last term a denominator may vanish
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     ratios = ratios_at(ns, False)
-                np.copyto(ratios, 1.0, where=np.asarray(ends)[:, None] <= ns + 1)
+                np.copyto(ratios, 1.0, where=np.asarray(ends_live)[:, None] <= ns + 1)
                 return ratios
             # numpy rounds a complex product over one column other than over
             # many (an in-place product or a product reduction over a single
@@ -399,9 +437,9 @@ def _ratio_sum(
         n0 = 0
         while True:
             size = min(size, max(_BATCH_BYTES // (len(live) * column), _MIN_CHUNK))
-            hi = min(n0 + size, max(ends))
+            hi = min(n0 + size, max(ends_live))
             ns = np.arange(n0, hi)
-            short = min(ends) < hi
+            short = min(ends_live) < hi
             # the terms t_n0 ... of a chunk follow the term t before it; the first
             # chunk starts at t_0, with no first ratio 1.  t and the ratios, then
             # their running products in place
@@ -423,14 +461,13 @@ def _ratio_sum(
                 stops = stop.argmax(axis=1).tolist()
             going = []  # the rows that sum on past this chunk
             for i, r in enumerate(live):
-                _, end, closing, tailed, whole = plans[r]
-                rate = rows[r][0]
+                end = ends[r]
                 w = min(end, hi) - n0
-                if tailed and stops[i] < w and stop[i, stops[i]]:
+                if taileds[r] and stops[i] < w and stop[i, stops[i]]:
                     sums_of[r] = complex(sums[i, stops[i]])
                 elif end > hi:
                     going.append(i)
-                elif closing and math.isfinite(mag := abs(terms[i, w - 1])):
+                elif closings[r] and math.isfinite(mag := abs(terms[i, w - 1])):
                     # the tail rule's run of small terms goes on from the run
                     # ending at the last term summed; with none, it starts at the
                     # first k with mag rho^k < tol scale
@@ -438,13 +475,14 @@ def _ratio_sum(
                     k = 1
                     if not run:
                         k += math.floor(math.log(ctx.tail_tol * scales[i, w - 1] / mag)
-                                        / math.log(abs(rate)))
+                                        / math.log(abs(rates[r])))
                     if end + k + 1 - run < ctx.max_terms:
-                        sums_of[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rate / (1.0 - rate))
+                        sums_of[r] = complex(sums[i, w - 1] + terms[i, w - 1] * rates[r]
+                                             / (1.0 - rates[r]))
                     else:
                         sums_of[r] = NonDecayingSumError(
                             f"{what} did not meet the tail criterion in {ctx.max_terms} terms")
-                elif whole:
+                elif wholes[r]:
                     sums_of[r] = complex(sums[i, w - 1])
                 else:
                     sums_of[r] = NonDecayingSumError(
@@ -452,14 +490,14 @@ def _ratio_sum(
             if not going:
                 return [sums_of[r] for r in members]
             if len(going) < len(live):  # what the next chunk carries: the rows going on
-                live, ends = [live[i] for i in going], [ends[i] for i in going]
+                live, ends_live = [live[i] for i in going], [ends_live[i] for i in going]
             else:
                 going = slice(None)
             t, total = seq[going, -1:], sums[going, -1:]
             scale, prior = scales[going, -1:], small[going, -2:]
             n0, size = hi, min(2 * size, _MAX_CHUNK)
 
-    for r, value in zip(live, _by_blocks(block, live, column, [plans[r][0] for r in live])):
+    for r, value in zip(live, _by_blocks(block, live, column, [firsts[r] for r in live])):
         out[r] = value
     return out
 

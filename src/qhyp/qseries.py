@@ -44,7 +44,7 @@ from .qcore import (
     _qpow,
     _quotient,
     _ratio_sum,
-    _termination_order,
+    _termination_orders,
     qpoch_ratio,
 )
 
@@ -64,51 +64,59 @@ class PhiSpec:
         object.__setattr__(self, "argument", complex(argument))
 
 
-def _sum_rows(out: list, rows: list, step, factors: int, ctx: QContext, what: str) -> list:
-    """Sum the rows of a series batch into ``out``: ``rows`` holds (i,
-    values, rate, reach, last, pole) for entry i, with ``values`` the row's
-    parameters and the rest the row of :func:`qhyp.qcore._ratio_sum`.
-    ``step(v, ns)`` gives the step ratios at ``ns`` of the rows whose
-    parameters are ``v``, shaped (parameters, rows, 1), from ``factors``
-    factors 1 - c q^n a step."""
-    if rows:
-        v = np.array([row[1] for row in rows], dtype=np.clongdouble).T[:, :, None]
-        sums = _ratio_sum([1.0] * len(rows), lambda sub, ns: step(v[:, sub], ns), ctx,
-                          [row[2:] for row in rows], what, column=factors * _EXTENDED_BYTES)
-        for row, value in zip(rows, sums):
-            out[row[0]] = value
+def _sum_rows(out: list, diverges, columns: tuple, params: np.ndarray, step, factors: int,
+              ctx: QContext, what: str) -> list:
+    """Sum the rows of a series batch into ``out``, but for those that
+    ``diverges`` marks (None: none), whose errors ``out`` holds.  Row i has
+    the (rate, reach, last, pole) of :func:`qhyp.qcore._ratio_sum` in
+    ``columns`` and its parameters in ``params[i]``; ``step(v, ns)`` gives
+    the step ratios at ``ns`` of the rows whose parameters are ``v``, shaped
+    (parameters, rows, 1), from ``factors`` factors 1 - c q^n a step."""
+    keep = range(len(out))
+    if diverges is not None and diverges.any():
+        keep = (~diverges).nonzero()[0]
+        columns, params, keep = [c[keep] for c in columns], params[keep], keep.tolist()
+    if len(keep):
+        v = params.astype(np.clongdouble).T[:, :, None]
+        sums = _ratio_sum([1.0] * len(keep), lambda sub, ns: step(v[:, sub], ns), ctx, columns,
+                          what, column=factors * _EXTENDED_BYTES)
+        for i, value in zip(keep, sums):
+            out[i] = value
     return out
+
+
+def _moduli(v: np.ndarray) -> np.ndarray:
+    """|c| of each entry of ``v``, as ``abs`` of a complex gives it."""
+    return np.hypot(v.real, v.imag)
 
 
 def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     """Row i: the general series of (numerators, denominators, argument) =
     ``rows[i]``, as :func:`phi` sums it alone; the rows share their numbers
     of numerators and of denominators.  Returns one entry per row: its
-    value, or the error it raises (:func:`_sum_rows`)."""
+    value, or the error it raises (:func:`_sum_rows`).  The termination and
+    pole orders of the batch are one scan of its parameters
+    (:func:`qhyp.qcore._termination_orders`)."""
     if not rows:
         return []
     q = complex(ctx.q)
     r, s = len(rows[0][0]), len(rows[0][1])
     p = s + 1 - r  # exponent of the (-1)^n q^C(n,2) factor
-    what = "q-hypergeometric series"
     out: list = [None] * len(rows)
-    planned = []  # (i, parameters, rate, reach, last, pole) of the rows that do not diverge
-    # each distinct parameter value is scanned once (a lone row shares nothing)
-    orders = {} if len(rows) > 1 else None
-    for i, (nums, dens, z) in enumerate(rows):
-        z = complex(z)
-        n_stop = _termination_order(nums, ctx, orders)
-        if n_stop is None and p < 0:
+    v = np.array([(*nums, *dens, q, z) for nums, dens, z in rows], dtype=complex)
+    orders = _termination_orders(v[:, :r + s], ctx)
+    last = orders[:, :r].min(axis=1, initial=ctx.max_terms)
+    diverges = None
+    if p <= 0:
+        diverges = last == ctx.max_terms
+        if p == 0:
+            diverges &= _moduli(v[:, -1]) >= 1.0
+        for i in diverges.nonzero()[0].tolist():
             out[i] = DivergenceError(
-                "series with r > s+1 diverges unless a numerator parameter "
-                "is q^-n for some n >= 0"
-            )
-        elif n_stop is None and p == 0 and abs(z) >= 1.0:
-            out[i] = DivergenceError(f"|argument| = {abs(z):.6g} >= 1 for r = s+1")
-        else:
-            values = (*nums, *dens, q, z)
-            planned.append((i, values, z if p == 0 else 0.0, max(map(abs, values[:-1])), n_stop,
-                            _termination_order(dens, ctx, orders)))
+                "series with r > s+1 diverges unless a numerator parameter is q^-n for some n >= 0"
+                if p < 0 else f"|argument| = {abs(complex(rows[i][2])):.6g} >= 1 for r = s+1")
+    columns = (v[:, -1] if p == 0 else np.zeros(len(rows)), _moduli(v[:, :-1]).max(axis=1), last,
+               orders[:, r:].min(axis=1, initial=ctx.max_terms))
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """v: the numerators, denominators, q and the argument."""
@@ -117,7 +125,7 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         ratio *= v[-1] * (-qn) ** p if p else v[-1]
         return ratio
 
-    return _sum_rows(out, planned, step, r + s + 1, ctx, what)
+    return _sum_rows(out, diverges, columns, v, step, r + s + 1, ctx, "q-hypergeometric series")
 
 
 def phi(spec: PhiSpec, ctx: QContext) -> complex:
@@ -150,7 +158,7 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
         )
     # a pole of (b)_n for n > 0 is a zero of 1 - b_i q^n; one of 1/(a)_n for
     # n < 0 is a zero of q^{1-n} - a_i, i.e. of 1 - (q / a_i) q^{-n}
-    poles = _termination_order(b, ctx), _termination_order([q / v for v in a], ctx)
+    poles = _termination_orders([b, [q / v for v in a]], ctx).min(axis=1)
     ab, ba = np.array(a + b)[:, None], np.array(b + a)[:, None]
 
     def up(rows: list, ns: np.ndarray) -> np.ndarray:
@@ -163,12 +171,12 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
         return _quotient(q ** (1 + ks).astype(complex) - ba, 3) / z
 
     reach = np.abs(ab)
-    value = _one(_ratio_sum([1.0], up, ctx, [(z, reach.max(), None, poles[0])],
+    value = _one(_ratio_sum([1.0], up, ctx, ([z], [reach.max()], None, poles[:1]),
                             "psi33 upward tail", column=ab.nbytes))
-    if poles[1] is not None:
+    if poles[1] < ctx.max_terms:
         raise PoleError(f"psi33: (a)_n has a pole at n = {-1 - poles[1]}")
     return value + _one(_ratio_sum([down(np.array([0]))[0]], lambda rows, ks: down(ks + 1)[None],
-                                   ctx, [(inner / z, (abs(q * q) / reach).max(), None, None)],
+                                   ctx, ([inner / z], [(abs(q * q) / reach).max()], None, None),
                                    "psi33 downward tail", column=ba.nbytes))
 
 
@@ -176,26 +184,25 @@ def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     """Row i: the very-well-poised series of (a, b, c, d, e, f, z) =
     ``rows[i]``, as :func:`w87` sums it alone.  Returns one entry per row:
     its value, or the error it raises (:func:`_sum_rows`, with 14 factors
-    1 - c q^n a step)."""
+    1 - c q^n a step).  As in :func:`_phi_rows`, the orders of the batch are
+    one scan."""
     q = complex(ctx.q)
-    what = "w87 series"
     out: list = [None] * len(rows)
-    planned = []  # (i, parameters, rate, reach, last, pole) of the rows that do not diverge
-    # each distinct parameter value is scanned once (a lone row shares nothing)
-    orders = {} if len(rows) > 1 else None
-    for i, row in enumerate(rows):
+    values = []  # b, ..., f, a; qa/b, ..., qa/f, sqrt(a), -sqrt(a); q, z
+    for row in rows:
         a, b, c, d, e, f, z = (complex(v) for v in row)
         params = (b, c, d, e, f)
-        n_stop = _termination_order(params + (a,), ctx, orders)
-        if n_stop is None and abs(z) >= 1.0:
-            out[i] = DivergenceError(f"w87 needs |z| < 1, got {abs(z):.6g}")
-            continue
-        dens = [q * a / p for p in params]
         # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
-        poles = [n for n in (_termination_order(dens, ctx, orders), _termination_order(
-            [cmath.sqrt(a), -cmath.sqrt(a)], ctx, orders)) if n is not None]
-        planned.append((i, (a, *params, q, z), z, max(map(abs, (a, *params, *dens, q))), n_stop,
-                        min(poles, default=None)))
+        values.append((*params, a, *[q * a / p for p in params], cmath.sqrt(a), -cmath.sqrt(a), q, z))
+    v = np.array(values, dtype=complex).reshape(len(rows), 15)
+    orders = _termination_orders(v[:, :13], ctx)
+    last = orders[:, :6].min(axis=1, initial=ctx.max_terms)
+    z = v[:, 14]
+    diverges = (last == ctx.max_terms) & (_moduli(z) >= 1.0)
+    for i in diverges.nonzero()[0].tolist():
+        out[i] = DivergenceError(f"w87 needs |z| < 1, got {abs(complex(rows[i][6])):.6g}")
+    columns = (z, np.maximum(_moduli(v[:, :11]).max(axis=1), abs(q)), last,
+               orders[:, 6:].min(axis=1, initial=ctx.max_terms))
     qx = np.clongdouble(q)
 
     def step(v: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -208,7 +215,8 @@ def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         return v[7] * _quotient(1.0 - np.concatenate(
             (v[:6] * qn, (qx * q * sq)[None], qx * v[0] / v[1:6] * qn, v[6:7] * qn, sq[None])), 7)
 
-    return _sum_rows(out, planned, step, 14, ctx, what)
+    return _sum_rows(out, diverges, columns, v[:, [5, 0, 1, 2, 3, 4, 13, 14]], step, 14, ctx,
+                     "w87 series")
 
 
 def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,
@@ -260,9 +268,9 @@ def appell_phi1(
         inner = _phi_rows([((u, b2), (v,), x2) for u, v in zip(a * qm, c * qm)], ctx)
         return t * np.array([_one([value]) for value in inner])
 
-    row = (x1, max(map(abs, (a, b1, c, q))), _termination_order([a, b1], ctx),
-           _termination_order([c], ctx))
-    return _one(_ratio_sum([1.0], step, ctx, [row], "appell_phi1", weigh=weigh,
+    orders = _termination_orders([a, b1, c], ctx)
+    row = ([x1], [max(map(abs, (a, b1, c, q)))], [orders[:2].min()], orders[2:])
+    return _one(_ratio_sum([1.0], step, ctx, row, "appell_phi1", weigh=weigh,
                            column=len(outer) * _EXTENDED_BYTES))
 
 

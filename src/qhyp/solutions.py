@@ -58,7 +58,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PoleError, UnsupportedCaseError
+from .errors import DomainError, NonFiniteError, PoleError, UnsupportedCaseError
 from .equations import (
     BUILDERS,
     HeineParams,
@@ -75,7 +75,7 @@ from .qcore import (
     _pochhammer_product,
     _quotient,
     _ratio_sum,
-    _termination_order,
+    _termination_orders,
     qpoch_ratio,
 )
 from .qseries import PhiSpec, _phi_rows, _w87_rows, phi
@@ -221,36 +221,41 @@ def _grid_sum(
     # ``down_at`` map those to indices into taus
     out: list = [0.0 + 0.0j] * len(taus)
     seeds = _pochhammer_product(starts[live], n_num, ctx)
-    orders: dict = {}
-    for k, r in enumerate(live):
-        if not isinstance(seeds[k], Exception) and (
-                seeds[k] == 0 or _termination_order(starts[r, :n_num].tolist(), ctx, orders)
-                is not None):
-            seeds[k] = UnsupportedCaseError(
-                f"integrand vanishes at the grid start {complex(taus[r])}")
-        out[r] = seeds[k]
     good = [k for k, v in enumerate(seeds) if not isinstance(v, Exception)]
+    # the zero and pole tests of the rows whose seeds are values: one scan
+    scanned = starts[live, :n_num]
+    if bilateral:
+        scanned = np.hstack((scanned, q / (taus[live, None] * dens[live])))
+    orders = _termination_orders(scanned[good], ctx)
+    zero = orders[:, :n_num].min(axis=1, initial=ctx.max_terms) < ctx.max_terms
+    for i, k in enumerate(good):
+        if seeds[k] == 0 or zero[i]:
+            seeds[k] = UnsupportedCaseError(
+                f"integrand vanishes at the grid start {complex(taus[live[k]])}")
+    for k, r in enumerate(live):
+        out[r] = seeds[k]
+    kept = [i for i, k in enumerate(good) if not isinstance(seeds[k], Exception)]
+    good = [good[i] for i in kept]
     at, seed = live[good], np.array([seeds[k] for k in good])
     reaches = np.abs(starts[live]).max(axis=1)
     sums = _ratio_sum(seed, lambda rows, ns: up(at[rows], ns), ctx,
-                      [(rate, reaches[k], None, None) for k in good], what,
+                      ([rate] * len(good), reaches[good], None, None), what,
                       weigh=lambda rows, ns, F: weigh(at[rows], ns, F), column=column)
     if bilateral:
         # descending, q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n
         # does: a pole, raised by a row whose upward sum succeeds
-        poles = (q / (taus[live, None] * dens[live])).tolist()
-        for i, k in enumerate(good):
-            if not isinstance(sums[i], Exception) and \
-                    _termination_order(poles[k], ctx, orders) is not None:
+        poles = orders[kept, n_num:].min(axis=1, initial=ctx.max_terms) < ctx.max_terms
+        for i in poles.nonzero()[0].tolist():
+            if not isinstance(sums[i], Exception):
                 sums[i] = PoleError("integrand pole on the descending grid")
         down_rates = np.prod(nums[live], axis=1) / np.prod(dens[live], axis=1) / rate
         down_reaches = np.abs(q * q / (taus[live, None] * nd[live])).max(axis=1)
         on = [i for i, v in enumerate(sums) if not isinstance(v, Exception)]
-        down_at = at[on]
+        down_at, down_good = at[on], [good[i] for i in on]
         tails = _ratio_sum(
             seed[on] * down(down_at, np.array([0]))[:, 0],
             lambda rows, js: down(down_at[rows], -1 - js), ctx,
-            [(down_rates[good[i]], down_reaches[good[i]], None, None) for i in on], what,
+            (down_rates[down_good], down_reaches[down_good], None, None), what,
             weigh=lambda rows, js, F: weigh(down_at[rows], -1 - js, F), column=column)
         for i, v in zip(on, tails):
             sums[i] = v if isinstance(v, Exception) else sums[i] + v
@@ -705,32 +710,74 @@ def residual(
     points: Sequence[complex] | None = None,
 ) -> float:
     """Max over sample points of |sum of operator terms| relative to the sum
-    of term magnitudes (backward-error style; floor keeps zeros harmless).
-
-    The handle gives its values at every point x q^j in one read before the
-    loop over the sample points: at ``points``, the caller's
-    :func:`residual_points` of ``op``, ``handle`` and ``xs`` (the CLI has
-    them from its first pass), else at those computed here.  The terms
-    a_ij x^i f(x q^j) are then formed and added in coefficient order, and
-    the first error among them, sample point by sample point, is raised."""
-    shifts = range(op.t_min, op.t_max + 1)
+    of term magnitudes (backward-error style; floor keeps zeros harmless):
+    the one-label case of :func:`residuals`, which raises the label's
+    error.  ``points`` are the caller's :func:`residual_points` of ``op``,
+    ``handle`` and ``xs``, else computed here."""
     if points is None:
         points = residual_points(op, handle, xs)
-    values, width = handle.read(points), len(shifts)
-    terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
-    worst = 0.0
-    for k, x in enumerate(xs):
-        x = complex(x)
-        row = values[k * width:(k + 1) * width]
-        terms = []
-        for i, j, c in terms_of:
-            if isinstance(row[j], Exception):
-                raise row[j].with_traceback(None)
-            terms.append(c * x**i * row[j])
-        num = abs(sum(terms))
-        den = sum(abs(t) for t in terms) + 1e-30
-        worst = max(worst, num / den)
-    return worst
+    return _one(residuals([(op, handle, xs, points)]))
+
+
+def _product(ar, ai, br, bi) -> tuple:
+    """(ar + i ai)(br + i bi) as CPython multiplies two complex numbers, each
+    an IEEE product or sum of its own: numpy's complex loops may fuse a
+    multiply-add."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def residuals(requests: Sequence[tuple[QDiffOperator, SolutionHandle, Sequence, Sequence]]) -> list:
+    """The :func:`residual` of each (op, handle, xs, points) request, or the
+    error it raises, in array passes over all the requests at once.
+
+    Each handle gives its values at its points x q^j in one read (after a
+    job's fill, a lookup).  Requests whose operators have the same (i, j)
+    keys, in the same order, and as many sample points make one pass: the
+    terms a_ij x^i f(x q^j) of every label and point, a coefficient at a
+    time and in coefficient order, each as the scalar loop it replaced
+    computes it (CPython's x**i at each point, the products c x^i f left
+    to right as :func:`_product` takes them, the sums added term by term).
+    A label's error is its first, point by point: at each point, the error
+    of its first value in coefficient order that is one, else a
+    NonFiniteError where the residual is NaN or infinite, as it is where a
+    term is."""
+    out: list = [None] * len(requests)
+    groups: dict = {}
+    for k, (op, _, xs, _) in enumerate(requests):
+        groups.setdefault((tuple(op.coeffs), len(xs)), []).append(k)
+    for (keys, n), members in groups.items():
+        ops = [requests[k][0] for k in members]
+        shifts = range(ops[0].t_min, ops[0].t_max + 1)
+        rows = [requests[k][1].read(requests[k][3]) for k in members]
+        try:
+            f = np.array(rows, dtype=complex)
+        except TypeError:  # an error among the values
+            f = np.array([[np.nan if isinstance(v, Exception) else v for v in row] for row in rows],
+                         dtype=complex)
+        f = f.reshape(len(members), n, len(shifts))
+        xs = [[complex(x) for x in requests[k][2]] for k in members]
+        powers = {i: np.array([[x**i for x in row] for row in xs]) for i in {i for i, _ in keys}}
+        total = mags = None
+        with np.errstate(all="ignore"):  # a NaN or infinite term makes a NaN residual
+            for i, j in keys:
+                c = np.array([op.coeffs[i, j] for op in ops])[:, None]
+                a = _product(c.real, c.imag, powers[i].real, powers[i].imag)
+                term = _product(*a, f[:, :, j - shifts.start].real, f[:, :, j - shifts.start].imag)
+                mag = np.hypot(*term)
+                total = term if total is None else (total[0] + term[0], total[1] + term[1])
+                mags = mag if mags is None else mags + mag
+            ratios = np.hypot(*total) / (mags + 1e-30)
+        bad = ~np.isfinite(ratios)
+        worst = ratios.max(axis=1).tolist()
+        for row, k in enumerate(members):
+            out[k] = worst[row]
+            if bad[row].any():  # an error's NaN stands in for it in the terms
+                point = int(bad[row].argmax())
+                at = rows[row][point * len(shifts):(point + 1) * len(shifts)]
+                out[k] = next((at[j - shifts.start] for _, j in keys
+                               if isinstance(at[j - shifts.start], Exception)), None) \
+                    or NonFiniteError(f"the residual at x = {requests[k][2][point]!r} is not finite")
+    return out
 
 
 def check_intcalcu(p: Params3, endpoint: Endpoint, x: complex, ctx: QContext) -> float:

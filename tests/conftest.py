@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from qhyp.qcore import _CONSECUTIVE_SMALL, QContext, _tail_state
+from qhyp.errors import PoleError
+from qhyp.qcore import (
+    _CONSECUTIVE_SMALL,
+    _MAX_CHUNK,
+    _MIN_CHUNK,
+    _RATIO_FACTORS,
+    QContext,
+    _tail_state,
+    _vanishes,
+)
 
 
 @pytest.fixture
@@ -57,6 +68,56 @@ class _Tail:
         self.scale = float(scale[-1])
         self.run = int(small[-1]) + int(small[-1] and small[-2])
         return None
+
+
+def ref_termination_order(params, ctx: QContext) -> int | None:
+    """The scalar scan that qhyp.qcore._termination_orders replaced, kept as
+    its reference: the smallest n < max_terms with some 1 - c q^n zero, else
+    None, each value c stepped by repeated multiplication w *= q until
+    |w| < 0.5."""
+    q = complex(ctx.q)
+    best = None
+    for a in params:
+        order, w = None, complex(a)
+        for n in range(ctx.max_terms):
+            if abs(w) < 0.5:
+                break  # |c q^n| only shrinks from here: can no longer hit 1
+            if _vanishes(1.0 - w, w):
+                order = n
+                break
+            w *= q
+        if order is not None and (best is None or order < best):
+            best = order
+    return best
+
+
+def ref_row_plan(rate, reach, last, pole, ctx: QContext, what: str):
+    """The scalar plan of one row of qhyp.qcore._ratio_sum that the array
+    plans (qhyp.qcore._plans) replaced, kept as their reference: (first
+    chunk, end, closing, tailed, whole), or the PoleError of a row whose
+    pole comes before its end at ``last`` (None: none)."""
+    if pole is not None and (last is None or pole < last):
+        return PoleError(f"{what}: a denominator factor vanishes at n = {pole}")
+    count = ctx.max_terms if last is None else min(ctx.max_terms, last + 1)
+    whole = last is not None and count == last + 1
+    if whole and count <= _CONSECUTIVE_SMALL:
+        return count, count, False, False, True
+    rho = abs(rate)
+    n = 0.0 if rho == 0.0 else math.inf  # |rate| >= 1 or NaN: no decay to read off
+    closure = math.inf
+    if 0.0 < rho < 1.0:
+        lr, aq = math.log1p(reach), abs(ctx.q)
+        lq = -math.log(aq)
+        n = (lr * lr / (2.0 * lq) + lr / (1.0 - aq) - math.log(ctx.tail_tol)) / -math.log(rho)
+        spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
+        if last is None and spread < math.inf:  # not for an infinite or NaN reach
+            closure = max(math.ceil(math.log(max(spread, 1.0)) / lq), 1)
+    size = _MAX_CHUNK
+    if n < _MAX_CHUNK:
+        size = min(max(int(n) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
+    if closure <= count:
+        return min(size, max(closure, _MIN_CHUNK)), closure, True, True, False
+    return size, count, False, True, whole
 
 
 def loop_appell_phi1(a, b1, b2, c, x1, x2, ctx: QContext) -> tuple[complex, float]:

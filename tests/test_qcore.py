@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import _Tail, rand_complex
+from conftest import _Tail, rand_complex, ref_row_plan, ref_termination_order
 from qhyp import cli, qcore
 from qhyp.errors import (
     BudgetExceededError,
@@ -33,9 +33,7 @@ from qhyp.qcore import (
     _one,
     _pochhammer_product,
     _ratio_sum,
-    _row_plan,
-    _row_plans,
-    _termination_order,
+    _termination_orders,
     qpoch_fin,
     qpoch_inf,
     qpoch_ratio,
@@ -214,7 +212,7 @@ class TestTailRule:
         tail = _Tail(ctx)
         assert [tail.done(1e-20 * 0.999**n) for n in range(3)] == [False, False, True]
         got = _one(_ratio_sum([1e-20], lambda rows, ns: np.full((1, len(ns)), 0.999 + 0j), ctx,
-                              [(0.999, 0.0, None, None)], "tiny"))
+                              ([0.999], [0.0], None, None), "tiny"))
         assert got == pytest.approx(1e-20 * (1 + 0.999 + 0.999**2), rel=1e-15)
 
     @given(
@@ -278,11 +276,11 @@ class TestBatchedSeriesKernel:
         rates = [0.1 if last is not None else z for z, last in zip(zs, lasts)]
         reaches = [0.3 * abs(z) for z in zs]
         t0s = [1.0 + 0.5j] * len(rows)
-        rows = [(rate, reach, last, None) for rate, reach, last in zip(rates, reaches, lasts)]
-        batch = _ratio_sum(t0s, step, ctx, rows, "row")
+        ends = [ctx.max_terms if last is None else last for last in lasts]
+        batch = _ratio_sum(t0s, step, ctx, (rates, reaches, ends, None), "row")
         for r, got in enumerate(batch):
             alone = _ratio_sum([t0s[r]], lambda live, ns, r=r: ratios(r, ns)[None], ctx,
-                               [rows[r]], "row")[0]
+                               ([rates[r]], [reaches[r]], [ends[r]], None), "row")[0]
             assert got == alone
             want = self.loop(t0s[r], lambda ns, r=r: ratios(r, ns), lasts[r], ctx)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) / (1 - abs(zs[r]))
@@ -302,14 +300,44 @@ class TestBatchedSeriesKernel:
         assert want == 30.0
         for rows in (1, 3):
             got = _ratio_sum([1.0] * rows, lambda live, ns: np.array([ratios(ns)] * len(live)),
-                             ctx, [(0.1, 0.0, 100, None)] * rows, "row")
+                             ctx, ([0.1] * rows, [0.0] * rows, [100] * rows, None), "row")
             assert got == [want] * rows
 
 
+def batch_plans(keys, ctx, what):
+    """The plans of the rows (rate, reach, last, pole) ``keys`` (None: none)
+    as one batch of the series kernel makes them: the array plans
+    (qcore._plans) row by row, and a row whose pole comes before its end the
+    PoleError that qcore._ratio_sum gives it."""
+    rates, reaches, lasts, poles = zip(*keys)
+    lasts = np.array([ctx.max_terms if v is None else v for v in lasts])
+    poles = np.array([ctx.max_terms if v is None else v for v in poles])
+    plans = qcore._plans(np.array(rates, dtype=complex), np.array(reaches, dtype=float), lasts, ctx)
+    return [PoleError(f"{what}: a denominator factor vanishes at n = {pole}") if pole < last
+            else tuple(col[r].item() for col in plans)
+            for r, (last, pole) in enumerate(zip(lasts, poles))]
+
+
+def outcome_of_plan(plan):
+    return (type(plan), str(plan)) if isinstance(plan, Exception) else plan
+
+
+def row_orders(rows, ctx):
+    """The termination order of each row of ``rows`` (lists of values) from
+    one scan of all their values: the least of its values', None for none."""
+    orders = _termination_orders([v for row in rows for v in row], ctx).tolist()
+    out, k = [], 0
+    for row in rows:
+        best = min(orders[k:k + len(row)], default=ctx.max_terms)
+        out.append(None if best == ctx.max_terms else best)
+        k += len(row)
+    return out
+
+
 class TestBatchOrders:
-    """A batch scans each distinct parameter value once (one ``orders`` dict
-    for all its rows) and plans each distinct row once; both give what the
-    per-row calls give, also at the edge of the zero test."""
+    """A batch scans all its parameter values at once and plans all its
+    rows at once; both give what the scalar loops kept in conftest give row
+    by row, also at the edge of the zero test."""
 
     # c = q^-n (1 + delta), |delta| about 1e-12, where 1 - c q^n is zero or
     # not by a hair; values drawn from a small pool, so rows share them
@@ -323,17 +351,64 @@ class TestBatchOrders:
         ctx = QContext(q)
         values = [q**-n * (1 + 1e-12 * r * cmath.exp(1j * t)) for n, r, t in pool]
         rows = [[values[k % len(values)] for k in pick] for pick in picks]
-        orders: dict = {}
-        assert ([_termination_order(row, ctx, orders) for row in rows]
-                == [_termination_order(row, ctx) for row in rows])
-        keys = [(0.5, abs(row[0]), _termination_order(row, ctx), _termination_order(row[1:], ctx))
-                for row in rows]
+        assert row_orders(rows, ctx) == [ref_termination_order(row, ctx) for row in rows]
+        keys = [(0.5, abs(row[0]), ref_termination_order(row, ctx),
+                 ref_termination_order(row[1:], ctx)) for row in rows]
+        assert ([outcome_of_plan(plan) for plan in batch_plans(keys, ctx, "row")]
+                == [outcome_of_plan(ref_row_plan(*key, ctx, "row")) for key in keys])
 
-        def outcome(plan):
-            return (type(plan), str(plan)) if isinstance(plan, Exception) else plan
+    # a value q^-n (1 + delta) at complex q, |delta| about 1e-12 on both
+    # sides of the zero test; or a value the loop treats apart
+    value = st.one_of(
+        st.tuples(st.integers(0, 80), st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)),
+        st.sampled_from([complex("nan"), complex(1.0, float("nan")), complex("inf"),
+                         complex(float("inf"), float("nan")), complex(1e300, -3e299), 0.0,
+                         0.49999999999999994, 0.5, -0.5j, 1.0]))
 
-        assert ([outcome(plan) for plan in _row_plans(keys, ctx, "row")]
-                == [outcome(_row_plan(*key, ctx, "row")) for key in keys])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(q=st.tuples(st.floats(0.3, 0.9), st.floats(-math.pi, math.pi)),
+           drawn=st.lists(value, min_size=1, max_size=12), budget=st.integers(1, 600))
+    @example(q=(0.5, 0.0), drawn=[(1, 1.0, 0.0), (3, 0.5, 2.0)], budget=512)
+    @example(q=(0.5, 0.3), drawn=[complex("nan"), complex("inf"), complex(1e300, -3e299)],
+             budget=512)
+    @example(q=(0.45, 2.0), drawn=[(60, 2.0, 1.0), (61, 1.0, -1.0)], budget=30)
+    @example(q=(0.99, 0.0), drawn=[complex(1e300, -3e299), (20, 1.0, 0.5)], budget=600)
+    def test_scan_is_the_loop_value_by_value(self, q, drawn, budget):
+        """Each order of one scan is the kept loop's for its value alone: at
+        complex q, a hair either side of the zero test, NaN, infinite and
+        huge values, and budgets that end a scan early."""
+        q = q[0] * cmath.exp(1j * q[1])
+        ctx = QContext(q, max_terms=budget)
+        values = [q**-v[0] * (1 + 1e-12 * v[1] * cmath.exp(1j * v[2])) if isinstance(v, tuple)
+                  else v for v in drawn]
+        got = _termination_orders(values, ctx).tolist()
+        want = [ref_termination_order([v], ctx) for v in values]
+        assert got == [ctx.max_terms if w is None else w for w in want]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(q=st.floats(0.3, 0.7), k=st.integers(1, 80), nudge=st.integers(-8, 8),
+           rate=st.one_of(st.floats(0.0, 1.2), st.sampled_from([1.0, float("nan")])),
+           last=st.one_of(st.none(), st.integers(0, 511)),
+           pole=st.one_of(st.none(), st.integers(0, 511)))
+    @example(q=0.5, k=40, nudge=0, rate=0.5, last=None, pole=None)
+    @example(q=0.5, k=40, nudge=1, rate=0.0, last=None, pole=None)
+    @example(q=0.45, k=12, nudge=-1, rate=0.9, last=2, pole=None)
+    @example(q=0.45, k=12, nudge=0, rate=0.9, last=5, pole=3)
+    def test_array_plans_are_the_row_plans(self, q, k, nudge, rate, last, pole):
+        """The array plans of a batch are the kept scalar plans row by row,
+        where the quotient that fixes the closure index lies within 1e-15
+        of an integer k too (the reach is chosen so that it does, nudged by
+        a few ulps), and for rates that do not decay.  Orders are below the
+        budget of 512 terms, as a scan gives them."""
+        ctx = QContext(q)
+        lq = -math.log(q)
+        reach = math.exp(k * lq) * (1.0 - q) * ctx.tail_tol / 16.0 * (1.0 + nudge * 2.0**-52)
+        quotient = math.log(16.0 * reach / ((1.0 - q) * ctx.tail_tol)) / lq
+        assert abs(quotient - k) <= 1e-15 * k * 20
+        keys = [(rate, reach, last, pole), (0.5 * rate, 2.0 * reach, None, None),
+                (rate, float("inf"), last, None), (rate, float("nan"), None, pole)]
+        assert ([outcome_of_plan(plan) for plan in batch_plans(keys, ctx, "row")]
+                == [outcome_of_plan(ref_row_plan(*key, ctx, "row")) for key in keys])
 
 
 # the itemsizes the callers of _by_blocks pass: complex grid and Pochhammer
@@ -460,21 +535,21 @@ class TestChunks:
         ctx = QContext(0.5, max_terms=4096)
         column = 14 * np.dtype(np.clongdouble).itemsize
         lasts = [400 + 100 * k for k in range(27)]
-        batch_rows = [(0.1, 0.0, last, None) for last in lasts]
         chunks = []
 
         def step(rows, ns):
             chunks.append((len(rows), len(ns)))
             return np.full((len(rows), len(ns)), 0.999 + 0.001j, dtype=np.clongdouble)
 
-        batch = _ratio_sum([1.0] * len(lasts), step, ctx, batch_rows, "row", column=column)
+        batch = _ratio_sum([1.0] * len(lasts), step, ctx, ([0.1] * 27, [0.0] * 27, lasts, None), "row",
+                           column=column)
         assert len(chunks) > 10 and len({width for _, width in chunks}) > 2
         for rows, width in chunks:
             assert width <= _MIN_CHUNK or rows * width * column <= _BATCH_BYTES
-        for row, got in zip(batch_rows, batch):
+        for last, got in zip(lasts, batch):
             alone = _ratio_sum([1.0], lambda rows, ns: np.full(
                 (len(rows), len(ns)), 0.999 + 0.001j, dtype=np.clongdouble),
-                ctx, [row], "row", column=column)
+                ctx, ([0.1], [0.0], [last], None), "row", column=column)
             assert repr(got) == repr(alone[0])
 
     def test_batches_between_leave_no_trace(self):
@@ -528,7 +603,7 @@ class TestChunks:
             return np.full((len(rows), len(ns)), 0.999 + 0j, dtype=np.clongdouble)
 
         with pytest.raises(ZeroDivisionError):
-            _ratio_sum([1.0] * 8, step, ctx, [(0.999, 0.0, 3000, None)] * 8, "row")
+            _ratio_sum([1.0] * 8, step, ctx, ([0.999] * 8, [0.0] * 8, [3000] * 8, None), "row")
         # the outer chunk of 0.9^m terms is ~300 wide; its inner
         # 2phi1 rows at x2 = 0.995 need more than 200 terms
         with pytest.raises(NonDecayingSumError):
