@@ -31,7 +31,7 @@ from .equations import (
     expected_configuration,
     verify_degeneration,
 )
-from .errors import QhypError
+from .errors import QhypError, SamplingError
 from .opalgebra import QDiffOperator
 from .qcore import QContext, qpoch_inf
 from .qseries import heine_transformation_constant
@@ -499,7 +499,10 @@ def run_job(command: str, job: dict, out, csv: bool = False) -> int:
     rng = np.random.default_rng(seed)
     ctx = build_context(job)
     report = Report()
-    _COMMANDS[command](job, rng, ctx, report)
+    try:
+        _COMMANDS[command](job, rng, ctx, report)
+    except SamplingError as exc:
+        raise JobError(f"{exc} at q = {ctx.q}") from exc
     if csv and command == "sample":
         _sample_rows_to_csv(report.rows, out)
         return EXIT_OK if report.failures == 0 else EXIT_FAIL

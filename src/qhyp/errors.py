@@ -61,3 +61,9 @@ class UnsupportedCaseError(QhypError):
 
 class BalanceError(QhypError):
     """Parameter tuple violates its defining balance constraint."""
+
+
+class SamplingError(RuntimeError):
+    """No admissible parameters were drawn within the redraw budget: the
+    sampler's box holds none at this q.  Unusable input, not a failed
+    check, so it is no QhypError."""

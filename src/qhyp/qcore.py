@@ -19,18 +19,19 @@ one column is taken as one over two equal columns, because numpy rounds
 complex products over a single element differently (:func:`_ratio_sum`).
 The two batch kernels, :func:`_ratio_sum` and :func:`_pochhammer_product`,
 take unplanned rows and return one entry per row.  Each plans its rows
-itself: the series kernel each distinct row once (:func:`_row_plans`),
-giving a row whose pole comes first its PoleError, and the product kernel
-by the factor counts of its arguments, counted once a batch.  Each then
-computes its rows in blocks (:func:`_by_blocks`): rows of like first chunks
-together, at most ``_BATCH_BYTES`` (512 KiB) of rows x factors x columns in
-a block's first chunk, counted in the bytes of the block's dtype, and no
-later chunk wider than keeps its rows within it, so their working set does
-not grow with their rows and stays on the C heap (see ``_BATCH_BYTES``).
-Their callers, one batch per kernel and shape for all the labels of a job
-(:func:`qhyp.solutions.fill`), scan each distinct parameter value once for
-the termination and pole orders of their rows (:func:`_termination_order`
-with one dict for the batch).  A chunk steps every row of its block to the
+itself, in a few array passes over the batch: the series kernel its rows'
+chunks, ends and closed-form tails (:func:`_plans`), giving a row whose
+pole comes first its PoleError, and the product kernel the factor counts
+of its arguments.  Each then computes its rows in blocks
+(:func:`_by_blocks`): rows of like first chunks together, at most
+``_BATCH_BYTES`` (512 KiB) of rows x factors x columns in a block's first
+chunk, counted in the bytes of the block's dtype, and no later chunk wider
+than keeps its rows within it, so their working set does not grow with
+their rows and stays on the C heap (see ``_BATCH_BYTES``).  Their callers,
+one batch per kernel and shape for all the labels of a job
+(:func:`qhyp.solutions.fill`), find the termination and pole orders of
+their rows in one scan of the batch's parameters
+(:func:`_termination_orders`).  A chunk steps every row of its block to the
 chunk's end; the ratios past a row's own end are never summed, and the
 kernel keeps them from warning and takes them as 1.  Whether a factor
 1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros and
@@ -94,48 +95,47 @@ def _vanishes(factor, w):
     return abs(factor) <= _ZERO_FACTOR_RTOL * (1.0 + abs(w))
 
 
+def _product(ar, ai, br, bi) -> tuple:
+    """(ar + i ai)(br + i bi) as CPython multiplies two complex numbers, each
+    part an IEEE product and sum of its own: numpy's complex loops may fuse
+    a multiply-add."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _termination_orders(values, ctx: QContext) -> np.ndarray:
-    """For each value c of the array ``values``, in its shape: the smallest
-    n < ``max_terms`` with 1 - c q^n zero (:func:`_vanishes`), else
+    """For each value c of the array ``values``: the smallest n <
+    ``max_terms`` with 1 - c q^n zero (:func:`_vanishes`), else
     ``max_terms``.  Where a series with numerators c terminates, or the
     first pole of denominators c; a descending form v q^n - c has the zeros
-    of v / c.  The order of a row is the least of its values'.
+    of v / c.  A row's order is the least of its values'.
 
-    One scan over all the values, a chunk of n at a time, with the
-    arithmetic of the scalar loop it replaced: w = c q^n by repeated
-    multiplication w q, the product taken as CPython takes it, re = wr qr -
-    wi qi and im = wr qi + wi qr, each an IEEE product or sum of its own
-    (numpy's complex loops may fuse a multiply-add), and |w| as
-    ``np.hypot``, as ``abs`` of a complex is.  The loop stops a value at the
-    first n where |w| < 0.5, with no order, or where 1 - w vanishes, order
-    n.  1 - w vanishes only where |w| is 1 to 3e-12, and |w| shrinks by
-    |q| (1 + 3 eps) < 1 a step, so no order comes after |w| < 0.5: the
-    order is the first n where 1 - w vanishes, and a value whose next |w|
-    is below 0.999 is done.  A chunk takes the steps up to where the largest
-    |w| falls below 1, within the budget and ``_BATCH_BYTES``.  So a NaN
-    value has no order, an infinite one order 0, and one still going after
-    ``max_terms`` steps none, as in the loop; a modulus past the largest
-    float, where ``abs`` raised OverflowError, counts as infinite."""
+    One scan, a chunk of n at a time, with the arithmetic of the scalar loop
+    it replaced: w = c q^n by repeated products w q (:func:`_product`), and
+    |w| as ``np.hypot``, as ``abs`` of a complex is.  The loop stopped at
+    the first n with |w| < 0.5, no order, or with 1 - w zero, order n.  1 -
+    w is zero only where |w| is 1 to 3e-12, and |w| shrinks by |q| (1 + 3
+    eps) < 1 a step, so the order is the first n with 1 - w zero, and a
+    value whose next |w| is below 0.999 is done.  A NaN value has no order,
+    an infinite one (also one whose modulus overflows, where ``abs``
+    raised) order 0, and one still going after ``max_terms`` steps none."""
     c = np.asarray(values, dtype=complex)
     q = complex(ctx.q)
-    across = np.array([[-q.imag], [q.imag]])  # times (wi, wr): (-wi qi, wr qi)
-    lq = -math.log(abs(q))
-    orders = np.full(c.size, ctx.max_terms)
+    orders = np.full(c.shape, ctx.max_terms).reshape(-1)
     live = np.arange(c.size)
-    w = np.ascontiguousarray(c.reshape(-1)).view(float).reshape(-1, 2).T  # (re, im) of each value
+    w = c.real.reshape(-1), c.imag.reshape(-1)
     n0 = 0
     with np.errstate(all="ignore"):  # the loop warns of nothing: NaN, inf and overflow pass
         while True:
+            # the steps until the largest |w| falls below 1, within the budget and
+            # _BATCH_BYTES
             bound = np.abs(w[0]) + np.abs(w[1])  # at least |w|
-            top = bound.max(initial=1.0, where=bound < np.inf)
-            width = min(int(math.log(top) / lq) + 1, ctx.max_terms - n0,
+            width = min(int(math.log(bound.max(initial=1.0, where=bound < np.inf))
+                            / -math.log(abs(q))) + 1, ctx.max_terms - n0,
                         _BATCH_BYTES // (16 * live.size + 1) + 1)
-            ws = np.empty((width, *w.shape))
-            ws[0] = w
-            for now, then in zip(ws, ws[1:]):
-                np.multiply(now, q.real, out=then)
-                then += now[::-1] * across
-            re, im = ws[:, 0], ws[:, 1]
+            re, im = np.empty((width, live.size)), np.empty((width, live.size))
+            re[0], im[0] = w
+            for k in range(1, width):
+                re[k], im[k] = _product(re[k - 1], im[k - 1], q.real, q.imag)
             mags = np.hypot(re, im)
             zero = np.hypot(1.0 - re, im) <= _ZERO_FACTOR_RTOL * (1.0 + mags)
             first = zero.argmax(axis=0)
@@ -145,8 +145,8 @@ def _termination_orders(values, ctx: QContext) -> np.ndarray:
             n0 += width
             if n0 >= ctx.max_terms or not going.any():
                 return orders.reshape(c.shape)
-            live, w = live[going], ws[-1][:, going]
-            w = w * q.real + w[::-1] * across
+            live = live[going]
+            w = _product(re[-1, going], im[-1, going], q.real, q.imag)
 
 
 # q^n for 0 <= n < _POWER_TABLE comes from a table of each q (at most
@@ -269,12 +269,11 @@ _EXTENDED_BYTES = np.dtype(np.clongdouble).itemsize
 
 
 class _Plans(NamedTuple):
-    """The plans of the rows of a :func:`_ratio_sum` batch, one array entry
-    per row: ``first`` the chunk its terms want first, ``end`` the index
-    where it stops summing term by term, ``closing`` whether that is its
-    closure index, ``tailed`` whether the tail rule may end it before, and
-    ``whole`` whether ``end`` is one past its last term (else, if not
-    closing, its budget runs out)."""
+    """The plans of the rows of a :func:`_ratio_sum` batch, one entry per
+    row each: the chunk a row wants first, the index where it stops summing
+    term by term, whether that is its closure index, whether the tail rule
+    may end it before, and whether ``end`` is one past its last term (else,
+    if not closing, its budget runs out)."""
 
     first: np.ndarray
     end: np.ndarray
@@ -284,41 +283,37 @@ class _Plans(NamedTuple):
 
 
 def _plans(rate: np.ndarray, reach: np.ndarray, last: np.ndarray, ctx: QContext) -> _Plans:
-    """The plans of rows of :func:`_ratio_sum` with these rates, reaches and
-    last terms (``max_terms`` for none), in a few array passes.
-
-    The closure index decides where the closed-form tail starts, so it is
-    the scalar plan's to the bit: where its ceil's argument lies within
-    1e-12 (relative) of an integer, ``np.log`` is replaced by ``math.log``,
-    which may differ from it in the last bit.  The first chunks only choose
-    blocks and chunks, which change no value."""
+    """The plans of rows with these rates, reaches and last terms
+    (``max_terms`` for none), as :func:`_ratio_sum` describes them.  The
+    closure index decides where the closed-form tail starts, so it is the
+    scalar plan's to the bit: where its ceil's argument lies within 1e-12
+    (relative) of an integer, ``math.log`` replaces ``np.log``, which may
+    differ from it in the last bit.  First chunks change no value."""
     whole = last < ctx.max_terms
     count = np.minimum(last + 1, ctx.max_terms)
-    # the tail rule cannot end a terminating sum this short before its last term
-    short = whole & (count <= _CONSECUTIVE_SMALL)
-    rho = np.hypot(rate.real, rate.imag)
     aq = abs(ctx.q)
     lq = -math.log(aq)
-    spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
-    # the closure index where 0 < |rate| < 1, for a finite reach and no last term
-    closes = (rho < 1.0) & (rho > 0.0) & ~whole & (spread < np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):  # |rate| 0 or 1, NaN and inf
         lr = np.log1p(reach)
-        # 0 where |rate| = 0, negative or NaN where it does not decay
+        # > 0 where 0 < |rate| < 1, 0 where |rate| = 0 and the reach is finite,
+        # negative or NaN where |rate| does not decay
+        rho = np.hypot(rate.real, rate.imag)
         n = (lr * lr / (2.0 * lq) + lr / (1.0 - aq) - math.log(ctx.tail_tol)) / -np.log(rho)
-        x = np.log(np.maximum(spread, 1.0)) / lq
-        near = closes & (np.abs(x - np.rint(x)) <= 1e-12 * x)
+        # the closure index N = max(ceil(x), 1) where n > 0 and there is no last term
+        spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
+        x = np.log(np.maximum(spread, 1.0)) / lq / ((n > 0.0) & ~whole)
+        for i in (np.abs(x - np.rint(x)) <= 1e-12 * x).nonzero()[0].tolist():
+            x[i] = math.log(max(spread[i], 1.0)) / lq
     n[rho == 0.0] = 0.0
-    n[~((n >= 0.0) & (n < _MAX_CHUNK))] = _MAX_CHUNK
-    first = np.minimum(np.maximum(n.astype(int) + 1 + _CONSECUTIVE_SMALL, _MIN_CHUNK), _MAX_CHUNK)
-    for i in near.nonzero()[0].tolist():
-        x[i] = math.log(max(spread[i], 1.0)) / lq
-    x[~closes] = np.inf
-    closing = np.ceil(x) <= count
-    end = count
-    if closing.any():  # max(ceil, 1) <= count: count is 1 at least
-        end = np.where(closing, np.maximum(np.ceil(x), 1.0), count).astype(int)
-        np.copyto(first, np.minimum(first, np.maximum(end, _MIN_CHUNK)), where=closing)
+    n[~(n >= 0.0)] = _MAX_CHUNK
+    first = np.minimum(np.maximum(np.minimum(n, _MAX_CHUNK).astype(int) + 1 + _CONSECUTIVE_SMALL,
+                                  _MIN_CHUNK), _MAX_CHUNK)
+    x = np.ceil(x)
+    closing = x <= count  # N <= count, which is 1 at least; not for NaN
+    end = np.fmin(np.maximum(x, 1.0), count).astype(int)
+    np.copyto(first, np.minimum(first, np.maximum(end, _MIN_CHUNK)), where=closing)
+    # the tail rule cannot end a terminating sum this short before its last term
+    short = whole & (count <= _CONSECUTIVE_SMALL)
     np.copyto(first, count, where=short)
     return _Plans(first, end, closing, ~short, whole)
 

@@ -19,6 +19,7 @@ from .equations import (
     Params3,
     qpow,
 )
+from .errors import SamplingError
 from .qcore import QContext
 from .solutions import CATALOGUE
 
@@ -74,7 +75,7 @@ def draw_params3(
         if series_room and (abs(q * b[2] / a[0]) > 0.85 or abs(q * B / A) > 0.85):
             continue
         return p
-    raise RuntimeError("could not draw admissible degree-three parameters")
+    raise SamplingError("could not draw admissible degree-three parameters")
 
 
 def draw_params2(
@@ -101,7 +102,7 @@ def draw_params2(
         if series_room and abs(A / B) > 0.85:
             continue
         return p
-    raise RuntimeError("could not draw admissible degree-two parameters")
+    raise SamplingError("could not draw admissible degree-two parameters")
 
 
 def draw_heine(rng: np.random.Generator, ctx: QContext) -> HeineParams:
@@ -118,7 +119,7 @@ def draw_heine(rng: np.random.Generator, ctx: QContext) -> HeineParams:
         if abs(a * b / c) > 6 or abs(a * b / c) < 0.15:
             continue
         return p
-    raise RuntimeError("could not draw admissible Heine parameters")
+    raise SamplingError("could not draw admissible Heine parameters")
 
 
 def draw_params2_terminating(
@@ -138,7 +139,7 @@ def draw_params2_terminating(
         if not _clear((n / d for n in b for d in a), q):
             continue
         return p
-    raise RuntimeError("could not draw terminating degree-two parameters")
+    raise SamplingError("could not draw terminating degree-two parameters")
 
 
 def draw_heine_for(

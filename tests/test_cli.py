@@ -304,6 +304,16 @@ def write_job(tmp_path, job):
 
 
 class TestJobInput:
+    def test_a_sampler_that_draws_nothing_is_input_error(self, tmp_path, capsys):
+        """At q = 0.2 the degree-three sampler draws no admissible tuple in
+        its 2,000 redraws: the job exits 2 with a one-line message, as other
+        unusable input does, not 1 with a traceback."""
+        job = {"equation": "e3", "solutions": "thmser3.all", "seed": 0, "ctx": {"q": 0.2}}
+        assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: could not draw admissible degree-three parameters at q = ")
+
     def test_zero_heine_parameter_is_input_error(self, tmp_path):
         """log_q 0 is undefined: a zero a, b or c is refused before any row runs."""
         for name in "abc":

@@ -2,6 +2,7 @@
 single-endpoint identities, cocycle structure and Casoratians."""
 
 import cmath
+import dataclasses
 import io
 import itertools
 import math
@@ -11,12 +12,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import _Tail, ref_termination_order
 from qhyp import cli, solutions
 from qhyp.equations import Params3, build_e2, build_e3, build_h2, build_heine, qpow
 from qhyp.errors import (
+    NonFiniteError,
     DivergenceError,
     DomainError,
     NonDecayingSumError,
@@ -54,7 +56,10 @@ from qhyp.solutions import (
     phi2_tilde,
     phi3,
     phi3_tilde,
+    fill,
     residual,
+    residual_points,
+    residuals,
     sample_points,
     solution_handle,
 )
@@ -982,6 +987,111 @@ class TestResidualReadsOnce:
             with pytest.raises(UnsupportedCaseError) as got:
                 residual(h.equation, h, xs, ctx)
             assert str(got.value) == str(want.value)
+
+
+def ref_residual(op, handle, xs, points):
+    """The residual loop that qhyp.solutions.residuals replaced, kept as its
+    reference: the values read in one call, then each sample point's terms
+    c x^i f(x q^j) formed and added in coefficient order, its first error
+    raised."""
+    shifts = range(op.t_min, op.t_max + 1)
+    values, width = handle.read(points), len(shifts)
+    terms_of = [(i, j - shifts.start, c) for (i, j), c in op.coeffs.items()]
+    worst = 0.0
+    for k, x in enumerate(xs):
+        x = complex(x)
+        row = values[k * width:(k + 1) * width]
+        terms = []
+        for i, j, c in terms_of:
+            if isinstance(row[j], Exception):
+                raise row[j].with_traceback(None)
+            terms.append(c * x**i * row[j])
+        num = abs(sum(terms))
+        den = sum(abs(t) for t in terms) + 1e-30
+        worst = max(worst, num / den)
+    return worst
+
+
+def with_value(handle, at, value):
+    """``handle`` whose read gives ``value`` at its ``at``-th point instead."""
+    def read(points):
+        values = handle.read(points)
+        values[at] = value
+        return values
+    return dataclasses.replace(handle, read=read, tables=())
+
+
+class TestJobResiduals:
+    """The residuals of a job's labels are one pass (residuals): each label's
+    residual is the reference loop's, bit for bit, whatever labels share the
+    pass, and its error the loop's first, but for a NaN or infinite
+    residual, which the loop let pass and the pass refuses."""
+
+    FAMILIES = ("thmint3", "thmint2", "thmser3", "thmser2", "heine", "heine_extra")
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), q=st.floats(0.35, 0.55), samples=st.integers(1, 12),
+           families=st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=3, unique=True),
+           broken=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 30),
+                                     st.sampled_from(["nan", "inf", "error"])), max_size=3))
+    @example(seed=0, q=0.5, samples=10, families=["heine"], broken=[])
+    @example(seed=1, q=0.45, samples=4, families=["thmint3", "thmser3"], broken=[(3, 5, "error")])
+    @example(seed=2, q=0.55, samples=6, families=["thmint2", "thmser2", "heine_extra"],
+             broken=[(0, 7, "nan"), (5, 0, "inf")])
+    def test_job_pass_equals_the_loop_label_by_label(self, seed, q, samples, families, broken):
+        rng = np.random.default_rng(seed)
+        ctx = QContext(q)
+        requests = []
+        shared = {}
+        for family in families:
+            for label in all_labels(family):
+                row = CATALOGUE[label]
+                if row.equation not in shared:
+                    shared[row.equation] = draw_equation_params(row.equation, rng, ctx)
+                p = shared[row.equation] if row.condition is None else \
+                    draw_heine_for(rng, ctx, label)
+                sigma = default_sigma(p) if row.equation == "e2" else 1.3
+                h = solution_handle(label, p, ctx, sigma=sigma)
+                xs = sample_points(h, samples, ctx)
+                requests.append([h.equation, h, xs, residual_points(h.equation, h, xs)])
+        fill([(h, points) for _, h, _, points in requests])
+        for label, at, kind in broken:  # a NaN, infinite or failed value somewhere
+            request = requests[label % len(requests)]
+            value = {"nan": complex("nan"), "inf": complex("inf"),
+                     "error": UnsupportedCaseError("a value that fails")}[kind]
+            request[1] = with_value(request[1], at % len(request[3]), value)
+        got = residuals([tuple(request) for request in requests])
+        for (op, h, xs, points), res in zip(requests, got):
+            try:
+                want = ref_residual(op, h, xs, points)
+            except UnsupportedCaseError as exc:
+                want = exc
+            if isinstance(want, float) and not math.isfinite(want) or isinstance(
+                    res, NonFiniteError):
+                # the loop's max drops a NaN that is not first: compare the terms instead
+                assert isinstance(res, NonFiniteError), h.label
+                assert any(not math.isfinite(v.real) or not math.isfinite(v.imag)
+                           for v in h.read(points) if not isinstance(v, Exception))
+            elif isinstance(want, Exception):
+                assert type(res) is type(want) and str(res) == str(want), h.label
+            else:
+                assert repr(res) == repr(want), h.label
+
+    def test_a_nan_value_fails_its_label(self):
+        """heine.1 at seed 0, q = 0.5 and 4 samples: a NaN value at the
+        second sample point made the loop's residual 1.1e-17, a pass (its
+        max dropped the NaN); the pass refuses the label."""
+        rng = np.random.default_rng(0)
+        ctx = QContext(0.5)
+        h = solution_handle("heine.1", draw_equation_params("heine", rng, ctx), ctx)
+        xs = sample_points(h, 4, ctx)
+        width = h.equation.t_max - h.equation.t_min + 1
+        assert residual(h.equation, h, xs, ctx) < 1e-15
+        broken = with_value(h, width, complex("nan"))
+        with pytest.raises(NonFiniteError):
+            residual(h.equation, broken, xs, ctx)
+        (got,) = residuals([(h.equation, broken, xs, residual_points(h.equation, h, xs))])
+        assert isinstance(got, NonFiniteError) and f"{xs[1]!r}" in str(got)
 
 
 class TestLogSpacing:
