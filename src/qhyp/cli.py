@@ -321,16 +321,16 @@ def _each_label(job: dict, rng, ctx: QContext, report: Report, check: str,
     solutions.fill(requests)
     measured = iter(measure([entry for _, entry in prepared if not isinstance(entry, QhypError)]))
     for label, entry in prepared:
-        # the first pass's error, or the measure's, reported in label order
-        outcome = entry if isinstance(entry, QhypError) else next(measured)
-        if isinstance(outcome, Exception) and not isinstance(outcome, QhypError):
-            raise outcome.with_traceback(None)  # not a failed check: the job's own error
-        if isinstance(outcome, QhypError):
-            report.add({"check": check, "label": label,
-                        "error": f"{type(outcome).__name__}: {outcome}"}, passed=False)
-        else:
+        try:
+            outcome = entry if isinstance(entry, QhypError) else next(measured)
+            if isinstance(outcome, Exception):
+                raise outcome.with_traceback(None)  # the first pass's error, or the measure's
             record, passed = outcome
-            report.add({"check": check, "label": label, **record}, passed=passed)
+        except QhypError as exc:
+            report.add({"check": check, "label": label,
+                        "error": f"{type(exc).__name__}: {exc}"}, passed=False)
+            continue
+        report.add({"check": check, "label": label, **record}, passed=passed)
 
 
 def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
@@ -452,13 +452,13 @@ def cmd_sample(job: dict, rng, ctx: QContext, report: Report):
     """Records of |f(x)| along the positive axis for plotting, each label at
     the parameters verify checks it at; written as CSV when the output file
     ends in .csv."""
-    def measure_one(handle, xs):
+    def measure(handle, xs, _):
         values = handle.read(xs)
-        error = next((value for value in values if isinstance(value, Exception)), None)
-        return error or ({"x": [float(v) for v in xs], "abs_f": [abs(v) for v in values]}, None)
+        return next((value for value in values if isinstance(value, Exception)), None) or (
+            {"x": [float(v) for v in xs], "abs_f": [abs(v) for v in values]}, None)
 
     _each_label(job, rng, ctx, report, "sample", 32, lambda handle, xs: xs,
-                lambda entries: [measure_one(handle, xs) for handle, xs, _ in entries])
+                lambda entries: [measure(*entry) for entry in entries])
 
 
 def _sample_rows_to_csv(rows: list[dict], out) -> None:
@@ -499,10 +499,7 @@ def run_job(command: str, job: dict, out, csv: bool = False) -> int:
     rng = np.random.default_rng(seed)
     ctx = build_context(job)
     report = Report()
-    try:
-        _COMMANDS[command](job, rng, ctx, report)
-    except SamplingError as exc:
-        raise JobError(f"{exc} at q = {ctx.q}") from exc
+    _COMMANDS[command](job, rng, ctx, report)
     if csv and command == "sample":
         _sample_rows_to_csv(report.rows, out)
         return EXIT_OK if report.failures == 0 else EXIT_FAIL
@@ -560,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except JobError as exc:
+    except (JobError, SamplingError) as exc:  # unusable input: a sampler that draws nothing too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (QhypError, ValueError) as exc:

@@ -14,7 +14,7 @@ class NonDecayingSumError(QhypError):
 
 
 class NonFiniteError(QhypError):
-    """A residual term of a solution, or its residual, is NaN or infinite."""
+    """A residual is NaN or infinite, as it is where a term of it is."""
 
 
 class PoleError(QhypError):
@@ -64,6 +64,4 @@ class BalanceError(QhypError):
 
 
 class SamplingError(RuntimeError):
-    """No admissible parameters were drawn within the redraw budget: the
-    sampler's box holds none at this q.  Unusable input, not a failed
-    check, so it is no QhypError."""
+    """No admissible parameters within the redraws: input, not a failed check."""

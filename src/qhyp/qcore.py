@@ -18,30 +18,28 @@ not depend on the rows beside it; scalar callers pass one row.  A step over
 one column is taken as one over two equal columns, because numpy rounds
 complex products over a single element differently (:func:`_ratio_sum`).
 The two batch kernels, :func:`_ratio_sum` and :func:`_pochhammer_product`,
-take unplanned rows and return one entry per row.  Each plans its rows
-itself, in a few array passes over the batch: the series kernel its rows'
-chunks, ends and closed-form tails (:func:`_plans`), giving a row whose
-pole comes first its PoleError, and the product kernel the factor counts
-of its arguments.  Each then computes its rows in blocks
+take unplanned rows and return one entry per row.  Each plans its rows itself
+in array passes: the series kernel its rows' chunks, ends and closed-form
+tails (:func:`_plans`), giving a row whose pole comes first its PoleError, and
+the product kernel its factor counts.  Each then computes its rows in blocks
 (:func:`_by_blocks`): rows of like first chunks together, at most
 ``_BATCH_BYTES`` (512 KiB) of rows x factors x columns in a block's first
 chunk, counted in the bytes of the block's dtype, and no later chunk wider
-than keeps its rows within it, so their working set does not grow with
-their rows and stays on the C heap (see ``_BATCH_BYTES``).  Their callers,
-one batch per kernel and shape for all the labels of a job
-(:func:`qhyp.solutions.fill`), find the termination and pole orders of
-their rows in one scan of the batch's parameters
-(:func:`_termination_orders`).  A chunk steps every row of its block to the
-chunk's end; the ratios past a row's own end are never summed, and the
-kernel keeps them from warning and takes them as 1.  Whether a factor
-1 - w is zero is one test, :func:`_vanishes`, for poles, exact zeros and
-terminating parameters alike.  Where the step ratios tend to a constant r
-with 0 < |r| < 1, the kernel sums term by term only up to the closure index
-N, past which every ratio equals r to rounding; there it computes in closed
-form the term where the tail rule would stop, which decides the budget as
-before, and adds the tail as t r / (1 - r), t the last term summed.  The
-running maximum stays floored at 1, because the closed-form stop index and
-the reference loops in the tests apply the same rule.
+than keeps its rows within it, so their working set does not grow with their
+rows and stays on the C heap (see ``_BATCH_BYTES``).  Their callers, one batch
+per kernel and shape for all the labels of a job
+(:func:`qhyp.solutions.fill`), find the termination and pole orders of their
+rows in one scan of the batch's parameters (:func:`_termination_orders`).  A
+chunk steps every row of its block to the chunk's end; the ratios past a row's
+own end are never summed, and the kernel keeps them from warning and takes
+them as 1.  Whether a factor 1 - w is zero is one test, :func:`_vanishes`, for
+poles, exact zeros and terminating parameters alike.  Where the step ratios
+tend to a constant r with 0 < |r| < 1, the kernel sums term by term only up to
+the closure index N, past which every ratio equals r to rounding; there it
+computes in closed form the term where the tail rule would stop, which decides
+the budget as before, and adds the tail as t r / (1 - r), t the last term
+summed.  The running maximum stays floored at 1, because the closed-form stop
+index and the reference loops in the tests apply the same rule.
 
 The kernel multiplies and adds in the precision of its first terms and
 step ratios.  ``phi``, ``w87`` and ``appell_phi1`` build their ratios in
@@ -96,42 +94,32 @@ def _vanishes(factor, w):
 
 
 def _product(ar, ai, br, bi) -> tuple:
-    """(ar + i ai)(br + i bi) as CPython multiplies two complex numbers, each
-    part an IEEE product and sum of its own: numpy's complex loops may fuse
-    a multiply-add."""
+    """(ar + i ai)(br + i bi) as CPython multiplies complex numbers, with no
+    fused multiply-add, which numpy's complex loops may use."""
     return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _termination_orders(values, ctx: QContext) -> np.ndarray:
-    """For each value c of the array ``values``: the smallest n <
-    ``max_terms`` with 1 - c q^n zero (:func:`_vanishes`), else
-    ``max_terms``.  Where a series with numerators c terminates, or the
-    first pole of denominators c; a descending form v q^n - c has the zeros
-    of v / c.  A row's order is the least of its values'.
-
-    One scan, a chunk of n at a time, with the arithmetic of the scalar loop
-    it replaced: w = c q^n by repeated products w q (:func:`_product`), and
-    |w| as ``np.hypot``, as ``abs`` of a complex is.  The loop stopped at
-    the first n with |w| < 0.5, no order, or with 1 - w zero, order n.  1 -
-    w is zero only where |w| is 1 to 3e-12, and |w| shrinks by |q| (1 + 3
-    eps) < 1 a step, so the order is the first n with 1 - w zero, and a
-    value whose next |w| is below 0.999 is done.  A NaN value has no order,
-    an infinite one (also one whose modulus overflows, where ``abs``
-    raised) order 0, and one still going after ``max_terms`` steps none."""
+    """For each value c of the array ``values``: the first n < ``max_terms``
+    where 1 - c q^n is zero (:func:`_vanishes`), else ``max_terms``; where
+    numerators c end a series, or denominators c have their first pole (v
+    q^n - c has the zeros of v / c).  One scan, a chunk of n at a time, in
+    the scalar loop's arithmetic: w = c q^n by repeated products
+    (:func:`_product`), |w| by ``np.hypot``, as ``abs``.  1 - w is zero only
+    where |w| is 1 to 3e-12, and |w| shrinks a step, so the loop's stop at
+    |w| < 0.5 never comes first, and one whose next |w| is below 0.999 is
+    done.  NaN has no order; inf (or |c| past the largest float) order 0."""
     c = np.asarray(values, dtype=complex)
     q = complex(ctx.q)
-    orders = np.full(c.shape, ctx.max_terms).reshape(-1)
-    live = np.arange(c.size)
+    orders, live = np.full(c.size, ctx.max_terms), np.arange(c.size)
     w = c.real.reshape(-1), c.imag.reshape(-1)
+    top = np.fmax.reduce(np.abs(c), axis=None, initial=1.0)  # the largest |w|, about
     n0 = 0
     with np.errstate(all="ignore"):  # the loop warns of nothing: NaN, inf and overflow pass
         while True:
-            # the steps until the largest |w| falls below 1, within the budget and
-            # _BATCH_BYTES
-            bound = np.abs(w[0]) + np.abs(w[1])  # at least |w|
-            width = min(int(math.log(bound.max(initial=1.0, where=bound < np.inf))
-                            / -math.log(abs(q))) + 1, ctx.max_terms - n0,
-                        _BATCH_BYTES // (16 * live.size + 1) + 1)
+            # the steps until the largest |w| is below 1, within budget and _BATCH_BYTES
+            width = min(int(min(math.log(top) / -math.log(abs(q)), ctx.max_terms)) + 1,
+                        ctx.max_terms - n0, _BATCH_BYTES // (16 * live.size + 1) + 1)
             re, im = np.empty((width, live.size)), np.empty((width, live.size))
             re[0], im[0] = w
             for k in range(1, width):
@@ -145,7 +133,7 @@ def _termination_orders(values, ctx: QContext) -> np.ndarray:
             n0 += width
             if n0 >= ctx.max_terms or not going.any():
                 return orders.reshape(c.shape)
-            live = live[going]
+            live, top = live[going], mags[-1, going].max()
             w = _product(re[-1, going], im[-1, going], q.real, q.imag)
 
 
@@ -269,11 +257,10 @@ _EXTENDED_BYTES = np.dtype(np.clongdouble).itemsize
 
 
 class _Plans(NamedTuple):
-    """The plans of the rows of a :func:`_ratio_sum` batch, one entry per
-    row each: the chunk a row wants first, the index where it stops summing
-    term by term, whether that is its closure index, whether the tail rule
-    may end it before, and whether ``end`` is one past its last term (else,
-    if not closing, its budget runs out)."""
+    """The plans of a :func:`_ratio_sum` batch, one entry per row: its first
+    chunk, where it stops summing term by term, whether that is its closure
+    index, whether the tail rule may end it before, and whether ``end`` is
+    one past its last term (else, if not closing, past the budget)."""
 
     first: np.ndarray
     end: np.ndarray
@@ -284,20 +271,15 @@ class _Plans(NamedTuple):
 
 def _plans(rate: np.ndarray, reach: np.ndarray, last: np.ndarray, ctx: QContext) -> _Plans:
     """The plans of rows with these rates, reaches and last terms
-    (``max_terms`` for none), as :func:`_ratio_sum` describes them.  The
-    closure index decides where the closed-form tail starts, so it is the
-    scalar plan's to the bit: where its ceil's argument lies within 1e-12
-    (relative) of an integer, ``math.log`` replaces ``np.log``, which may
-    differ from it in the last bit.  First chunks change no value."""
+    (``max_terms``: none), as the scalar plan made them: its ceil's argument
+    for the closure index, which decides values, by ``math.log`` where it
+    lies within 1e-12 (relative) of an integer, as ``np.log`` may differ."""
     whole = last < ctx.max_terms
     count = np.minimum(last + 1, ctx.max_terms)
-    aq = abs(ctx.q)
-    lq = -math.log(aq)
+    aq, lq = abs(ctx.q), -math.log(abs(ctx.q))
     with np.errstate(divide="ignore", invalid="ignore"):  # |rate| 0 or 1, NaN and inf
-        lr = np.log1p(reach)
-        # > 0 where 0 < |rate| < 1, 0 where |rate| = 0 and the reach is finite,
-        # negative or NaN where |rate| does not decay
-        rho = np.hypot(rate.real, rate.imag)
+        # n > 0 where 0 < |rate| < 1; 0 for |rate| 0 and a finite reach; else < 0 or NaN
+        lr, rho = np.log1p(reach), np.hypot(rate.real, rate.imag)
         n = (lr * lr / (2.0 * lq) + lr / (1.0 - aq) - math.log(ctx.tail_tol)) / -np.log(rho)
         # the closure index N = max(ceil(x), 1) where n > 0 and there is no last term
         spread = _RATIO_FACTORS * reach / ((1.0 - aq) * ctx.tail_tol)
@@ -327,6 +309,7 @@ def _ratio_sum(
     *,
     weigh: Callable[[list, np.ndarray, np.ndarray], np.ndarray] | None = None,
     column: int = _RATIO_FACTORS * _EXTENDED_BYTES,
+    errors: list | None = None,
 ) -> list:
     """Row r: sum_n t_n, where t_0 = ``t0[r]`` and t_{n+1} = t_n r_n; the
     rows are summed together, a chunk of n at a time.
@@ -334,19 +317,18 @@ def _ratio_sum(
     Returns one entry per row: its sum, or the error it raises (a scalar
     caller passes one row and raises it with :func:`_one`).
 
-    ``rows`` is (rate, reach, last, pole), each a sequence of one entry per
-    row: ``rate`` the limit of the ratios of a row's terms (weighed, where
-    ``weigh`` is given), ``reach`` the largest |c| among the factors 1 - c
-    q^n of its r_n, ``last`` its last term, and ``pole`` the first n whose
-    r_n divides by a vanishing factor, both orders as
-    :func:`_termination_orders` gives them (``max_terms`` where there is
-    none), or None where no row has one.  Row r stops by the tail rule
-    or after term ``last``; ``max_terms`` terms without either raise
-    NonDecayingSumError.  The kernel plans the batch in array passes
-    (:func:`_plans`): a row whose ``pole`` comes before its end is a
-    PoleError of its own, and sums nothing.  It sums the other rows in
-    blocks cut by their first chunks (:func:`_by_blocks`), so the working
-    set of a batch does not grow with its rows.
+    ``rows`` is (rate, reach, last, pole), one entry per row each: ``rate``
+    the limit of the ratios of its terms (weighed, where ``weigh`` is
+    given), ``reach`` the largest |c| among the factors 1 - c q^n of its
+    r_n, ``last`` its last term and ``pole`` the first n whose r_n divides
+    by a vanishing factor, as :func:`_termination_orders` gives them
+    (``max_terms``: none; None: none for any row).  Row r stops by the tail
+    rule or after term ``last``; ``max_terms`` terms without either raise
+    NonDecayingSumError.  The kernel plans the rows in array passes
+    (:func:`_plans`): one whose ``pole`` comes before its end is a
+    PoleError, and one with an error in ``errors`` (None: none) that error;
+    neither sums anything.  It sums the rest in blocks cut by their first
+    chunks (:func:`_by_blocks`), so a batch's working set does not grow.
 
     ``step(rows, ns)`` gives the ratios r_n at the indices ``ns`` for the
     rows ``rows`` (a list of indices into the batch), one array row each; a
@@ -384,19 +366,16 @@ def _ratio_sum(
     last term summed; if not (or t is not finite), NonDecayingSumError is
     raised at once.
     """
-    none = np.full(len(t0), ctx.max_terms)
-    rate, reach = np.asarray(rows[0], complex), np.asarray(rows[1], float)
-    last, pole = (none if v is None else np.asarray(v) for v in rows[2:])
+    rate, reach, last, pole = np.asarray(rows[0], complex), np.asarray(rows[1], float), *rows[2:]
+    last = np.full(len(t0), ctx.max_terms) if last is None else np.asarray(last)
     plans = _plans(rate, reach, last, ctx)
-    out: list = [None] * len(t0)
-    live = list(range(len(t0)))
-    if rows[3] is not None:
-        refused = pole < last
-        for r in refused.nonzero()[0].tolist():  # each row raises its own
-            out[r] = PoleError(f"{what}: a denominator factor vanishes at n = {pole[r]}")
-        live = (~refused).nonzero()[0].tolist()
-        if not live:
-            return out
+    out: list = [None] * len(t0) if errors is None else list(errors)
+    if pole is not None:
+        for r in (np.asarray(pole) < last).nonzero()[0].tolist():  # each row raises its own
+            out[r] = out[r] or PoleError(f"{what}: a denominator factor vanishes at n = {pole[r]}")
+    live = [r for r, error in enumerate(out) if error is None]
+    if not live:
+        return out
     t0 = np.asarray(t0)  # complex, or extended as t0 is
     t0 = t0.astype(np.promote_types(t0.dtype, complex))
     rates = rate.tolist()

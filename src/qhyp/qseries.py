@@ -15,8 +15,8 @@ the one series kernel, :func:`qhyp.qcore._ratio_sum`.  :func:`_phi_rows` and
 ratios read from per-row parameter arrays; a job's fill hands them the rows
 of all its labels of one series shape (:func:`qhyp.solutions.fill`).  They
 give the kernel each row's rate, reach, termination order and first pole,
-scanning each distinct parameter value of the batch once, and the kernel
-plans, refuses and blocks the rows; each row's value or error is what it
+from one scan of the batch's parameters, and the kernel plans, refuses
+and blocks the rows; each row's value or error is what it
 is alone, bit for bit, and ``phi`` and ``w87`` are the one-row case.  Both
 sides of ``psi33`` pass one row.  A denominator factor that vanishes to
 rounding (:func:`qhyp.qcore._vanishes`) before the sum ends raises
@@ -64,27 +64,6 @@ class PhiSpec:
         object.__setattr__(self, "argument", complex(argument))
 
 
-def _sum_rows(out: list, diverges, columns: tuple, params: np.ndarray, step, factors: int,
-              ctx: QContext, what: str) -> list:
-    """Sum the rows of a series batch into ``out``, but for those that
-    ``diverges`` marks (None: none), whose errors ``out`` holds.  Row i has
-    the (rate, reach, last, pole) of :func:`qhyp.qcore._ratio_sum` in
-    ``columns`` and its parameters in ``params[i]``; ``step(v, ns)`` gives
-    the step ratios at ``ns`` of the rows whose parameters are ``v``, shaped
-    (parameters, rows, 1), from ``factors`` factors 1 - c q^n a step."""
-    keep = range(len(out))
-    if diverges is not None and diverges.any():
-        keep = (~diverges).nonzero()[0]
-        columns, params, keep = [c[keep] for c in columns], params[keep], keep.tolist()
-    if len(keep):
-        v = params.astype(np.clongdouble).T[:, :, None]
-        sums = _ratio_sum([1.0] * len(keep), lambda sub, ns: step(v[:, sub], ns), ctx, columns,
-                          what, column=factors * _EXTENDED_BYTES)
-        for i, value in zip(keep, sums):
-            out[i] = value
-    return out
-
-
 def _moduli(v: np.ndarray) -> np.ndarray:
     """|c| of each entry of ``v``, as ``abs`` of a complex gives it."""
     return np.hypot(v.real, v.imag)
@@ -94,8 +73,8 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     """Row i: the general series of (numerators, denominators, argument) =
     ``rows[i]``, as :func:`phi` sums it alone; the rows share their numbers
     of numerators and of denominators.  Returns one entry per row: its
-    value, or the error it raises (:func:`_sum_rows`).  The termination and
-    pole orders of the batch are one scan of its parameters
+    value, or the error it raises.  The termination and pole orders of the
+    batch are one scan of its parameters
     (:func:`qhyp.qcore._termination_orders`)."""
     if not rows:
         return []
@@ -106,8 +85,7 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     v = np.array([(*nums, *dens, q, z) for nums, dens, z in rows], dtype=complex)
     orders = _termination_orders(v[:, :r + s], ctx)
     last = orders[:, :r].min(axis=1, initial=ctx.max_terms)
-    diverges = None
-    if p <= 0:
+    if p <= 0:  # a series that does not terminate diverges, for r = s+1 where |z| >= 1
         diverges = last == ctx.max_terms
         if p == 0:
             diverges &= _moduli(v[:, -1]) >= 1.0
@@ -125,7 +103,9 @@ def _phi_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         ratio *= v[-1] * (-qn) ** p if p else v[-1]
         return ratio
 
-    return _sum_rows(out, diverges, columns, v, step, r + s + 1, ctx, "q-hypergeometric series")
+    v = v.astype(np.clongdouble).T[:, :, None]
+    return _ratio_sum([1.0] * len(rows), lambda sub, ns: step(v[:, sub], ns), ctx, columns,
+                      "q-hypergeometric series", column=(r + s + 1) * _EXTENDED_BYTES, errors=out)
 
 
 def phi(spec: PhiSpec, ctx: QContext) -> complex:
@@ -183,25 +163,22 @@ def psi33(a: Sequence[complex], b: Sequence[complex], z: complex, ctx: QContext)
 def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
     """Row i: the very-well-poised series of (a, b, c, d, e, f, z) =
     ``rows[i]``, as :func:`w87` sums it alone.  Returns one entry per row:
-    its value, or the error it raises (:func:`_sum_rows`, with 14 factors
-    1 - c q^n a step).  As in :func:`_phi_rows`, the orders of the batch are
-    one scan."""
+    its value, or the error it raises, with 14 factors 1 - c q^n a step.
+    As in :func:`_phi_rows`, the orders of the batch are one scan."""
     q = complex(ctx.q)
     out: list = [None] * len(rows)
     values = []  # b, ..., f, a; qa/b, ..., qa/f, sqrt(a), -sqrt(a); q, z
     for row in rows:
         a, b, c, d, e, f, z = (complex(v) for v in row)
         params = (b, c, d, e, f)
-        # 1 - a q^{2n} = (1 - sqrt(a) q^n)(1 + sqrt(a) q^n) divides the step ratio too
-        values.append((*params, a, *[q * a / p for p in params], cmath.sqrt(a), -cmath.sqrt(a), q, z))
+        root = cmath.sqrt(a)  # 1 - a q^{2n} = (1 - root q^n)(1 + root q^n) divides the ratio too
+        values.append((*params, a, *[q * a / p for p in params], root, -root, q, z))
     v = np.array(values, dtype=complex).reshape(len(rows), 15)
     orders = _termination_orders(v[:, :13], ctx)
     last = orders[:, :6].min(axis=1, initial=ctx.max_terms)
-    z = v[:, 14]
-    diverges = (last == ctx.max_terms) & (_moduli(z) >= 1.0)
-    for i in diverges.nonzero()[0].tolist():
+    for i in ((last == ctx.max_terms) & (_moduli(v[:, 14]) >= 1.0)).nonzero()[0].tolist():
         out[i] = DivergenceError(f"w87 needs |z| < 1, got {abs(complex(rows[i][6])):.6g}")
-    columns = (z, np.maximum(_moduli(v[:, :11]).max(axis=1), abs(q)), last,
+    columns = (v[:, 14], np.maximum(_moduli(v[:, :11]).max(axis=1), abs(q)), last,
                orders[:, 6:].min(axis=1, initial=ctx.max_terms))
     qx = np.clongdouble(q)
 
@@ -215,8 +192,9 @@ def _w87_rows(rows: Sequence[tuple], ctx: QContext) -> list:
         return v[7] * _quotient(1.0 - np.concatenate(
             (v[:6] * qn, (qx * q * sq)[None], qx * v[0] / v[1:6] * qn, v[6:7] * qn, sq[None])), 7)
 
-    return _sum_rows(out, diverges, columns, v[:, [5, 0, 1, 2, 3, 4, 13, 14]], step, 14, ctx,
-                     "w87 series")
+    v = v[:, [5, 0, 1, 2, 3, 4, 13, 14]].astype(np.clongdouble).T[:, :, None]  # a, b, ..., f, q, z
+    return _ratio_sum([1.0] * len(rows), lambda sub, ns: step(v[:, sub], ns), ctx, columns,
+                      "w87 series", column=14 * _EXTENDED_BYTES, errors=out)
 
 
 def w87(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, z: complex,

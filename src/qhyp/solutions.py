@@ -9,8 +9,8 @@ grids is one term-ratio sum of the series kernel of :mod:`qhyp.qcore`
 (chunked, stopped row by row by its tail rule), with the grid weights
 t^alpha w(t) applied per chunk; both kernels cut their rows into blocks of
 bounded size themselves.  Zeros and poles on a grid are refused up front,
-row by row, by the one zero test of :mod:`qhyp.qcore`, which scans each
-distinct argument of a batch once.
+row by row, by one scan of a batch's arguments (the zero test of
+:mod:`qhyp.qcore`).
 
 Every handle gives its values through one call, :meth:`SolutionHandle.read`,
 which takes many points and returns one value or error per point; calling a
@@ -73,6 +73,7 @@ from .qcore import (
     QContext,
     _one,
     _pochhammer_product,
+    _product,
     _quotient,
     _ratio_sum,
     _termination_orders,
@@ -176,8 +177,8 @@ def _grid_sum(
     Zeros: F is zero on an ascending run of the grid that ends where a
     factor 1 - n_i t vanishes, and the recurrence cannot step out of it.  Such
     a run always holds the grid start, so a seed that is exactly zero, or an
-    argument n_i tau that is q^-k to rounding (:func:`_termination_order`,
-    each distinct argument scanned once a batch), is refused up front
+    argument n_i tau that is q^-k to rounding (one scan of the batch's
+    arguments, :func:`qhyp.qcore._termination_orders`), is refused up front
     (UnsupportedCaseError).  Descending, a vanishing numerator factor makes
     the rest of the tail exactly zero, which the tail rule ends; a vanishing
     denominator factor anywhere within the budget is a pole (PoleError,
@@ -221,30 +222,25 @@ def _grid_sum(
     # ``down_at`` map those to indices into taus
     out: list = [0.0 + 0.0j] * len(taus)
     seeds = _pochhammer_product(starts[live], n_num, ctx)
-    good = [k for k, v in enumerate(seeds) if not isinstance(v, Exception)]
-    # the zero and pole tests of the rows whose seeds are values: one scan
+    # the zero tests and, descending, the pole tests of the batch: one scan
     scanned = starts[live, :n_num]
-    if bilateral:
+    if bilateral:  # q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n does
         scanned = np.hstack((scanned, q / (taus[live, None] * dens[live])))
-    orders = _termination_orders(scanned[good], ctx)
+    orders = _termination_orders(scanned, ctx)
     zero = orders[:, :n_num].min(axis=1, initial=ctx.max_terms) < ctx.max_terms
-    for i, k in enumerate(good):
-        if seeds[k] == 0 or zero[i]:
-            seeds[k] = UnsupportedCaseError(
-                f"integrand vanishes at the grid start {complex(taus[live[k]])}")
     for k, r in enumerate(live):
+        if not isinstance(seeds[k], Exception) and (seeds[k] == 0 or zero[k]):
+            seeds[k] = UnsupportedCaseError(
+                f"integrand vanishes at the grid start {complex(taus[r])}")
         out[r] = seeds[k]
-    kept = [i for i, k in enumerate(good) if not isinstance(seeds[k], Exception)]
-    good = [good[i] for i in kept]
+    good = [k for k, v in enumerate(seeds) if not isinstance(v, Exception)]
     at, seed = live[good], np.array([seeds[k] for k in good])
     reaches = np.abs(starts[live]).max(axis=1)
     sums = _ratio_sum(seed, lambda rows, ns: up(at[rows], ns), ctx,
                       ([rate] * len(good), reaches[good], None, None), what,
                       weigh=lambda rows, ns, F: weigh(at[rows], ns, F), column=column)
-    if bilateral:
-        # descending, q/t - d_j at t = tau q^-n vanishes where 1 - (q / (tau d_j)) q^n
-        # does: a pole, raised by a row whose upward sum succeeds
-        poles = orders[kept, n_num:].min(axis=1, initial=ctx.max_terms) < ctx.max_terms
+    if bilateral:  # a pole on the descending grid, raised by a row whose upward sum succeeds
+        poles = orders[good, n_num:].min(axis=1, initial=ctx.max_terms) < ctx.max_terms
         for i in poles.nonzero()[0].tolist():
             if not isinstance(sums[i], Exception):
                 sums[i] = PoleError("integrand pole on the descending grid")
@@ -711,36 +707,25 @@ def residual(
 ) -> float:
     """Max over sample points of |sum of operator terms| relative to the sum
     of term magnitudes (backward-error style; floor keeps zeros harmless):
-    the one-label case of :func:`residuals`, which raises the label's
-    error.  ``points`` are the caller's :func:`residual_points` of ``op``,
-    ``handle`` and ``xs``, else computed here."""
+    the one-label case of :func:`residuals`, raising its error.  ``points``
+    are the caller's :func:`residual_points` of ``op``, ``handle`` and
+    ``xs``, else computed here."""
     if points is None:
         points = residual_points(op, handle, xs)
     return _one(residuals([(op, handle, xs, points)]))
 
 
-def _product(ar, ai, br, bi) -> tuple:
-    """(ar + i ai)(br + i bi) as CPython multiplies two complex numbers, each
-    an IEEE product or sum of its own: numpy's complex loops may fuse a
-    multiply-add."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def residuals(requests: Sequence[tuple[QDiffOperator, SolutionHandle, Sequence, Sequence]]) -> list:
-    """The :func:`residual` of each (op, handle, xs, points) request, or the
-    error it raises, in array passes over all the requests at once.
-
-    Each handle gives its values at its points x q^j in one read (after a
-    job's fill, a lookup).  Requests whose operators have the same (i, j)
-    keys, in the same order, and as many sample points make one pass: the
-    terms a_ij x^i f(x q^j) of every label and point, a coefficient at a
-    time and in coefficient order, each as the scalar loop it replaced
-    computes it (CPython's x**i at each point, the products c x^i f left
-    to right as :func:`_product` takes them, the sums added term by term).
-    A label's error is its first, point by point: at each point, the error
-    of its first value in coefficient order that is one, else a
-    NonFiniteError where the residual is NaN or infinite, as it is where a
-    term is."""
+    """The :func:`residual` of each (op, handle, xs, points) request, or its
+    error, in one array pass over the requests whose operators have the
+    same (i, j) keys, in order, and as many sample points.  Each handle
+    reads its values in one call (after a job's fill, a lookup); the terms
+    a_ij x^i f(x q^j) of every label and point are formed a coefficient at
+    a time, as the scalar loop they replaced formed them: CPython's x**i,
+    c x^i f multiplied left to right (:func:`qhyp.qcore._product`), the
+    sums added in coefficient order from 0.  A label's error is its first,
+    point by point: its first value in coefficient order that is an error,
+    else a NonFiniteError where the residual is NaN or infinite."""
     out: list = [None] * len(requests)
     groups: dict = {}
     for k, (op, _, xs, _) in enumerate(requests):
@@ -750,33 +735,28 @@ def residuals(requests: Sequence[tuple[QDiffOperator, SolutionHandle, Sequence, 
         shifts = range(ops[0].t_min, ops[0].t_max + 1)
         rows = [requests[k][1].read(requests[k][3]) for k in members]
         try:
-            f = np.array(rows, dtype=complex)
-        except TypeError:  # an error among the values
+            f = np.array(rows, dtype=complex).reshape(len(members), n, len(shifts))
+        except TypeError:  # an error among the values: a NaN in its terms
             f = np.array([[np.nan if isinstance(v, Exception) else v for v in row] for row in rows],
-                         dtype=complex)
-        f = f.reshape(len(members), n, len(shifts))
+                         dtype=complex).reshape(len(members), n, len(shifts))
         xs = [[complex(x) for x in requests[k][2]] for k in members]
         powers = {i: np.array([[x**i for x in row] for row in xs]) for i in {i for i, _ in keys}}
-        total = mags = None
+        re = im = mags = 0.0
         with np.errstate(all="ignore"):  # a NaN or infinite term makes a NaN residual
             for i, j in keys:
                 c = np.array([op.coeffs[i, j] for op in ops])[:, None]
                 a = _product(c.real, c.imag, powers[i].real, powers[i].imag)
-                term = _product(*a, f[:, :, j - shifts.start].real, f[:, :, j - shifts.start].imag)
-                mag = np.hypot(*term)
-                total = term if total is None else (total[0] + term[0], total[1] + term[1])
-                mags = mag if mags is None else mags + mag
-            ratios = np.hypot(*total) / (mags + 1e-30)
+                t = _product(*a, f[:, :, j - shifts.start].real, f[:, :, j - shifts.start].imag)
+                re, im, mags = re + t[0], im + t[1], mags + np.hypot(*t)
+            ratios = np.hypot(re, im) / (mags + 1e-30)
         bad = ~np.isfinite(ratios)
-        worst = ratios.max(axis=1).tolist()
-        for row, k in enumerate(members):
-            out[k] = worst[row]
-            if bad[row].any():  # an error's NaN stands in for it in the terms
-                point = int(bad[row].argmax())
-                at = rows[row][point * len(shifts):(point + 1) * len(shifts)]
-                out[k] = next((at[j - shifts.start] for _, j in keys
-                               if isinstance(at[j - shifts.start], Exception)), None) \
-                    or NonFiniteError(f"the residual at x = {requests[k][2][point]!r} is not finite")
+        for row, (k, worst) in enumerate(zip(members, ratios.max(axis=1).tolist())):
+            out[k] = worst
+            if bad[row].any():  # the first bad point's first error in coefficient order
+                point = bad[row].argmax()
+                at = [rows[row][point * len(shifts) + j - shifts.start] for _, j in keys]
+                out[k] = next((v for v in at if isinstance(v, Exception)), None) or \
+                    NonFiniteError(f"the residual at x = {requests[k][2][point]!r} is not finite")
     return out
 
 

@@ -312,7 +312,7 @@ class TestJobInput:
         assert main(["verify", "--job", write_job(tmp_path, job)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: could not draw admissible degree-three parameters at q = ")
+        assert err == "error: could not draw admissible degree-three parameters\n"
 
     def test_zero_heine_parameter_is_input_error(self, tmp_path):
         """log_q 0 is undefined: a zero a, b or c is refused before any row runs."""
