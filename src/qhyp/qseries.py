@@ -259,9 +259,8 @@ def heine_transformation_constant(
 
     Constant in z, equal to (a)_inf / (c)_inf; requires |a| < 1 and |z| < 1.
     """
-    lhs = phi21(a, b, c, z, ctx)
-    rhs = qpoch_ratio([b * z], [z], ctx) * phi21(c / a, z, b * z, a, ctx)
-    return lhs / rhs
+    lhs, rhs = _phi_rows([((a, b), (c,), z), ((c / a, z), (b * z,), a)], ctx)  # one batch
+    return _one([lhs]) / (qpoch_ratio([b * z], [z], ctx) * _one([rhs]))
 
 
 def bailey_w87_transform(
@@ -280,14 +279,13 @@ def bailey_w87_transform(
     mu = q * a * a / (b * c * d)
     z_lhs = a * a * q * q / (b * c * d * e * f)
     z_rhs = a * q / (e * f)
-    lhs = w87(a, b, c, d, e, f, z_lhs, ctx)
-    pref = qpoch_ratio(
+    lhs, rhs = _w87_rows([(a, b, c, d, e, f, z_lhs),
+                          (mu, mu * b / a, mu * c / a, mu * d / a, e, f, z_rhs)], ctx)
+    return _one([lhs]), qpoch_ratio(
         [a * q, a * q / (e * f), mu * q / e, mu * q / f],
         [a * q / e, a * q / f, mu * q, mu * q / (e * f)],
         ctx,
-    )
-    rhs = pref * w87(mu, mu * b / a, mu * c / a, mu * d / a, e, f, z_rhs, ctx)
-    return lhs, rhs
+    ) * _one([rhs])
 
 
 def w87_to_phi32_limit(

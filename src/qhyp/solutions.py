@@ -603,8 +603,9 @@ def e3_to_e2_series_deviation(
     q = complex(ctx.q)
     p3 = Params3(p2.a1, p2.a2, ell, p2.b1, p2.b2,
                  qpow(q, p2.alpha - 1) * ell, p2.A, p2.B)
-    r1 = e3_series(p3, 1, x1, ctx) / e2_series_limit_target(p2, x1, ctx)
-    r2 = e3_series(p3, 1, x2, ctx) / e2_series_limit_target(p2, x2, ctx)
+    s1, s2 = _e3_table(_row("thmser3.1"), p3, ctx).read([x1, x2])  # one fill
+    r1 = _one([s1]) / e2_series_limit_target(p2, x1, ctx)
+    r2 = _one([s2]) / e2_series_limit_target(p2, x2, ctx)
     return abs(r1 / r2 - 1.0)
 
 
