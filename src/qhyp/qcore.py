@@ -113,7 +113,8 @@ def _termination_orders(values, ctx: QContext) -> np.ndarray:
     q = complex(ctx.q)
     orders, live = np.full(c.size, ctx.max_terms), np.arange(c.size)
     w = c.real.reshape(-1), c.imag.reshape(-1)
-    top = np.fmax.reduce(np.abs(c), axis=None, initial=1.0)  # the largest |w|, about
+    top = np.abs(c)  # the largest finite |w|, about
+    top = top.max(initial=1.0, where=top < np.inf)
     n0 = 0
     with np.errstate(all="ignore"):  # the loop warns of nothing: NaN, inf and overflow pass
         while True:
