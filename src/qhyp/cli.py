@@ -342,7 +342,7 @@ def cmd_verify(job: dict, rng, ctx: QContext, report: Report):
         """Every label's residual, in one pass (:func:`qhyp.solutions.residuals`)."""
         found = solutions.residuals([(handle.equation, handle, xs, points)
                                      for handle, xs, points in entries])
-        return [res if isinstance(res, QhypError) else
+        return [res if isinstance(res, Exception) else
                 ({"samples": len(xs), "max_residual": res}, res < RESIDUAL_TOL)
                 for (_, xs, _), res in zip(entries, found)]
 
