@@ -751,7 +751,7 @@ def residuals(requests: Sequence[tuple[QDiffOperator, SolutionHandle, Sequence, 
                 re, im, mags = re + t[0], im + t[1], mags + np.hypot(*t)
             ratios = np.hypot(re, im) / (mags + 1e-30)
         bad = ~np.isfinite(ratios)
-        for row, (k, worst) in enumerate(zip(members, ratios.max(axis=1).tolist())):
+        for row, (k, worst) in enumerate(zip(members, ratios.max(axis=1, initial=0.0).tolist())):
             out[k] = worst
             if bad[row].any():  # the first bad point's first error in coefficient order
                 point = bad[row].argmax()
