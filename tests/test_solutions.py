@@ -1023,9 +1023,10 @@ def with_value(handle, at, value):
 
 class TestJobResiduals:
     """The residuals of a job's labels are one pass (residuals): each label's
-    residual is the reference loop's, bit for bit, whatever labels share the
-    pass, and its error the loop's first, but for a NaN or infinite
-    residual, which the loop let pass and the pass refuses."""
+    residual is what residual gives it alone and the reference loop's, bit
+    for bit, whatever labels share the pass, and its error the loop's first,
+    but for a NaN or infinite residual, which the loop let pass and the pass
+    refuses."""
 
     FAMILIES = ("thmint3", "thmint2", "thmser3", "thmser2", "heine", "heine_extra")
 
@@ -1062,6 +1063,11 @@ class TestJobResiduals:
             request[1] = with_value(request[1], at % len(request[3]), value)
         got = residuals([tuple(request) for request in requests])
         for (op, h, xs, points), res in zip(requests, got):
+            try:  # the label alone, through residual, is what it is in the job's pass
+                alone = residual(op, h, xs, QContext(q), points)
+            except (UnsupportedCaseError, NonFiniteError) as exc:
+                alone = exc
+            assert repr(alone) == repr(res), h.label
             try:
                 want = ref_residual(op, h, xs, points)
             except UnsupportedCaseError as exc:
